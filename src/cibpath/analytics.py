@@ -14,7 +14,7 @@ from typing import Optional
 from scipy.stats import norm
 
 from .engine import Scenario
-from .errors import EmptyInputError, InsufficientCandidatesError
+from .errors import ConfigError, EmptyInputError, InsufficientCandidatesError
 from .model import StudySpec
 from .simulate import EnsembleResult, Pathway
 
@@ -218,7 +218,7 @@ def select_candidates(
     group, groups ordered by frequency, with at least two candidates ending
     in the best outcome state whenever the pool allows it."""
     if k < 2:
-        raise ValueError(f"k must be >= 2 (got {k})")
+        raise ConfigError(f"candidate count must be >= 2 (got {k})")
     survivors = list(screened.candidates)
     if len(survivors) < k:
         raise InsufficientCandidatesError(

@@ -1,7 +1,9 @@
 """Command-line orchestration of the pathway pipeline.
 
-Exit codes: 0 success, 1 validation error, 2 runtime/infeasibility,
-3 configuration error. The default worker count can be set via the
+Each stage subcommand reads its inputs and calls the stage function that
+``cibpath pipeline`` runs. Exit codes: 0 success, 1 validation error,
+2 runtime/infeasibility, 3 configuration error (including unreadable or
+mismatched input files). The default worker count can be set via the
 CIBPATH_WORKERS environment variable.
 """
 
@@ -10,47 +12,45 @@ from __future__ import annotations
 import json
 import os
 import sys
+from typing import Optional
 
 import click
 
 from . import __version__
-from .analytics import screen_candidates, select_candidates
 from .engine import enumerate_consistent
 from .errors import CibError, ConfigError, ParseError, TractabilityError, ValidationFailure
-from .mcda import load_mcda_input, rank_pathways, ranking_report
+from .mcda import load_mcda_input
 from .model import load_study_spec, validate_study_spec
 from .pipeline import (
     findings_report,
-    load_candidate_pathways,
+    load_checked_ensemble,
     load_pipeline_config,
+    mcda_stage,
+    quantify_stage,
+    raise_on_errors,
+    read_json,
     run_pipeline,
-    screening_config_from,
-    write_candidate_report,
-    write_quantified_outputs,
-    write_share_tables,
+    screen_stage,
+    simulate_stage,
+    stats_stage,
 )
-from .quantify import (
-    attach_uncertainty_ranges,
-    build_extreme_scenarios,
-    enforce_identities,
-    load_translation_file,
-    parse_identities,
-    quantify_pathway,
-)
-from .simulate import (
-    DEFAULT_MAX_ITER,
-    load_ensemble,
-    save_ensemble,
-    simulate_ensemble,
-)
+from .simulate import DEFAULT_MAX_ITER
 
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_CONFIG = 3
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("CIBPATH_WORKERS", "1"))
+def _worker_count(option: Optional[int], default: int) -> int:
+    """--workers if given, else CIBPATH_WORKERS if set, else the default."""
+    if option is not None:
+        return option
+    try:
+        return int(os.environ.get("CIBPATH_WORKERS", default))
+    except ValueError:
+        raise ConfigError(
+            f"CIBPATH_WORKERS must be an integer (got {os.environ['CIBPATH_WORKERS']!r})"
+        )
 
 
 def _fail(code: int, error: Exception) -> None:
@@ -65,7 +65,7 @@ def _guarded(fn):
             fn(*args, **kwargs)
         except ValidationFailure as e:
             _fail(EXIT_VALIDATION, e)
-        except (ConfigError, ParseError, TractabilityError) as e:
+        except (ConfigError, ParseError, TractabilityError, json.JSONDecodeError, OSError) as e:
             _fail(EXIT_CONFIG, e)
         except CibError as e:
             _fail(EXIT_RUNTIME, e)
@@ -73,6 +73,18 @@ def _guarded(fn):
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
+
+
+def _echo(paths: list[str]) -> None:
+    for path in paths:
+        click.echo(path)
+
+
+def _spec_and_ensemble(spec_path: str, ensemble_path: Optional[str]):
+    spec = load_study_spec(spec_path)
+    if ensemble_path is None:
+        return spec, None
+    return spec, load_checked_ensemble(ensemble_path, spec.digest())
 
 
 spec_option = click.option(
@@ -96,12 +108,9 @@ def main():
 @_guarded
 def validate(spec_path):
     """Check a study spec; exit 1 when errors are found."""
-    spec = load_study_spec(spec_path)
-    findings = validate_study_spec(spec)
-    report = findings_report(findings)
-    click.echo(json.dumps(report, indent=2, sort_keys=True))
-    if report["errors"]:
-        raise ValidationFailure(f"{len(report['errors'])} validation errors")
+    findings = validate_study_spec(load_study_spec(spec_path))
+    click.echo(json.dumps(findings_report(findings), indent=2, sort_keys=True))
+    raise_on_errors(findings, "see the report above")
 
 
 @main.command()
@@ -131,16 +140,10 @@ def enumerate(spec_path, limit):
 def simulate(spec_path, out_dir, master_seed, runs, workers, max_iter):
     """Simulate the pathway ensemble and write ensemble.jsonl."""
     spec = load_study_spec(spec_path)
-    findings = validate_study_spec(spec)
-    if any(f.severity == "error" for f in findings):
-        raise ValidationFailure("study spec failed validation; run `cibpath validate`")
-    ensemble = simulate_ensemble(
-        spec, runs, master_seed, max_iter, workers or _default_workers()
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "ensemble.jsonl")
-    save_ensemble(ensemble, path)
-    click.echo(path)
+    raise_on_errors(validate_study_spec(spec), "run `cibpath validate`")
+    _echo(simulate_stage(
+        spec, out_dir, runs, master_seed, max_iter, _worker_count(workers, 1)
+    )[0])
 
 
 @main.command()
@@ -151,11 +154,8 @@ def simulate(spec_path, out_dir, master_seed, runs, workers, max_iter):
 @_guarded
 def stats(spec_path, out_dir, level, ensemble_path):
     """Emit per-state ensemble share series with Wilson bands."""
-    spec = load_study_spec(spec_path)
-    ensemble = load_ensemble(ensemble_path)
-    os.makedirs(out_dir, exist_ok=True)
-    for path in write_share_tables(ensemble, spec, level, out_dir):
-        click.echo(path)
+    spec, ensemble = _spec_and_ensemble(spec_path, ensemble_path)
+    _echo(stats_stage(ensemble, spec, level, out_dir))
 
 
 @main.command()
@@ -168,20 +168,8 @@ def stats(spec_path, out_dir, level, ensemble_path):
 @_guarded
 def screen(spec_path, out_dir, ensemble_path, config_path, k):
     """Screen pathways for plausibility and select the candidate set."""
-    spec = load_study_spec(spec_path)
-    ensemble = load_ensemble(ensemble_path)
-    with open(config_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    scfg = screening_config_from(doc)
-    best_state = doc.get("best_outcome_state")
-    if best_state is None:
-        best_state = spec.descriptor(scfg.outcome_descriptor).state_count - 1
-    screened = screen_candidates(ensemble, spec, scfg)
-    selected = select_candidates(
-        screened, k, (scfg.outcome_descriptor, int(best_state)), spec
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    click.echo(write_candidate_report(selected, out_dir))
+    spec, ensemble = _spec_and_ensemble(spec_path, ensemble_path)
+    _echo(screen_stage(ensemble, spec, read_json(config_path), k, out_dir))
 
 
 @main.command()
@@ -191,14 +179,7 @@ def screen(spec_path, out_dir, ensemble_path, config_path, k):
 @_guarded
 def mcda(out_dir, input_path):
     """Rank pathways by persona-weighted additive scores."""
-    inp = load_mcda_input(input_path)
-    ranking = rank_pathways(inp)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "mcda_report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ranking_report(inp, ranking), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    click.echo(path)
+    _echo(mcda_stage(load_mcda_input(input_path), out_dir)[0])
 
 
 @main.command()
@@ -218,29 +199,15 @@ def mcda(out_dir, input_path):
 def quantify(spec_path, out_dir, candidates_path, pathway_id, matrix_path,
              ranges_path, identities_path, ensemble_path, extremes_path):
     """Translate a selected pathway into a model-ready input table."""
-    spec = load_study_spec(spec_path)
-    pathways = load_candidate_pathways(candidates_path)
-    if pathway_id not in pathways:
-        raise ConfigError(f"pathway {pathway_id!r} not in {candidates_path}")
-    dims, matrix = load_translation_file(matrix_path, spec)
-    qp = quantify_pathway(pathways[pathway_id], dims, matrix, spec)
-    if ranges_path:
-        with open(ranges_path, encoding="utf-8") as fh:
-            qp = attach_uncertainty_ranges(qp, json.load(fh))
-    if identities_path:
-        with open(identities_path, encoding="utf-8") as fh:
-            qp = enforce_identities(qp, parse_identities(json.load(fh)))
-    extremes, warnings = (), ()
-    if extremes_path:
-        if not ensemble_path:
-            raise ConfigError("--extremes requires --ensemble")
-        with open(extremes_path, encoding="utf-8") as fh:
-            extremes, warnings = build_extreme_scenarios(
-                load_ensemble(ensemble_path), dims, matrix, spec, json.load(fh)
-            )
-    os.makedirs(out_dir, exist_ok=True)
-    for path in write_quantified_outputs(qp, extremes, warnings, pathway_id, out_dir):
-        click.echo(path)
+    # The ensemble is read only to draw extreme scenarios from.
+    spec, ensemble = _spec_and_ensemble(spec_path, extremes_path and ensemble_path)
+    _echo(quantify_stage(
+        spec, candidates_path, pathway_id, matrix_path, out_dir,
+        ranges=read_json(ranges_path) if ranges_path else None,
+        identities_path=identities_path,
+        extremes=read_json(extremes_path) if extremes_path else None,
+        ensemble=ensemble,
+    ))
 
 
 @main.command()
@@ -254,10 +221,7 @@ def quantify(spec_path, out_dir, candidates_path, pathway_id, matrix_path,
 def pipeline(config_path, out_dir, workers, runs, seed):
     """Run all enabled stages end to end and write the manifest."""
     cfg = load_pipeline_config(config_path, out_dir)
-    if workers is not None:
-        cfg.worker_count = workers
-    elif "CIBPATH_WORKERS" in os.environ:
-        cfg.worker_count = _default_workers()
+    cfg.worker_count = _worker_count(workers, cfg.worker_count)
     if runs is not None:
         cfg.run_count = runs
     if seed is not None:

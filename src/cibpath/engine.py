@@ -28,11 +28,6 @@ class ImpactBalance:
 
     scores: tuple[tuple[float, ...], ...]
 
-    def argmax_states(self, j: int) -> tuple[int, ...]:
-        row = self.scores[j]
-        best = max(row)
-        return tuple(l for l, v in enumerate(row) if v == best)
-
 
 @dataclass(frozen=True)
 class ConsistencyResult:

@@ -33,9 +33,6 @@ class McdaInput:
     personas: tuple[Persona, ...]
     scale: tuple[float, float] = (1.0, 5.0)
 
-    def score(self, pathway: str, criterion: str) -> float:
-        return self.scores[self.pathways.index(pathway)][self.criteria.index(criterion)]
-
 
 @dataclass(frozen=True)
 class McdaRanking:
@@ -108,20 +105,14 @@ def rank_pathways(inp: McdaInput) -> McdaRanking:
         raise ConfigError(f"invalid MCDA input: {first.path}: {first.message}")
 
     per_persona = []
+    distinct: dict[tuple[float, ...], tuple[float, ...]] = {}
     for persona in inp.personas:
         wv = persona.weight_vector()
         totals = tuple(
             sum(w * s for w, s in zip(wv, row)) for row in inp.scores
         )
         per_persona.append((persona.id, tuple(zip(inp.pathways, totals))))
-
-    distinct: dict[tuple[float, ...], tuple[float, ...]] = {}
-    for persona in inp.personas:
-        wv = persona.weight_vector()
-        if wv not in distinct:
-            distinct[wv] = tuple(
-                sum(w * s for w, s in zip(wv, row)) for row in inp.scores
-            )
+        distinct.setdefault(wv, totals)
     r = len(distinct)
     values = []
     for pi, pathway in enumerate(inp.pathways):

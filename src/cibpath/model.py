@@ -64,12 +64,6 @@ class Descriptor:
         return tuple(s.label for s in self.states)
 
 
-@dataclass(frozen=True)
-class JudgementCell:
-    score: float
-    confidence: int
-
-
 class CrossImpactMatrix:
     """Dense judgement storage over all ordered pairs of distinct descriptors.
 
@@ -119,12 +113,6 @@ class CrossImpactMatrix:
             mask &= ~np.eye(d, dtype=bool)[:, None, :, None]
             self._mask = mask
         return self._mask
-
-    def cell(self, src: int, src_state: int, tgt: int, tgt_state: int) -> JudgementCell:
-        return JudgementCell(
-            float(self.scores[src, src_state, tgt, tgt_state]),
-            int(self.confidences[src, src_state, tgt, tgt_state]),
-        )
 
     def with_scores(self, scores: np.ndarray) -> "CrossImpactMatrix":
         """New matrix sharing structure and confidences, with replaced scores."""

@@ -17,14 +17,13 @@ from typing import Optional
 
 from . import __version__
 from .analytics import (
-    CandidateSet,
     ScreeningConfig,
     screen_candidates,
     select_candidates,
     state_share_series,
 )
 from .errors import ConfigError, ValidationFailure
-from .mcda import load_mcda_input, rank_pathways, ranking_report
+from .mcda import McdaInput, McdaRanking, load_mcda_input, rank_pathways, ranking_report
 from .model import Finding, StudySpec, load_study_spec, validate_study_spec
 from .quantify import (
     attach_uncertainty_ranges,
@@ -68,8 +67,7 @@ class PipelineConfig:
 
 
 def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: Optional[str]) -> Optional[str]:
@@ -98,6 +96,8 @@ def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> Pipelin
         )
     except KeyError as e:
         raise ConfigError(f"pipeline config missing key {e}")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"pipeline config has a malformed value: {e}")
     for stage in cfg.stages:
         if stage not in ALL_STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
@@ -106,10 +106,22 @@ def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> Pipelin
     return cfg
 
 
+def read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _dump_json(doc, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _dump_csv(rows: list[dict], fieldnames: list[str], path: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _file_digest(path: str) -> str:
@@ -118,6 +130,12 @@ def _file_digest(path: str) -> str:
         for block in iter(lambda: fh.read(1 << 16), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _artifact(out_dir: str, name: str) -> str:
+    """Path of a stage output, creating the output directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def findings_report(findings: list[Finding]) -> dict:
@@ -135,86 +153,27 @@ def findings_report(findings: list[Finding]) -> dict:
     }
 
 
-def write_share_tables(
-    ensemble: EnsembleResult, spec: StudySpec, level: float, out_dir: str
-) -> list[str]:
-    """Plot-ready share series: one row per descriptor/period/state."""
-    rows = []
-    series_doc = {}
-    for d in spec.descriptors:
-        series = state_share_series(ensemble, spec, d.id, level)
-        per_desc = []
-        for period, cells in series.cells:
-            for state, cell in enumerate(cells):
-                rows.append(
-                    {
-                        "descriptor": d.id,
-                        "period": period,
-                        "state": state,
-                        "label": d.states[state].label,
-                        "share": cell.share,
-                        "low": cell.low,
-                        "high": cell.high,
-                    }
-                )
-                per_desc.append(
-                    {
-                        "period": period,
-                        "state": state,
-                        "share": cell.share,
-                        "low": cell.low,
-                        "high": cell.high,
-                    }
-                )
-        series_doc[d.id] = per_desc
-    csv_path = os.path.join(out_dir, "shares.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["descriptor", "period", "state", "label", "share", "low", "high"]
+def raise_on_errors(findings: list[Finding], hint: str) -> None:
+    errors = sum(1 for f in findings if f.severity == "error")
+    if errors:
+        raise ValidationFailure(f"study spec failed validation with {errors} errors; {hint}")
+
+
+def load_checked_ensemble(path: str, spec_digest: str) -> EnsembleResult:
+    """Load an ensemble for a stage, refusing one simulated from another spec."""
+    ensemble = load_ensemble(path)
+    if ensemble.spec_digest != spec_digest:
+        raise ConfigError(
+            f"{path} was simulated from spec {ensemble.spec_digest}, "
+            f"not from the spec in use ({spec_digest})"
         )
-        writer.writeheader()
-        writer.writerows(rows)
-    json_path = os.path.join(out_dir, "shares.json")
-    _dump_json({"confidence_level": level, "series": series_doc}, json_path)
-    return [csv_path, json_path]
+    return ensemble
 
 
 def _pathway_doc(pathway: Pathway) -> dict:
     return {
         "periods": list(pathway.periods),
         "states": [list(z) for z in pathway.scenarios],
-    }
-
-
-def write_candidate_report(selected: CandidateSet, out_dir: str) -> str:
-    doc = {
-        "candidates": [
-            {
-                "id": f"C{i + 1}",
-                "rationale": c.rationale,
-                "terminal_frequency": c.terminal_frequency,
-                **_pathway_doc(c.pathway),
-            }
-            for i, c in enumerate(selected.candidates)
-        ],
-        "rejected": [
-            {**_pathway_doc(p), "reason": reason} for p, reason in selected.rejected
-        ],
-        "warnings": list(selected.warnings),
-    }
-    path = os.path.join(out_dir, "candidates.json")
-    _dump_json(doc, path)
-    return path
-
-
-def load_candidate_pathways(path: str) -> dict[str, Pathway]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return {
-        c["id"]: Pathway(
-            tuple((p, tuple(z)) for p, z in zip(c["periods"], c["states"]))
-        )
-        for c in doc["candidates"]
     }
 
 
@@ -235,13 +194,172 @@ def screening_config_from(doc: dict) -> ScreeningConfig:
     )
 
 
+# ---------------------------------------------------------------------------
+# Stages. Each takes loaded inputs, writes its artifacts into out_dir and
+# returns their paths; run_pipeline and the CLI subcommands both call these.
+
+
+def validate_stage(spec: StudySpec, out_dir: str) -> list[str]:
+    """findings.json; raises ValidationFailure, after writing it, on errors."""
+    findings = validate_study_spec(spec)
+    path = _artifact(out_dir, "findings.json")
+    _dump_json(findings_report(findings), path)
+    raise_on_errors(findings, f"see {path}")
+    return [path]
+
+
+def simulate_stage(
+    spec: StudySpec, out_dir: str, run_count: int, master_seed: int, max_iter: int,
+    worker_count: int,
+) -> tuple[list[str], EnsembleResult]:
+    """ensemble.jsonl, plus the ensemble itself for later stages to reuse."""
+    ensemble = simulate_ensemble(spec, run_count, master_seed, max_iter, worker_count)
+    path = _artifact(out_dir, "ensemble.jsonl")
+    save_ensemble(ensemble, path)
+    return [path], ensemble
+
+
+def stats_stage(
+    ensemble: EnsembleResult, spec: StudySpec, level: float, out_dir: str
+) -> list[str]:
+    """Plot-ready share series: one row per descriptor/period/state."""
+    rows = []
+    series_doc = {}
+    for d in spec.descriptors:
+        series = state_share_series(ensemble, spec, d.id, level)
+        per_desc = []
+        for period, cells in series.cells:
+            for state, cell in enumerate(cells):
+                point = {
+                    "period": period,
+                    "state": state,
+                    "share": cell.share,
+                    "low": cell.low,
+                    "high": cell.high,
+                }
+                per_desc.append(point)
+                rows.append({"descriptor": d.id, "label": d.states[state].label, **point})
+        series_doc[d.id] = per_desc
+    csv_path = _artifact(out_dir, "shares.csv")
+    _dump_csv(
+        rows, ["descriptor", "period", "state", "label", "share", "low", "high"], csv_path
+    )
+    json_path = os.path.join(out_dir, "shares.json")
+    _dump_json({"confidence_level": level, "series": series_doc}, json_path)
+    return [csv_path, json_path]
+
+
+def screen_stage(
+    ensemble: EnsembleResult, spec: StudySpec, screening: dict, candidate_count: int,
+    out_dir: str,
+) -> list[str]:
+    """candidates.json. The best outcome state defaults to the outcome
+    descriptor's last state."""
+    scfg = screening_config_from(screening)
+    screened = screen_candidates(ensemble, spec, scfg)
+    best_state = screening.get("best_outcome_state")
+    if best_state is None:
+        best_state = spec.descriptor(scfg.outcome_descriptor).state_count - 1
+    selected = select_candidates(
+        screened, candidate_count, (scfg.outcome_descriptor, int(best_state)), spec
+    )
+    doc = {
+        "candidates": [
+            {
+                "id": f"C{i + 1}",
+                "rationale": c.rationale,
+                "terminal_frequency": c.terminal_frequency,
+                **_pathway_doc(c.pathway),
+            }
+            for i, c in enumerate(selected.candidates)
+        ],
+        "rejected": [
+            {**_pathway_doc(p), "reason": reason} for p, reason in selected.rejected
+        ],
+        "warnings": list(selected.warnings),
+    }
+    path = _artifact(out_dir, "candidates.json")
+    _dump_json(doc, path)
+    return [path]
+
+
+def mcda_stage(inp: McdaInput, out_dir: str) -> tuple[list[str], McdaRanking]:
+    """mcda_report.json, plus the ranking, whose top pathway is the default
+    one to quantify."""
+    ranking = rank_pathways(inp)
+    path = _artifact(out_dir, "mcda_report.json")
+    _dump_json(ranking_report(inp, ranking), path)
+    return [path], ranking
+
+
+def quantify_stage(
+    spec: StudySpec, candidates_path: str, pathway_id: str, translation_path: str,
+    out_dir: str, ranges: Optional[dict] = None, identities_path: Optional[str] = None,
+    extremes: Optional[dict] = None, ensemble: Optional[EnsembleResult] = None,
+) -> list[str]:
+    """quantified.csv and quantified.json for one candidate pathway; extreme
+    scenarios are drawn from the ensemble."""
+    pathways = {
+        c["id"]: Pathway(tuple((p, tuple(z)) for p, z in zip(c["periods"], c["states"])))
+        for c in read_json(candidates_path)["candidates"]
+    }
+    if pathway_id not in pathways:
+        raise ConfigError(f"pathway {pathway_id!r} not in {candidates_path}")
+    dims, matrix = load_translation_file(translation_path, spec)
+    qp = quantify_pathway(pathways[pathway_id], dims, matrix, spec)
+    if ranges:
+        qp = attach_uncertainty_ranges(qp, ranges)
+    if identities_path:
+        qp = enforce_identities(qp, parse_identities(read_json(identities_path)))
+    scenarios, warnings = (), ()
+    if extremes:
+        if ensemble is None:
+            raise ConfigError("extreme scenarios need the ensemble")
+        scenarios, warnings = build_extreme_scenarios(ensemble, dims, matrix, spec, extremes)
+
+    rows = quantified_table_rows(qp)
+    csv_path = _artifact(out_dir, "quantified.csv")
+    _dump_csv(
+        rows, ["dimension", "unit", "period", "central", "low", "high", "provenance"], csv_path
+    )
+    bundle = {
+        "selected_pathway": pathway_id,
+        "dimensions": [
+            {"id": d.id, "unit": d.unit, "driver": d.driver} for d in qp.dimensions
+        ],
+        "table": rows,
+        "extreme_scenarios": [
+            {
+                "label": e.label,
+                "axis": e.axis,
+                "period": e.period,
+                "values": {d: v for d, v in e.values},
+            }
+            for e in scenarios
+        ],
+        "warnings": list(warnings),
+    }
+    json_path = os.path.join(out_dir, "quantified.json")
+    _dump_json(bundle, json_path)
+    return [csv_path, json_path]
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the enabled stages in order; returns the manifest document.
 
-    Stage failures raise; validation errors raise ConfigError after the
-    findings report has been written.
+    A missing stage input raises ConfigError before any stage runs; a spec
+    with validation errors raises ValidationFailure after findings.json
+    has been written.
     """
-    os.makedirs(config.output_dir, exist_ok=True)
+    stages, out = config.stages, config.output_dir
+    for stage, field in (
+        ("screen", "screening"), ("mcda", "mcda_input_path"), ("quantify", "translation_path")
+    ):
+        if stage in stages and not getattr(config, field):
+            raise ConfigError(f"{stage} stage enabled but {field} is not set")
+    if "quantify" in stages and "mcda" not in stages and config.selected_pathway is None:
+        raise ConfigError("quantify stage needs a selected pathway (mcda stage or override)")
+
     spec = load_study_spec(config.spec_path)
     manifest: dict = {
         "spec_digest": spec.digest(),
@@ -256,131 +374,42 @@ def run_pipeline(config: PipelineConfig) -> dict:
             os.path.basename(p): _file_digest(p) for p in paths
         }
 
-    if "validate" in config.stages:
-        findings = validate_study_spec(spec)
-        report_path = os.path.join(config.output_dir, "findings.json")
-        _dump_json(findings_report(findings), report_path)
-        record("validate", [report_path])
-        if any(f.severity == "error" for f in findings):
-            raise ValidationFailure(
-                f"study spec failed validation; see {report_path}"
-            )
-
     ensemble: Optional[EnsembleResult] = None
-    ensemble_path = os.path.join(config.output_dir, "ensemble.jsonl")
-    if "simulate" in config.stages:
-        ensemble = simulate_ensemble(
-            spec,
-            config.run_count,
-            config.master_seed,
-            config.max_iter,
-            config.worker_count,
-        )
-        save_ensemble(ensemble, ensemble_path)
-        record("simulate", [ensemble_path])
 
     def need_ensemble() -> EnsembleResult:
         nonlocal ensemble
         if ensemble is None:
-            ensemble = load_ensemble(ensemble_path)
+            ensemble = load_checked_ensemble(
+                os.path.join(out, "ensemble.jsonl"), manifest["spec_digest"]
+            )
         return ensemble
 
-    if "stats" in config.stages:
-        paths = write_share_tables(
-            need_ensemble(), spec, config.confidence_level, config.output_dir
+    if "validate" in stages:
+        record("validate", validate_stage(spec, out))
+    if "simulate" in stages:
+        paths, ensemble = simulate_stage(
+            spec, out, config.run_count, config.master_seed, config.max_iter,
+            config.worker_count,
         )
-        record("stats", paths)
-
-    selected_set: Optional[CandidateSet] = None
-    candidates_path = os.path.join(config.output_dir, "candidates.json")
-    if "screen" in config.stages:
-        if not config.screening:
-            raise ConfigError("screen stage enabled but no screening config given")
-        scfg = screening_config_from(config.screening)
-        screened = screen_candidates(need_ensemble(), spec, scfg)
-        best_state = config.screening.get("best_outcome_state")
-        if best_state is None:
-            best_state = spec.descriptor(scfg.outcome_descriptor).state_count - 1
-        selected_set = select_candidates(
-            screened,
-            config.candidate_count,
-            (scfg.outcome_descriptor, int(best_state)),
-            spec,
-        )
-        record("screen", [write_candidate_report(selected_set, config.output_dir)])
-
-    ranking_path = os.path.join(config.output_dir, "mcda_report.json")
-    selected_id: Optional[str] = config.selected_pathway
-    if "mcda" in config.stages:
-        if not config.mcda_input_path:
-            raise ConfigError("mcda stage enabled but no mcda_input path given")
-        inp = load_mcda_input(config.mcda_input_path)
-        ranking = rank_pathways(inp)
-        _dump_json(ranking_report(inp, ranking), ranking_path)
-        record("mcda", [ranking_path])
+        record("simulate", paths)
+    if "stats" in stages:
+        record("stats", stats_stage(need_ensemble(), spec, config.confidence_level, out))
+    if "screen" in stages:
+        record("screen", screen_stage(
+            need_ensemble(), spec, config.screening, config.candidate_count, out
+        ))
+    selected_id = config.selected_pathway
+    if "mcda" in stages:
+        paths, ranking = mcda_stage(load_mcda_input(config.mcda_input_path), out)
+        record("mcda", paths)
         if selected_id is None:
             selected_id = ranking.order[0]
+    if "quantify" in stages:
+        record("quantify", quantify_stage(
+            spec, os.path.join(out, "candidates.json"), selected_id,
+            config.translation_path, out, config.ranges, config.identities_path,
+            config.extremes, need_ensemble() if config.extremes else None,
+        ))
 
-    if "quantify" in config.stages:
-        if not config.translation_path:
-            raise ConfigError("quantify stage enabled but no translation path given")
-        if selected_id is None:
-            raise ConfigError(
-                "quantify stage needs a selected pathway (mcda stage or explicit override)"
-            )
-        pathways = load_candidate_pathways(candidates_path)
-        if selected_id not in pathways:
-            raise ConfigError(f"selected pathway {selected_id!r} not in candidates")
-        dims, matrix = load_translation_file(config.translation_path, spec)
-        qp = quantify_pathway(pathways[selected_id], dims, matrix, spec)
-        if config.ranges:
-            qp = attach_uncertainty_ranges(qp, config.ranges)
-        if config.identities_path:
-            with open(config.identities_path, encoding="utf-8") as fh:
-                identities = parse_identities(json.load(fh))
-            qp = enforce_identities(qp, identities)
-        extremes, warnings = (), ()
-        if config.extremes:
-            extremes, warnings = build_extreme_scenarios(
-                need_ensemble(), dims, matrix, spec, config.extremes
-            )
-        paths = write_quantified_outputs(
-            qp, extremes, warnings, selected_id, config.output_dir
-        )
-        record("quantify", paths)
-
-    manifest_path = os.path.join(config.output_dir, "manifest.json")
-    _dump_json(manifest, manifest_path)
+    _dump_json(manifest, _artifact(out, "manifest.json"))
     return manifest
-
-
-def write_quantified_outputs(qp, extremes, warnings, selected_id: str, out_dir: str) -> list[str]:
-    rows = quantified_table_rows(qp)
-    csv_path = os.path.join(out_dir, "quantified.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["dimension", "unit", "period", "central", "low", "high", "provenance"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    bundle = {
-        "selected_pathway": selected_id,
-        "dimensions": [
-            {"id": d.id, "unit": d.unit, "driver": d.driver} for d in qp.dimensions
-        ],
-        "table": rows,
-        "extreme_scenarios": [
-            {
-                "label": e.label,
-                "axis": e.axis,
-                "period": e.period,
-                "values": {d: v for d, v in e.values},
-            }
-            for e in extremes
-        ],
-        "warnings": list(warnings),
-    }
-    json_path = os.path.join(out_dir, "quantified.json")
-    _dump_json(bundle, json_path)
-    return [csv_path, json_path]

@@ -57,7 +57,6 @@ class Pathway:
 @dataclass(frozen=True)
 class RunRecord:
     run_index: int
-    seed_stream: str
     pathway: Pathway
     converged: tuple[bool, ...]
     succession_iterations: tuple[int, ...]
@@ -188,7 +187,6 @@ def simulate_run(
         iterations.append(iters)
     return RunRecord(
         run_index=run_index,
-        seed_stream=f"run/{run_index}",
         pathway=Pathway(tuple(entries)),
         converged=tuple(converged),
         succession_iterations=tuple(iterations),
@@ -301,12 +299,15 @@ def load_ensemble(path: str) -> EnsembleResult:
         runs.append(
             RunRecord(
                 run_index=rec["run"],
-                seed_stream=f"run/{rec['run']}",
                 pathway=pathway,
                 converged=tuple(rec["converged"]),
                 succession_iterations=tuple(rec["iterations"]),
                 error=rec.get("error"),
             )
+        )
+    if len(runs) != header["run_count"]:
+        raise ParseError(
+            path, f"{len(runs)} run records, but the header says {header['run_count']}"
         )
     return EnsembleResult(
         header["spec_digest"], header["master_seed"], header["run_count"], tuple(runs)

@@ -124,7 +124,6 @@ def make_ensemble(pathway_states, periods=(2025, 2030, 2035), digest="test"):
         runs.append(
             RunRecord(
                 run_index=i,
-                seed_stream=f"run/{i}",
                 pathway=pathway,
                 converged=(True,) * len(periods),
                 succession_iterations=(0,) * len(periods),

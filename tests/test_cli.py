@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import os
 
@@ -199,3 +200,97 @@ class TestScreenMcdaQuantify:
             "--matrix", os.path.join(fixture_dir, "mini_translation.json"),
         )
         assert result.exit_code == 3
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 200-run mini-study ensemble and the inputs the failure cases need."""
+    spec = str(importlib.resources.files("cibpath") / "fixtures" / "mini_study.json")
+    root = tmp_path_factory.mktemp("small")
+    result = invoke(CliRunner(), "simulate", "--spec", spec, "--out", str(root),
+                    "--runs", "200", "--seed", "42")
+    assert result.exit_code == 0, result.output
+    header, *records = (root / "ensemble.jsonl").read_text().splitlines(keepends=True)
+    (root / "truncated.jsonl").write_text(header + "".join(records[:49]))
+    (root / "broken.json").write_text('{"descriptors": [')
+    (root / "screening.json").write_text(json.dumps({"outcome_descriptor": "RD"}))
+    with open(spec) as fh:
+        doc = json.load(fh)
+    doc["descriptors"][0]["name"] = "Renamed policy stringency"
+    (root / "other_spec.json").write_text(json.dumps(doc))
+    (root / "k1_pipeline.json").write_text(json.dumps({
+        "spec": spec, "run_count": 50, "master_seed": 42, "candidate_count": 1,
+        "stages": ["simulate", "screen"], "screening": {"outcome_descriptor": "RD"},
+        "output_dir": str(root / "k1_out"),
+    }))
+    (root / "bad_value_pipeline.json").write_text(json.dumps({"spec": spec, "run_count": "many"}))
+    (root / "missing_input_pipeline.json").write_text(json.dumps({
+        "spec": spec, "stages": ["quantify"], "selected_pathway": "C1",
+        "translation": str(root / "missing.json"), "output_dir": str(root / "out"),
+    }))
+    # Each input file by its stem: ensemble, truncated, broken, screening, ...
+    files = {p.stem: str(p) for p in root.iterdir() if p.is_file()}
+    return {"spec": spec, "out": str(root / "out"), **files}
+
+
+def _screen(f, k):
+    return ["screen", "--spec", f["spec"], "--out", f["out"], "--ensemble", f["ensemble"],
+            "--config", f["screening"], "-k", k]
+
+
+def _simulate(f, *extra):
+    return ["simulate", "--spec", f["spec"], "--out", f["out"], "--runs", "10", *extra]
+
+
+def _stats(f, spec, ensemble):
+    return ["stats", "--spec", f[spec], "--out", f["out"], "--ensemble", f[ensemble]]
+
+
+# (case, argv builder, environment, exit code, error type on stderr)
+FAILURES = [
+    ("screen-k-1", lambda f: _screen(f, "1"), None, 3, "ConfigError"),
+    ("pipeline-candidate-count-1", lambda f: ["pipeline", "--config", f["k1_pipeline"]],
+     None, 3, "ConfigError"),
+    ("workers-env-not-int", lambda f: _simulate(f), {"CIBPATH_WORKERS": "abc"}, 3, "ConfigError"),
+    ("workers-zero", lambda f: _simulate(f, "--workers", "0"), {"CIBPATH_WORKERS": "2"},
+     3, "ConfigError"),
+    ("spec-not-json", lambda f: ["validate", "--spec", f["broken"]], None, 3, "JSONDecodeError"),
+    ("mcda-not-json", lambda f: ["mcda", "--out", f["out"], "--input", f["broken"]],
+     None, 3, "JSONDecodeError"),
+    ("ensemble-not-json", lambda f: _stats(f, "spec", "broken"), None, 3, "JSONDecodeError"),
+    ("ensemble-truncated", lambda f: _stats(f, "spec", "truncated"), None, 3, "ParseError"),
+    ("ensemble-from-other-spec", lambda f: _stats(f, "other_spec", "ensemble"),
+     None, 3, "ConfigError"),
+    ("pipeline-run-count-not-int", lambda f: ["pipeline", "--config", f["bad_value_pipeline"]],
+     None, 3, "ConfigError"),
+    ("stage-input-file-missing",
+     lambda f: ["pipeline", "--config", f["missing_input_pipeline"]], None, 3, "FileNotFoundError"),
+    ("too-few-candidates", lambda f: _screen(f, "500"), None, 2, "InsufficientCandidatesError"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, error", [case[1:] for case in FAILURES], ids=[c[0] for c in FAILURES]
+)
+def test_failure_exit_code_and_json_error_line(small_run, argv, env, code, error):
+    result = invoke(CliRunner(), *argv(small_run), env=env)
+    assert result.exit_code == code, result.output
+    (line,) = result.stderr.splitlines()
+    report = json.loads(line)
+    assert report["error"] == error and report["message"]
+
+
+def test_quantify_extremes_check_the_ensemble_spec(small_run, fixture_dir, tmp_path):
+    out = str(tmp_path)
+    invoke(CliRunner(), "screen", "--spec", small_run["spec"], "--out", out,
+           "--ensemble", small_run["ensemble"], "--config", small_run["screening"])
+    extremes = tmp_path / "extremes.json"
+    extremes.write_text(json.dumps({"outcome": {"descriptor": "RD"}}))
+    result = invoke(
+        CliRunner(), "quantify", "--spec", small_run["other_spec"], "--out", out,
+        "--candidates", os.path.join(out, "candidates.json"), "--pathway", "C1",
+        "--matrix", os.path.join(fixture_dir, "mini_translation.json"),
+        "--ensemble", small_run["ensemble"], "--extremes", str(extremes),
+    )
+    assert result.exit_code == 3
+    assert json.loads(result.stderr)["error"] == "ConfigError"

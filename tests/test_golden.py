@@ -1,0 +1,132 @@
+"""Golden-output pin: the mini pipeline (2000 runs, seed 42, one worker)
+must keep producing these exact bytes, whether it runs through
+``run_pipeline`` or through the CLI subcommands one stage at a time.
+
+A change that moves any digest below changes what cibpath computes; it
+must update the digest here and say why.
+"""
+
+import hashlib
+import importlib.resources
+import json
+import os
+
+import pytest
+from click.testing import CliRunner
+
+from cibpath.cli import main
+from cibpath.pipeline import load_pipeline_config, run_pipeline
+
+ENSEMBLE_SHA256 = "a2f8a56b9eae033497e0761d6c24bc0df1303e6f53f6c6e4cd98a62e529f8fab"
+MANIFEST_SHA256 = "a4ec4947f757f66eb4e6bb2ba32727e481ef0e5131d938186c254d89e72b7443"
+
+STAGE_DIGESTS = {
+    "validate": {
+        "findings.json": "e0c2924b0cf38903b5cc04c6b7491eb4acbcdfb846f4563bd1fe20d4953aff75",
+    },
+    "simulate": {
+        "ensemble.jsonl": ENSEMBLE_SHA256,
+    },
+    "stats": {
+        "shares.csv": "3a74155f4bf41abac289d0b55c1f0332f20c089d50fd978339fdb323539c188f",
+        "shares.json": "1e0b8cc0ac3783d2989588e08fb1c86721e953f79717652aae8f3c9322464906",
+    },
+    "screen": {
+        "candidates.json": "39e293da8e8a2860c217c2ca41d357b6adec1ed60e8cf28b0d1b4c0cb33a26a2",
+    },
+    "mcda": {
+        "mcda_report.json": "85386d3b3c3bac87cb1f409e8f30b06bfea1054d71561d186926377b00d62d51",
+    },
+    "quantify": {
+        "quantified.csv": "2bf4f501c9ae451db046679dd7950ce84c90058019f017638b201bf4feab2173",
+        "quantified.json": "b1719ba578744faaf760a3b26b72ad35367ed05a9c3c139938f7fe74979fc53c",
+    },
+}
+
+
+CONFIG_PATH = str(importlib.resources.files("cibpath") / "fixtures" / "mini_pipeline.json")
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """One full pipeline run, shared by every test in this module."""
+    out = str(tmp_path_factory.mktemp("golden"))
+    cfg = load_pipeline_config(CONFIG_PATH, out)
+    assert (cfg.run_count, cfg.master_seed, cfg.worker_count) == (2000, 42, 1)
+    return cfg, run_pipeline(cfg)
+
+
+def test_pipeline_matches_golden_digests(golden_run):
+    cfg, manifest = golden_run
+    out = cfg.output_dir
+    assert sha256_of(os.path.join(out, "ensemble.jsonl")) == ENSEMBLE_SHA256
+    assert sha256_of(os.path.join(out, "manifest.json")) == MANIFEST_SHA256
+    assert manifest["stages"] == STAGE_DIGESTS
+    for files in STAGE_DIGESTS.values():
+        for name, digest in files.items():
+            assert sha256_of(os.path.join(out, name)) == digest, name
+
+
+def _cli(*args):
+    result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return result.output.split()
+
+
+def test_cli_stage_by_stage_matches_pipeline(golden_run, tmp_path):
+    """Each subcommand, fed the pipeline config's inputs, writes the same
+    bytes as run_pipeline. The 2000-run ensemble is taken from the shared
+    pipeline run instead of being simulated a second time."""
+    cfg, _ = golden_run
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    out = str(tmp_path / "out")
+    ensemble = os.path.join(cfg.output_dir, "ensemble.jsonl")
+    inputs = {}
+    for key in ("screening", "ranges", "extremes"):
+        inputs[key] = str(tmp_path / f"{key}.json")
+        with open(inputs[key], "w", encoding="utf-8") as fh:
+            json.dump(doc[key], fh)
+
+    echoed = _cli("stats", "--spec", cfg.spec_path, "--out", out, "--ensemble", ensemble)
+    echoed += _cli(
+        "screen", "--spec", cfg.spec_path, "--out", out, "--ensemble", ensemble,
+        "--config", inputs["screening"], "-k", str(cfg.candidate_count),
+    )
+    echoed += _cli("mcda", "--out", out, "--input", cfg.mcda_input_path)
+    with open(os.path.join(out, "mcda_report.json"), encoding="utf-8") as fh:
+        best = json.load(fh)["ranking"][0]
+    echoed += _cli(
+        "quantify", "--spec", cfg.spec_path, "--out", out,
+        "--candidates", os.path.join(out, "candidates.json"), "--pathway", best,
+        "--matrix", cfg.translation_path, "--ranges", inputs["ranges"],
+        "--ensemble", ensemble, "--extremes", inputs["extremes"],
+    )
+
+    expected = {
+        name: digest
+        for stage, files in STAGE_DIGESTS.items()
+        if stage not in ("validate", "simulate")
+        for name, digest in files.items()
+    }
+    assert sorted(os.path.basename(p) for p in echoed) == sorted(expected)
+    assert {name: sha256_of(os.path.join(out, name)) for name in expected} == expected
+
+
+def test_cli_simulate_matches_pipeline(tmp_path):
+    """The simulate subcommand writes the same ensemble as the pipeline's
+    simulate stage (at 200 runs, to keep the test quick)."""
+    cfg = load_pipeline_config(CONFIG_PATH, str(tmp_path / "pipeline"))
+    cfg.run_count, cfg.stages = 200, ("simulate",)
+    manifest = run_pipeline(cfg)
+    out = str(tmp_path / "cli")
+    (path,) = _cli(
+        "simulate", "--spec", cfg.spec_path, "--out", out,
+        "--runs", "200", "--seed", str(cfg.master_seed),
+    )
+    assert sha256_of(path) == manifest["stages"]["simulate"]["ensemble.jsonl"]

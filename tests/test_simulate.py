@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from cibpath.errors import ConfigError
+from cibpath.errors import ConfigError, ParseError
 from cibpath.model import CyclicParams, StructuralShockConfig, Distribution, parse_study_spec
 from cibpath.simulate import (
     RandomSource,
@@ -169,6 +169,18 @@ class TestEnsembleIo:
         save_ensemble(ens, p1)
         save_ensemble(load_ensemble(p1), p2)
         assert ensemble_digest(p1) == ensemble_digest(p2)
+
+    @pytest.mark.parametrize("kept", [0, 9, 11])
+    def test_record_count_must_match_header(self, mini_spec, tmp_path, kept):
+        ens = simulate_ensemble(mini_spec, 10, 42)
+        buf = io.StringIO()
+        write_ensemble(ens, buf)
+        header, *records = buf.getvalue().splitlines(keepends=True)
+        records = (records * 2)[:kept]
+        path = tmp_path / "ens.jsonl"
+        path.write_text(header + "".join(records))
+        with pytest.raises(ParseError, match=f"{kept} run records"):
+            load_ensemble(str(path))
 
     def test_header_fields(self, mini_spec):
         ens = simulate_ensemble(mini_spec, 3, 42)
