@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
+import numpy as np
 from scipy.stats import norm
 
 from .engine import Scenario
@@ -21,6 +22,18 @@ from .simulate import EnsembleResult, Pathway
 DEFAULT_CONFIDENCE_LEVEL = 0.95
 
 
+def _wilson_z(confidence_level: float) -> float:
+    return float(norm.ppf(0.5 + confidence_level / 2.0))
+
+
+def _wilson(successes: int, n: int, z: float) -> tuple[float, float]:
+    p = successes / n
+    denom = 1.0 + z * z / n
+    centre = (p + z * z / (2 * n)) / denom
+    half = (z / denom) * ((p * (1 - p) / n + z * z / (4 * n * n)) ** 0.5)
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
 def wilson_interval(
     successes: int, trials: int, confidence_level: float = DEFAULT_CONFIDENCE_LEVEL
 ) -> tuple[float, float]:
@@ -29,13 +42,7 @@ def wilson_interval(
         raise EmptyInputError("wilson_interval requires trials >= 1")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside 0..{trials}")
-    z = float(norm.ppf(0.5 + confidence_level / 2.0))
-    n = trials
-    p = successes / n
-    denom = 1.0 + z * z / n
-    centre = (p + z * z / (2 * n)) / denom
-    half = (z / denom) * ((p * (1 - p) / n + z * z / (4 * n * n)) ** 0.5)
-    return max(0.0, centre - half), min(1.0, centre + half)
+    return _wilson(successes, trials, _wilson_z(confidence_level))
 
 
 @dataclass(frozen=True)
@@ -59,21 +66,20 @@ def state_share_series(
     confidence_level: float = DEFAULT_CONFIDENCE_LEVEL,
 ) -> StateShareSeries:
     """Fraction of runs in each state per period, with Wilson bands."""
-    runs = ensemble.ok_runs()
-    if not runs:
+    states = ensemble.ok_states
+    if not len(states):
         raise EmptyInputError("ensemble holds no successful runs")
     j = spec.index_of(descriptor_id)
     n_states = spec.descriptors[j].state_count
-    periods = runs[0].pathway.periods
+    periods = ensemble.ok_runs()[0].pathway.periods
+    n = len(states)
+    z = _wilson_z(confidence_level)
     out = []
     for t, period in enumerate(periods):
-        counts = [0] * n_states
-        for r in runs:
-            counts[r.pathway.scenarios[t][j]] += 1
-        n = len(runs)
+        counts = np.bincount(states[:, t, j], minlength=n_states)
         cells = []
-        for c in counts:
-            low, high = wilson_interval(c, n, confidence_level)
+        for c in counts.tolist():
+            low, high = _wilson(c, n, z)
             cells.append(ShareCell(c / n, low, high))
         out.append((period, tuple(cells)))
     return StateShareSeries(descriptor_id, tuple(out))
@@ -121,39 +127,49 @@ def _backslides(states: tuple[int, ...]) -> bool:
     return False
 
 
-def _screen_reason(
-    spec: StudySpec, config: ScreeningConfig, pathway: Pathway
-) -> Optional[str]:
-    """First failing rule name, or None when the pathway passes."""
+def _screen_rule(
+    spec: StudySpec, config: ScreeningConfig
+) -> Callable[[Pathway], Optional[str]]:
+    """The screening rules for one spec and config, as a function from a
+    pathway to its first failing rule name, or None when it passes."""
     j_out = spec.index_of(config.outcome_descriptor)
     if config.full_vector_backsliding:
         backslide_targets = range(len(spec.descriptors))
     else:
         backslide_targets = (j_out,)
-    for j in backslide_targets:
-        if _backslides(pathway.states_of(j)):
-            return "backsliding"
-
-    terminal = pathway.terminal()
-    for combo in config.endpoint_exclusions:
-        if all(terminal[spec.index_of(did)] == s for did, s in combo):
-            return "endpoint_inconsistency"
-
-    outcome = pathway.states_of(j_out)
-    if len(outcome) >= 2 and outcome[-1] - outcome[-2] >= config.late_rush_steps:
-        return "late_rush"
-
+    exclusions = [
+        [(spec.index_of(did), s) for did, s in combo]
+        for combo in config.endpoint_exclusions
+    ]
     cyclic_step2 = {
         i for i in spec.cyclic_indices if spec.descriptors[i].cyclic_params.step2 > 0
     }
-    for j in range(len(spec.descriptors)):
-        if j in cyclic_step2:
-            continue
-        states = pathway.states_of(j)
-        for a, b in zip(states, states[1:]):
-            if abs(b - a) >= config.discontinuity_steps:
-                return "discontinuity"
-    return None
+    discontinuity_targets = [
+        j for j in range(len(spec.descriptors)) if j not in cyclic_step2
+    ]
+
+    def reason(pathway: Pathway) -> Optional[str]:
+        for j in backslide_targets:
+            if _backslides(pathway.states_of(j)):
+                return "backsliding"
+
+        terminal = pathway.terminal()
+        for combo in exclusions:
+            if all(terminal[j] == s for j, s in combo):
+                return "endpoint_inconsistency"
+
+        outcome = pathway.states_of(j_out)
+        if len(outcome) >= 2 and outcome[-1] - outcome[-2] >= config.late_rush_steps:
+            return "late_rush"
+
+        for j in discontinuity_targets:
+            states = pathway.states_of(j)
+            for a, b in zip(states, states[1:]):
+                if abs(b - a) >= config.discontinuity_steps:
+                    return "discontinuity"
+        return None
+
+    return reason
 
 
 def screen_candidates(
@@ -173,10 +189,11 @@ def screen_candidates(
     distinct: dict[Pathway, None] = {}
     for r in sorted(runs, key=lambda r: r.run_index):
         distinct.setdefault(r.pathway, None)
+    screen_reason = _screen_rule(spec, config)
     passed = []
     rejected = []
     for pathway in distinct:
-        reason = _screen_reason(spec, config, pathway)
+        reason = screen_reason(pathway)
         if reason is None:
             freq = terminal_counts[pathway.terminal()] / n
             passed.append(Candidate(pathway, freq))
@@ -189,23 +206,22 @@ def screen_candidates(
 # Selection
 
 
-def _pathway_distance(a: Pathway, b: Pathway) -> float:
-    """Mean per-period Hamming distance between two pathways."""
-    total = 0
-    for (_, za), (_, zb) in zip(a.entries, b.entries):
-        total += sum(1 for x, y in zip(za, zb) if x != y)
-    return total / len(a.entries)
-
-
 def _medoid(members: list[Candidate]) -> Candidate:
-    best = None
-    best_key = None
-    for c in members:
-        mean_d = sum(_pathway_distance(c.pathway, m.pathway) for m in members) / len(members)
-        key = (mean_d, c.pathway.scenarios)
-        if best_key is None or key < best_key:
-            best, best_key = c, key
-    return best
+    """The member with the smallest integer total Hamming distance to the
+    group, over every period and descriptor; ties go to the
+    lexicographically smallest scenario sequence.
+
+    Hamming distance splits by position, so a member's total is, summed
+    over positions, the number of members holding another state there.
+    """
+    m = len(members)
+    states = np.array([c.pathway.scenarios for c in members]).reshape(m, -1)
+    width = states.shape[1]
+    codes = states + np.arange(width) * (states.max() + 1)
+    holders = np.bincount(codes.ravel())
+    totals = m * width - holders[codes].sum(axis=1)
+    tied = np.flatnonzero(totals == totals.min())
+    return members[min(tied, key=lambda i: members[i].pathway.scenarios)]
 
 
 def select_candidates(

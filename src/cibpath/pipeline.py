@@ -22,7 +22,7 @@ from .analytics import (
     select_candidates,
     state_share_series,
 )
-from .errors import ConfigError, ValidationFailure
+from .errors import ConfigError, ValidationFailure, schema_error
 from .mcda import McdaInput, McdaRanking, load_mcda_input, rank_pathways, ranking_report
 from .model import Finding, StudySpec, load_study_spec, validate_study_spec
 from .quantify import (
@@ -299,10 +299,19 @@ def quantify_stage(
 ) -> list[str]:
     """quantified.csv and quantified.json for one candidate pathway; extreme
     scenarios are drawn from the ensemble."""
-    pathways = {
-        c["id"]: Pathway(tuple((p, tuple(z)) for p, z in zip(c["periods"], c["states"])))
-        for c in read_json(candidates_path)["candidates"]
-    }
+    doc = read_json(candidates_path)
+    try:
+        entries = doc["candidates"]
+    except (KeyError, TypeError) as e:
+        raise schema_error(candidates_path, e)
+    pathways = {}
+    for i, c in enumerate(entries):
+        try:
+            pathways[c["id"]] = Pathway(
+                tuple((p, tuple(z)) for p, z in zip(c["periods"], c["states"]))
+            )
+        except (KeyError, TypeError) as e:
+            raise schema_error(f"{candidates_path}: candidates[{i}]", e)
     if pathway_id not in pathways:
         raise ConfigError(f"pathway {pathway_id!r} not in {candidates_path}")
     dims, matrix = load_translation_file(translation_path, spec)

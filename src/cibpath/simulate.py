@@ -15,12 +15,13 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, TextIO
 
 import numpy as np
 
 from .engine import Scenario, check_consistency, succession_step
-from .errors import ConfigError, InfeasibilityError, ParseError
+from .errors import ConfigError, InfeasibilityError, ParseError, schema_error
 from .model import CrossImpactMatrix, CyclicParams, StructuralShockConfig, StudySpec
 from .uncertainty import (
     DynamicShockState,
@@ -72,6 +73,15 @@ class EnsembleResult:
 
     def ok_runs(self) -> tuple[RunRecord, ...]:
         return tuple(r for r in self.runs if r.error is None)
+
+    @cached_property
+    def ok_states(self) -> np.ndarray:
+        """States of the error-free runs as an int8 array of shape
+        (runs, periods, descriptors), in run order; read-only, since every
+        caller shares it."""
+        states = np.array([r.pathway.scenarios for r in self.ok_runs()], dtype=np.int8)
+        states.flags.writeable = False
+        return states
 
 
 def transition_cyclic_state(
@@ -285,33 +295,42 @@ def save_ensemble(ensemble: EnsembleResult, path: str) -> None:
 
 
 def load_ensemble(path: str) -> EnsembleResult:
+    """Read an ensemble file; a missing key or a record that is not a JSON
+    object raises ParseError naming the node."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if not lines:
         raise ParseError(path, "empty ensemble file")
     header = json.loads(lines[0])
+    try:
+        spec_digest, master_seed, run_count = (
+            header["spec_digest"], header["master_seed"], header["run_count"]
+        )
+    except (KeyError, TypeError) as e:
+        raise schema_error(f"{path}: header", e)
     runs = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:]):
         rec = json.loads(ln)
-        pathway = Pathway(
-            tuple((p, tuple(z)) for p, z in zip(rec["periods"], rec["states"]))
-        )
-        runs.append(
-            RunRecord(
-                run_index=rec["run"],
-                pathway=pathway,
-                converged=tuple(rec["converged"]),
-                succession_iterations=tuple(rec["iterations"]),
-                error=rec.get("error"),
+        try:
+            pathway = Pathway(
+                tuple((p, tuple(z)) for p, z in zip(rec["periods"], rec["states"]))
             )
-        )
-    if len(runs) != header["run_count"]:
+            runs.append(
+                RunRecord(
+                    run_index=rec["run"],
+                    pathway=pathway,
+                    converged=tuple(rec["converged"]),
+                    succession_iterations=tuple(rec["iterations"]),
+                    error=rec.get("error"),
+                )
+            )
+        except (KeyError, TypeError) as e:
+            raise schema_error(f"{path}: runs[{i}]", e)
+    if len(runs) != run_count:
         raise ParseError(
-            path, f"{len(runs)} run records, but the header says {header['run_count']}"
+            path, f"{len(runs)} run records, but the header says {run_count}"
         )
-    return EnsembleResult(
-        header["spec_digest"], header["master_seed"], header["run_count"], tuple(runs)
-    )
+    return EnsembleResult(spec_digest, master_seed, run_count, tuple(runs))
 
 
 def ensemble_digest(path: str) -> str:

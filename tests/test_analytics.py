@@ -1,11 +1,16 @@
+import dataclasses
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 from scipy.stats import norm
 
 from cibpath.analytics import (
+    Candidate,
     ScreeningConfig,
+    _medoid,
     screen_candidates,
     select_candidates,
     state_share_series,
@@ -13,6 +18,7 @@ from cibpath.analytics import (
 )
 from cibpath.errors import EmptyInputError, InsufficientCandidatesError
 from cibpath.model import parse_study_spec
+from cibpath.simulate import Pathway
 
 from conftest import make_ensemble, two_desc_document
 
@@ -87,13 +93,43 @@ class TestShares:
             assert sum(c.share for c in cells) == pytest.approx(1.0)
 
     def test_errored_runs_excluded(self, fixture_spec):
-        import dataclasses
-
         ens = make_ensemble([[(0, 0), (0, 0), (0, 0)], [(1, 1), (1, 1), (1, 1)]])
         bad = dataclasses.replace(ens.runs[1], error="boom")
         ens = dataclasses.replace(ens, runs=(ens.runs[0], bad))
         series = state_share_series(ens, fixture_spec, "A")
         assert dict(series.cells)[2035][0].share == 1.0
+
+    def test_matches_counter_oracle_with_errors_and_permuted_runs(self):
+        spec = spec3()
+        rng = random.Random(7)
+        periods = (2025, 2030, 2035)
+        ens = make_ensemble(
+            [[(rng.randrange(3), rng.randrange(3)) for _ in periods] for _ in range(60)]
+        )
+        # Failed runs stop early, so their pathways are shorter.
+        runs = [
+            dataclasses.replace(
+                r, pathway=Pathway(r.pathway.entries[:2]), error="infeasible"
+            )
+            if r.run_index % 7 == 0
+            else r
+            for r in ens.runs
+        ]
+        rng.shuffle(runs)
+        ens = dataclasses.replace(ens, runs=tuple(runs))
+        ok = [r for r in runs if r.error is None]
+        n = len(ok)
+        for level in (0.95, 0.8):
+            for j, did in enumerate(("A", "B")):
+                series = state_share_series(ens, spec, did, level)
+                assert [p for p, _ in series.cells] == list(periods)
+                for t, (_, cells) in enumerate(series.cells):
+                    counts = Counter(r.pathway.scenarios[t][j] for r in ok)
+                    expected = [
+                        (counts[s] / n, *wilson_interval(counts[s], n, level))
+                        for s in range(3)
+                    ]
+                    assert [(c.share, c.low, c.high) for c in cells] == expected
 
 
 def spec3():
@@ -202,6 +238,62 @@ class TestScreening:
             assert {c.pathway: c.terminal_frequency for c in other.candidates} == {
                 c.pathway: c.terminal_frequency for c in base.candidates
             }
+
+
+def _candidates(groups, periods):
+    return [Candidate(Pathway(tuple(zip(periods, g))), 0.5) for g in groups]
+
+
+def _hamming(a: Pathway, b: Pathway) -> int:
+    return sum(
+        x != y for za, zb in zip(a.scenarios, b.scenarios) for x, y in zip(za, zb)
+    )
+
+
+def _brute_force_medoid(members):
+    """Smallest integer total Hamming distance, then smallest scenarios."""
+    def key(c):
+        return (sum(_hamming(c.pathway, m.pathway) for m in members), c.pathway.scenarios)
+    return min(members, key=key)
+
+
+class TestMedoid:
+    def test_matches_brute_force_on_random_groups(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n_periods, n_desc = rng.randint(1, 6), rng.randint(1, 4)
+            states = rng.randint(2, 4)
+            groups = [
+                [
+                    tuple(rng.randrange(states) for _ in range(n_desc))
+                    for _ in range(n_periods)
+                ]
+                for _ in range(rng.randint(1, 12))
+            ]
+            members = _candidates(groups, range(2025, 2025 + n_periods))
+            assert _medoid(members) is _brute_force_medoid(members)
+
+    def test_integer_tie_goes_to_smaller_scenarios(self):
+        # Four members have total distance 8. Their old float means,
+        # sum(d / periods) / members summed in member order, differ in
+        # the last bit, and the smallest mean is not the smallest scenarios.
+        groups = [
+            [(0,), (1,), (1,)],
+            [(1,), (1,), (1,)],
+            [(1,), (1,), (0,)],
+            [(0,), (0,), (1,)],
+            [(0,), (0,), (0,)],
+            [(1,), (0,), (1,)],
+        ]
+        members = _candidates(groups, (2025, 2030, 2035))
+        totals = [sum(_hamming(c.pathway, m.pathway) for m in members) for c in members]
+        means = [
+            sum(_hamming(c.pathway, m.pathway) / 3 for m in members) / len(members)
+            for c in members
+        ]
+        assert totals[0] == totals[3] == min(totals)
+        assert means[0] < means[3]
+        assert _medoid(members) is members[3]
 
 
 class TestSelection:

@@ -212,6 +212,11 @@ def small_run(tmp_path_factory):
     assert result.exit_code == 0, result.output
     header, *records = (root / "ensemble.jsonl").read_text().splitlines(keepends=True)
     (root / "truncated.jsonl").write_text(header + "".join(records[:49]))
+    stateless = json.loads(records[3])
+    del stateless["states"]
+    records[3] = json.dumps(stateless) + "\n"
+    (root / "stateless.jsonl").write_text(header + "".join(records))
+    (root / "periodless.json").write_text(json.dumps({"candidates": [{"id": "C1"}]}))
     (root / "broken.json").write_text('{"descriptors": [')
     (root / "screening.json").write_text(json.dumps({"outcome_descriptor": "RD"}))
     with open(spec) as fh:
@@ -228,9 +233,10 @@ def small_run(tmp_path_factory):
         "spec": spec, "stages": ["quantify"], "selected_pathway": "C1",
         "translation": str(root / "missing.json"), "output_dir": str(root / "out"),
     }))
-    # Each input file by its stem: ensemble, truncated, broken, screening, ...
+    # Each input file by its stem: ensemble, truncated, stateless, broken, ...
     files = {p.stem: str(p) for p in root.iterdir() if p.is_file()}
-    return {"spec": spec, "out": str(root / "out"), **files}
+    translation = os.path.join(os.path.dirname(spec), "mini_translation.json")
+    return {"spec": spec, "out": str(root / "out"), "translation": translation, **files}
 
 
 def _screen(f, k):
@@ -259,6 +265,12 @@ FAILURES = [
      None, 3, "JSONDecodeError"),
     ("ensemble-not-json", lambda f: _stats(f, "spec", "broken"), None, 3, "JSONDecodeError"),
     ("ensemble-truncated", lambda f: _stats(f, "spec", "truncated"), None, 3, "ParseError"),
+    ("ensemble-record-without-states", lambda f: _stats(f, "spec", "stateless"),
+     None, 3, "ParseError"),
+    ("candidate-without-periods",
+     lambda f: ["quantify", "--spec", f["spec"], "--out", f["out"], "--candidates",
+                f["periodless"], "--pathway", "C1", "--matrix", f["translation"]],
+     None, 3, "ParseError"),
     ("ensemble-from-other-spec", lambda f: _stats(f, "other_spec", "ensemble"),
      None, 3, "ConfigError"),
     ("pipeline-run-count-not-int", lambda f: ["pipeline", "--config", f["bad_value_pipeline"]],
