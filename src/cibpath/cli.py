@@ -84,7 +84,7 @@ def _spec_and_ensemble(spec_path: str, ensemble_path: Optional[str]):
     spec = load_study_spec(spec_path)
     if ensemble_path is None:
         return spec, None
-    return spec, load_checked_ensemble(ensemble_path, spec.digest())
+    return spec, load_checked_ensemble(ensemble_path, spec, spec.digest())
 
 
 spec_option = click.option(

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import FrozenSet, Optional, Union
+from typing import Callable, FrozenSet, Optional, Union
 
 import numpy as np
 
 from .errors import InfeasibilityError, StructureError, TractabilityError
-from .model import CrossImpactMatrix, StudySpec
+from .model import CrossImpactMatrix, SpecKernel, StudySpec
 
 #: One state index per descriptor, in spec order.
 Scenario = tuple[int, ...]
@@ -49,32 +49,41 @@ class NonConvergence:
     last: Scenario
 
 
-def _check_structure(spec: StudySpec, cim: CrossImpactMatrix) -> None:
-    if cim.descriptor_ids != tuple(d.id for d in spec.descriptors):
+def _check_structure(kernel: SpecKernel, cim: CrossImpactMatrix) -> None:
+    if cim.descriptor_ids != kernel.ids:
         raise StructureError("matrix descriptor ids do not match the spec")
-    if cim.state_counts != spec.state_counts:
+    if cim.state_counts != kernel.state_counts:
         raise StructureError("matrix state counts do not match the spec")
 
 
-def _check_scenario(spec: StudySpec, scenario: Scenario) -> None:
-    if len(scenario) != len(spec.descriptors):
+def _check_scenario(kernel: SpecKernel, scenario: Scenario) -> None:
+    if len(scenario) != len(kernel.ids):
         raise StructureError(
-            f"scenario length {len(scenario)} != descriptor count {len(spec.descriptors)}"
+            f"scenario length {len(scenario)} != descriptor count {len(kernel.ids)}"
         )
-    for d, s in zip(spec.descriptors, scenario):
-        if not 0 <= s < d.state_count:
-            raise StructureError(f"state {s} invalid for descriptor {d.id!r}")
+    for did, n, s in zip(kernel.ids, kernel.state_counts, scenario):
+        if not 0 <= s < n:
+            raise StructureError(f"state {s} invalid for descriptor {did!r}")
 
 
-def _theta(spec: StudySpec, cim: CrossImpactMatrix, scenario: Scenario) -> np.ndarray:
+def _checked_kernel(
+    spec: StudySpec, cim: CrossImpactMatrix, scenario: Scenario
+) -> SpecKernel:
+    """The spec's kernel, once the matrix and scenario fit its structure."""
+    kernel = spec.kernel
+    _check_structure(kernel, cim)
+    _check_scenario(kernel, scenario)
+    return kernel
+
+
+def _theta(kernel: SpecKernel, scores: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Raw impact-score array of shape (D, S_max).
 
     Entries for padded (nonexistent) states are zero by construction and
     must not be consulted. The diagonal source==target blocks are zero, so
     a plain sum over sources realises the sum over i != j.
     """
-    idx = np.arange(len(scenario))
-    return cim.scores[idx, list(scenario)].sum(axis=0)
+    return scores[kernel.sources, scenario].sum(axis=0)
 
 
 def impact_balance(
@@ -82,14 +91,19 @@ def impact_balance(
 ) -> ImpactBalance:
     """Summed influence every state of every descriptor receives from the
     other descriptors' scenario states."""
-    _check_structure(spec, cim)
-    _check_scenario(spec, scenario)
-    theta = _theta(spec, cim, scenario)
+    kernel = _checked_kernel(spec, cim, scenario)
+    theta = _theta(kernel, cim.scores, scenario).tolist()
     return ImpactBalance(
-        tuple(
-            tuple(float(theta[j, l]) for l in range(d.state_count))
-            for j, d in enumerate(spec.descriptors)
-        )
+        tuple(tuple(row[:n]) for row, n in zip(theta, kernel.state_counts))
+    )
+
+
+def _deficits(
+    kernel: SpecKernel, scores: np.ndarray, scenario: Scenario
+) -> tuple[float, ...]:
+    theta = _theta(kernel, scores, scenario).tolist()
+    return tuple(
+        max(row[:n]) - row[s] for row, n, s in zip(theta, kernel.state_counts, scenario)
     )
 
 
@@ -98,14 +112,19 @@ def check_consistency(
 ) -> ConsistencyResult:
     """A scenario is consistent when every chosen state attains the maximal
     impact score of its descriptor (ties allowed)."""
-    _check_structure(spec, cim)
-    _check_scenario(spec, scenario)
-    theta = _theta(spec, cim, scenario)
-    deficits = []
-    for j, d in enumerate(spec.descriptors):
-        row = theta[j, : d.state_count]
-        deficits.append(float(row.max() - row[scenario[j]]))
-    return ConsistencyResult(all(v == 0.0 for v in deficits), tuple(deficits))
+    kernel = _checked_kernel(spec, cim, scenario)
+    deficits = _deficits(kernel, cim.scores, scenario)
+    return ConsistencyResult(all(v == 0.0 for v in deficits), deficits)
+
+
+def _applicable(kernel: SpecKernel, scenario: Scenario):
+    """Effects (src, src_state, tgt, tgt_state, delta) of the threshold
+    rules whose conditions hold in the scenario, in rule order."""
+    return [
+        effect
+        for conditions, effect in kernel.thresholds
+        if all(scenario[i] == s for i, s in conditions)
+    ]
 
 
 def effective_cim(
@@ -116,34 +135,15 @@ def effective_cim(
     Deltas act on effective scores and may push cells outside the
     elicitation range; no clipping happens here.
     """
-    _check_structure(spec, cim)
-    applicable = []
-    for rule in spec.threshold_rules:
-        if all(scenario[spec.index_of(did)] == s for did, s in rule.conditions):
-            applicable.append(rule.effect)
+    kernel = spec.kernel
+    _check_structure(kernel, cim)
+    applicable = _applicable(kernel, scenario)
     if not applicable:
         return cim
     scores = cim.scores.copy()
-    for e in applicable:
-        scores[
-            spec.index_of(e.source), e.source_state, spec.index_of(e.target), e.target_state
-        ] += e.delta
+    for src, src_state, tgt, tgt_state, delta in applicable:
+        scores[src, src_state, tgt, tgt_state] += delta
     return cim.with_scores(scores)
-
-
-def _feasible_states(
-    spec: StudySpec, j: int, scenario: Scenario
-) -> list[int]:
-    """States of descriptor j admissible under forbidden pairs, holding all
-    other descriptors at their scenario states."""
-    blocked: set[int] = set()
-    for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
-        ai, bi = spec.index_of(a_id), spec.index_of(b_id)
-        if ai == j and scenario[bi] == b_s:
-            blocked.add(a_s)
-        elif bi == j and scenario[ai] == a_s:
-            blocked.add(b_s)
-    return [l for l in range(spec.descriptors[j].state_count) if l not in blocked]
 
 
 def succession_step(
@@ -161,42 +161,65 @@ def succession_step(
     is maximal, otherwise the lowest state index wins. Implications are
     enforced as a single post-step repair pass in spec order; locked
     descriptors are never touched.
+
+    Threshold deltas are added to the gathered source rows before the sum
+    over sources, one rule at a time, which gives the same floats as
+    summing the rows of the threshold-adjusted matrix; an effect whose
+    source state is not in the scenario touches no gathered row. Scores
+    are finite, so a blocked state scored -inf never wins.
     """
-    _check_scenario(spec, scenario)
-    eff = effective_cim(spec, cim, scenario)
-    theta = _theta(spec, eff, scenario)
+    kernel = _checked_kernel(spec, cim, scenario)
+    rows = cim.scores[kernel.sources, scenario]
+    for src, src_state, tgt, tgt_state, delta in _applicable(kernel, scenario):
+        if scenario[src] == src_state:
+            rows[src, tgt, tgt_state] += delta
+    theta = rows.sum(axis=0)
     if perturbation is not None:
         theta = theta + perturbation
     locked_idx = {spec.index_of(did) for did in locked}
+    counts, blocks = kernel.state_counts, kernel.blocks
     new = list(scenario)
-    for j, d in enumerate(spec.descriptors):
+    for j, row in enumerate(theta.tolist()):
         if j in locked_idx:
             continue
-        feasible = (
-            _feasible_states(spec, j, scenario)
-            if spec.rules.forbidden_pairs
-            else range(d.state_count)
-        )
-        best_state = -1
-        best_score = -math.inf
-        current_is_max = False
-        for l in feasible:
-            v = theta[j, l]
-            if v > best_score:
-                best_score = v
-                best_state = l
-                current_is_max = l == scenario[j]
-            elif v == best_score and l == scenario[j]:
-                current_is_max = True
-        if best_state < 0:
-            raise InfeasibilityError(d.id)
-        new[j] = scenario[j] if current_is_max else best_state
-    for (a_id, a_s), (c_id, c_s) in spec.rules.implications:
-        if new[spec.index_of(a_id)] == a_s:
-            ci = spec.index_of(c_id)
-            if ci not in locked_idx:
-                new[ci] = c_s
+        scores = row[: counts[j]]
+        if blocks[j]:
+            blocked = {b for b, other, s in blocks[j] if scenario[other] == s}
+            if blocked.issuperset(range(counts[j])):
+                raise InfeasibilityError(kernel.ids[j])
+            if blocked:
+                scores = [-math.inf if l in blocked else v for l, v in enumerate(scores)]
+        best = max(scores)
+        if scores[scenario[j]] != best:
+            new[j] = scores.index(best)
+    for a, a_state, c, c_state in kernel.implications:
+        if new[a] == a_state and c not in locked_idx:
+            new[c] = c_state
     return tuple(new)
+
+
+def iterate_to_attractor(
+    step: Callable[[Scenario], Scenario], start: Scenario, max_steps: int
+) -> tuple[list[Scenario], Optional[int]]:
+    """Apply step from start until a scenario recurs, for at most max_steps
+    steps.
+
+    Returns the distinct scenarios visited, in order, and the index at
+    which the recurring scenario was first seen: the attractor is
+    sequence[first:], a fixed point when that has one member. first is None
+    when max_steps steps pass without a recurrence; sequence[-1] is then
+    the scenario after the last step.
+    """
+    visited = {start: 0}
+    sequence = [start]
+    for _ in range(max_steps):
+        nxt = step(sequence[-1])
+        first = visited.get(nxt)
+        if first is not None:
+            return sequence, first
+        visited[nxt] = len(sequence)
+        sequence.append(nxt)
+    return sequence, None
 
 
 def find_attractor(
@@ -213,28 +236,25 @@ def find_attractor(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    visited = {start: 0}
-    sequence = [start]
-    current = start
-    for _ in range(max_steps):
-        nxt = succession_step(spec, cim, current)
-        if nxt == current:
-            return Attractor("fixed_point", (current,), visited[current])
-        if nxt in visited:
-            first = visited[nxt]
-            return Attractor("cycle", tuple(sequence[first:]), first)
-        visited[nxt] = len(sequence)
-        sequence.append(nxt)
-        current = nxt
-    return NonConvergence(max_steps, current)
+    sequence, first = iterate_to_attractor(
+        lambda z: succession_step(spec, cim, z), start, max_steps
+    )
+    if first is None:
+        return NonConvergence(max_steps, sequence[-1])
+    kind = "fixed_point" if first == len(sequence) - 1 else "cycle"
+    return Attractor(kind, tuple(sequence[first:]), first)
+
+
+def _violates(kernel: SpecKernel, scenario: Scenario) -> bool:
+    return any(
+        scenario[a] == a_state and scenario[b] == b_state
+        for a, a_state, b, b_state in kernel.forbidden
+    )
 
 
 def violates_forbidden(spec: StudySpec, scenario: Scenario) -> bool:
     """True when any forbidden pair co-occurs in the scenario."""
-    for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
-        if scenario[spec.index_of(a_id)] == a_s and scenario[spec.index_of(b_id)] == b_s:
-            return True
-    return False
+    return _violates(spec.kernel, scenario)
 
 
 def enumerate_consistent(
@@ -245,14 +265,14 @@ def enumerate_consistent(
     Feasible only for small spaces; raises TractabilityError when the
     product of state counts exceeds the caller's limit.
     """
-    _check_structure(spec, cim)
-    space = math.prod(spec.state_counts)
+    kernel = spec.kernel
+    _check_structure(kernel, cim)
+    space = math.prod(kernel.state_counts)
     if space > limit:
         raise TractabilityError(space, limit)
-    out = []
-    for combo in product(*(range(n) for n in spec.state_counts)):
-        if violates_forbidden(spec, combo):
-            continue
-        if check_consistency(spec, cim, combo).consistent:
-            out.append(combo)
-    return out
+    return [
+        combo
+        for combo in product(*(range(n) for n in kernel.state_counts))
+        if not _violates(kernel, combo)
+        and not any(_deficits(kernel, cim.scores, combo))
+    ]

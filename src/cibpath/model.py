@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -115,10 +116,13 @@ class CrossImpactMatrix:
         return self._mask
 
     def with_scores(self, scores: np.ndarray) -> "CrossImpactMatrix":
-        """New matrix sharing structure and confidences, with replaced scores."""
-        return CrossImpactMatrix(
+        """New matrix sharing structure, confidences and the cached valid
+        mask, with replaced scores."""
+        out = CrossImpactMatrix(
             self.descriptor_ids, self.state_counts, scores, self.confidences
         )
+        out._mask = self._mask
+        return out
 
     def iter_cells(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (src, src_state, tgt, tgt_state) for every structural cell."""
@@ -233,6 +237,64 @@ class UncertaintyConfig:
 
 
 @dataclass(frozen=True)
+class SpecKernel:
+    """A spec's structure and rules as index tuples, compiled once per spec
+    for the succession and consistency loops.
+
+    Descriptor ids are resolved to positions; every tuple follows the
+    order of the spec's own lists, so rule application order is unchanged.
+    """
+
+    ids: tuple[str, ...]
+    state_counts: tuple[int, ...]
+    #: Source positions 0..D-1, the first index of the impact-score gather.
+    sources: np.ndarray
+    #: Per descriptor: (blocked state, other position, other state) for every
+    #: forbidden pair naming the descriptor.
+    blocks: tuple[tuple[tuple[int, int, int], ...], ...]
+    #: (position, state, position, state) per forbidden pair.
+    forbidden: tuple[tuple[int, int, int, int], ...]
+    #: (antecedent position, state, consequent position, state).
+    implications: tuple[tuple[int, int, int, int], ...]
+    #: (conditions as (position, state) pairs,
+    #:  (source, source state, target, target state, delta)).
+    thresholds: tuple[
+        tuple[tuple[tuple[int, int], ...], tuple[int, int, int, int, float]], ...
+    ]
+
+    @classmethod
+    def compile(cls, spec: "StudySpec") -> "SpecKernel":
+        at = spec.index_of
+
+        def pair(p: tuple[str, int]) -> tuple[int, int]:
+            return at(p[0]), p[1]
+
+        forbidden = tuple(pair(a) + pair(b) for a, b in spec.rules.forbidden_pairs)
+        blocks: list[list[tuple[int, int, int]]] = [[] for _ in spec.descriptors]
+        for ai, a_s, bi, b_s in forbidden:
+            blocks[ai].append((a_s, bi, b_s))
+            blocks[bi].append((b_s, ai, a_s))
+        return cls(
+            ids=tuple(d.id for d in spec.descriptors),
+            state_counts=spec.state_counts,
+            sources=np.arange(len(spec.descriptors)),
+            blocks=tuple(tuple(b) for b in blocks),
+            forbidden=forbidden,
+            implications=tuple(pair(a) + pair(c) for a, c in spec.rules.implications),
+            thresholds=tuple(
+                (
+                    tuple(pair(c) for c in r.conditions),
+                    (
+                        at(r.effect.source), r.effect.source_state,
+                        at(r.effect.target), r.effect.target_state, r.effect.delta,
+                    ),
+                )
+                for r in spec.threshold_rules
+            ),
+        )
+
+
+@dataclass(frozen=True)
 class StudySpec:
     descriptors: tuple[Descriptor, ...]
     cim: CrossImpactMatrix
@@ -257,6 +319,12 @@ class StudySpec:
 
     def descriptor(self, descriptor_id: str) -> Descriptor:
         return self.descriptors[self.index_of(descriptor_id)]
+
+    @cached_property
+    def kernel(self) -> SpecKernel:
+        """The compiled index form, built on first use; an unknown
+        descriptor id in a rule raises SpecReferenceError then."""
+        return SpecKernel.compile(self)
 
     @property
     def state_counts(self) -> tuple[int, ...]:

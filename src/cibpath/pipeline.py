@@ -15,6 +15,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .analytics import (
     ScreeningConfig,
@@ -22,7 +24,7 @@ from .analytics import (
     select_candidates,
     state_share_series,
 )
-from .errors import ConfigError, ValidationFailure, schema_error
+from .errors import ConfigError, ParseError, ValidationFailure, schema_error
 from .mcda import McdaInput, McdaRanking, load_mcda_input, rank_pathways, ranking_report
 from .model import Finding, StudySpec, load_study_spec, validate_study_spec
 from .quantify import (
@@ -159,15 +161,53 @@ def raise_on_errors(findings: list[Finding], hint: str) -> None:
         raise ValidationFailure(f"study spec failed validation with {errors} errors; {hint}")
 
 
-def load_checked_ensemble(path: str, spec_digest: str) -> EnsembleResult:
-    """Load an ensemble for a stage, refusing one simulated from another spec."""
+def load_checked_ensemble(path: str, spec: StudySpec, spec_digest: str) -> EnsembleResult:
+    """Load an ensemble for a stage, refusing one simulated from another spec
+    (spec_digest is the digest of spec) and one holding a state row that
+    does not fit the spec."""
     ensemble = load_ensemble(path)
     if ensemble.spec_digest != spec_digest:
         raise ConfigError(
             f"{path} was simulated from spec {ensemble.spec_digest}, "
             f"not from the spec in use ({spec_digest})"
         )
+    misfit = _state_misfit(ensemble, spec)
+    if misfit is not None:
+        run, reason = misfit
+        raise ParseError(f"{path}: runs[{run}]", reason)
     return ensemble
+
+
+def _state_misfit(ensemble: EnsembleResult, spec: StudySpec) -> Optional[tuple[int, str]]:
+    """(record index, reason) for the first record holding a state row of
+    the wrong length or a value that is not a state of its descriptor;
+    None when every row fits.
+
+    Well-formed ensembles pass with one comparison over all rows; the
+    records are searched one by one only when that fails.
+    """
+    try:
+        states = ensemble.states
+    except (TypeError, ValueError, OverflowError):  # ragged, non-integer or beyond int8
+        states = None
+    if (
+        states is not None
+        and states.shape[1] == len(spec.descriptors)
+        and not ((states < 0) | (states >= np.array(spec.state_counts))).any()
+    ):
+        return None
+    width = len(spec.descriptors)
+    for i, r in enumerate(ensemble.runs):
+        for z in r.pathway.scenarios:
+            if len(z) != width:
+                return i, f"state row of length {len(z)}, expected {width}"
+            for d, state in zip(spec.descriptors, z):
+                if not (isinstance(state, int) and 0 <= state < d.state_count):
+                    return i, (
+                        f"state {state!r} is not a state of descriptor {d.id!r} "
+                        f"({d.state_count} states)"
+                    )
+    return None
 
 
 def _pathway_doc(pathway: Pathway) -> dict:
@@ -389,7 +429,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         nonlocal ensemble
         if ensemble is None:
             ensemble = load_checked_ensemble(
-                os.path.join(out, "ensemble.jsonl"), manifest["spec_digest"]
+                os.path.join(out, "ensemble.jsonl"), spec, manifest["spec_digest"]
             )
         return ensemble
 

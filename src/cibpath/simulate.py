@@ -4,7 +4,7 @@ Each run chains realised scenarios period by period: cyclic descriptors
 transition stochastically and are locked, the cross-impact matrix is
 sampled (and structurally shocked) per the configured policy, AR(1) score
 perturbations are advanced once per period, and within-period succession
-iterates to a fixed point. Run randomness comes solely from sub-streams
+iterates to its attractor. Run randomness comes solely from sub-streams
 derived from (master seed, run index, period, purpose), so ensembles are
 byte-identical for any worker count.
 """
@@ -16,11 +16,12 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional, TextIO
 
 import numpy as np
 
-from .engine import Scenario, check_consistency, succession_step
+from .engine import Scenario, check_consistency, iterate_to_attractor, succession_step
 from .errors import ConfigError, InfeasibilityError, ParseError, schema_error
 from .model import CrossImpactMatrix, CyclicParams, StructuralShockConfig, StudySpec
 from .uncertainty import (
@@ -75,11 +76,33 @@ class EnsembleResult:
         return tuple(r for r in self.runs if r.error is None)
 
     @cached_property
+    def states(self) -> np.ndarray:
+        """Every run's scenarios, in run and period order, as one int8 array
+        of shape (scenarios, descriptors); read-only, since every caller
+        shares it. Raises ValueError when the scenarios differ in length and
+        OverflowError for a state beyond int8."""
+        rows = [z for r in self.runs for _, z in r.pathway.entries]
+        widths = set(map(len, rows))
+        if len(widths) > 1:
+            raise ValueError(f"scenarios of different lengths {sorted(widths)}")
+        width = widths.pop() if widths else 0
+        states = np.fromiter(chain.from_iterable(rows), np.int8, width * len(rows))
+        states = states.reshape(len(rows), width)
+        states.flags.writeable = False
+        return states
+
+    @cached_property
     def ok_states(self) -> np.ndarray:
-        """States of the error-free runs as an int8 array of shape
-        (runs, periods, descriptors), in run order; read-only, since every
-        caller shares it."""
-        states = np.array([r.pathway.scenarios for r in self.ok_runs()], dtype=np.int8)
+        """The rows of ``states`` that belong to error-free runs, shaped
+        (runs, periods, descriptors); read-only. Raises ValueError when the
+        error-free runs differ in period count."""
+        ok = [r.error is None for r in self.runs]
+        sizes = [len(r.pathway.entries) for r in self.runs]
+        periods = {n for n, keep in zip(sizes, ok) if keep}
+        if len(periods) > 1:
+            raise ValueError(f"error-free runs of different lengths {sorted(periods)}")
+        rows = self.states if all(ok) else self.states[np.repeat(ok, sizes)]
+        states = rows.reshape(sum(ok), periods.pop() if periods else 0, rows.shape[1])
         states.flags.writeable = False
         return states
 
@@ -117,6 +140,14 @@ def simulate_period(
     run_cim is the per-run sampled matrix under the per_run resample policy;
     when None the matrix is redrawn at this period's scale. Returns
     (realised scenario, new shock state, converged flag, iterations).
+
+    A fixed point reached after k < max_iter steps is returned with
+    converged=True and k iterations. Otherwise the period ends unconverged
+    with max_iter iterations on the scenario that max_iter succession steps
+    reach: on a succession cycle that is the member the parity of max_iter
+    (modulo the cycle length) lands on, exactly as stepping to the cap
+    would give, but found as soon as the cycle closes instead of by
+    iterating to the cap.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1 (got {max_iter})")
@@ -151,17 +182,17 @@ def simulate_period(
         perturbation = None
 
     locked_frozen = frozenset(locked)
-    current: Scenario = tuple(start)
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        nxt = succession_step(spec, period_cim, current, locked_frozen, perturbation)
-        if nxt == current:
-            converged = True
-            break
-        current = nxt
-        iterations += 1
-    return current, shock_state, converged, iterations
+    sequence, first = iterate_to_attractor(
+        lambda z: succession_step(spec, period_cim, z, locked_frozen, perturbation),
+        tuple(start),
+        max_iter,
+    )
+    if first is None:
+        return sequence[-1], shock_state, False, max_iter
+    cycle = len(sequence) - first
+    if cycle == 1:
+        return sequence[first], shock_state, True, first
+    return sequence[first + (max_iter - first) % cycle], shock_state, False, max_iter
 
 
 def simulate_run(

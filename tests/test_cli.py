@@ -202,6 +202,21 @@ class TestScreenMcdaQuantify:
         assert result.exit_code == 3
 
 
+def _set_state(value):
+    def edit(states):
+        states[2][1] = value
+    return edit
+
+
+#: Ensemble files whose record 5 does not fit the mini study, by stem.
+MISFITS = {
+    "state7": _set_state(7),
+    "state300": _set_state(300),
+    "short_row": lambda states: states[2].pop(),
+    "state_text": _set_state("a"),
+}
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """A 200-run mini-study ensemble and the inputs the failure cases need."""
@@ -212,6 +227,13 @@ def small_run(tmp_path_factory):
     assert result.exit_code == 0, result.output
     header, *records = (root / "ensemble.jsonl").read_text().splitlines(keepends=True)
     (root / "truncated.jsonl").write_text(header + "".join(records[:49]))
+    # record 5 edited four ways: a state past its descriptor's range, one
+    # past int8, a state row missing its last descriptor, a text state
+    for stem, edit in MISFITS.items():
+        edited = json.loads(records[5])
+        edit(edited["states"])
+        lines = records[:5] + [json.dumps(edited) + "\n"] + records[6:]
+        (root / f"{stem}.jsonl").write_text(header + "".join(lines))
     stateless = json.loads(records[3])
     del stateless["states"]
     records[3] = json.dumps(stateless) + "\n"
@@ -267,6 +289,14 @@ FAILURES = [
     ("ensemble-truncated", lambda f: _stats(f, "spec", "truncated"), None, 3, "ParseError"),
     ("ensemble-record-without-states", lambda f: _stats(f, "spec", "stateless"),
      None, 3, "ParseError"),
+    ("ensemble-state-out-of-range", lambda f: _stats(f, "spec", "state7"),
+     None, 3, "ParseError"),
+    ("ensemble-state-beyond-int8", lambda f: _stats(f, "spec", "state300"),
+     None, 3, "ParseError"),
+    ("ensemble-state-row-short", lambda f: _stats(f, "spec", "short_row"),
+     None, 3, "ParseError"),
+    ("ensemble-state-not-integer", lambda f: _stats(f, "spec", "state_text"),
+     None, 3, "ParseError"),
     ("candidate-without-periods",
      lambda f: ["quantify", "--spec", f["spec"], "--out", f["out"], "--candidates",
                 f["periodless"], "--pathway", "C1", "--matrix", f["translation"]],
@@ -290,6 +320,13 @@ def test_failure_exit_code_and_json_error_line(small_run, argv, env, code, error
     (line,) = result.stderr.splitlines()
     report = json.loads(line)
     assert report["error"] == error and report["message"]
+
+
+@pytest.mark.parametrize("stem", MISFITS)
+def test_state_misfit_names_the_record(small_run, stem):
+    result = invoke(CliRunner(), *_stats(small_run, "spec", stem))
+    report = json.loads(result.stderr)
+    assert report["message"].startswith(f"{small_run[stem]}: runs[5]: ")
 
 
 def test_quantify_extremes_check_the_ensemble_spec(small_run, fixture_dir, tmp_path):

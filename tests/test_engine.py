@@ -234,3 +234,129 @@ class TestEnumeration:
             spec = parse_study_spec(doc)
             for z in enumerate_consistent(spec, spec.cim):
                 assert succession_step(spec, spec.cim, z) == z
+
+
+def reference_succession_step(spec, cim, scenario, locked=frozenset(), perturbation=None):
+    """Oracle for succession_step, written without the compiled kernel: the
+    full threshold-adjusted matrix, feasible states rebuilt from the
+    forbidden pairs for every descriptor, and a running argmax."""
+    applicable = [
+        r.effect
+        for r in spec.threshold_rules
+        if all(scenario[spec.index_of(did)] == s for did, s in r.conditions)
+    ]
+    scores = cim.scores.copy()
+    for e in applicable:
+        scores[
+            spec.index_of(e.source), e.source_state, spec.index_of(e.target), e.target_state
+        ] += e.delta
+    theta = scores[np.arange(len(scenario)), list(scenario)].sum(axis=0)
+    if perturbation is not None:
+        theta = theta + perturbation
+    locked_idx = {spec.index_of(did) for did in locked}
+    new = list(scenario)
+    for j, d in enumerate(spec.descriptors):
+        if j in locked_idx:
+            continue
+        blocked = set()
+        for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
+            ai, bi = spec.index_of(a_id), spec.index_of(b_id)
+            if ai == j and scenario[bi] == b_s:
+                blocked.add(a_s)
+            elif bi == j and scenario[ai] == a_s:
+                blocked.add(b_s)
+        best_state, best_score, current_is_max = -1, -np.inf, False
+        for l in range(d.state_count):
+            if l in blocked:
+                continue
+            v = theta[j, l]
+            if v > best_score:
+                best_score, best_state, current_is_max = v, l, l == scenario[j]
+            elif v == best_score and l == scenario[j]:
+                current_is_max = True
+        if best_state < 0:
+            raise InfeasibilityError(d.id)
+        new[j] = scenario[j] if current_is_max else best_state
+    for (a_id, a_s), (c_id, c_s) in spec.rules.implications:
+        if new[spec.index_of(a_id)] == a_s:
+            ci = spec.index_of(c_id)
+            if ci not in locked_idx:
+                new[ci] = c_s
+    return tuple(new)
+
+
+def random_rule_document(rng):
+    """A random integer-scored spec with random forbidden pairs,
+    implications and integer-delta threshold rules."""
+    doc = random_spec_document(rng, max_descriptors=5)
+    ids = [d["id"] for d in doc["descriptors"]]
+    counts = {d["id"]: len(d["states"]) for d in doc["descriptors"]}
+
+    def state_of(did):
+        return [did, rng.randrange(counts[did])]
+
+    forbidden = []
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.sample(ids, 2)
+        forbidden.append([state_of(a), state_of(b)])
+    if rng.random() < 0.2:  # block every state of one descriptor behind one other state
+        a, b = rng.sample(ids, 2)
+        other = state_of(b)
+        forbidden += [[[a, s], other] for s in range(counts[a])]
+    implications = []
+    for _ in range(rng.randint(0, 2)):
+        a, c = rng.sample(ids, 2)
+        implications.append({"if": state_of(a), "then": state_of(c)})
+    thresholds = []
+    for _ in range(rng.randint(0, 3)):
+        src, tgt = rng.sample(ids, 2)
+        conditions = [state_of(did) for did in rng.sample(ids, rng.randint(1, 2))]
+        thresholds.append(
+            {
+                "conditions": conditions,
+                "effect": {
+                    "source": src,
+                    "source_state": rng.randrange(counts[src]),
+                    "target": tgt,
+                    "target_state": rng.randrange(counts[tgt]),
+                    "delta": rng.choice([-2, -1, 1, 2]),
+                },
+            }
+        )
+    doc["rules"] = {"forbidden_pairs": forbidden, "implications": implications}
+    doc["threshold_rules"] = thresholds
+    return doc
+
+
+class TestSuccessionOracle:
+    def test_kernel_matches_reference_loop(self):
+        rng = random.Random(2024)
+        seen = {"cases": 0, "infeasible": 0, "moved": 0, "ties": 0}
+        while seen["cases"] < 600:
+            spec = parse_study_spec(random_rule_document(rng))
+            shape = (len(spec.descriptors), max(spec.state_counts))
+            for _ in range(5):
+                z = tuple(rng.randrange(n) for n in spec.state_counts)
+                locked = frozenset(
+                    d.id for d in spec.descriptors if rng.random() < 0.25
+                )
+                perturbation = None
+                if rng.random() < 0.5:
+                    perturbation = np.array(
+                        [[rng.randint(-1, 1) for _ in range(shape[1])] for _ in range(shape[0])],
+                        dtype=float,
+                    )
+                try:
+                    expected = reference_succession_step(spec, spec.cim, z, locked, perturbation)
+                except InfeasibilityError as e:
+                    with pytest.raises(InfeasibilityError) as exc:
+                        succession_step(spec, spec.cim, z, locked, perturbation)
+                    assert exc.value.descriptor_id == e.descriptor_id
+                    seen["infeasible"] += 1
+                else:
+                    assert succession_step(spec, spec.cim, z, locked, perturbation) == expected
+                    seen["moved"] += expected != z
+                    rows = impact_balance(spec, spec.cim, z).scores
+                    seen["ties"] += any(row.count(max(row)) > 1 for row in rows)
+                seen["cases"] += 1
+        assert seen["infeasible"] >= 40 and seen["moved"] >= 200 and seen["ties"] >= 100, seen

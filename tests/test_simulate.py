@@ -3,6 +3,8 @@ import io
 import numpy as np
 import pytest
 
+from cibpath import simulate
+from cibpath.engine import iterate_to_attractor
 from cibpath.errors import ConfigError, ParseError
 from cibpath.model import CyclicParams, StructuralShockConfig, Distribution, parse_study_spec
 from cibpath.simulate import (
@@ -12,10 +14,12 @@ from cibpath.simulate import (
     robustness_fraction,
     save_ensemble,
     simulate_ensemble,
+    simulate_period,
     simulate_run,
     transition_cyclic_state,
     write_ensemble,
 )
+from cibpath.uncertainty import DynamicShockState
 
 from conftest import two_desc_document
 
@@ -101,6 +105,66 @@ class TestSimulateRun:
     def test_max_iter_guard(self, mini_spec):
         with pytest.raises(ConfigError):
             simulate_run(mini_spec, 0, RandomSource(0), max_iter=0)
+
+
+CAPS = (1, 2, 3, 50, 100, 101)
+
+
+def iterate_to_cap(step, start, max_iter):
+    """Reference within-period loop with no cycle detection: step until a
+    fixed point or until max_iter steps have been taken."""
+    current, iterations = start, 0
+    while iterations < max_iter:
+        nxt = step(current)
+        if nxt == current:
+            return current, True, iterations
+        current, iterations = nxt, iterations + 1
+    return current, False, iterations
+
+
+def period_against_cap(monkeypatch, spec, prev, period, run_index, source, max_iter):
+    """simulate_period's (scenario, converged, iterations), and what stepping
+    its own succession to the cap gives."""
+    captured = []
+
+    def spy(step, start, max_steps):
+        captured.append((step, start))
+        return iterate_to_attractor(step, start, max_steps)
+
+    monkeypatch.setattr(simulate, "iterate_to_attractor", spy)
+    shock = DynamicShockState.initial(spec)
+    scenario, _, converged, iterations = simulate_period(
+        spec, prev, period, shock, source, run_index, max_iter
+    )
+    (step, start), = captured
+    return (scenario, converged, iterations), iterate_to_cap(step, start, max_iter)
+
+
+class TestCycleShortcut:
+    @pytest.mark.parametrize("max_iter", CAPS)
+    def test_hand_derived_two_cycle_lands_by_cap_parity(self, monkeypatch, max_iter):
+        # (A1,B2) -> (A2,B1) -> (A1,B2): the member after max_iter steps
+        spec = parse_study_spec(degenerate_document())
+        got, naive = period_against_cap(
+            monkeypatch, spec, (0, 1), 2030, 0, RandomSource(1), max_iter
+        )
+        expected = ((1, 0) if max_iter % 2 else (0, 1), False, max_iter)
+        assert got == naive == expected
+
+    @pytest.mark.parametrize("max_iter", CAPS)
+    def test_random_periods_match_stepping_to_the_cap(self, monkeypatch, mini_spec, max_iter):
+        rng = np.random.default_rng(max_iter)
+        outcomes = set()
+        for run_index in range(60):
+            prev = tuple(int(rng.integers(n)) for n in mini_spec.state_counts)
+            period = int(rng.choice(mini_spec.time_grid[1:]))
+            got, naive = period_against_cap(
+                monkeypatch, mini_spec, prev, period, run_index, RandomSource(5), max_iter
+            )
+            assert got == naive, (run_index, prev, period)
+            outcomes.add(got[1])
+        if max_iter > 2:  # a period converges after k < max_iter steps
+            assert outcomes == {True, False}
 
 
 class TestEnsemble:
