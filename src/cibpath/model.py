@@ -73,7 +73,9 @@ class CrossImpactMatrix:
     the source == target diagonal are structurally zero and masked out.
     """
 
-    __slots__ = ("descriptor_ids", "state_counts", "scores", "confidences", "_mask")
+    __slots__ = (
+        "descriptor_ids", "state_counts", "scores", "confidences", "_mask", "_invalid"
+    )
 
     def __init__(
         self,
@@ -87,6 +89,7 @@ class CrossImpactMatrix:
         self.scores = scores
         self.confidences = confidences
         self._mask: Optional[np.ndarray] = None
+        self._invalid: Optional[np.ndarray] = None
 
     @classmethod
     def zeros(
@@ -115,13 +118,21 @@ class CrossImpactMatrix:
             self._mask = mask
         return self._mask
 
+    @property
+    def invalid_cells(self) -> np.ndarray:
+        """Flat indices of the cells outside valid_mask."""
+        if self._invalid is None:
+            self._invalid = np.flatnonzero(~self.valid_mask)
+        return self._invalid
+
     def with_scores(self, scores: np.ndarray) -> "CrossImpactMatrix":
         """New matrix sharing structure, confidences and the cached valid
-        mask, with replaced scores."""
+        mask and invalid-cell index, with replaced scores."""
         out = CrossImpactMatrix(
             self.descriptor_ids, self.state_counts, scores, self.confidences
         )
         out._mask = self._mask
+        out._invalid = self._invalid
         return out
 
     def iter_cells(self) -> Iterator[tuple[int, int, int, int]]:
@@ -325,6 +336,14 @@ class StudySpec:
         """The compiled index form, built on first use; an unknown
         descriptor id in a rule raises SpecReferenceError then."""
         return SpecKernel.compile(self)
+
+    @cached_property
+    def sigma_tables(self) -> dict[int, np.ndarray]:
+        """Every cell's sampling scale per period (uncertainty.sigma_tables),
+        built on first use."""
+        from .uncertainty import sigma_tables  # uncertainty imports this module
+
+        return sigma_tables(self)
 
     @property
     def state_counts(self) -> tuple[int, ...]:

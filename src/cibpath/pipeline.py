@@ -202,7 +202,7 @@ def _state_misfit(ensemble: EnsembleResult, spec: StudySpec) -> Optional[tuple[i
             if len(z) != width:
                 return i, f"state row of length {len(z)}, expected {width}"
             for d, state in zip(spec.descriptors, z):
-                if not (isinstance(state, int) and 0 <= state < d.state_count):
+                if not (type(state) is int and 0 <= state < d.state_count):
                     return i, (
                         f"state {state!r} is not a state of descriptor {d.id!r} "
                         f"({d.state_count} states)"

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional, TextIO
+from typing import Optional, TextIO, Union
 
 import numpy as np
 
@@ -27,12 +27,20 @@ from .model import CrossImpactMatrix, CyclicParams, StructuralShockConfig, Study
 from .uncertainty import (
     DynamicShockState,
     RandomSource,
+    StreamBlock,
     advance_dynamic_shock,
     apply_structural_shock,
     sample_cim,
 )
 
 DEFAULT_MAX_ITER = 100
+
+#: The purposes of a period's sub-streams, the last part of their names.
+PURPOSES = ("cim", "structural", "cyclic", "dynamic")
+
+#: Runs whose sub-streams one StreamBlock derives; its seed table then
+#: takes 32 bytes x BLOCK_RUNS x periods x len(PURPOSES).
+BLOCK_RUNS = 256
 
 
 @dataclass(frozen=True)
@@ -79,12 +87,17 @@ class EnsembleResult:
     def states(self) -> np.ndarray:
         """Every run's scenarios, in run and period order, as one int8 array
         of shape (scenarios, descriptors); read-only, since every caller
-        shares it. Raises ValueError when the scenarios differ in length and
-        OverflowError for a state beyond int8."""
+        shares it. Raises ValueError when the scenarios differ in length,
+        TypeError for a state that is not an integer (a float or a bool
+        would be truncated) and OverflowError for a state beyond int8."""
         rows = [z for r in self.runs for _, z in r.pathway.entries]
         widths = set(map(len, rows))
         if len(widths) > 1:
             raise ValueError(f"scenarios of different lengths {sorted(widths)}")
+        kinds = set(map(type, chain.from_iterable(rows)))
+        odd = [k for k in kinds if k is bool or not issubclass(k, (int, np.integer))]
+        if odd:
+            raise TypeError(f"states of type {sorted(k.__name__ for k in odd)}")
         width = widths.pop() if widths else 0
         states = np.fromiter(chain.from_iterable(rows), np.int8, width * len(rows))
         states = states.reshape(len(rows), width)
@@ -129,13 +142,16 @@ def simulate_period(
     prev: Scenario,
     period: int,
     shock_state: DynamicShockState,
-    source: RandomSource,
+    source: Union[RandomSource, StreamBlock],
     run_index: int,
     max_iter: int = DEFAULT_MAX_ITER,
     run_cim: Optional[CrossImpactMatrix] = None,
 ) -> tuple[Scenario, DynamicShockState, bool, int]:
     """Evolve one period: cyclic transitions, period matrix, one AR(1) step,
     then within-period succession with cyclic descriptors locked.
+
+    source gives the sub-streams (run_index, period, purpose), one per
+    purpose in PURPOSES: a RandomSource, or a StreamBlock that covers them.
 
     run_cim is the per-run sampled matrix under the per_run resample policy;
     when None the matrix is redrawn at this period's scale. Returns
@@ -198,11 +214,12 @@ def simulate_period(
 def simulate_run(
     spec: StudySpec,
     run_index: int,
-    source: RandomSource,
+    source: Union[RandomSource, StreamBlock],
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> RunRecord:
     """One full pathway: baseline verbatim at the first period, then chained
-    per-period evolution. Infeasibility is recorded, not raised."""
+    per-period evolution. Infeasibility is recorded, not raised. source is
+    as for simulate_period, for every period of the time grid."""
     grid = spec.time_grid
     first = grid[0]
     run_cim = None
@@ -238,7 +255,12 @@ def simulate_run(
 def _run_range(args) -> list[RunRecord]:
     spec, start, stop, master_seed, max_iter = args
     source = RandomSource(master_seed)
-    return [simulate_run(spec, i, source, max_iter) for i in range(start, stop)]
+    runs = []
+    for first in range(start, stop, BLOCK_RUNS):
+        indices = range(first, min(first + BLOCK_RUNS, stop))
+        block = source.block(indices, spec.time_grid, PURPOSES)
+        runs.extend(simulate_run(spec, i, block, max_iter) for i in indices)
+    return runs
 
 
 def simulate_ensemble(
@@ -285,11 +307,11 @@ def robustness_fraction(
     estimates) under which the scenario stays consistent."""
     if sample_count < 1:
         raise ConfigError(f"sample_count must be >= 1 (got {sample_count})")
-    source = RandomSource(master_seed)
+    streams = RandomSource(master_seed).block(("robustness",), range(sample_count))
     hits = 0
     for s in range(sample_count):
         shocked = apply_structural_shock(
-            spec.cim, source.substream("robustness", s), shock_config
+            spec.cim, streams.substream("robustness", s), shock_config
         )
         if check_consistency(spec, shocked, scenario).consistent:
             hits += 1

@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,6 +29,21 @@ from .model import (
 )
 
 _SEED_MASK = (1 << 64) - 1
+_WORD_MASK = (1 << 32) - 1
+_STATE_MASK = (1 << 128) - 1
+
+# numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
+# multiplier; StreamBlock repeats both algorithms on arrays.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+StreamPart = Union[int, str]
 
 
 def _encode_part(part) -> int:
@@ -34,6 +52,16 @@ def _encode_part(part) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) & _SEED_MASK
     raise TypeError(f"stream part must be int or str, got {type(part)!r}")
+
+
+def _words(value: int) -> tuple[int, ...]:
+    """A non-negative int as SeedSequence splits it: little-endian 32-bit
+    words, at least one."""
+    words = [value & _WORD_MASK]
+    while value > _WORD_MASK:
+        value >>= 32
+        words.append(value & _WORD_MASK)
+    return tuple(words)
 
 
 @dataclass(frozen=True)
@@ -47,8 +75,134 @@ class RandomSource:
     master_seed: int
 
     def substream(self, *parts) -> np.random.Generator:
+        """The reference definition of a stream:
+        ``Generator(PCG64(SeedSequence([seed mod 2**64, *encoded parts])))``,
+        where an int part is taken mod 2**64 and a str part is its crc32."""
         entropy = [self.master_seed & _SEED_MASK] + [_encode_part(p) for p in parts]
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+    def block(self, *axes: Sequence[StreamPart]) -> "StreamBlock":
+        """The streams of every combination of parts, one part from each
+        axis, derived together; see StreamBlock."""
+        return StreamBlock(self.master_seed, axes)
+
+
+class StreamBlock:
+    """Many sub-streams of one master seed, derived in one vectorised pass.
+
+    The block covers every parts tuple that takes one part from each axis;
+    ``substream(*parts)`` gives the same draws as
+    ``RandomSource(master_seed).substream(*parts)``. numpy's SeedSequence
+    mixing and ``generate_state(4, uint64)`` run as uint32 array operations
+    over all combinations at once, and only the four seed words per stream
+    are kept. A request then seeds PCG64 with Python ints (state = 0,
+    inc = (seq << 1) | 1, step, state += seed, step) and sets that state on
+    a Generator reused for every request with the same parts on the axes
+    that hold only str parts (its purpose): a returned stream stays valid
+    until the next request for the same purpose.
+    """
+
+    def __init__(self, master_seed: int, axes: Sequence[Sequence[StreamPart]]):
+        self._index = [{part: i for i, part in enumerate(axis)} for axis in axes]
+        # A request's purpose: its parts on the axes that hold only str parts.
+        labels = [k for k, axis in enumerate(axes) if all(isinstance(p, str) for p in axis)]
+        self._purpose = itemgetter(*labels) if labels else (lambda parts: None)
+        self._generators: dict = {}
+        shape = tuple(len(axis) for axis in axes)
+        self._seeds = np.zeros(shape + (4,), dtype=np.uint64)
+        seed = [np.full((1,) * len(axes), w, dtype=np.uint32)
+                for w in _words(master_seed & _SEED_MASK)]
+        # Parts whose encodings have the same word count share one layout of
+        # the entropy, so each axis splits into at most two groups.
+        groups = []
+        for k, axis in enumerate(axes):
+            by_count: dict[int, list] = {}
+            for i, part in enumerate(axis):
+                words = _words(_encode_part(part))
+                by_count.setdefault(len(words), []).append((i, words))
+            column_shape = (1,) * k + (-1,) + (1,) * (len(axes) - k - 1)
+            groups.append([
+                (
+                    np.array([i for i, _ in members]),
+                    [np.array(column, dtype=np.uint32).reshape(column_shape)
+                     for column in zip(*(words for _, words in members))],
+                )
+                for members in by_count.values()
+            ])
+        for combo in product(*groups):
+            words = seed + [column for _, columns in combo for column in columns]
+            at = np.ix_(*(positions for positions, _ in combo))
+            self._seeds[at] = _seed_words(_mix_entropy(words))
+
+    def substream(self, *parts) -> np.random.Generator:
+        """The stream named by parts, which must be in the block."""
+        if len(parts) != len(self._index):
+            raise KeyError(f"stream {parts!r} is not in this block")
+        try:
+            at = tuple(map(dict.__getitem__, self._index, parts))
+        except KeyError:
+            raise KeyError(f"stream {parts!r} is not in this block") from None
+        seed_hi, seed_lo, seq_hi, seq_lo = self._seeds[at].tolist()
+        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _STATE_MASK
+        state = ((((seed_hi << 64) | seed_lo) + inc) * _PCG64_MULT + inc) & _STATE_MASK
+        purpose = self._purpose(parts)
+        rng = self._generators.get(purpose)
+        if rng is None:
+            rng = self._generators[purpose] = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
+
+def _hash_keys(init: int, mult: int):
+    """SeedSequence's hash constants: each hashmix xors its value with one
+    constant and multiplies it by the next, which becomes the next xor."""
+    while True:
+        nxt = init * mult & _WORD_MASK
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, keys) -> np.ndarray:
+    xor, mul = next(keys)
+    value = (value ^ xor) * mul
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _mix_entropy(words: list) -> list:
+    """SeedSequence's pool for entropy words given as broadcastable uint32
+    arrays (SeedSequence.mix_entropy, with no spawn key)."""
+    keys = _hash_keys(_INIT_A, _MULT_A)
+    zero = np.zeros_like(words[0])
+    pool = [_hashmix(words[i] if i < len(words) else zero, keys) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], keys))
+    for src in range(_POOL_SIZE, len(words)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(words[src], keys))
+    return pool
+
+
+def _seed_words(pool: list) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) from a pool, stacked on a
+    last axis of length 4: uint64 word k is 32-bit words 2k (low) and
+    2k + 1 (high)."""
+    keys = _hash_keys(_INIT_B, _MULT_B)
+    halves = [_hashmix(pool[i % _POOL_SIZE], keys).astype(np.uint64) for i in range(8)]
+    return np.stack(
+        [lo | (hi << np.uint64(32)) for lo, hi in zip(halves[0::2], halves[1::2])], axis=-1
+    )
 
 
 def draw_scaled(
@@ -82,23 +236,33 @@ def judgement_sigma(
     return uncertainty.sigma(confidence) * factor
 
 
+def sigma_tables(spec: StudySpec) -> dict[int, np.ndarray]:
+    """Per period of the time scale, every cell's sampling scale: the
+    judgement_sigma of its confidence code, 0.0 outside valid_mask.
+    Read-only; StudySpec.sigma_tables compiles them once per spec."""
+    unc, cim = spec.uncertainty, spec.cim
+    codes = np.where(cim.valid_mask, cim.confidences, 0)
+    tables = {}
+    for period, _ in unc.time_scale:
+        by_code = np.array([0.0] + [judgement_sigma(unc, c, period) for c in range(1, 6)])
+        tables[period] = by_code[codes]
+        tables[period].flags.writeable = False
+    return tables
+
+
 def sample_cim(
     spec: StudySpec, rng: np.random.Generator, period: int
 ) -> CrossImpactMatrix:
     """Sample every cell around its point estimate with its confidence-derived
     scale, clipped to the elicitation range; confidences pass through."""
-    unc = spec.uncertainty
     try:
-        factor = unc.factor(period)
+        sigma = spec.sigma_tables[period]
     except KeyError:
         raise OutOfRangeError(f"period {period} not in the time grid")
     cim = spec.cim
-    sigma_by_code = np.array((0.0,) + unc.confidence_sigma)
-    sigma = sigma_by_code[np.where(cim.valid_mask, cim.confidences, 0)] * factor
-    noise = draw_scaled(rng, unc.sampling_distribution, 1.0, cim.scores.shape) * sigma
-    scores = np.clip(cim.scores + noise, SCORE_MIN, SCORE_MAX)
-    scores[~cim.valid_mask] = 0.0
-    return cim.with_scores(scores)
+    noise = draw_scaled(rng, spec.uncertainty.sampling_distribution, 1.0, cim.scores.shape)
+    noise *= sigma
+    return cim.with_scores(_perturbed(cim, noise))
 
 
 def apply_structural_shock(
@@ -107,9 +271,16 @@ def apply_structural_shock(
     """Add an independent perturbation of the configured scale to every cell,
     clipping the result back to the elicitation range."""
     noise = draw_scaled(rng, config.distribution, config.scale, cim.scores.shape)
-    scores = np.clip(cim.scores + noise, SCORE_MIN, SCORE_MAX)
-    scores[~cim.valid_mask] = 0.0
-    return cim.with_scores(scores)
+    return cim.with_scores(_perturbed(cim, noise))
+
+
+def _perturbed(cim: CrossImpactMatrix, noise: np.ndarray) -> np.ndarray:
+    """cim's scores plus noise, clipped to the elicitation range, with the
+    cells outside valid_mask zeroed; computed in noise's own buffer."""
+    noise += cim.scores
+    np.clip(noise, SCORE_MIN, SCORE_MAX, out=noise)
+    noise.put(cim.invalid_cells, 0.0)
+    return noise
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,8 @@ MISFITS = {
     "state300": _set_state(300),
     "short_row": lambda states: states[2].pop(),
     "state_text": _set_state("a"),
+    "state_float": _set_state(1.5),
+    "state_bool": _set_state(True),
 }
 
 
@@ -227,8 +229,9 @@ def small_run(tmp_path_factory):
     assert result.exit_code == 0, result.output
     header, *records = (root / "ensemble.jsonl").read_text().splitlines(keepends=True)
     (root / "truncated.jsonl").write_text(header + "".join(records[:49]))
-    # record 5 edited four ways: a state past its descriptor's range, one
-    # past int8, a state row missing its last descriptor, a text state
+    # record 5 edited six ways: a state past its descriptor's range, one
+    # past int8, a state row missing its last descriptor, a text, a float
+    # and a boolean state
     for stem, edit in MISFITS.items():
         edited = json.loads(records[5])
         edit(edited["states"])
@@ -296,6 +299,10 @@ FAILURES = [
     ("ensemble-state-row-short", lambda f: _stats(f, "spec", "short_row"),
      None, 3, "ParseError"),
     ("ensemble-state-not-integer", lambda f: _stats(f, "spec", "state_text"),
+     None, 3, "ParseError"),
+    ("ensemble-state-float", lambda f: _stats(f, "spec", "state_float"),
+     None, 3, "ParseError"),
+    ("ensemble-state-bool", lambda f: _stats(f, "spec", "state_bool"),
      None, 3, "ParseError"),
     ("candidate-without-periods",
      lambda f: ["quantify", "--spec", f["spec"], "--out", f["out"], "--candidates",

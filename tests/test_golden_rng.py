@@ -1,0 +1,68 @@
+"""Golden-output pins for the random-draw paths that ``test_golden.py``
+does not take: the per-run resample policy, a Student-t sampling
+distribution, Gaussian shocks, shocks disabled, and master seeds whose
+entropy is zero, spans two 32-bit words, or is negative.
+
+Each case simulates 200 runs of the mini study at one worker and pins the
+sha256 of the saved ``ensemble.jsonl``. A change that moves a digest
+changes which numbers are drawn; it must update the digest and say why.
+"""
+
+import hashlib
+import importlib.resources
+import json
+
+import pytest
+
+from cibpath.model import parse_study_spec
+from cibpath.simulate import save_ensemble, simulate_ensemble
+
+RUNS = 200
+
+GAUSSIAN_SHOCKS = {
+    "structural": {"enabled": True, "scale": 0.3, "distribution": "gaussian"},
+    "dynamic": {
+        "enabled": True, "long_run_sd": 0.4, "persistence": 0.6, "distribution": "gaussian",
+    },
+}
+NO_SHOCKS = {"structural": {"enabled": False}, "dynamic": {"enabled": False}}
+
+#: case -> (document edits, master seed, ensemble sha256)
+CASES = {
+    "resample-per-run": (
+        {"uncertainty": {"resample": "per_run"}}, 42,
+        "119c139154590efd467abf725a52be96ed860dedec8922ef312851d40302fdb1",
+    ),
+    "student-t-sampling": (
+        {"uncertainty": {"sampling_distribution": {"kind": "student_t", "df": 4}}}, 42,
+        "f846d8ed8b0bbd30c77fa4ac151d85b9a17ecb480f924297a02d40291144fe56",
+    ),
+    "gaussian-shocks": (
+        {"shocks": GAUSSIAN_SHOCKS}, 42,
+        "fbbfb3f237072426c5061a61de4dae076562e4d3ed801d6e57a2caa007edac4d",
+    ),
+    "shocks-disabled": (
+        {"shocks": NO_SHOCKS}, 42,
+        "fafe16e408c5f682499797e43cb51a5bf795f1bba7eabb9927125b77d72992ed",
+    ),
+    "seed-0": (
+        {}, 0, "6db75c6a41d07c028975f8f6bfbc5ab258815d2768bd861145479a3ae628e7d7",
+    ),
+    "seed-two-words": (
+        {}, 2**32 + 7, "d1ca23b4c1e162c1d9da98be9fc8cca0e3c543b70484a2287c5519caf1d874c6",
+    ),
+    "seed-negative": (
+        {}, -1, "a1ef45be020ab8fd64960cc0e1234a59ecd04c24a88a1c63759a05b07ea4cb0a",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits, seed, digest", CASES.values(), ids=list(CASES))
+def test_ensemble_digest(tmp_path, edits, seed, digest):
+    path = importlib.resources.files("cibpath") / "fixtures" / "mini_study.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(edits)
+    out = str(tmp_path / "ensemble.jsonl")
+    save_ensemble(simulate_ensemble(parse_study_spec(doc), RUNS, seed), out)
+    with open(out, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest

@@ -1,8 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from cibpath.errors import ConfigError, OutOfRangeError
 from cibpath.model import Distribution, parse_study_spec
+from cibpath.simulate import PURPOSES
 from cibpath.uncertainty import (
     DynamicShockState,
     RandomSource,
@@ -44,6 +47,60 @@ class TestRandomSource:
     def test_rejects_float_parts(self):
         with pytest.raises(TypeError):
             RandomSource(1).substream(1.5)
+
+
+def same_stream(got, want):
+    """Equal PCG64 state, and equal draws of each kind the simulator takes."""
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(2), want.random(2))
+    assert np.array_equal(got.standard_normal(3), want.standard_normal(3))
+    assert np.array_equal(got.standard_t(5, 3), want.standard_t(5, 3))
+
+
+class TestStreamBlock:
+    """StreamBlock against the reference definition, RandomSource.substream."""
+
+    #: Entropy of one word (0), two words, and the 2**64 - 1 that -1 becomes.
+    SEEDS = (0, 2**32 + 7, -1, 2**64 - 1, 42)
+    #: One-word and two-word runs, run 0 first.
+    RUNS = (0, 1, 2, 7, 500, 1999, 2**32 - 1, 2**32, 2**63 + 5)
+    #: Negative periods are taken mod 2**64, so they have two words.
+    PERIODS = (2025, 2030, 0, -1, -2030, 2**40)
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_every_stream_equals_the_reference(self, master_seed):
+        source = RandomSource(master_seed)
+        block = source.block(self.RUNS, self.PERIODS, PURPOSES)
+        cases = list(product(self.RUNS, self.PERIODS, PURPOSES))
+        for run, period, purpose in cases:
+            same_stream(
+                block.substream(run, period, purpose), source.substream(run, period, purpose)
+            )
+        assert len(cases) * len(self.SEEDS) >= 1000
+
+    def test_leading_str_axis_equals_the_reference(self):
+        source = RandomSource(9)
+        block = source.block(("robustness",), range(300))
+        for s in range(300):
+            same_stream(block.substream("robustness", s), source.substream("robustness", s))
+
+    def test_purposes_do_not_share_a_generator(self):
+        source = RandomSource(3)
+        block = source.block((0,), (2030,), PURPOSES)
+        held = [block.substream(0, 2030, purpose) for purpose in PURPOSES]
+        for purpose, got in zip(PURPOSES, held):
+            same_stream(got, source.substream(0, 2030, purpose))
+
+    def test_stream_outside_the_block(self):
+        block = RandomSource(3).block(range(4), (2030,), PURPOSES)
+        with pytest.raises(KeyError):
+            block.substream(4, 2030, "cim")
+        with pytest.raises(KeyError):
+            block.substream(0, 2030)
+
+    def test_rejects_float_parts(self):
+        with pytest.raises(TypeError):
+            RandomSource(1).block((1.5,))
 
 
 class TestDrawScaled:
