@@ -17,11 +17,13 @@ from typing import Optional
 import click
 
 from . import __version__
-from .engine import enumerate_consistent
+from .analytics import DEFAULT_CONFIDENCE_LEVEL
+from .engine import DEFAULT_ENUMERATION_LIMIT, enumerate_consistent
 from .errors import CibError, ConfigError, ParseError, TractabilityError, ValidationFailure
 from .mcda import load_mcda_input
 from .model import load_study_spec, validate_study_spec
 from .pipeline import (
+    PipelineConfig,
     findings_report,
     load_checked_ensemble,
     load_pipeline_config,
@@ -91,9 +93,11 @@ spec_option = click.option(
     "--spec", "spec_path", required=True, type=click.Path(exists=True), help="Study-spec file."
 )
 out_option = click.option("--out", "out_dir", default="out", help="Output directory.")
-seed_option = click.option("--seed", "master_seed", default=0, type=int, help="Master seed.")
+seed_option = click.option(
+    "--seed", "master_seed", default=PipelineConfig.master_seed, type=int, help="Master seed."
+)
 level_option = click.option(
-    "--level", default=0.95, type=float, help="Interval confidence level."
+    "--level", default=DEFAULT_CONFIDENCE_LEVEL, type=float, help="Interval confidence level."
 )
 
 
@@ -115,7 +119,8 @@ def validate(spec_path):
 
 @main.command()
 @spec_option
-@click.option("--limit", default=100_000, type=int, help="State-space tractability bound.")
+@click.option("--limit", default=DEFAULT_ENUMERATION_LIMIT, type=int,
+              help="State-space tractability bound.")
 @_guarded
 def enumerate(spec_path, limit):
     """Exhaustively list all consistent, feasible scenarios (small spaces)."""
@@ -133,7 +138,7 @@ def enumerate(spec_path, limit):
 @spec_option
 @out_option
 @seed_option
-@click.option("--runs", default=10_000, type=int, help="Monte Carlo run count.")
+@click.option("--runs", default=PipelineConfig.run_count, type=int, help="Monte Carlo run count.")
 @click.option("--workers", default=None, type=int, help="Worker process count.")
 @click.option("--max-iter", default=DEFAULT_MAX_ITER, type=int, help="Succession iteration cap.")
 @_guarded
@@ -141,9 +146,8 @@ def simulate(spec_path, out_dir, master_seed, runs, workers, max_iter):
     """Simulate the pathway ensemble and write ensemble.jsonl."""
     spec = load_study_spec(spec_path)
     raise_on_errors(validate_study_spec(spec), "run `cibpath validate`")
-    _echo(simulate_stage(
-        spec, out_dir, runs, master_seed, max_iter, _worker_count(workers, 1)
-    )[0])
+    workers = _worker_count(workers, PipelineConfig.worker_count)
+    _echo(simulate_stage(spec, out_dir, runs, master_seed, max_iter, workers)[0])
 
 
 @main.command()
@@ -164,7 +168,8 @@ def stats(spec_path, out_dir, level, ensemble_path):
 @click.option("--ensemble", "ensemble_path", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True),
               help="Screening config JSON (outcome_descriptor, thresholds, ...).")
-@click.option("-k", "--candidates", "k", default=4, type=int, help="Candidate count.")
+@click.option("-k", "--candidates", "k", default=PipelineConfig.candidate_count, type=int,
+              help="Candidate count.")
 @_guarded
 def screen(spec_path, out_dir, ensemble_path, config_path, k):
     """Screen pathways for plausibility and select the candidate set."""

@@ -21,6 +21,9 @@ from .model import CrossImpactMatrix, SpecKernel, StudySpec
 #: One state index per descriptor, in spec order.
 Scenario = tuple[int, ...]
 
+#: Scenario-space size above which enumerate_consistent refuses to run.
+DEFAULT_ENUMERATION_LIMIT = 100_000
+
 
 @dataclass(frozen=True)
 class ImpactBalance:
@@ -258,7 +261,7 @@ def violates_forbidden(spec: StudySpec, scenario: Scenario) -> bool:
 
 
 def enumerate_consistent(
-    spec: StudySpec, cim: CrossImpactMatrix, limit: int = 100_000
+    spec: StudySpec, cim: CrossImpactMatrix, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> list[Scenario]:
     """All consistent, feasible scenarios in lexicographic state order.
 

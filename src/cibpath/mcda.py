@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, schema_error
 from .model import Finding
 
 
@@ -137,23 +137,27 @@ def rank_pathways(inp: McdaInput) -> McdaRanking:
 
 
 def parse_mcda_input(doc: dict) -> McdaInput:
+    """Read an MCDA input document; a missing key or a node of the wrong type
+    or a non-numeric score or weight raises ParseError naming the node."""
+    node = "mcda"
     try:
         criteria = tuple(doc["criteria"])
         pathways = tuple(doc["pathways"])
-        scores = tuple(
-            tuple(float(doc["scores"][p][c]) for c in criteria) for p in pathways
-        )
-        personas = tuple(
-            Persona(
-                pid,
-                tuple((c, float(weights[c])) for c in criteria),
-            )
-            for pid, weights in doc["personas"].items()
-        )
-    except KeyError as e:
-        raise ParseError("mcda", f"missing key {e}")
-    scale = tuple(doc.get("scale", (1.0, 5.0)))
-    return McdaInput(pathways, criteria, scores, personas, scale)
+        scores = []
+        for p in pathways:
+            node = f"scores.{p}"
+            scores.append(tuple(float(doc["scores"][p][c]) for c in criteria))
+        node = "personas"
+        if not isinstance(doc["personas"], dict):
+            raise ParseError(node, "not an object of persona id -> criterion weights")
+        personas = []
+        for pid, weights in doc["personas"].items():
+            node = f"personas.{pid}"
+            personas.append(Persona(pid, tuple((c, float(weights[c])) for c in criteria)))
+    except (KeyError, TypeError, ValueError) as e:
+        raise schema_error(node, e)
+    scale = tuple(doc.get("scale", McdaInput.scale))
+    return McdaInput(pathways, criteria, tuple(scores), tuple(personas), scale)
 
 
 def load_mcda_input(path: str) -> McdaInput:

@@ -13,12 +13,14 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .analytics import (
+    DEFAULT_CONFIDENCE_LEVEL,
     ScreeningConfig,
     screen_candidates,
     select_candidates,
@@ -56,7 +58,7 @@ class PipelineConfig:
     master_seed: int = 0
     worker_count: int = 1
     max_iter: int = DEFAULT_MAX_ITER
-    confidence_level: float = 0.95
+    confidence_level: float = DEFAULT_CONFIDENCE_LEVEL
     stages: tuple[str, ...] = ALL_STAGES
     screening: Optional[dict] = None
     candidate_count: int = 4
@@ -81,20 +83,17 @@ def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> Pipelin
         cfg = PipelineConfig(
             spec_path=resolve(doc["spec"]),
             output_dir=output_dir or resolve(doc.get("output_dir", "out")),
-            run_count=int(doc.get("run_count", 10_000)),
-            master_seed=int(doc.get("master_seed", 0)),
-            worker_count=int(doc.get("worker_count", 1)),
-            max_iter=int(doc.get("max_iter", DEFAULT_MAX_ITER)),
-            confidence_level=float(doc.get("confidence_level", 0.95)),
-            stages=tuple(doc.get("stages", ALL_STAGES)),
             screening=doc.get("screening"),
-            candidate_count=int(doc.get("candidate_count", 4)),
             mcda_input_path=resolve(doc.get("mcda_input")),
             translation_path=resolve(doc.get("translation")),
             identities_path=resolve(doc.get("identities")),
             ranges=doc.get("ranges"),
             extremes=doc.get("extremes"),
             selected_pathway=doc.get("selected_pathway"),
+            **_given(doc, {
+                "run_count": int, "master_seed": int, "worker_count": int, "max_iter": int,
+                "confidence_level": float, "stages": tuple, "candidate_count": int,
+            }),
         )
     except KeyError as e:
         raise ConfigError(f"pipeline config missing key {e}")
@@ -106,6 +105,12 @@ def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> Pipelin
     if cfg.run_count < 1:
         raise ConfigError("run_count must be >= 1")
     return cfg
+
+
+def _given(doc: dict, casts: dict) -> dict:
+    """The keys of casts that doc holds, each value converted by its cast;
+    the caller's dataclass defaults stand for the absent keys."""
+    return {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
 
 
 def read_json(path: str):
@@ -163,41 +168,49 @@ def raise_on_errors(findings: list[Finding], hint: str) -> None:
 
 def load_checked_ensemble(path: str, spec: StudySpec, spec_digest: str) -> EnsembleResult:
     """Load an ensemble for a stage, refusing one simulated from another spec
-    (spec_digest is the digest of spec) and one holding a state row that
-    does not fit the spec."""
+    (spec_digest is the digest of spec) and one holding a state row or a
+    period list that does not fit the spec."""
     ensemble = load_ensemble(path)
     if ensemble.spec_digest != spec_digest:
         raise ConfigError(
             f"{path} was simulated from spec {ensemble.spec_digest}, "
             f"not from the spec in use ({spec_digest})"
         )
-    misfit = _state_misfit(ensemble, spec)
+    misfit = _record_misfit(ensemble, spec)
     if misfit is not None:
         run, reason = misfit
         raise ParseError(f"{path}: runs[{run}]", reason)
     return ensemble
 
 
-def _state_misfit(ensemble: EnsembleResult, spec: StudySpec) -> Optional[tuple[int, str]]:
-    """(record index, reason) for the first record holding a state row of
-    the wrong length or a value that is not a state of its descriptor;
-    None when every row fits.
+def _record_misfit(ensemble: EnsembleResult, spec: StudySpec) -> Optional[tuple[int, str]]:
+    """(record index, reason) for the first record whose periods are not the
+    spec's time grid (for a record that ends in an error, not a prefix of
+    it) or that holds a state row of the wrong length or a value that is not
+    a state of its descriptor; None when every record fits.
 
-    Well-formed ensembles pass with one comparison over all rows; the
-    records are searched one by one only when that fails.
+    Well-formed state rows pass with one comparison over all rows; they are
+    searched record by record only when that fails.
     """
     try:
         states = ensemble.states
     except (TypeError, ValueError, OverflowError):  # ragged, non-integer or beyond int8
         states = None
-    if (
-        states is not None
-        and states.shape[1] == len(spec.descriptors)
-        and not ((states < 0) | (states >= np.array(spec.state_counts))).any()
-    ):
-        return None
     width = len(spec.descriptors)
+    states_fit = (
+        states is not None
+        and states.shape[1] == width
+        and not ((states < 0) | (states >= np.array(spec.state_counts))).any()
+    )
+    grid = spec.time_grid
+    period_of = itemgetter(0)
     for i, r in enumerate(ensemble.runs):
+        periods = tuple(map(period_of, r.pathway.entries))
+        if periods != grid and (r.error is None or periods != grid[:len(periods)]):
+            expected = "the time grid" if r.error is None else "a prefix of the time grid"
+            return i, f"periods {list(periods)}, expected {expected} {list(grid)}"
+        if states_fit:
+            continue
         for z in r.pathway.scenarios:
             if len(z) != width:
                 return i, f"state row of length {len(z)}, expected {width}"
@@ -210,28 +223,23 @@ def _state_misfit(ensemble: EnsembleResult, spec: StudySpec) -> Optional[tuple[i
     return None
 
 
-def _pathway_doc(pathway: Pathway) -> dict:
-    return {
-        "periods": list(pathway.periods),
-        "states": [list(z) for z in pathway.scenarios],
-    }
-
-
 def screening_config_from(doc: dict) -> ScreeningConfig:
     try:
-        outcome = doc["outcome_descriptor"]
+        return ScreeningConfig(
+            outcome_descriptor=doc["outcome_descriptor"],
+            endpoint_exclusions=tuple(
+                tuple((d, s) for d, s in combo)
+                for combo in doc.get("endpoint_exclusions", [])
+            ),
+            **_given(doc, {
+                "late_rush_steps": int, "discontinuity_steps": int,
+                "full_vector_backsliding": bool,
+            }),
+        )
     except KeyError:
         raise ConfigError("screening config needs 'outcome_descriptor'")
-    return ScreeningConfig(
-        outcome_descriptor=outcome,
-        late_rush_steps=int(doc.get("late_rush_steps", 2)),
-        discontinuity_steps=int(doc.get("discontinuity_steps", 2)),
-        full_vector_backsliding=bool(doc.get("full_vector_backsliding", False)),
-        endpoint_exclusions=tuple(
-            tuple((d, s) for d, s in combo)
-            for combo in doc.get("endpoint_exclusions", [])
-        ),
-    )
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"screening config has a malformed value: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +317,12 @@ def screen_stage(
                 "id": f"C{i + 1}",
                 "rationale": c.rationale,
                 "terminal_frequency": c.terminal_frequency,
-                **_pathway_doc(c.pathway),
+                **c.pathway.to_doc(),
             }
             for i, c in enumerate(selected.candidates)
         ],
         "rejected": [
-            {**_pathway_doc(p), "reason": reason} for p, reason in selected.rejected
+            {**p.to_doc(), "reason": reason} for p, reason in selected.rejected
         ],
         "warnings": list(selected.warnings),
     }
@@ -347,9 +355,7 @@ def quantify_stage(
     pathways = {}
     for i, c in enumerate(entries):
         try:
-            pathways[c["id"]] = Pathway(
-                tuple((p, tuple(z)) for p, z in zip(c["periods"], c["states"]))
-            )
+            pathways[c["id"]] = Pathway.from_doc(c, f"{candidates_path}: candidates[{i}]")
         except (KeyError, TypeError) as e:
             raise schema_error(f"{candidates_path}: candidates[{i}]", e)
     if pathway_id not in pathways:
@@ -382,7 +388,7 @@ def quantify_stage(
                 "label": e.label,
                 "axis": e.axis,
                 "period": e.period,
-                "values": {d: v for d, v in e.values},
+                "values": e.values,
             }
             for e in scenarios
         ],

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .engine import Scenario
-from .errors import ConfigError, CoverageError, EmptyInputError, OutOfRangeError, ParseError
+from .errors import (
+    ConfigError, CoverageError, EmptyInputError, OutOfRangeError, ParseError, schema_error,
+)
 from .model import StudySpec
 from .simulate import EnsembleResult, Pathway
 
@@ -30,30 +32,20 @@ class Dimension:
 
 @dataclass(frozen=True)
 class TranslationMatrix:
-    """Per dimension, state index -> value; optionally per period."""
+    """Translation values by (dimension id, state index); a value given for
+    one period, by (dimension id, state index, period), takes precedence."""
 
-    #: (dimension id, ((state, value), ...)) for time-independent entries.
-    entries: tuple[tuple[str, tuple[tuple[int, float], ...]], ...]
-    #: (dimension id, ((state, ((period, value), ...)), ...)) overrides.
-    timed_entries: tuple[tuple[str, tuple[tuple[int, tuple[tuple[int, float], ...]], ...]], ...] = ()
+    entries: dict[tuple[str, int], float]
+    timed_entries: dict[tuple[str, int, int], float] = field(default_factory=dict)
 
     def value(self, dimension: str, state: int, period: int) -> float:
-        for did, states in self.timed_entries:
-            if did == dimension:
-                for s, by_period in states:
-                    if s == state:
-                        for p, v in by_period:
-                            if p == period:
-                                return v
-        for did, states in self.entries:
-            if did == dimension:
-                for s, v in states:
-                    if s == state:
-                        return v
-                break
-        raise CoverageError(
-            f"no translation entry for dimension {dimension!r}, state {state}"
-        )
+        if (dimension, state, period) in self.timed_entries:
+            return self.timed_entries[dimension, state, period]
+        if (dimension, state) not in self.entries:
+            raise CoverageError(
+                f"no translation entry for dimension {dimension!r}, state {state}"
+            )
+        return self.entries[dimension, state]
 
 
 @dataclass(frozen=True)
@@ -65,29 +57,14 @@ class CellProvenance:
 
 @dataclass(frozen=True)
 class QuantifiedPathway:
+    """Cell tables keyed by (dimension id, period), in table row order:
+    dimension by dimension, and by period within a dimension."""
+
     dimensions: tuple[Dimension, ...]
     periods: tuple[int, ...]
-    values: tuple[tuple[str, int, float], ...]  # (dimension, period, value)
-    ranges: tuple[tuple[str, int, float, float], ...] = ()
-    provenance: tuple[tuple[str, int, CellProvenance], ...] = ()
-
-    def value(self, dimension: str, period: int) -> float:
-        for d, p, v in self.values:
-            if d == dimension and p == period:
-                return v
-        raise KeyError((dimension, period))
-
-    def range_of(self, dimension: str, period: int) -> Optional[tuple[float, float]]:
-        for d, p, lo, hi in self.ranges:
-            if d == dimension and p == period:
-                return lo, hi
-        return None
-
-    def provenance_of(self, dimension: str, period: int) -> CellProvenance:
-        for d, p, prov in self.provenance:
-            if d == dimension and p == period:
-                return prov
-        raise KeyError((dimension, period))
+    values: dict[tuple[str, int], float]
+    ranges: dict[tuple[str, int], tuple[float, float]] = field(default_factory=dict)
+    provenance: dict[tuple[str, int], CellProvenance] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -95,7 +72,7 @@ class ExtremeScenario:
     label: str
     axis: str  # "outcome_based" | "descriptor_based" | "frequency_based"
     period: int
-    values: tuple[tuple[str, float], ...]  # complete over all dimensions
+    values: dict[str, float]  # complete over all dimensions
 
 
 def quantify_pathway(
@@ -114,24 +91,19 @@ def quantify_pathway(
             raise ConfigError(f"override references unknown dimension {did!r}")
         if period not in pathway.periods:
             raise ConfigError(f"override references unknown period {period}")
-        over[(did, period)] = (value, note)
-    values = []
-    provenance = []
+        over[did, period] = (value, note)
+    values, provenance = {}, {}
     for dim in dimensions:
         j = spec.index_of(dim.driver)
         for period, scenario in pathway.entries:
-            state = scenario[j]
-            if (dim.id, period) in over:
-                v, note = over[(dim.id, period)]
-                prov = CellProvenance("override", state, note)
+            cell, state = (dim.id, period), scenario[j]
+            if cell in over:
+                values[cell], note = over[cell]
+                provenance[cell] = CellProvenance("override", state, note)
             else:
-                v = matrix.value(dim.id, state, period)
-                prov = CellProvenance("lookup", state)
-            values.append((dim.id, period, v))
-            provenance.append((dim.id, period, prov))
-    return QuantifiedPathway(
-        dimensions, pathway.periods, tuple(values), (), tuple(provenance)
-    )
+                values[cell] = matrix.value(dim.id, state, period)
+                provenance[cell] = CellProvenance("lookup", state)
+    return QuantifiedPathway(dimensions, pathway.periods, values, {}, provenance)
 
 
 def attach_uncertainty_ranges(qp: QuantifiedPathway, range_spec: dict) -> QuantifiedPathway:
@@ -140,16 +112,14 @@ def attach_uncertainty_ranges(qp: QuantifiedPathway, range_spec: dict) -> Quanti
     Per dimension either {"relative": f} (central * (1 -/+ f)),
     {"low_offset": a, "high_offset": b}, or absolute {"low": x, "high": y}.
     """
-    ranges = []
-    for d, p, central in qp.values:
+    ranges = {}
+    for (d, p), central in qp.values.items():
         if d not in range_spec:
             continue
         rs = range_spec[d]
         if "relative" in rs:
             f = float(rs["relative"])
-            lo, hi = central * (1 - f), central * (1 + f)
-            if lo > hi:
-                lo, hi = hi, lo
+            lo, hi = sorted((central * (1 - f), central * (1 + f)))
         elif "low_offset" in rs or "high_offset" in rs:
             lo = central + float(rs.get("low_offset", 0.0))
             hi = central + float(rs.get("high_offset", 0.0))
@@ -164,21 +134,8 @@ def attach_uncertainty_ranges(qp: QuantifiedPathway, range_spec: dict) -> Quanti
                 f"central value {central:g} outside range ({lo:g}, {hi:g}) "
                 f"for dimension {d!r} at period {p}"
             )
-        ranges.append((d, p, lo, hi))
-    return replace(qp, ranges=tuple(ranges))
-
-
-def _quantify_scenario(
-    scenario: Scenario,
-    period: int,
-    dimensions: tuple[Dimension, ...],
-    matrix: TranslationMatrix,
-    spec: StudySpec,
-) -> tuple[tuple[str, float], ...]:
-    return tuple(
-        (dim.id, matrix.value(dim.id, scenario[spec.index_of(dim.driver)], period))
-        for dim in dimensions
-    )
+        ranges[d, p] = (lo, hi)
+    return replace(qp, ranges=ranges)
 
 
 def build_extreme_scenarios(
@@ -199,68 +156,52 @@ def build_extreme_scenarios(
     if not runs:
         raise EmptyInputError("ensemble holds no successful runs")
     terminal_period = runs[0].pathway.periods[-1]
-    terminal_counts = Counter(r.pathway.terminal() for r in runs)
-
+    counts = Counter(r.pathway.terminal() for r in runs)
     out: list[ExtremeScenario] = []
     warnings: list[str] = []
+
+    def by_count(terminal: Scenario) -> tuple[int, Scenario]:
+        return counts[terminal], terminal
+
+    def add(label: str, axis: str, scenario: Scenario) -> None:
+        values = {
+            dim.id: matrix.value(dim.id, scenario[spec.index_of(dim.driver)], terminal_period)
+            for dim in dimensions
+        }
+        out.append(ExtremeScenario(label, axis, terminal_period, values))
 
     if "outcome" in axes_config:
         did = axes_config["outcome"]["descriptor"]
         j = spec.index_of(did)
-        n_states = spec.descriptors[j].state_count
-        for state, side in ((0, "low"), (n_states - 1, "high")):
-            matching = {t: c for t, c in terminal_counts.items() if t[j] == state}
-            if not matching:
+        for state, side in ((0, "low"), (spec.descriptors[j].state_count - 1, "high")):
+            found = max((t for t in counts if t[j] == state), key=by_count, default=None)
+            if found is None:
                 warnings.append(
                     f"outcome axis: no terminal scenario with {did!r} in state {state}; skipped"
                 )
-                continue
-            scenario = max(matching, key=lambda t: (matching[t], t))
-            out.append(
-                ExtremeScenario(
-                    f"outcome-{side}",
-                    "outcome_based",
-                    terminal_period,
-                    _quantify_scenario(scenario, terminal_period, dimensions, matrix, spec),
-                )
-            )
+            else:
+                add(f"outcome-{side}", "outcome_based", found)
 
+    # Unstacked drivers take their modal terminal state in the ensemble.
+    modal = max(counts, key=by_count)
     for label, stack in (axes_config.get("descriptor_stacks") or {}).items():
-        # Unstacked drivers take their modal terminal state in the ensemble.
-        modal = max(terminal_counts, key=lambda t: (terminal_counts[t], t))
         scenario = list(modal)
         for did, state in stack.items():
             j = spec.index_of(did)
-            d = spec.descriptors[j]
             if isinstance(state, str):
-                state = d.state_labels().index(state)
+                state = spec.descriptors[j].state_labels().index(state)
             scenario[j] = state
-        out.append(
-            ExtremeScenario(
-                f"stack-{label}",
-                "descriptor_based",
-                terminal_period,
-                _quantify_scenario(tuple(scenario), terminal_period, dimensions, matrix, spec),
-            )
-        )
+        add(f"stack-{label}", "descriptor_based", tuple(scenario))
 
     if "frequency" in axes_config:
         min_count = int(axes_config["frequency"].get("min_count", 1))
-        eligible = {t: c for t, c in terminal_counts.items() if c >= min_count}
-        if not eligible:
+        found = min((t for t in counts if counts[t] >= min_count), key=by_count, default=None)
+        if found is None:
             warnings.append(
                 f"frequency axis: no terminal scenario reaches min_count {min_count}; skipped"
             )
         else:
-            scenario = min(eligible, key=lambda t: (eligible[t], t))
-            out.append(
-                ExtremeScenario(
-                    "tail-outcome",
-                    "frequency_based",
-                    terminal_period,
-                    _quantify_scenario(scenario, terminal_period, dimensions, matrix, spec),
-                )
-            )
+            add("tail-outcome", "frequency_based", found)
 
     if not 2 <= len(out) <= 4:
         warnings.append(
@@ -290,27 +231,29 @@ def enforce_identities(
     """Repair violated identities per period by proportionally rescaling the
     adjustable dimensions onto the constraint; satisfied identities leave
     values untouched and repairs land in provenance."""
-    values = {(d, p): v for d, p, v in qp.values}
-    prov = {(d, p): pr for d, p, pr in qp.provenance}
+    values = dict(qp.values)
+    prov = dict(qp.provenance)
     for ident in identities:
         if not ident.adjustable:
             raise ConfigError(f"identity {ident.name!r} has no adjustable dimension")
         term_dims = {d for d, _ in ident.terms}
         for d in ident.adjustable:
             if d not in term_dims:
-                raise ConfigError(
-                    f"identity {ident.name!r}: adjustable {d!r} is not a term"
-                )
+                raise ConfigError(f"identity {ident.name!r}: adjustable {d!r} is not a term")
+        named = term_dims if ident.rhs_dimension is None else term_dims | {ident.rhs_dimension}
+        unknown = sorted(named - {d.id for d in qp.dimensions})
+        if unknown:
+            raise ConfigError(f"identity {ident.name!r} names unknown dimensions {unknown}")
         for period in qp.periods:
             if ident.rhs_dimension is not None:
-                rhs = values[(ident.rhs_dimension, period)]
+                rhs = values[ident.rhs_dimension, period]
             else:
                 rhs = float(ident.rhs_value or 0.0)
-            lhs = sum(c * values[(d, period)] for d, c in ident.terms)
+            lhs = sum(c * values[d, period] for d, c in ident.terms)
             if abs(lhs - rhs) <= IDENTITY_TOL:
                 continue
             fixed = sum(
-                c * values[(d, period)]
+                c * values[d, period]
                 for d, c in ident.terms
                 if d not in ident.adjustable
             )
@@ -323,15 +266,13 @@ def enforce_identities(
                 )
             scale = target / current
             for d in ident.adjustable:
-                values[(d, period)] = values[(d, period)] * scale
-                prov[(d, period)] = CellProvenance(
+                values[d, period] *= scale
+                prov[d, period] = CellProvenance(
                     "repair",
-                    prov[(d, period)].state,
+                    prov[d, period].state,
                     f"identity {ident.name!r}: scaled by {scale:.6g}",
                 )
-    new_values = tuple((d, p, values[(d, p)]) for d, p, _ in qp.values)
-    new_prov = tuple((d, p, prov[(d, p)]) for d, p, _ in qp.provenance)
-    return replace(qp, values=new_values, provenance=new_prov)
+    return replace(qp, values=values, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -340,42 +281,41 @@ def enforce_identities(
 
 def parse_translation_file(doc: dict, spec: StudySpec) -> tuple[tuple[Dimension, ...], TranslationMatrix]:
     """Translation-matrix file: per-dimension driver, unit, and state->value
-    table, with optional per-period columns."""
-    dims = []
-    entries = []
-    timed = []
+    table, with optional per-period columns. A state may be given once, by
+    label or by index."""
+    dims, entries, timed = [], {}, {}
     for i, raw in enumerate(doc.get("dimensions", [])):
         path = f"dimensions[{i}]"
         try:
             dim = Dimension(raw["id"], raw.get("unit", ""), raw["driver"])
-        except KeyError as e:
-            raise ParseError(path, f"missing key {e}")
-        driver = spec.descriptor(dim.driver)
-        dims.append(dim)
+        except (KeyError, TypeError) as e:
+            raise schema_error(path, e)
         raw_vals = raw.get("values", {})
-        plain = []
-        by_period = []
-        for state_ref, value in raw_vals.items():
-            if state_ref in driver.state_labels():
-                state = driver.state_labels().index(state_ref)
-            else:
-                try:
-                    state = int(state_ref)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}.values", f"unknown state {state_ref!r} of {dim.driver!r}"
-                    )
-            if isinstance(value, dict):
-                by_period.append(
-                    (state, tuple((int(p), float(v)) for p, v in value.items()))
-                )
-            else:
-                plain.append((state, float(value)))
-        if plain:
-            entries.append((dim.id, tuple(sorted(plain))))
-        if by_period:
-            timed.append((dim.id, tuple(sorted(by_period))))
-    return tuple(dims), TranslationMatrix(tuple(entries), tuple(timed))
+        if not isinstance(raw_vals, dict):
+            raise ParseError(f"{path}.values", "not an object of state -> value")
+        if any(d.id == dim.id for d in dims):
+            raise ParseError(f"{path}.id", f"dimension {dim.id!r} given twice")
+        labels = spec.descriptor(dim.driver).state_labels()
+        dims.append(dim)
+        seen = set()
+        for ref, value in raw_vals.items():
+            node = f"{path}.values.{ref}"
+            try:
+                state = labels.index(ref) if ref in labels else int(ref)
+            except ValueError:
+                raise ParseError(node, f"unknown state {ref!r} of {dim.driver!r}")
+            if state in seen:
+                raise ParseError(node, f"state {state} of {dim.driver!r} given twice")
+            seen.add(state)
+            try:
+                if isinstance(value, dict):
+                    for p, v in value.items():
+                        timed[dim.id, state, int(p)] = float(v)
+                else:
+                    entries[dim.id, state] = float(value)
+            except (TypeError, ValueError) as e:
+                raise ParseError(node, f"not a number: {e}")
+    return tuple(dims), TranslationMatrix(entries, timed)
 
 
 def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, ...], TranslationMatrix]:
@@ -404,20 +344,12 @@ def parse_identities(doc: dict) -> tuple[Identity, ...]:
 
 def quantified_table_rows(qp: QuantifiedPathway) -> list[dict]:
     """Delimited-table form: one row per (dimension, period)."""
-    rows = []
     units = {d.id: d.unit for d in qp.dimensions}
-    for d, p, v in qp.values:
-        r = qp.range_of(d, p)
-        prov = qp.provenance_of(d, p)
-        rows.append(
-            {
-                "dimension": d,
-                "unit": units[d],
-                "period": p,
-                "central": v,
-                "low": r[0] if r else "",
-                "high": r[1] if r else "",
-                "provenance": prov.origin if not prov.note else f"{prov.origin}:{prov.note}",
-            }
-        )
+    rows = []
+    for (d, p), v in qp.values.items():
+        low, high = qp.ranges.get((d, p), ("", ""))
+        prov = qp.provenance[d, p]
+        origin = f"{prov.origin}:{prov.note}" if prov.note else prov.origin
+        rows.append({"dimension": d, "unit": units[d], "period": p, "central": v,
+                     "low": low, "high": high, "provenance": origin})
     return rows

@@ -63,6 +63,19 @@ class Pathway:
     def states_of(self, j: int) -> tuple[int, ...]:
         return tuple(z[j] for _, z in self.entries)
 
+    def to_doc(self) -> dict:
+        """The {"periods", "states"} form of ensemble and candidate files."""
+        return {"periods": list(self.periods), "states": [list(z) for z in self.scenarios]}
+
+    @classmethod
+    def from_doc(cls, doc: dict, path: str) -> Pathway:
+        """Read the to_doc form; a missing key or a non-list raises KeyError or
+        TypeError, and lists of different lengths raise ParseError naming path."""
+        periods, states = doc["periods"], doc["states"]
+        if len(periods) != len(states):
+            raise ParseError(path, f"{len(periods)} periods but {len(states)} state rows")
+        return cls(tuple(zip(periods, map(tuple, states))))
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -332,8 +345,7 @@ def write_ensemble(ensemble: EnsembleResult, fh: TextIO) -> None:
     for r in ensemble.runs:
         rec = {
             "run": r.run_index,
-            "periods": list(r.pathway.periods),
-            "states": [list(z) for z in r.pathway.scenarios],
+            **r.pathway.to_doc(),
             "converged": list(r.converged),
             "iterations": list(r.succession_iterations),
         }
@@ -365,13 +377,10 @@ def load_ensemble(path: str) -> EnsembleResult:
     for i, ln in enumerate(lines[1:]):
         rec = json.loads(ln)
         try:
-            pathway = Pathway(
-                tuple((p, tuple(z)) for p, z in zip(rec["periods"], rec["states"]))
-            )
             runs.append(
                 RunRecord(
                     run_index=rec["run"],
-                    pathway=pathway,
+                    pathway=Pathway.from_doc(rec, f"{path}: runs[{i}]"),
                     converged=tuple(rec["converged"]),
                     succession_iterations=tuple(rec["iterations"]),
                     error=rec.get("error"),

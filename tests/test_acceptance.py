@@ -299,14 +299,14 @@ def test_10_quantifier_exactness():
     spec = _three_state_spec()
     price = Dimension("price", "EUR/tCO2", "A")
     matrix = TranslationMatrix(
-        entries=(("price", ((0, 50.0), (1, 100.0), (2, 200.0))),)
+        entries={("price", 0): 50.0, ("price", 1): 100.0, ("price", 2): 200.0}
     )
     periods = (2025, 2030, 2035, 2040, 2045, 2050)
     pw = Pathway(tuple(
         (p, (s, 0)) for p, s in zip(periods, (1, 1, 1, 1, 2, 2))
     ))
     qp = quantify_pathway(pw, (price,), matrix, spec)
-    series = [qp.value("price", p) for p in periods]
+    series = [qp.values["price", p] for p in periods]
     step_series_ok = series == [100.0, 100.0, 100.0, 100.0, 200.0, 200.0]
 
     rng = random.Random(10)
@@ -315,7 +315,7 @@ def test_10_quantifier_exactness():
         states = [rng.randrange(3) for _ in periods]
         pw = Pathway(tuple((p, (s, 0)) for p, s in zip(periods, states)))
         qp = quantify_pathway(pw, (price,), matrix, spec)
-        vals = [qp.value("price", p) for p in periods]
+        vals = [qp.values["price", p] for p in periods]
         steps = sum(1 for a, b in zip(vals, vals[1:]) if a != b)
         changes = sum(1 for a, b in zip(states, states[1:]) if a != b)
         if steps != changes:
@@ -324,11 +324,11 @@ def test_10_quantifier_exactness():
     dims = (
         Dimension("a", "", "A"), Dimension("b", "", "A"), Dimension("total", "", "A")
     )
-    m2 = TranslationMatrix(entries=(
-        ("a", ((0, 30.0), (1, 35.0), (2, 40.0))),
-        ("b", ((0, 50.0), (1, 55.0), (2, 75.0))),
-        ("total", ((0, 100.0), (1, 100.0), (2, 100.0))),
-    ))
+    m2 = TranslationMatrix(entries={
+        ("a", 0): 30.0, ("a", 1): 35.0, ("a", 2): 40.0,
+        ("b", 0): 50.0, ("b", 1): 55.0, ("b", 2): 75.0,
+        ("total", 0): 100.0, ("total", 1): 100.0, ("total", 2): 100.0,
+    })
     ident = Identity(
         "sum", (("a", 1.0), ("b", 1.0)), ("a", "b"), rhs_dimension="total"
     )
@@ -338,8 +338,8 @@ def test_10_quantifier_exactness():
         pw = Pathway(tuple((p, (s, 0)) for p, s in zip(periods, states)))
         qp = enforce_identities(quantify_pathway(pw, dims, m2, spec), (ident,))
         for p in periods:
-            lhs = qp.value("a", p) + qp.value("b", p)
-            if abs(lhs - qp.value("total", p)) > 1e-9:
+            lhs = qp.values["a", p] + qp.values["b", p]
+            if abs(lhs - qp.values["total", p]) > 1e-9:
                 identity_ok = False
     ok = step_series_ok and counts_ok and identity_ok
     report("quantifier-exactness", ok, f"series {series}")

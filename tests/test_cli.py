@@ -219,6 +219,33 @@ MISFITS = {
 }
 
 
+def _set_period(value):
+    def edit(record):
+        record["periods"][2] = value
+    return edit
+
+
+def _drop_last_period(record):
+    for key in ("periods", "states", "converged", "iterations"):
+        record[key].pop()
+
+
+def _errored_off_grid(record):
+    _drop_last_period(record)
+    record["periods"][-1] = 1999
+    record["error"] = "no feasible state for descriptor 'PS'"
+
+
+#: Ensemble files whose record 5 does not fit the mini study's time grid,
+#: or whose periods and states differ in length, by stem.
+RECORD_MISFITS = {
+    "period_missing": _drop_last_period,
+    "period_off_grid": _set_period(1999),
+    "periods_short": lambda record: record["periods"].pop(),
+    "errored_off_grid": _errored_off_grid,
+}
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """A 200-run mini-study ensemble and the inputs the failure cases need."""
@@ -237,13 +264,48 @@ def small_run(tmp_path_factory):
         edit(edited["states"])
         lines = records[:5] + [json.dumps(edited) + "\n"] + records[6:]
         (root / f"{stem}.jsonl").write_text(header + "".join(lines))
+    for stem, edit in RECORD_MISFITS.items():
+        edited = json.loads(records[5])
+        edit(edited)
+        lines = records[:5] + [json.dumps(edited) + "\n"] + records[6:]
+        (root / f"{stem}.jsonl").write_text(header + "".join(lines))
+    # an errored record's periods are a prefix of the time grid
+    errored = json.loads(records[5])
+    for _ in range(3):
+        _drop_last_period(errored)
+    errored["error"] = "no feasible state for descriptor 'PS'"
+    lines = records[:5] + [json.dumps(errored) + "\n"] + records[6:]
+    (root / "errored_prefix.jsonl").write_text(header + "".join(lines))
     stateless = json.loads(records[3])
     del stateless["states"]
     records[3] = json.dumps(stateless) + "\n"
     (root / "stateless.jsonl").write_text(header + "".join(records))
     (root / "periodless.json").write_text(json.dumps({"candidates": [{"id": "C1"}]}))
     (root / "broken.json").write_text('{"descriptors": [')
+    grid = [2025, 2030, 2035, 2040, 2045, 2050]
+    (root / "candidate.json").write_text(json.dumps(
+        {"candidates": [{"id": "C1", "periods": grid, "states": [[0] * 5] * 6}]}
+    ))
+    (root / "ragged_candidate.json").write_text(json.dumps(
+        {"candidates": [{"id": "C1", "periods": grid[:3], "states": [[0] * 5] * 6}]}
+    ))
+    translation = os.path.join(os.path.dirname(spec), "mini_translation.json")
+    with open(translation) as fh:
+        doc = json.load(fh)
+    doc["dimensions"][0]["values"]["Low"] = "abc"
+    (root / "text_translation.json").write_text(json.dumps(doc))
+    mcda = os.path.join(os.path.dirname(spec), "mini_mcda.json")
+    with open(mcda) as fh:
+        doc = json.load(fh)
+    (root / "personas_list_mcda.json").write_text(
+        json.dumps({**doc, "personas": list(doc["personas"].values())})
+    )
+    doc["scores"]["C2"]["ambition"] = "high"
+    (root / "text_score_mcda.json").write_text(json.dumps(doc))
     (root / "screening.json").write_text(json.dumps({"outcome_descriptor": "RD"}))
+    (root / "text_steps_screening.json").write_text(
+        json.dumps({"outcome_descriptor": "RD", "late_rush_steps": "two"})
+    )
     with open(spec) as fh:
         doc = json.load(fh)
     doc["descriptors"][0]["name"] = "Renamed policy stringency"
@@ -260,13 +322,12 @@ def small_run(tmp_path_factory):
     }))
     # Each input file by its stem: ensemble, truncated, stateless, broken, ...
     files = {p.stem: str(p) for p in root.iterdir() if p.is_file()}
-    translation = os.path.join(os.path.dirname(spec), "mini_translation.json")
     return {"spec": spec, "out": str(root / "out"), "translation": translation, **files}
 
 
-def _screen(f, k):
+def _screen(f, k, config="screening"):
     return ["screen", "--spec", f["spec"], "--out", f["out"], "--ensemble", f["ensemble"],
-            "--config", f["screening"], "-k", k]
+            "--config", f[config], "-k", k]
 
 
 def _simulate(f, *extra):
@@ -277,9 +338,20 @@ def _stats(f, spec, ensemble):
     return ["stats", "--spec", f[spec], "--out", f["out"], "--ensemble", f[ensemble]]
 
 
+def _quantify(f, candidates, matrix):
+    return ["quantify", "--spec", f["spec"], "--out", f["out"], "--candidates", f[candidates],
+            "--pathway", "C1", "--matrix", f[matrix]]
+
+
+def _mcda(f, mcda):
+    return ["mcda", "--out", f["out"], "--input", f[mcda]]
+
+
 # (case, argv builder, environment, exit code, error type on stderr)
 FAILURES = [
     ("screen-k-1", lambda f: _screen(f, "1"), None, 3, "ConfigError"),
+    ("screening-steps-not-int", lambda f: _screen(f, "4", "text_steps_screening"), None, 3,
+     "ConfigError"),
     ("pipeline-candidate-count-1", lambda f: ["pipeline", "--config", f["k1_pipeline"]],
      None, 3, "ConfigError"),
     ("workers-env-not-int", lambda f: _simulate(f), {"CIBPATH_WORKERS": "abc"}, 3, "ConfigError"),
@@ -308,6 +380,20 @@ FAILURES = [
      lambda f: ["quantify", "--spec", f["spec"], "--out", f["out"], "--candidates",
                 f["periodless"], "--pathway", "C1", "--matrix", f["translation"]],
      None, 3, "ParseError"),
+    ("ensemble-record-period-missing", lambda f: _stats(f, "spec", "period_missing"),
+     None, 3, "ParseError"),
+    ("ensemble-record-period-off-grid", lambda f: _stats(f, "spec", "period_off_grid"),
+     None, 3, "ParseError"),
+    ("ensemble-record-periods-short", lambda f: _stats(f, "spec", "periods_short"),
+     None, 3, "ParseError"),
+    ("ensemble-errored-record-off-grid", lambda f: _stats(f, "spec", "errored_off_grid"),
+     None, 3, "ParseError"),
+    ("candidate-periods-short", lambda f: _quantify(f, "ragged_candidate", "translation"),
+     None, 3, "ParseError"),
+    ("translation-value-not-number", lambda f: _quantify(f, "candidate", "text_translation"),
+     None, 3, "ParseError"),
+    ("mcda-personas-not-object", lambda f: _mcda(f, "personas_list_mcda"), None, 3, "ParseError"),
+    ("mcda-score-not-number", lambda f: _mcda(f, "text_score_mcda"), None, 3, "ParseError"),
     ("ensemble-from-other-spec", lambda f: _stats(f, "other_spec", "ensemble"),
      None, 3, "ConfigError"),
     ("pipeline-run-count-not-int", lambda f: ["pipeline", "--config", f["bad_value_pipeline"]],
@@ -329,11 +415,25 @@ def test_failure_exit_code_and_json_error_line(small_run, argv, env, code, error
     assert report["error"] == error and report["message"]
 
 
-@pytest.mark.parametrize("stem", MISFITS)
+@pytest.mark.parametrize("stem", [*MISFITS, *RECORD_MISFITS])
 def test_state_misfit_names_the_record(small_run, stem):
     result = invoke(CliRunner(), *_stats(small_run, "spec", stem))
     report = json.loads(result.stderr)
     assert report["message"].startswith(f"{small_run[stem]}: runs[5]: ")
+
+
+def test_errored_record_on_a_prefix_of_the_grid_loads(small_run):
+    result = invoke(CliRunner(), *_stats(small_run, "spec", "errored_prefix"))
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("candidates, matrix, node", [
+    ("ragged_candidate", "translation", "candidates[0]"),
+    ("candidate", "text_translation", "dimensions[0].values.Low"),
+])
+def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node):
+    result = invoke(CliRunner(), *_quantify(small_run, candidates, matrix))
+    assert f"{node}: " in json.loads(result.stderr)["message"]
 
 
 def test_quantify_extremes_check_the_ensemble_spec(small_run, fixture_dir, tmp_path):

@@ -130,3 +130,85 @@ def test_cli_simulate_matches_pipeline(tmp_path):
         "--runs", "200", "--seed", str(cfg.master_seed),
     )
     assert sha256_of(path) == manifest["stages"]["simulate"]["ensemble.jsonl"]
+
+
+#: quantified.csv and quantified.json for the full-featured quantify run in
+#: test_cli_quantify_with_every_option_matches_golden_digests.
+QUANTIFY_DIGESTS = {
+    "quantified.csv": "a6741aa2ad2f4004b6c97eed4183abbdea0afc96f6557fade9994f74cd8490c2",
+    "quantified.json": "bb276eef888115478fae5ac0bd28f1f230068fbf8c9e330d26d844137e46a6e6",
+}
+
+#: Translation with plain and per-period values and two extra dimensions
+#: that the identities below tie together.
+QUANTIFY_TRANSLATION = {
+    "dimensions": [
+        {"id": "carbon_price", "unit": "EUR/tCO2", "driver": "PS",
+         "values": {
+             "Low": 50.0,
+             "Medium": {"2025": 80.0, "2030": 90.0, "2035": 100.0,
+                        "2040": 110.0, "2045": 120.0, "2050": 130.0},
+             "High": {"2025": 150.0, "2030": 170.0, "2035": 200.0,
+                      "2040": 230.0, "2045": 260.0, "2050": 300.0},
+         }},
+        {"id": "renewables_capacity", "unit": "GW", "driver": "RD",
+         "values": {"Low": 150.0, "Medium": 250.0, "High": 400.0}},
+        {"id": "firm_capacity", "unit": "GW", "driver": "GD",
+         "values": {"Weak": 100.0, "Moderate": 150.0, "Strong": 200.0}},
+        {"id": "total_capacity", "unit": "GW", "driver": "PP",
+         "values": {"Slow": 300.0, "Moderate": 450.0, "Fast": 600.0}},
+        {"id": "grid_investment_index", "unit": "index", "driver": "GD",
+         "values": {"Weak": 0.8, "Moderate": 1.0, "Strong": 1.3}},
+        {"id": "acceptance_index", "unit": "index", "driver": "PA",
+         "values": {"Low": 0.3, "Medium": 0.6, "High": 0.9}},
+    ]
+}
+
+#: One range of each form: relative, offsets and absolute.
+QUANTIFY_RANGES = {
+    "carbon_price": {"relative": 0.2},
+    "renewables_capacity": {"low_offset": -50, "high_offset": 80},
+    "acceptance_index": {"low": 0.2, "high": 1.0},
+}
+
+#: One identity with a constant right-hand side, one with a dimension.
+QUANTIFY_IDENTITIES = {
+    "identities": [
+        {"name": "index-budget",
+         "terms": {"grid_investment_index": 1, "acceptance_index": 1},
+         "adjustable": ["acceptance_index"], "equals": 1.8},
+        {"name": "capacity-balance",
+         "terms": {"renewables_capacity": 1, "firm_capacity": 1},
+         "adjustable": ["firm_capacity"], "equals_dimension": "total_capacity"},
+    ]
+}
+
+
+def test_cli_quantify_with_every_option_matches_golden_digests(golden_run, tmp_path):
+    """Quantify C1 of the golden candidates with per-period translation
+    values, all three range forms, both identity forms and all three
+    extreme-scenario axes."""
+    cfg, _ = golden_run
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        extremes = json.load(fh)["extremes"]
+    inputs = {}
+    for key, doc in (
+        ("matrix", QUANTIFY_TRANSLATION), ("ranges", QUANTIFY_RANGES),
+        ("identities", QUANTIFY_IDENTITIES), ("extremes", extremes),
+    ):
+        inputs[key] = str(tmp_path / f"{key}.json")
+        with open(inputs[key], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    echoed = _cli(
+        "quantify", "--spec", cfg.spec_path, "--out", out,
+        "--candidates", os.path.join(cfg.output_dir, "candidates.json"), "--pathway", "C1",
+        "--matrix", inputs["matrix"], "--ranges", inputs["ranges"],
+        "--identities", inputs["identities"],
+        "--ensemble", os.path.join(cfg.output_dir, "ensemble.jsonl"),
+        "--extremes", inputs["extremes"],
+    )
+    assert sorted(os.path.basename(p) for p in echoed) == sorted(QUANTIFY_DIGESTS)
+    assert {name: sha256_of(os.path.join(out, name)) for name in QUANTIFY_DIGESTS} == (
+        QUANTIFY_DIGESTS
+    )

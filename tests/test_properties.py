@@ -59,9 +59,9 @@ def test_uniform_personas_average_to_single_persona(weights, scores):
 def test_identity_repair_lands_within_tolerance(a, b, total):
     periods = (2025,)
     dims = (Dimension("a", "", "A"), Dimension("b", "", "A"))
-    values = (("a", 2025, a), ("b", 2025, b))
-    prov = tuple((d, p, CellProvenance("lookup", 0)) for d, p, _ in values)
-    qp = QuantifiedPathway(dims, periods, values, (), prov)
+    values = {("a", 2025): a, ("b", 2025): b}
+    prov = {cell: CellProvenance("lookup", 0) for cell in values}
+    qp = QuantifiedPathway(dims, periods, values, {}, prov)
     ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a", "b"), rhs_value=total)
     out = enforce_identities(qp, (ident,))
-    assert abs(out.value("a", 2025) + out.value("b", 2025) - total) <= 1e-9
+    assert abs(out.values["a", 2025] + out.values["b", 2025] - total) <= 1e-9

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cibpath.errors import ConfigError, CoverageError, OutOfRangeError
+from cibpath.errors import ConfigError, CoverageError, OutOfRangeError, ParseError
 from cibpath.model import parse_study_spec
 from cibpath.quantify import (
     CellProvenance,
@@ -41,10 +41,10 @@ def spec3():
 PRICE = Dimension("price", "EUR/tCO2", "A")
 CAP = Dimension("capacity", "GW", "B")
 MATRIX = TranslationMatrix(
-    entries=(
-        ("price", ((0, 50.0), (1, 100.0), (2, 200.0))),
-        ("capacity", ((0, 10.0), (1, 30.0), (2, 70.0))),
-    )
+    entries={
+        ("price", 0): 50.0, ("price", 1): 100.0, ("price", 2): 200.0,
+        ("capacity", 0): 10.0, ("capacity", 1): 30.0, ("capacity", 2): 70.0,
+    }
 )
 
 
@@ -57,20 +57,20 @@ class TestQuantify:
         # Medium through 2040, High from 2045
         pw = pathway([(1, 0), (1, 0), (1, 0), (1, 0), (2, 0), (2, 0)])
         qp = quantify_pathway(pw, (PRICE,), MATRIX, spec3())
-        series = [qp.value("price", p) for p in pw.periods]
+        series = [qp.values["price", p] for p in pw.periods]
         assert series == [100.0, 100.0, 100.0, 100.0, 200.0, 200.0]
 
     def test_constant_driver_flat_series(self):
         pw = pathway([(2, 1)] * 6)
         qp = quantify_pathway(pw, (PRICE, CAP), MATRIX, spec3())
-        assert {qp.value("price", p) for p in pw.periods} == {200.0}
-        assert {qp.value("capacity", p) for p in pw.periods} == {30.0}
+        assert {qp.values["price", p] for p in pw.periods} == {200.0}
+        assert {qp.values["capacity", p] for p in pw.periods} == {30.0}
 
     def test_step_count_matches_driver_changes(self):
         pw = pathway([(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 2)])
         qp = quantify_pathway(pw, (PRICE, CAP), MATRIX, spec3())
         for dim, j in ((PRICE, 0), (CAP, 1)):
-            vals = [qp.value(dim.id, p) for p in pw.periods]
+            vals = [qp.values[dim.id, p] for p in pw.periods]
             steps = sum(1 for a, b in zip(vals, vals[1:]) if a != b)
             states = [z[j] for _, z in pw.entries]
             changes = sum(1 for a, b in zip(states, states[1:]) if a != b)
@@ -80,8 +80,8 @@ class TestQuantify:
         pw = pathway([(0, 0), (1, 1), (1, 1), (2, 1), (2, 2), (2, 2)])
         for perm in itertools.permutations((PRICE, CAP)):
             qp = quantify_pathway(pw, perm, MATRIX, spec3())
-            assert qp.value("price", 2030) == 100.0
-            assert qp.value("capacity", 2045) == 70.0
+            assert qp.values["price", 2030] == 100.0
+            assert qp.values["capacity", 2045] == 70.0
 
     def test_override_replaces_and_records(self):
         pw = pathway([(1, 0)] * 6)
@@ -89,12 +89,12 @@ class TestQuantify:
             pw, (PRICE,), MATRIX, spec3(),
             overrides=(("price", 2040, 120.0, "panel adjustment"),),
         )
-        assert qp.value("price", 2040) == 120.0
-        assert qp.value("price", 2035) == 100.0
-        prov = qp.provenance_of("price", 2040)
+        assert qp.values["price", 2040] == 120.0
+        assert qp.values["price", 2035] == 100.0
+        prov = qp.provenance["price", 2040]
         assert prov.origin == "override"
         assert prov.note == "panel adjustment"
-        assert qp.provenance_of("price", 2035).origin == "lookup"
+        assert qp.provenance["price", 2035].origin == "lookup"
 
     def test_override_errors(self):
         pw = pathway([(1, 0)] * 6)
@@ -104,7 +104,7 @@ class TestQuantify:
             quantify_pathway(pw, (PRICE,), MATRIX, spec3(), overrides=(("price", 1999, 1.0, ""),))
 
     def test_missing_entry_names_cell(self):
-        sparse = TranslationMatrix(entries=(("price", ((0, 50.0), (1, 100.0))),))
+        sparse = TranslationMatrix(entries={("price", 0): 50.0, ("price", 1): 100.0})
         pw = pathway([(2, 0)] * 6)
         with pytest.raises(CoverageError) as exc:
             quantify_pathway(pw, (PRICE,), sparse, spec3())
@@ -113,12 +113,12 @@ class TestQuantify:
     def test_timed_entries_take_precedence(self):
         timed = TranslationMatrix(
             entries=MATRIX.entries,
-            timed_entries=(("price", ((1, ((2045, 130.0),)),)),),
+            timed_entries={("price", 1, 2045): 130.0},
         )
         pw = pathway([(1, 0)] * 6)
         qp = quantify_pathway(pw, (PRICE,), timed, spec3())
-        assert qp.value("price", 2045) == 130.0
-        assert qp.value("price", 2040) == 100.0
+        assert qp.values["price", 2045] == 130.0
+        assert qp.values["price", 2040] == 100.0
 
 
 class TestRanges:
@@ -126,7 +126,7 @@ class TestRanges:
         pw = pathway([(1, 0)] * 6)
         qp = quantify_pathway(pw, (PRICE,), MATRIX, spec3())
         qp = attach_uncertainty_ranges(qp, {"price": {"relative": 0.2}})
-        assert qp.range_of("price", 2030) == (pytest.approx(80.0), pytest.approx(120.0))
+        assert qp.ranges["price", 2030] == (pytest.approx(80.0), pytest.approx(120.0))
 
     def test_offsets(self):
         pw = pathway([(1, 0)] * 6)
@@ -134,14 +134,14 @@ class TestRanges:
         qp = attach_uncertainty_ranges(
             qp, {"price": {"low_offset": -15.0, "high_offset": 30.0}}
         )
-        assert qp.range_of("price", 2030) == (85.0, 130.0)
+        assert qp.ranges["price", 2030] == (85.0, 130.0)
 
     def test_absolute_and_missing_dimension(self):
         pw = pathway([(1, 1)] * 6)
         qp = quantify_pathway(pw, (PRICE, CAP), MATRIX, spec3())
         qp = attach_uncertainty_ranges(qp, {"price": {"low": 90.0, "high": 150.0}})
-        assert qp.range_of("price", 2030) == (90.0, 150.0)
-        assert qp.range_of("capacity", 2030) is None
+        assert qp.ranges["price", 2030] == (90.0, 150.0)
+        assert qp.ranges.get(("capacity", 2030)) is None
 
     def test_central_outside_absolute_range(self):
         pw = pathway([(1, 0)] * 6)
@@ -212,43 +212,43 @@ class TestIdentities:
     def qp(self, values_by_dim):
         dims = tuple(Dimension(d, "", "A") for d in values_by_dim)
         periods = (2025, 2030)
-        values = tuple(
-            (d, p, v)
+        values = {
+            (d, p): v
             for d, series in values_by_dim.items()
             for p, v in zip(periods, series)
-        )
-        prov = tuple((d, p, CellProvenance("lookup", 0)) for d, p, _ in values)
-        return QuantifiedPathway(dims, periods, values, (), prov)
+        }
+        prov = {cell: CellProvenance("lookup", 0) for cell in values}
+        return QuantifiedPathway(dims, periods, values, {}, prov)
 
     def test_satisfied_identity_untouched(self):
         qp = self.qp({"a": (30.0, 40.0), "b": (70.0, 60.0), "total": (100.0, 100.0)})
         ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a", "b"), rhs_dimension="total")
         out = enforce_identities(qp, (ident,))
         assert out.values == qp.values
-        assert all(pr.origin == "lookup" for _, _, pr in out.provenance)
+        assert all(pr.origin == "lookup" for pr in out.provenance.values())
 
     def test_proportional_repair(self):
         qp = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0), "total": (100.0, 100.0)})
         ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a", "b"), rhs_dimension="total")
         out = enforce_identities(qp, (ident,))
-        assert out.value("a", 2025) == pytest.approx(37.5)
-        assert out.value("b", 2025) == pytest.approx(62.5)
-        assert out.value("a", 2025) + out.value("b", 2025) == pytest.approx(100.0, abs=1e-9)
-        assert out.provenance_of("a", 2025).origin == "repair"
-        assert out.value("total", 2025) == 100.0
+        assert out.values["a", 2025] == pytest.approx(37.5)
+        assert out.values["b", 2025] == pytest.approx(62.5)
+        assert out.values["a", 2025] + out.values["b", 2025] == pytest.approx(100.0, abs=1e-9)
+        assert out.provenance["a", 2025].origin == "repair"
+        assert out.values["total", 2025] == 100.0
 
     def test_only_adjustable_moves(self):
         qp = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0), "total": (100.0, 100.0)})
         ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a",), rhs_dimension="total")
         out = enforce_identities(qp, (ident,))
-        assert out.value("b", 2025) == 50.0
-        assert out.value("a", 2025) == pytest.approx(50.0)
+        assert out.values["b", 2025] == 50.0
+        assert out.values["a", 2025] == pytest.approx(50.0)
 
     def test_constant_rhs_and_coefficients(self):
         qp = self.qp({"a": (10.0, 10.0), "b": (20.0, 20.0)})
         ident = Identity("combo", (("a", 2.0), ("b", 1.0)), ("a", "b"), rhs_value=80.0)
         out = enforce_identities(qp, (ident,))
-        assert 2 * out.value("a", 2025) + out.value("b", 2025) == pytest.approx(80.0, abs=1e-9)
+        assert 2 * out.values["a", 2025] + out.values["b", 2025] == pytest.approx(80.0, abs=1e-9)
 
     def test_config_errors(self):
         qp = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0)})
@@ -256,6 +256,10 @@ class TestIdentities:
             enforce_identities(qp, (Identity("x", (("a", 1.0),), (), rhs_value=1.0),))
         with pytest.raises(ConfigError):
             enforce_identities(qp, (Identity("x", (("a", 1.0),), ("b",), rhs_value=1.0),))
+        with pytest.raises(ConfigError):
+            enforce_identities(qp, (Identity("x", (("a", 1.0), ("c", 1.0)), ("a",), rhs_value=1.0),))
+        with pytest.raises(ConfigError):
+            enforce_identities(qp, (Identity("x", (("a", 1.0),), ("a",), rhs_dimension="total"),))
         zero = self.qp({"a": (0.0, 0.0), "b": (50.0, 50.0)})
         with pytest.raises(ConfigError):
             enforce_identities(
@@ -277,6 +281,22 @@ class TestFiles:
         assert matrix.value("price", 0, 2030) == 50.0
         assert matrix.value("price", 2, 2045) == 180.0
         assert matrix.value("price", 2, 2050) == 220.0
+
+    def test_state_given_by_label_and_by_index_is_refused(self):
+        doc = {
+            "dimensions": [
+                {"id": "price", "driver": "A", "values": {"Low": 50, "0": 60, "High": 200}},
+            ]
+        }
+        with pytest.raises(ParseError) as exc:
+            parse_translation_file(doc, spec3())
+        assert exc.value.path == "dimensions[0].values.0"
+
+    def test_dimension_given_twice_is_refused(self):
+        dim = {"id": "price", "driver": "A", "values": {"Low": 50}}
+        with pytest.raises(ParseError) as exc:
+            parse_translation_file({"dimensions": [dim, dim]}, spec3())
+        assert exc.value.path == "dimensions[1].id"
 
     def test_parse_identities(self):
         doc = {
