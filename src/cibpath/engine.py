@@ -69,10 +69,11 @@ def _check_scenario(kernel: SpecKernel, scenario: Scenario) -> None:
             raise StructureError(f"state {s} invalid for descriptor {did!r}")
 
 
-def _checked_kernel(
+def checked_kernel(
     spec: StudySpec, cim: CrossImpactMatrix, scenario: Scenario
 ) -> SpecKernel:
-    """The spec's kernel, once the matrix and scenario fit its structure."""
+    """The spec's kernel, once the matrix and scenario fit its structure;
+    raises StructureError otherwise."""
     kernel = spec.kernel
     _check_structure(kernel, cim)
     _check_scenario(kernel, scenario)
@@ -94,7 +95,7 @@ def impact_balance(
 ) -> ImpactBalance:
     """Summed influence every state of every descriptor receives from the
     other descriptors' scenario states."""
-    kernel = _checked_kernel(spec, cim, scenario)
+    kernel = checked_kernel(spec, cim, scenario)
     theta = _theta(kernel, cim.scores, scenario).tolist()
     return ImpactBalance(
         tuple(tuple(row[:n]) for row, n in zip(theta, kernel.state_counts))
@@ -115,7 +116,7 @@ def check_consistency(
 ) -> ConsistencyResult:
     """A scenario is consistent when every chosen state attains the maximal
     impact score of its descriptor (ties allowed)."""
-    kernel = _checked_kernel(spec, cim, scenario)
+    kernel = checked_kernel(spec, cim, scenario)
     deficits = _deficits(kernel, cim.scores, scenario)
     return ConsistencyResult(all(v == 0.0 for v in deficits), deficits)
 
@@ -171,7 +172,7 @@ def succession_step(
     source state is not in the scenario touches no gathered row. Scores
     are finite, so a blocked state scored -inf never wins.
     """
-    kernel = _checked_kernel(spec, cim, scenario)
+    kernel = checked_kernel(spec, cim, scenario)
     rows = cim.scores[kernel.sources, scenario]
     for src, src_state, tgt, tgt_state, delta in _applicable(kernel, scenario):
         if scenario[src] == src_state:

@@ -74,7 +74,7 @@ class CrossImpactMatrix:
     """
 
     __slots__ = (
-        "descriptor_ids", "state_counts", "scores", "confidences", "_mask", "_invalid"
+        "descriptor_ids", "state_counts", "scores", "confidences", "_mask"
     )
 
     def __init__(
@@ -89,7 +89,6 @@ class CrossImpactMatrix:
         self.scores = scores
         self.confidences = confidences
         self._mask: Optional[np.ndarray] = None
-        self._invalid: Optional[np.ndarray] = None
 
     @classmethod
     def zeros(
@@ -118,21 +117,13 @@ class CrossImpactMatrix:
             self._mask = mask
         return self._mask
 
-    @property
-    def invalid_cells(self) -> np.ndarray:
-        """Flat indices of the cells outside valid_mask."""
-        if self._invalid is None:
-            self._invalid = np.flatnonzero(~self.valid_mask)
-        return self._invalid
-
     def with_scores(self, scores: np.ndarray) -> "CrossImpactMatrix":
         """New matrix sharing structure, confidences and the cached valid
-        mask and invalid-cell index, with replaced scores."""
+        mask, with replaced scores."""
         out = CrossImpactMatrix(
             self.descriptor_ids, self.state_counts, scores, self.confidences
         )
         out._mask = self._mask
-        out._invalid = self._invalid
         return out
 
     def iter_cells(self) -> Iterator[tuple[int, int, int, int]]:
@@ -397,7 +388,7 @@ def _parse_distribution(value: Any, path: str) -> Distribution:
     raise ParseError(path, "distribution must be a string or object")
 
 
-def _resolve_state(desc: Descriptor, ref: Any, path: str) -> int:
+def resolve_state(desc: Descriptor, ref: Any, path: str) -> int:
     """Normalize a state reference (label or index) to a state index."""
     if isinstance(ref, bool):
         raise SpecReferenceError(path, f"invalid state reference {ref!r}")
@@ -471,8 +462,8 @@ def _parse_cim(
         i, j = index[src_id], index[tgt_id]
         if i == j:
             raise ParseError(path, f"self-impact cell for descriptor {src_id!r}")
-        si = _resolve_state(descriptors[i], _require(rec, "source_state", path), f"{path}.source_state")
-        tj = _resolve_state(descriptors[j], _require(rec, "target_state", path), f"{path}.target_state")
+        si = resolve_state(descriptors[i], _require(rec, "source_state", path), f"{path}.source_state")
+        tj = resolve_state(descriptors[j], _require(rec, "target_state", path), f"{path}.target_state")
         score = _require(rec, "score", path)
         if not isinstance(score, (int, float)) or isinstance(score, bool):
             raise ParseError(f"{path}.score", "score must be a number")
@@ -504,7 +495,7 @@ def _parse_pair(raw: Any, descriptors: tuple[Descriptor, ...], index: dict, path
     did, state = raw
     if did not in index:
         raise SpecReferenceError(path, f"unknown descriptor {did!r}")
-    return did, _resolve_state(descriptors[index[did]], state, path)
+    return did, resolve_state(descriptors[index[did]], state, path)
 
 
 def parse_study_spec(document: dict) -> StudySpec:
@@ -535,7 +526,7 @@ def parse_study_spec(document: dict) -> StudySpec:
     for d in descriptors:
         if d.id not in raw_base:
             raise ParseError("baseline", f"missing baseline state for {d.id!r}")
-        baseline.append(_resolve_state(d, raw_base[d.id], f"baseline.{d.id}"))
+        baseline.append(resolve_state(d, raw_base[d.id], f"baseline.{d.id}"))
     for key in raw_base:
         if key not in index:
             raise SpecReferenceError("baseline", f"unknown descriptor {key!r}")
@@ -575,9 +566,9 @@ def parse_study_spec(document: dict) -> StudySpec:
             raise ParseError(f"{path}.effect.delta", "delta must be finite")
         effect = ThresholdEffect(
             src,
-            _resolve_state(descriptors[index[src]], _require(raw_eff, "source_state", f"{path}.effect"), f"{path}.effect.source_state"),
+            resolve_state(descriptors[index[src]], _require(raw_eff, "source_state", f"{path}.effect"), f"{path}.effect.source_state"),
             tgt,
-            _resolve_state(descriptors[index[tgt]], _require(raw_eff, "target_state", f"{path}.effect"), f"{path}.effect.target_state"),
+            resolve_state(descriptors[index[tgt]], _require(raw_eff, "target_state", f"{path}.effect"), f"{path}.effect.target_state"),
             delta,
         )
         threshold_rules.append(ThresholdRule(conditions, effect))

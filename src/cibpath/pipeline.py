@@ -26,9 +26,9 @@ from .analytics import (
     select_candidates,
     state_share_series,
 )
-from .errors import ConfigError, ParseError, ValidationFailure, schema_error
+from .errors import ConfigError, ParseError, SpecReferenceError, ValidationFailure, schema_error
 from .mcda import McdaInput, McdaRanking, load_mcda_input, rank_pathways, ranking_report
-from .model import Finding, StudySpec, load_study_spec, validate_study_spec
+from .model import Finding, StudySpec, load_study_spec, resolve_state, validate_study_spec
 from .quantify import (
     attach_uncertainty_ranges,
     build_extreme_scenarios,
@@ -301,16 +301,20 @@ def screen_stage(
     ensemble: EnsembleResult, spec: StudySpec, screening: dict, candidate_count: int,
     out_dir: str,
 ) -> list[str]:
-    """candidates.json. The best outcome state defaults to the outcome
-    descriptor's last state."""
+    """candidates.json. The best outcome state is a state label or index of
+    the outcome descriptor, its last state when the config gives none; any
+    other value raises ConfigError."""
     scfg = screening_config_from(screening)
+    outcome = spec.descriptor(scfg.outcome_descriptor)
+    try:
+        best_state = resolve_state(
+            outcome, screening.get("best_outcome_state", outcome.state_count - 1),
+            "best_outcome_state",
+        )
+    except SpecReferenceError as e:
+        raise ConfigError(f"screening config: {e}")
     screened = screen_candidates(ensemble, spec, scfg)
-    best_state = screening.get("best_outcome_state")
-    if best_state is None:
-        best_state = spec.descriptor(scfg.outcome_descriptor).state_count - 1
-    selected = select_candidates(
-        screened, candidate_count, (scfg.outcome_descriptor, int(best_state)), spec
-    )
+    selected = select_candidates(screened, candidate_count, (outcome.id, best_state), spec)
     doc = {
         "candidates": [
             {

@@ -111,20 +111,27 @@ def attach_uncertainty_ranges(qp: QuantifiedPathway, range_spec: dict) -> Quanti
 
     Per dimension either {"relative": f} (central * (1 -/+ f)),
     {"low_offset": a, "high_offset": b}, or absolute {"low": x, "high": y}.
+    A range that is not such an object raises ParseError naming
+    ranges.<dimension>.
     """
+    if not isinstance(range_spec, dict):
+        raise ParseError("ranges", "not an object of dimension -> range")
     ranges = {}
     for (d, p), central in qp.values.items():
         if d not in range_spec:
             continue
         rs = range_spec[d]
-        if "relative" in rs:
-            f = float(rs["relative"])
-            lo, hi = sorted((central * (1 - f), central * (1 + f)))
-        elif "low_offset" in rs or "high_offset" in rs:
-            lo = central + float(rs.get("low_offset", 0.0))
-            hi = central + float(rs.get("high_offset", 0.0))
-        else:
-            lo, hi = float(rs["low"]), float(rs["high"])
+        try:
+            if "relative" in rs:
+                f = float(rs["relative"])
+                lo, hi = sorted((central * (1 - f), central * (1 + f)))
+            elif "low_offset" in rs or "high_offset" in rs:
+                lo = central + float(rs.get("low_offset", 0.0))
+                hi = central + float(rs.get("high_offset", 0.0))
+            else:
+                lo, hi = float(rs["low"]), float(rs["high"])
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise schema_error(f"ranges.{d}", e)
         if lo > hi:
             raise OutOfRangeError(
                 f"inverted range ({lo:g}, {hi:g}) for dimension {d!r} at period {p}"
@@ -324,21 +331,25 @@ def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, 
 
 
 def parse_identities(doc: dict) -> tuple[Identity, ...]:
+    """Identities file; a missing key or a value of the wrong type raises
+    ParseError naming identities[i]."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("identities", []), list):
+        raise ParseError("identities", "not an object holding a list of identities")
     out = []
     for i, raw in enumerate(doc.get("identities", [])):
-        path = f"identities[{i}]"
         try:
+            equals = raw.get("equals")
             out.append(
                 Identity(
                     name=raw.get("name", f"identity-{i}"),
                     terms=tuple((d, float(c)) for d, c in raw["terms"].items()),
                     adjustable=tuple(raw["adjustable"]),
-                    rhs_value=raw.get("equals"),
+                    rhs_value=None if equals is None else float(equals),
                     rhs_dimension=raw.get("equals_dimension"),
                 )
             )
-        except KeyError as e:
-            raise ParseError(path, f"missing key {e}")
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise schema_error(f"identities[{i}]", e)
     return tuple(out)
 
 

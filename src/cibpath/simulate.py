@@ -16,22 +16,22 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Optional, TextIO, Union
+from itertools import chain, repeat
+from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
-from .engine import Scenario, check_consistency, iterate_to_attractor, succession_step
+from .engine import Scenario, check_consistency, checked_kernel
 from .errors import ConfigError, InfeasibilityError, ParseError, schema_error
-from .model import CrossImpactMatrix, CyclicParams, StructuralShockConfig, StudySpec
+from .model import CyclicParams, StructuralShockConfig, StudySpec
 from .uncertainty import (
-    DynamicShockState,
-    RandomSource,
-    StreamBlock,
-    advance_dynamic_shock,
-    apply_structural_shock,
-    sample_cim,
+    RandomSource, apply_structural_shock, ar1_step, check_persistence, draw_factor, draw_raw,
+    perturbed, sampled_scores,
 )
+
+# Not called here, but perfbench/bench_trace.py patches them in this namespace.
+from .engine import succession_step  # noqa: F401
+from .uncertainty import advance_dynamic_shock, sample_cim  # noqa: F401
 
 DEFAULT_MAX_ITER = 100
 
@@ -150,130 +150,219 @@ def transition_cyclic_state(
     return current
 
 
-def simulate_period(
-    spec: StudySpec,
-    prev: Scenario,
-    period: int,
-    shock_state: DynamicShockState,
-    source: Union[RandomSource, StreamBlock],
-    run_index: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    run_cim: Optional[CrossImpactMatrix] = None,
-) -> tuple[Scenario, DynamicShockState, bool, int]:
-    """Evolve one period: cyclic transitions, period matrix, one AR(1) step,
-    then within-period succession with cyclic descriptors locked.
+class BlockResult(NamedTuple):
+    """A block's runs as arrays, in run order. Run b recorded the first
+    lengths[b] periods; errors[b] is its InfeasibilityError text or None."""
 
-    source gives the sub-streams (run_index, period, purpose), one per
-    purpose in PURPOSES: a RandomSource, or a StreamBlock that covers them.
+    runs: range
+    states: np.ndarray  # (runs, periods, descriptors) int8; zero past a run's length
+    converged: np.ndarray  # (runs, periods) bool
+    iterations: np.ndarray  # (runs, periods) int64
+    lengths: np.ndarray  # (runs,)
+    errors: list
 
-    run_cim is the per-run sampled matrix under the per_run resample policy;
-    when None the matrix is redrawn at this period's scale. Returns
-    (realised scenario, new shock state, converged flag, iterations).
 
-    A fixed point reached after k < max_iter steps is returned with
-    converged=True and k iterations. Otherwise the period ends unconverged
-    with max_iter iterations on the scenario that max_iter succession steps
-    reach: on a succession cycle that is the member the parity of max_iter
-    (modulo the cycle length) lands on, exactly as stepping to the cap
-    would give, but found as soon as the cycle closes instead of by
-    iterating to the cap.
-    """
+def _check_invariants(spec: StudySpec, max_iter: int) -> None:
+    """What every period of every run relies on, checked once per ensemble.
+    (A Student-t df <= 2 raises when the block scales its draws.)"""
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1 (got {max_iter})")
-
-    if run_cim is not None:
-        period_cim = run_cim
-    else:
-        period_cim = sample_cim(spec, source.substream(run_index, period, "cim"), period)
-    if spec.shocks.structural.enabled:
-        period_cim = apply_structural_shock(
-            period_cim,
-            source.substream(run_index, period, "structural"),
-            spec.shocks.structural,
-        )
-
-    locked: set[str] = set()
-    start = list(prev)
-    cyclic_rng = source.substream(run_index, period, "cyclic")
-    for j in spec.cyclic_indices:
-        d = spec.descriptors[j]
-        start[j] = transition_cyclic_state(
-            d.cyclic_params, prev[j], d.state_count, cyclic_rng
-        )
-        locked.add(d.id)
-
+    checked_kernel(spec, spec.cim, spec.baseline)
     if spec.shocks.dynamic.enabled:
-        shock_state = advance_dynamic_shock(
-            shock_state, source.substream(run_index, period, "dynamic")
-        )
-        perturbation = shock_state.eta
-    else:
-        perturbation = None
+        check_persistence(spec.shocks.dynamic.persistence)
 
-    locked_frozen = frozenset(locked)
-    sequence, first = iterate_to_attractor(
-        lambda z: succession_step(spec, period_cim, z, locked_frozen, perturbation),
-        tuple(start),
-        max_iter,
-    )
-    if first is None:
-        return sequence[-1], shock_state, False, max_iter
-    cycle = len(sequence) - first
-    if cycle == 1:
-        return sequence[first], shock_state, True, first
-    return sequence[first + (max_iter - first) % cycle], shock_state, False, max_iter
+
+def _simulate_block(
+    spec: StudySpec, source: RandomSource, runs: range, max_iter: int
+) -> BlockResult:
+    """Simulate runs together, period by period: the baseline verbatim at
+    the first period, then cyclic transitions, the period matrix (under the
+    per_run policy, the one drawn from the first period's "cim" stream), one
+    AR(1) step and succession with the cyclic descriptors locked.
+
+    Per run this only requests sub-streams, draws into the run's buffer row
+    and moves the cyclic descriptors, so each stream gives the same draws in
+    the same order as one run at a time. The sigma scaling, the add, clip
+    and zero of the matrices and the AR(1) update are elementwise, so doing
+    them once per block and period gives the same floats.
+    """
+    grid, kernel, cim = spec.time_grid, spec.kernel, spec.cim
+    sampling = spec.uncertainty.sampling_distribution
+    per_run = spec.uncertainty.resample == "per_run"
+    structural, dynamic = spec.shocks.structural, spec.shocks.dynamic
+    streams = source.block(runs, grid, PURPOSES)
+    n, periods = len(runs), len(grid)
+    states = np.zeros((n, periods, len(kernel.ids)), np.int8)
+    states[:, 0] = spec.baseline
+    converged = np.ones((n, periods), bool)
+    iterations = np.zeros((n, periods), np.int64)
+    lengths = np.full(n, periods)
+    errors: list[Optional[str]] = [None] * n
+
+    noise = np.zeros((n,) + cim.scores.shape)
+    shock = np.zeros_like(noise)
+    eta = np.zeros(noise.shape[:3])
+    innovation = np.zeros_like(eta)
+    draws = [] if per_run else [("cim", sampling, noise)]  # (purpose, distribution, rows)
+    if structural.enabled:
+        draws.append(("structural", structural.distribution, shock))
+    if dynamic.enabled:
+        draws.append(("dynamic", dynamic.distribution, innovation))
+    cyclic = list(spec.cyclic_indices)
+    moves = [(spec.descriptors[j].cyclic_params, spec.state_counts[j]) for j in cyclic]
+    if per_run:
+        for b, run in enumerate(runs):
+            draw_raw(streams.substream(run, grid[0], "cim"), sampling, noise[b])
+        sampled = sampled_scores(spec, noise, grid[0])
+
+    alive = np.arange(n)
+    for p in range(1, periods):
+        if not alive.size:
+            break
+        start = states[:, p - 1].copy()
+        prior = start[:, cyclic].tolist()
+        moved = []
+        for b in alive.tolist():
+            for purpose, distribution, rows in draws:
+                draw_raw(streams.substream(runs[b], grid[p], purpose), distribution, rows[b])
+            if cyclic:
+                rng = streams.substream(runs[b], grid[p], "cyclic")
+                moved.append([
+                    transition_cyclic_state(params, state, count, rng)
+                    for (params, count), state in zip(moves, prior[b])
+                ])
+        if cyclic:
+            start[alive[:, None], cyclic] = moved
+        scores = sampled if per_run else sampled_scores(spec, noise, grid[p])
+        if structural.enabled:
+            shock *= draw_factor(structural.distribution, structural.scale)
+            scores = perturbed(cim, scores, shock)
+        if dynamic.enabled:
+            eta = ar1_step(eta, innovation, dynamic)
+        final, conv, iters, stuck = _settle(spec, scores, eta, start, alive, max_iter)
+        ok = stuck < 0
+        for b, j in zip(alive[~ok].tolist(), stuck[~ok].tolist()):
+            errors[b] = str(InfeasibilityError(kernel.ids[j]))
+            lengths[b] = p
+        innovation[alive[~ok]] = 0.0  # no longer drawn into; unclipped, it must not grow
+        alive = alive[ok]
+        states[alive, p] = final[ok]
+        converged[alive, p] = conv[ok]
+        iterations[alive, p] = iters[ok]
+    return BlockResult(runs, states, converged, iterations, lengths, errors)
+
+
+def _settle(spec, scores, eta, start, runs, max_iter):
+    """iterate_to_attractor over succession_step from start[r], for every r
+    in runs at once, with the cyclic descriptors locked; run r scores under
+    scores[r] plus eta[r]. A run leaves the active set when a step fails or
+    the mixed-radix code of its new scenario is one it has visited.
+
+    Returns per run the realised scenario, converged flag and iterations: a
+    fixed point and True with the steps to it, else the scenario max_iter
+    steps reach (on a cycle entered at step f with length L, sequence[f +
+    (max_iter - f) % L]) and False with max_iter; and the first unlocked
+    descriptor left without a feasible state, or -1.
+    """
+    kernel = spec.kernel
+    counts = np.array(kernel.state_counts)
+    locked = np.isin(np.arange(len(counts)), spec.cyclic_indices)
+    padded = np.arange(scores.shape[2]) >= counts[:, None]
+    # A 64-bit code word holds descriptors while their state counts' product fits.
+    word, place = [0], [1]
+    for prev, count in zip(kernel.state_counts, kernel.state_counts[1:]):
+        fits = place[-1] * prev * count <= 1 << 63
+        word.append(word[-1] + (not fits))
+        place.append(place[-1] * prev if fits else 1)
+    place = np.array(place, np.int64)
+    weights = np.zeros((len(counts), word[-1] + 1), np.int64)
+    weights[np.arange(len(counts)), word] = place
+
+    final, converged = start[runs], np.zeros(len(runs), bool)
+    iterations, stuck = np.full(len(runs), max_iter), np.full(len(runs), -1)
+    at, current = np.arange(len(runs)), final.copy()
+    history = np.empty((len(runs), min(max_iter, 8) + 1, weights.shape[1]), np.int64)
+    history[:, 0] = current @ weights
+    for t in range(1, max_iter + 1):
+        nxt, failed = _succession_step(kernel, scores, eta, runs[at], current, locked, padded)
+        code = nxt @ weights
+        seen = (history[:, :t] == code[:, None]).all(2)
+        live = failed < 0
+        stuck[at[~live]] = failed[~live]
+        ends = seen.any(1) & live
+        first = seen[ends].argmax(1)
+        length = t - first
+        member = history[ends, first + (max_iter - first) % length]
+        done = at[ends]
+        final[done] = member[:, word] // place % counts
+        converged[done] = length == 1
+        iterations[done] = np.where(length == 1, first, max_iter)
+        going = live & ~ends
+        if t == max_iter:
+            final[at[going]] = nxt[going]
+            break
+        at, current, history = at[going], nxt[going], history[going]
+        if not at.size:
+            break
+        if t == history.shape[1]:
+            grown = np.empty_like(history[:, : min(t, max_iter + 1 - t)])
+            history = np.concatenate([history, grown], 1)
+        history[:, t] = code[going]
+    return final, converged, iterations, stuck
+
+
+def _succession_step(kernel, scores, eta, runs, current, locked, padded):
+    """succession_step on each row of current, scored under scores[runs]
+    plus eta[runs]; returns the next states and the first unlocked
+    descriptor without a feasible state, or -1. Summing the source rows in
+    order is what rows.sum(axis=0) does, so the scores are the same floats.
+    """
+    rows = scores[runs[:, None], kernel.sources, current]
+    for conditions, (src, src_state, tgt, tgt_state, delta) in kernel.thresholds:
+        hit = current[:, src] == src_state
+        for i, state in conditions:
+            hit &= current[:, i] == state
+        rows[hit, src, tgt, tgt_state] += delta
+    theta = rows[:, 0].copy()
+    for i in range(1, rows.shape[1]):
+        theta += rows[:, i]
+    theta += eta[runs]
+    blocked = np.repeat(padded[None], len(current), 0)
+    for j, forbidden in enumerate(kernel.blocks):
+        for state, other, other_state in forbidden:
+            blocked[:, j, state] |= current[:, other] == other_state
+    theta[blocked] = -np.inf
+    best = theta.max(2)
+    keep = theta[np.arange(len(current))[:, None], kernel.sources, current] == best
+    nxt = np.where(keep | locked, current, theta.argmax(2)).astype(np.int8)
+    for a, a_state, c, c_state in kernel.implications:
+        if not locked[c]:
+            nxt[nxt[:, a] == a_state, c] = c_state
+    dead = (best == -np.inf) & ~locked
+    return nxt, np.where(dead.any(1), dead.argmax(1), -1)
+
+
+def _records(block: BlockResult, grid: tuple[int, ...]) -> list[RunRecord]:
+    states, converged = block.states.tolist(), block.converged.tolist()
+    iterations, lengths = block.iterations.tolist(), block.lengths.tolist()
+    return [
+        RunRecord(
+            run, Pathway(tuple(zip(grid, map(tuple, states[b][: lengths[b]])))),
+            tuple(converged[b][: lengths[b]]), tuple(iterations[b][: lengths[b]]),
+            block.errors[b],
+        )
+        for b, run in enumerate(block.runs)
+    ]
 
 
 def simulate_run(
-    spec: StudySpec,
-    run_index: int,
-    source: Union[RandomSource, StreamBlock],
-    max_iter: int = DEFAULT_MAX_ITER,
+    spec: StudySpec, run_index: int, source: RandomSource, max_iter: int = DEFAULT_MAX_ITER
 ) -> RunRecord:
-    """One full pathway: baseline verbatim at the first period, then chained
-    per-period evolution. Infeasibility is recorded, not raised. source is
-    as for simulate_period, for every period of the time grid."""
-    grid = spec.time_grid
-    first = grid[0]
-    run_cim = None
-    if spec.uncertainty.resample == "per_run":
-        run_cim = sample_cim(spec, source.substream(run_index, first, "cim"), first)
-
-    entries: list[tuple[int, Scenario]] = [(first, spec.baseline)]
-    converged: list[bool] = [True]
-    iterations: list[int] = [0]
-    shock_state = DynamicShockState.initial(spec)
-    scenario: Scenario = spec.baseline
-    error = None
-    for period in grid[1:]:
-        try:
-            scenario, shock_state, conv, iters = simulate_period(
-                spec, scenario, period, shock_state, source, run_index, max_iter, run_cim
-            )
-        except InfeasibilityError as e:
-            error = str(e)
-            break
-        entries.append((period, scenario))
-        converged.append(conv)
-        iterations.append(iters)
-    return RunRecord(
-        run_index=run_index,
-        pathway=Pathway(tuple(entries)),
-        converged=tuple(converged),
-        succession_iterations=tuple(iterations),
-        error=error,
-    )
-
-
-def _run_range(args) -> list[RunRecord]:
-    spec, start, stop, master_seed, max_iter = args
-    source = RandomSource(master_seed)
-    runs = []
-    for first in range(start, stop, BLOCK_RUNS):
-        indices = range(first, min(first + BLOCK_RUNS, stop))
-        block = source.block(indices, spec.time_grid, PURPOSES)
-        runs.extend(simulate_run(spec, i, block, max_iter) for i in indices)
-    return runs
+    """One full pathway: the block of run_index alone. Infeasibility is
+    recorded, not raised."""
+    _check_invariants(spec, max_iter)
+    block = _simulate_block(spec, source, range(run_index, run_index + 1), max_iter)
+    return _records(block, spec.time_grid)[0]
 
 
 def simulate_ensemble(
@@ -283,7 +372,8 @@ def simulate_ensemble(
     max_iter: int = DEFAULT_MAX_ITER,
     worker_count: int = 1,
 ) -> EnsembleResult:
-    """Independent Monte Carlo runs, assembled in run-index order.
+    """Independent Monte Carlo runs, assembled in run-index order, one
+    block of BLOCK_RUNS runs per task.
 
     Output is identical for any worker_count because each run's randomness
     is derived purely from (master_seed, run index, period, purpose).
@@ -292,21 +382,16 @@ def simulate_ensemble(
         raise ConfigError(f"run_count must be >= 1 (got {run_count})")
     if worker_count < 1:
         raise ConfigError(f"worker_count must be >= 1 (got {worker_count})")
-    digest = spec.digest()
-    if worker_count == 1 or run_count < 2 * worker_count:
-        runs = _run_range((spec, 0, run_count, master_seed, max_iter))
+    _check_invariants(spec, max_iter)
+    blocks = [range(a, min(a + BLOCK_RUNS, run_count)) for a in range(0, run_count, BLOCK_RUNS)]
+    args = (repeat(spec), repeat(RandomSource(master_seed)), blocks, repeat(max_iter))
+    if worker_count == 1 or len(blocks) == 1:
+        results = list(map(_simulate_block, *args))
     else:
-        bounds = np.linspace(0, run_count, worker_count * 4 + 1, dtype=int)
-        chunks = [
-            (spec, int(a), int(b), master_seed, max_iter)
-            for a, b in zip(bounds, bounds[1:])
-            if b > a
-        ]
-        runs = []
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            for part in pool.map(_run_range, chunks):
-                runs.extend(part)
-    return EnsembleResult(digest, master_seed, run_count, tuple(runs))
+        with ProcessPoolExecutor(max_workers=min(worker_count, len(blocks))) as pool:
+            results = list(pool.map(_simulate_block, *args))
+    runs = tuple(record for block in results for record in _records(block, spec.time_grid))
+    return EnsembleResult(spec.digest(), master_seed, run_count, runs)
 
 
 def robustness_fraction(

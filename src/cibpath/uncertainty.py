@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from operator import itemgetter
 from typing import Sequence, Union
@@ -103,13 +103,15 @@ class StreamBlock:
     """
 
     def __init__(self, master_seed: int, axes: Sequence[Sequence[StreamPart]]):
-        self._index = [{part: i for i, part in enumerate(axis)} for axis in axes]
+        # Per axis, each part's offset in the row-major order of the streams.
+        stride = np.cumprod([1] + [len(axis) for axis in axes[:0:-1]])[::-1].tolist()
+        self._index = [{p: i * s for i, p in enumerate(axis)} for axis, s in zip(axes, stride)]
         # A request's purpose: its parts on the axes that hold only str parts.
         labels = [k for k, axis in enumerate(axes) if all(isinstance(p, str) for p in axis)]
         self._purpose = itemgetter(*labels) if labels else (lambda parts: None)
         self._generators: dict = {}
         shape = tuple(len(axis) for axis in axes)
-        self._seeds = np.zeros(shape + (4,), dtype=np.uint64)
+        seeds = np.zeros(shape + (4,), dtype=np.uint64)
         seed = [np.full((1,) * len(axes), w, dtype=np.uint32)
                 for w in _words(master_seed & _SEED_MASK)]
         # Parts whose encodings have the same word count share one layout of
@@ -132,17 +134,18 @@ class StreamBlock:
         for combo in product(*groups):
             words = seed + [column for _, columns in combo for column in columns]
             at = np.ix_(*(positions for positions, _ in combo))
-            self._seeds[at] = _seed_words(_mix_entropy(words))
+            seeds[at] = _seed_words(_mix_entropy(words))
+        self._rows = seeds.reshape(-1, 4).tolist()
 
     def substream(self, *parts) -> np.random.Generator:
         """The stream named by parts, which must be in the block."""
         if len(parts) != len(self._index):
             raise KeyError(f"stream {parts!r} is not in this block")
         try:
-            at = tuple(map(dict.__getitem__, self._index, parts))
+            at = sum(map(dict.__getitem__, self._index, parts))
         except KeyError:
             raise KeyError(f"stream {parts!r} is not in this block") from None
-        seed_hi, seed_lo, seq_hi, seq_lo = self._seeds[at].tolist()
+        seed_hi, seed_lo, seq_hi, seq_lo = self._rows[at]
         inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _STATE_MASK
         state = ((((seed_hi << 64) | seed_lo) + inc) * _PCG64_MULT + inc) & _STATE_MASK
         purpose = self._purpose(parts)
@@ -205,22 +208,38 @@ def _seed_words(pool: list) -> np.ndarray:
     )
 
 
-def draw_scaled(
-    rng: np.random.Generator, distribution: Distribution, sd: float, shape
-) -> np.ndarray:
-    """Zero-mean draws whose standard deviation equals sd.
-
-    Student-t draws are rescaled by sqrt((df-2)/df) so the requested sd is
-    the distribution's actual standard deviation; df > 2 is required.
-    """
+def draw_factor(distribution: Distribution, sd: float) -> float:
+    """What draw_scaled multiplies unit draws by so that their standard
+    deviation equals sd: sd itself for Gaussian draws, and for Student-t
+    draws sd * sqrt((df-2)/df), which needs df > 2."""
     if distribution.kind == "gaussian":
-        return rng.standard_normal(shape) * sd
+        return sd
     df = distribution.df or 0
     if df <= 2:
         raise ConfigError(
             f"student_t innovations need df > 2 for a finite variance (got df={df})"
         )
-    return rng.standard_t(df, shape) * (sd * math.sqrt((df - 2) / df))
+    return sd * math.sqrt((df - 2) / df)
+
+
+def draw_raw(rng: np.random.Generator, distribution: Distribution, out: np.ndarray) -> np.ndarray:
+    """Fill out, in C order, with unit draws: standard normal, or Student-t
+    with the distribution's df. Returns out."""
+    if distribution.kind == "gaussian":
+        rng.standard_normal(out=out)
+    else:
+        out[...] = rng.standard_t(distribution.df, out.shape)
+    return out
+
+
+def draw_scaled(
+    rng: np.random.Generator, distribution: Distribution, sd: float, shape
+) -> np.ndarray:
+    """Zero-mean draws whose standard deviation equals sd (see draw_factor)."""
+    factor = draw_factor(distribution, sd)
+    out = draw_raw(rng, distribution, np.empty(shape))
+    out *= factor
+    return out
 
 
 def judgement_sigma(
@@ -255,14 +274,21 @@ def sample_cim(
 ) -> CrossImpactMatrix:
     """Sample every cell around its point estimate with its confidence-derived
     scale, clipped to the elicitation range; confidences pass through."""
+    cim = spec.cim
+    noise = draw_raw(rng, spec.uncertainty.sampling_distribution, np.empty(cim.scores.shape))
+    return cim.with_scores(sampled_scores(spec, noise, period))
+
+
+def sampled_scores(spec: StudySpec, noise: np.ndarray, period: int) -> np.ndarray:
+    """sample_cim's scores from its unit draws noise, one matrix or a stack
+    of matrices on leading axes; computed in noise's own buffer."""
     try:
         sigma = spec.sigma_tables[period]
     except KeyError:
         raise OutOfRangeError(f"period {period} not in the time grid")
-    cim = spec.cim
-    noise = draw_scaled(rng, spec.uncertainty.sampling_distribution, 1.0, cim.scores.shape)
+    noise *= draw_factor(spec.uncertainty.sampling_distribution, 1.0)
     noise *= sigma
-    return cim.with_scores(_perturbed(cim, noise))
+    return perturbed(spec.cim, spec.cim.scores, noise)
 
 
 def apply_structural_shock(
@@ -271,16 +297,33 @@ def apply_structural_shock(
     """Add an independent perturbation of the configured scale to every cell,
     clipping the result back to the elicitation range."""
     noise = draw_scaled(rng, config.distribution, config.scale, cim.scores.shape)
-    return cim.with_scores(_perturbed(cim, noise))
+    return cim.with_scores(perturbed(cim, cim.scores, noise))
 
 
-def _perturbed(cim: CrossImpactMatrix, noise: np.ndarray) -> np.ndarray:
-    """cim's scores plus noise, clipped to the elicitation range, with the
-    cells outside valid_mask zeroed; computed in noise's own buffer."""
-    noise += cim.scores
+def perturbed(cim: CrossImpactMatrix, scores: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """scores plus noise, clipped to the elicitation range, with the cells
+    outside cim's valid_mask zeroed; computed in noise's own buffer, which
+    may stack matrices on leading axes that scores broadcasts to."""
+    noise += scores
     np.clip(noise, SCORE_MIN, SCORE_MAX, out=noise)
-    noise.put(cim.invalid_cells, 0.0)
+    noise[..., ~cim.valid_mask] = 0.0
     return noise
+
+
+def check_persistence(rho: float) -> None:
+    """The AR(1) process is stationary only for |rho| < 1."""
+    if not abs(rho) < 1:
+        raise ConfigError(f"|rho| = {abs(rho):g} must be < 1 for stationarity")
+
+
+def ar1_step(eta: np.ndarray, noise: np.ndarray, process) -> np.ndarray:
+    """rho * eta + u, with u the unit draws noise scaled in their buffer to
+    the innovation sd tau * sqrt(1 - rho^2), so the long-run sd of eta is
+    tau; process gives rho, tau and the distribution (a DynamicShockState or
+    DynamicShockConfig). eta and noise may stack runs on leading axes."""
+    rho, tau = process.persistence, process.long_run_sd
+    noise *= draw_factor(process.distribution, tau * math.sqrt(1.0 - rho * rho))
+    return rho * eta + noise
 
 
 @dataclass(frozen=True)
@@ -302,13 +345,7 @@ class DynamicShockState:
 def advance_dynamic_shock(
     state: DynamicShockState, rng: np.random.Generator
 ) -> DynamicShockState:
-    """One AR(1) step: eta <- rho * eta + u, with innovation sd
-    tau * sqrt(1 - rho^2) so the long-run sd of eta is tau."""
-    rho, tau = state.persistence, state.long_run_sd
-    if not abs(rho) < 1:
-        raise ConfigError(f"|rho| = {abs(rho):g} must be < 1 for stationarity")
-    innovation_sd = tau * math.sqrt(1.0 - rho * rho)
-    u = draw_scaled(rng, state.distribution, innovation_sd, state.eta.shape)
-    return DynamicShockState(
-        rho * state.eta + u, rho, tau, state.distribution
-    )
+    """One AR(1) step (ar1_step)."""
+    check_persistence(state.persistence)
+    noise = draw_raw(rng, state.distribution, np.empty(state.eta.shape))
+    return replace(state, eta=ar1_step(state.eta, noise, state))

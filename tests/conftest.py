@@ -49,9 +49,11 @@ def mini_spec(mini_spec_path):
         return parse_study_spec(json.load(fh))
 
 
-def random_spec_document(rng: random.Random, max_descriptors=6, max_states=3, min_states=2):
+def random_spec_document(
+    rng: random.Random, max_descriptors=6, max_states=3, min_states=2, min_descriptors=2
+):
     """Random small study spec with integer scores in [-3, 3] and no rules."""
-    n = rng.randint(2, max_descriptors)
+    n = rng.randint(min_descriptors, max_descriptors)
     descriptors = []
     for i in range(n):
         k = rng.randint(min_states, max_states)

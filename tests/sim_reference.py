@@ -1,0 +1,131 @@
+"""Reference simulator: one scenario at a time, in plain Python.
+
+A copy of the per-run simulation loop that ``cibpath.simulate`` replaced
+with its block kernel, kept as the oracle the kernel must match exactly:
+per run and period it samples the period matrix, applies the structural
+shock, moves the cyclic descriptors, advances the AR(1) perturbation and
+iterates ``engine.succession_step`` with ``engine.iterate_to_attractor``.
+The float formulas of the draws are written out here rather than taken
+from ``cibpath.uncertainty``, so a change there shows as a mismatch.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cibpath.engine import iterate_to_attractor, succession_step
+from cibpath.errors import ConfigError, InfeasibilityError
+from cibpath.model import SCORE_MAX, SCORE_MIN
+from cibpath.simulate import Pathway, RunRecord, transition_cyclic_state
+
+
+def draw_scaled(rng, distribution, sd, shape):
+    if distribution.kind == "gaussian":
+        return rng.standard_normal(shape) * sd
+    df = distribution.df or 0
+    if df <= 2:
+        raise ConfigError(f"student_t df={df}")
+    return rng.standard_t(df, shape) * (sd * math.sqrt((df - 2) / df))
+
+
+def perturbed(cim, noise):
+    noise += cim.scores
+    np.clip(noise, SCORE_MIN, SCORE_MAX, out=noise)
+    noise[~cim.valid_mask] = 0.0
+    return noise
+
+
+def sample_cim(spec, rng, period):
+    cim = spec.cim
+    noise = draw_scaled(rng, spec.uncertainty.sampling_distribution, 1.0, cim.scores.shape)
+    noise *= spec.sigma_tables[period]
+    return cim.with_scores(perturbed(cim, noise))
+
+
+def apply_structural_shock(cim, rng, config):
+    noise = draw_scaled(rng, config.distribution, config.scale, cim.scores.shape)
+    return cim.with_scores(perturbed(cim, noise))
+
+
+def advance_dynamic_shock(eta, rng, config):
+    rho, tau = config.persistence, config.long_run_sd
+    if not abs(rho) < 1:
+        raise ConfigError(f"|rho| = {abs(rho):g}")
+    u = draw_scaled(rng, config.distribution, tau * math.sqrt(1.0 - rho * rho), eta.shape)
+    return rho * eta + u
+
+
+def simulate_period(spec, prev, period, eta, source, run_index, max_iter, run_cim=None):
+    """(realised scenario, new eta, converged flag, iterations) of one period."""
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1 (got {max_iter})")
+    if run_cim is not None:
+        period_cim = run_cim
+    else:
+        period_cim = sample_cim(spec, source.substream(run_index, period, "cim"), period)
+    if spec.shocks.structural.enabled:
+        period_cim = apply_structural_shock(
+            period_cim,
+            source.substream(run_index, period, "structural"),
+            spec.shocks.structural,
+        )
+    locked = set()
+    start = list(prev)
+    cyclic_rng = source.substream(run_index, period, "cyclic")
+    for j in spec.cyclic_indices:
+        d = spec.descriptors[j]
+        start[j] = transition_cyclic_state(d.cyclic_params, prev[j], d.state_count, cyclic_rng)
+        locked.add(d.id)
+    if spec.shocks.dynamic.enabled:
+        eta = advance_dynamic_shock(
+            eta, source.substream(run_index, period, "dynamic"), spec.shocks.dynamic
+        )
+        perturbation = eta
+    else:
+        perturbation = None
+    locked_frozen = frozenset(locked)
+    sequence, first = iterate_to_attractor(
+        lambda z: succession_step(spec, period_cim, z, locked_frozen, perturbation),
+        tuple(start),
+        max_iter,
+    )
+    if first is None:
+        return sequence[-1], eta, False, max_iter
+    cycle = len(sequence) - first
+    if cycle == 1:
+        return sequence[first], eta, True, first
+    return sequence[first + (max_iter - first) % cycle], eta, False, max_iter
+
+
+def initial_eta(spec):
+    return np.zeros((len(spec.descriptors), max(spec.state_counts)))
+
+
+def simulate_run(spec, run_index, source, max_iter):
+    """One full pathway, infeasibility recorded, as a RunRecord."""
+    grid = spec.time_grid
+    run_cim = None
+    if spec.uncertainty.resample == "per_run":
+        run_cim = sample_cim(spec, source.substream(run_index, grid[0], "cim"), grid[0])
+    entries, converged, iterations = [(grid[0], spec.baseline)], [True], [0]
+    eta, scenario, error = initial_eta(spec), spec.baseline, None
+    for period in grid[1:]:
+        try:
+            scenario, eta, conv, iters = simulate_period(
+                spec, scenario, period, eta, source, run_index, max_iter, run_cim
+            )
+        except InfeasibilityError as e:
+            error = str(e)
+            break
+        entries.append((period, scenario))
+        converged.append(conv)
+        iterations.append(iters)
+    return RunRecord(
+        run_index=run_index,
+        pathway=Pathway(tuple(entries)),
+        converged=tuple(converged),
+        succession_iterations=tuple(iterations),
+        error=error,
+    )

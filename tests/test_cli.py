@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import json
 import os
@@ -246,6 +247,20 @@ RECORD_MISFITS = {
 }
 
 
+#: Malformed --ranges and --identities files, by stem.
+RANGES = {
+    "text_ranges": {"carbon_price": {"relative": "abc"}},
+    "number_ranges": {"carbon_price": 0.2},
+}
+IDENTITIES = {
+    "terms_list_identities": {"identities": [{"terms": ["carbon_price"], "adjustable": []}]},
+    "text_coefficient_identities": {
+        "identities": [{"terms": {"carbon_price": "one"}, "adjustable": ["carbon_price"]}]
+    },
+    "object_identities": {"identities": {"terms": {"carbon_price": 1.0}}},
+}
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """A 200-run mini-study ensemble and the inputs the failure cases need."""
@@ -303,6 +318,14 @@ def small_run(tmp_path_factory):
     doc["scores"]["C2"]["ambition"] = "high"
     (root / "text_score_mcda.json").write_text(json.dumps(doc))
     (root / "screening.json").write_text(json.dumps({"outcome_descriptor": "RD"}))
+    for stem, best in (("top", "top"), ("seven", 7), ("high", "High"), ("two", 2)):
+        (root / f"best_{stem}_screening.json").write_text(
+            json.dumps({"outcome_descriptor": "RD", "best_outcome_state": best})
+        )
+    for stem, ranges in RANGES.items():
+        (root / f"{stem}.json").write_text(json.dumps(ranges))
+    for stem, identities in IDENTITIES.items():
+        (root / f"{stem}.json").write_text(json.dumps(identities))
     (root / "text_steps_screening.json").write_text(
         json.dumps({"outcome_descriptor": "RD", "late_rush_steps": "two"})
     )
@@ -338,9 +361,9 @@ def _stats(f, spec, ensemble):
     return ["stats", "--spec", f[spec], "--out", f["out"], "--ensemble", f[ensemble]]
 
 
-def _quantify(f, candidates, matrix):
+def _quantify(f, candidates, matrix, option=None, stem=None):
     return ["quantify", "--spec", f["spec"], "--out", f["out"], "--candidates", f[candidates],
-            "--pathway", "C1", "--matrix", f[matrix]]
+            "--pathway", "C1", "--matrix", f[matrix], *((option, f[stem]) if option else ())]
 
 
 def _mcda(f, mcda):
@@ -392,6 +415,26 @@ FAILURES = [
      None, 3, "ParseError"),
     ("translation-value-not-number", lambda f: _quantify(f, "candidate", "text_translation"),
      None, 3, "ParseError"),
+    ("ranges-value-not-number",
+     lambda f: _quantify(f, "candidate", "translation", "--ranges", "text_ranges"),
+     None, 3, "ParseError"),
+    ("ranges-range-not-object",
+     lambda f: _quantify(f, "candidate", "translation", "--ranges", "number_ranges"),
+     None, 3, "ParseError"),
+    ("identities-terms-list",
+     lambda f: _quantify(f, "candidate", "translation", "--identities", "terms_list_identities"),
+     None, 3, "ParseError"),
+    ("identities-coefficient-not-number",
+     lambda f: _quantify(f, "candidate", "translation", "--identities",
+                         "text_coefficient_identities"),
+     None, 3, "ParseError"),
+    ("identities-not-list",
+     lambda f: _quantify(f, "candidate", "translation", "--identities", "object_identities"),
+     None, 3, "ParseError"),
+    ("screen-best-state-unknown-label", lambda f: _screen(f, "4", "best_top_screening"),
+     None, 3, "ConfigError"),
+    ("screen-best-state-out-of-range", lambda f: _screen(f, "4", "best_seven_screening"),
+     None, 3, "ConfigError"),
     ("mcda-personas-not-object", lambda f: _mcda(f, "personas_list_mcda"), None, 3, "ParseError"),
     ("mcda-score-not-number", lambda f: _mcda(f, "text_score_mcda"), None, 3, "ParseError"),
     ("ensemble-from-other-spec", lambda f: _stats(f, "other_spec", "ensemble"),
@@ -434,6 +477,29 @@ def test_errored_record_on_a_prefix_of_the_grid_loads(small_run):
 def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node):
     result = invoke(CliRunner(), *_quantify(small_run, candidates, matrix))
     assert f"{node}: " in json.loads(result.stderr)["message"]
+
+
+@pytest.mark.parametrize("option, stem, node", [
+    ("--ranges", "text_ranges", "ranges.carbon_price"),
+    ("--ranges", "number_ranges", "ranges.carbon_price"),
+    ("--identities", "terms_list_identities", "identities[0]"),
+    ("--identities", "text_coefficient_identities", "identities[0]"),
+    ("--identities", "object_identities", "identities"),
+])
+def test_quantify_side_file_error_names_the_node(small_run, option, stem, node):
+    result = invoke(CliRunner(), *_quantify(small_run, "candidate", "translation", option, stem))
+    assert json.loads(result.stderr)["message"].startswith(f"{node}: ")
+
+
+def test_best_outcome_state_label_equals_its_index(small_run, tmp_path):
+    digests = []
+    for stem in ("best_high_screening", "best_two_screening"):
+        out = tmp_path / stem
+        result = invoke(CliRunner(), "screen", "--spec", small_run["spec"], "--out", str(out),
+                        "--ensemble", small_run["ensemble"], "--config", small_run[stem])
+        assert result.exit_code == 0, result.output
+        digests.append(hashlib.sha256((out / "candidates.json").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_quantify_extremes_check_the_ensemble_spec(small_run, fixture_dir, tmp_path):

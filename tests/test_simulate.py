@@ -1,27 +1,30 @@
+import dataclasses
 import io
+import json
+import random
 
 import numpy as np
 import pytest
 
+import sim_reference as reference
 from cibpath import simulate
 from cibpath.engine import iterate_to_attractor
 from cibpath.errors import ConfigError, ParseError
 from cibpath.model import CyclicParams, StructuralShockConfig, Distribution, parse_study_spec
 from cibpath.simulate import (
+    BLOCK_RUNS,
     RandomSource,
     ensemble_digest,
     load_ensemble,
     robustness_fraction,
     save_ensemble,
     simulate_ensemble,
-    simulate_period,
     simulate_run,
     transition_cyclic_state,
     write_ensemble,
 )
-from cibpath.uncertainty import DynamicShockState
 
-from conftest import two_desc_document
+from conftest import random_spec_document, two_desc_document
 
 
 def degenerate_document(extra=None):
@@ -122,22 +125,39 @@ def iterate_to_cap(step, start, max_iter):
     return current, False, iterations
 
 
+def one_period_spec(spec, prev, period):
+    """spec cut to the grid step that ends at period, with prev as its
+    baseline and the matrix drawn at period: the second period of its runs
+    is the reference simulate_period(spec, prev, period, ...) with no
+    per-run matrix."""
+    grid = spec.time_grid
+    return dataclasses.replace(
+        spec,
+        baseline=prev,
+        time_grid=(grid[grid.index(period) - 1], period),
+        uncertainty=dataclasses.replace(spec.uncertainty, resample="per_period"),
+    )
+
+
 def period_against_cap(monkeypatch, spec, prev, period, run_index, source, max_iter):
-    """simulate_period's (scenario, converged, iterations), and what stepping
-    its own succession to the cap gives."""
+    """The block kernel's (scenario, converged, iterations) for one period,
+    checked against the reference period, and what stepping the reference's
+    succession to the cap gives."""
     captured = []
 
     def spy(step, start, max_steps):
         captured.append((step, start))
         return iterate_to_attractor(step, start, max_steps)
 
-    monkeypatch.setattr(simulate, "iterate_to_attractor", spy)
-    shock = DynamicShockState.initial(spec)
-    scenario, _, converged, iterations = simulate_period(
-        spec, prev, period, shock, source, run_index, max_iter
+    monkeypatch.setattr(reference, "iterate_to_attractor", spy)
+    scenario, _, converged, iterations = reference.simulate_period(
+        spec, prev, period, reference.initial_eta(spec), source, run_index, max_iter
     )
     (step, start), = captured
-    return (scenario, converged, iterations), iterate_to_cap(step, start, max_iter)
+    record = simulate_run(one_period_spec(spec, prev, period), run_index, source, max_iter)
+    got = (record.pathway.terminal(), record.converged[-1], record.succession_iterations[-1])
+    assert got == (scenario, converged, iterations)
+    return got, iterate_to_cap(step, start, max_iter)
 
 
 class TestCycleShortcut:
@@ -165,6 +185,197 @@ class TestCycleShortcut:
             outcomes.add(got[1])
         if max_iter > 2:  # a period converges after k < max_iter steps
             assert outcomes == {True, False}
+
+
+ORACLE_CAPS = (1, 2, 3, 100, 101)
+
+
+def random_lockstep_document(rng: random.Random, **size):
+    """A random study exercising every rule and random channel: cyclic
+    descriptors, forbidden pairs (sometimes blocking every state of a
+    descriptor), implications, threshold rules, structural and dynamic
+    shocks, Student-t draws, either resample policy, and sometimes no noise
+    at all, so that integer scores tie. size goes to random_spec_document."""
+    doc = random_spec_document(rng, **{"max_descriptors": 6, "max_states": 4, **size})
+    descriptors = doc["descriptors"]
+    ids = [d["id"] for d in descriptors]
+    counts = {d["id"]: len(d["states"]) for d in descriptors}
+
+    def state_of(did):
+        return [did, rng.randrange(counts[did])]
+
+    def distribution():
+        return rng.choice(["gaussian", {"kind": "student_t", "df": rng.choice([3, 5, 30])}])
+
+    for d in rng.sample(descriptors, rng.randint(0, min(2, len(descriptors) - 1))):
+        stay = rng.choice([0.0, 0.3, 0.7])
+        step = rng.uniform(0.0, 1.0 - stay)
+        d.update(kind="cyclic", cyclic={
+            "stay": stay, "step": step, "step2": 1.0 - stay - step,
+            "drift": rng.uniform(-1, 1),
+        })
+    forbidden = []
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.sample(ids, 2)
+        forbidden.append([state_of(a), state_of(b)])
+    if rng.random() < 0.35:
+        a, b = rng.sample(ids, 2)
+        other = state_of(b)
+        forbidden.extend([[a, s], other] for s in range(counts[a]))
+    doc["rules"] = {
+        "forbidden_pairs": forbidden,
+        "implications": [
+            {"if": state_of(a), "then": state_of(c)}
+            for a, c in (rng.sample(ids, 2) for _ in range(rng.randint(0, 3)))
+        ],
+    }
+    doc["threshold_rules"] = [
+        {
+            "conditions": [state_of(i) for i in rng.sample(ids, rng.randint(1, 2))],
+            "effect": dict(zip(
+                ("source", "source_state", "target", "target_state"),
+                state_of(src) + state_of(tgt),
+            ), delta=rng.choice([1.0, -2.0, rng.uniform(-2, 2)])),
+        }
+        for src, tgt in (rng.sample(ids, 2) for _ in range(rng.randint(0, 3)))
+    ]
+    doc["time_grid"] = [2025 + 5 * k for k in range(rng.randint(2, 4))]
+    quiet = rng.random() < 0.2
+    doc["uncertainty"] = {
+        "resample": rng.choice(["per_run", "per_period"]),
+        "sampling_distribution": distribution(),
+    }
+    if quiet:
+        doc["uncertainty"]["confidence_sigma"] = {str(c): 0 for c in range(1, 6)}
+    doc["shocks"] = {
+        "structural": {
+            "enabled": not quiet and rng.random() < 0.5,
+            "scale": rng.choice([0.1, 0.3, 1.0]),
+            "distribution": distribution(),
+        },
+        "dynamic": {
+            "enabled": not quiet and rng.random() < 0.5,
+            "long_run_sd": rng.choice([0.2, 0.5, 1.5]),
+            "persistence": rng.uniform(-0.9, 0.9),
+            "distribution": distribution(),
+        },
+    }
+    return doc
+
+
+class TestLockStepOracle:
+    def test_blocks_match_the_per_run_reference(self):
+        """600 random specs and blocks: the block kernel's records equal the
+        reference per-run loop's, run for run."""
+        rng = random.Random(20061)
+        seen = {"error": 0, "capped": 0, "per_run": 0, "cyclic": 0, "dynamic": 0, "rules": 0}
+        for case in range(600):
+            spec = parse_study_spec(random_lockstep_document(rng))
+            max_iter = ORACLE_CAPS[case % len(ORACLE_CAPS)]
+            first = rng.choice([0, rng.randrange(10_000), 2**32 - 3])
+            runs = range(first, first + rng.randint(1, 8))
+            source = RandomSource(rng.randrange(-2**40, 2**40))
+            simulate._check_invariants(spec, max_iter)
+            block = simulate._simulate_block(spec, source, runs, max_iter)
+            got = simulate._records(block, spec.time_grid)
+            want = [reference.simulate_run(spec, i, source, max_iter) for i in runs]
+            assert got == want, (case, max_iter)
+            seen["error"] += any(r.error for r in want)
+            seen["capped"] += any(not all(r.converged) for r in want)
+            seen["per_run"] += spec.uncertainty.resample == "per_run"
+            seen["cyclic"] += bool(spec.cyclic_indices)
+            seen["dynamic"] += spec.shocks.dynamic.enabled
+            seen["rules"] += bool(spec.threshold_rules and spec.rules.implications)
+        assert min(seen.values()) >= 30, seen
+
+    def test_scenario_codes_spanning_two_words(self):
+        # 33 descriptors of 4 states: 4**33 = 2**66 scenarios need two code words
+        rng = random.Random(7)
+        for max_iter in (3, 100):
+            doc = random_lockstep_document(
+                rng, min_descriptors=33, max_descriptors=33, min_states=4, max_states=4
+            )
+            spec = parse_study_spec(doc)
+            source, runs = RandomSource(rng.randrange(2**32)), range(5, 9)
+            block = simulate._simulate_block(spec, source, runs, max_iter)
+            want = [reference.simulate_run(spec, i, source, max_iter) for i in runs]
+            assert simulate._records(block, spec.time_grid) == want
+
+    def test_infeasible_run_records_the_first_blocked_descriptor(self):
+        doc = two_desc_document({
+            "rules": {"forbidden_pairs": [[["A", 0], ["B", 0]], [["A", 1], ["B", 0]]]},
+        })
+        spec = parse_study_spec(doc)
+        record = simulate_run(spec, 0, RandomSource(3))
+        assert record == reference.simulate_run(spec, 0, RandomSource(3), 100)
+        assert record.error == "no feasible state for descriptor 'A'"
+        assert record.pathway.periods == (2025,)
+
+    def test_scores_sum_in_source_order(self):
+        spec = parse_study_spec(ulp_tie_document())
+        record = simulate_run(spec, 0, RandomSource(0))
+        assert record == reference.simulate_run(spec, 0, RandomSource(0), 100)
+        assert record.pathway.terminal() == (0, 0, 0, 0)
+
+
+def blocked_study(mini_spec_path, edits):
+    with open(mini_spec_path) as fh:
+        doc = json.load(fh)
+    doc.update(edits)
+    return parse_study_spec(doc)
+
+
+#: Renewables deployment has no feasible state while public acceptance (a
+#: locked cyclic descriptor) is Low, which some runs reach.
+INFEASIBLE_WHEN_PA_LOW = {"rules": {"forbidden_pairs": [
+    [["RD", s], ["PA", "Low"]] for s in ("Low", "Medium", "High")
+]}}
+
+
+def ulp_tie_document():
+    """Three locked cyclic sources that never move and one target T whose
+    two states score 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1: summed in source
+    order, state 0 is one ulp higher, so T moves from state 1 to 0; summed
+    in any other order it would not."""
+    sources = [
+        {"id": k, "states": ["x"], "kind": "cyclic",
+         "cyclic": {"stay": 1.0, "step": 0.0, "step2": 0.0}}
+        for k in "ABC"
+    ]
+    descriptors = sources + [{"id": "T", "states": ["t0", "t1"]}]
+    scores = {("A", 0): 0.1, ("A", 1): 0.3, ("B", 0): 0.2, ("B", 1): 0.2,
+              ("C", 0): 0.3, ("C", 1): 0.1}
+    cells = [
+        {"source": src["id"], "source_state": i, "target": tgt["id"], "target_state": t,
+         "score": scores.get((src["id"], t), 0) if tgt["id"] == "T" else 0,
+         "confidence": 3}
+        for src in descriptors for tgt in descriptors if src is not tgt
+        for i in range(len(src["states"])) for t in range(len(tgt["states"]))
+    ]
+    return {
+        "descriptors": descriptors,
+        "cim": cells,
+        "baseline": {"A": 0, "B": 0, "C": 0, "T": 1},
+        "time_grid": [2025, 2030],
+        "uncertainty": {"confidence_sigma": {str(c): 0 for c in range(1, 6)}},
+    }
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize(
+        "edits", [INFEASIBLE_WHEN_PA_LOW, {"uncertainty": {"resample": "per_run"}}],
+        ids=["infeasible-runs", "per-run-resample"],
+    )
+    def test_run_counts_across_block_and_chunk_edges(self, mini_spec_path, edits):
+        spec = blocked_study(mini_spec_path, edits)
+        full = simulate_ensemble(spec, 2 * BLOCK_RUNS + 1, 11)
+        if "rules" in edits:
+            assert any(r.error for r in full.runs)
+        for count in (1, BLOCK_RUNS - 1, BLOCK_RUNS, BLOCK_RUNS + 1, 2 * BLOCK_RUNS + 1):
+            for workers in (1, 2, 3):
+                ensemble = simulate_ensemble(spec, count, 11, worker_count=workers)
+                assert ensemble.run_count == count
+                assert ensemble.runs == full.runs[:count], (count, workers)
 
 
 class TestEnsemble:
