@@ -7,14 +7,13 @@ patterns, and picks a diverse, frequency-ordered candidate set for MCDA.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Optional
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
 
-from .engine import Scenario
 from .errors import ConfigError, EmptyInputError, InsufficientCandidatesError
 from .model import StudySpec
 from .simulate import EnsembleResult, Pathway
@@ -71,7 +70,7 @@ def state_share_series(
         raise EmptyInputError("ensemble holds no successful runs")
     j = spec.index_of(descriptor_id)
     n_states = spec.descriptors[j].state_count
-    periods = ensemble.ok_runs()[0].pathway.periods
+    periods = ensemble.time_grid
     n = len(states)
     z = _wilson_z(confidence_level)
     out = []
@@ -103,6 +102,11 @@ class ScreeningConfig:
     endpoint_exclusions: tuple[tuple[tuple[str, int], ...], ...] = ()
 
 
+#: The screening rules in the order they are applied; a rejected pathway
+#: carries the first one it fails.
+REASONS = ("backsliding", "endpoint_inconsistency", "late_rush", "discontinuity")
+
+
 @dataclass(frozen=True)
 class Candidate:
     pathway: Pathway
@@ -110,33 +114,69 @@ class Candidate:
     rationale: str = ""
 
 
+@dataclass(frozen=True, eq=False)
+class PathwayTable:
+    """Distinct pathways over one time grid, in first-occurrence order, as
+    one int8 (pathways, periods, descriptors) array, each with a label."""
+
+    periods: tuple[int, ...]
+    states: np.ndarray
+    labels: list
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def pathway(self, i: int) -> Pathway:
+        return Pathway(tuple(zip(self.periods, map(tuple, self.states[i].tolist()))))
+
+
+class CandidateTable(PathwayTable, Sequence):
+    """Pathways labelled by their terminal frequency. Item i is its
+    Candidate, built only when it is read."""
+
+    def __getitem__(self, i: int) -> Candidate:
+        return Candidate(self.pathway(i), self.labels[i])
+
+    @classmethod
+    def of(cls, candidates: Sequence[Candidate]) -> CandidateTable:
+        """The table of candidates on one non-empty time grid."""
+        grid = candidates[0].pathway.periods
+        if any(c.pathway.periods != grid for c in candidates):
+            raise ValueError("candidates do not share one time grid")
+        return cls(
+            grid, np.array([c.pathway.scenarios for c in candidates], np.int8),
+            [c.terminal_frequency for c in candidates],
+        )
+
+
 @dataclass(frozen=True)
 class CandidateSet:
-    candidates: tuple[Candidate, ...]
-    rejected: tuple[tuple[Pathway, str], ...]
+    #: screen_candidates gives a CandidateTable, select_candidates a tuple
+    candidates: Sequence[Candidate]
+    #: labelled by the first rule each pathway fails
+    rejected: PathwayTable
     warnings: tuple[str, ...] = ()
 
 
-def _backslides(states: tuple[int, ...]) -> bool:
-    improved = False
-    for a, b in zip(states, states[1:]):
-        if b > a:
-            improved = True
-        elif b < a and improved:
-            return True
-    return False
+def flat_rows(a: np.ndarray) -> np.ndarray:
+    """a with each item's values in one row, also when a is empty."""
+    return a.reshape(len(a), math.prod(a.shape[1:]))
 
 
-def _screen_rule(
-    spec: StudySpec, config: ScreeningConfig
-) -> Callable[[Pathway], Optional[str]]:
-    """The screening rules for one spec and config, as a function from a
-    pathway to its first failing rule name, or None when it passes."""
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a non-negative int8 array as one void scalar. np.unique
+    orders these by their bytes, unsigned, which for non-negative int8 is
+    the lexicographic order of the rows."""
+    rows = np.ascontiguousarray(flat_rows(rows))
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np.ndarray:
+    """The index in REASONS of the first rule each pathway in states
+    (pathways, periods, descriptors) fails, or -1 where it passes."""
     j_out = spec.index_of(config.outcome_descriptor)
-    if config.full_vector_backsliding:
-        backslide_targets = range(len(spec.descriptors))
-    else:
-        backslide_targets = (j_out,)
+    descriptors = range(len(spec.descriptors))
+    backslide_targets = list(descriptors) if config.full_vector_backsliding else [j_out]
     exclusions = [
         [(spec.index_of(did), s) for did, s in combo]
         for combo in config.endpoint_exclusions
@@ -144,32 +184,18 @@ def _screen_rule(
     cyclic_step2 = {
         i for i in spec.cyclic_indices if spec.descriptors[i].cyclic_params.step2 > 0
     }
-    discontinuity_targets = [
-        j for j in range(len(spec.descriptors)) if j not in cyclic_step2
-    ]
+    discontinuity_targets = [j for j in descriptors if j not in cyclic_step2]
 
-    def reason(pathway: Pathway) -> Optional[str]:
-        for j in backslide_targets:
-            if _backslides(pathway.states_of(j)):
-                return "backsliding"
-
-        terminal = pathway.terminal()
-        for combo in exclusions:
-            if all(terminal[j] == s for j, s in combo):
-                return "endpoint_inconsistency"
-
-        outcome = pathway.states_of(j_out)
-        if len(outcome) >= 2 and outcome[-1] - outcome[-2] >= config.late_rush_steps:
-            return "late_rush"
-
-        for j in discontinuity_targets:
-            states = pathway.states_of(j)
-            for a, b in zip(states, states[1:]):
-                if abs(b - a) >= config.discontinuity_steps:
-                    return "discontinuity"
-        return None
-
-    return reason
+    steps = np.diff(states.astype(np.int16), axis=1)  # (pathways, periods - 1, descriptors)
+    moves = steps[:, :, backslide_targets]
+    # a fall after an earlier rise of the same descriptor
+    backslide = ((moves < 0) & np.logical_or.accumulate(moves > 0, axis=1)).any((1, 2))
+    endpoint = np.zeros(len(states), bool)
+    for combo in exclusions:
+        endpoint |= np.logical_and.reduce([states[:, -1, j] == s for j, s in combo])
+    late_rush = (steps[:, -1:, j_out] >= config.late_rush_steps).any(1)  # none with one period
+    jumps = np.abs(steps[:, :, discontinuity_targets]) >= config.discontinuity_steps
+    return np.select([backslide, endpoint, late_rush, jumps.any((1, 2))], range(len(REASONS)), -1)
 
 
 def screen_candidates(
@@ -181,47 +207,48 @@ def screen_candidates(
     the full ensemble. Order-independent: permuting runs never changes a
     pathway's status.
     """
-    runs = ensemble.ok_runs()
-    if not runs:
+    states = ensemble.ok_states
+    if not len(states):
         raise EmptyInputError("ensemble holds no successful runs")
-    terminal_counts: Counter[Scenario] = Counter(r.pathway.terminal() for r in runs)
-    n = len(runs)
-    distinct: dict[Pathway, None] = {}
-    for r in sorted(runs, key=lambda r: r.run_index):
-        distinct.setdefault(r.pathway, None)
-    screen_reason = _screen_rule(spec, config)
-    passed = []
-    rejected = []
-    for pathway in distinct:
-        reason = screen_reason(pathway)
-        if reason is None:
-            freq = terminal_counts[pathway.terminal()] / n
-            passed.append(Candidate(pathway, freq))
-        else:
-            rejected.append((pathway, reason))
-    return CandidateSet(tuple(passed), tuple(rejected))
+    _, first = np.unique(row_keys(states), return_index=True)
+    first.sort()
+    _, terminal_of, terminal_counts = np.unique(
+        row_keys(states[:, -1]), return_inverse=True, return_counts=True
+    )
+    frequencies = terminal_counts[terminal_of.ravel()[first]] / len(states)
+    distinct = states[first]
+    reasons = _reasons(distinct, spec, config)
+    passed = reasons < 0
+    grid = ensemble.time_grid
+    return CandidateSet(
+        CandidateTable(grid, distinct[passed], frequencies[passed].tolist()),
+        PathwayTable(grid, distinct[~passed], [REASONS[r] for r in reasons[~passed].tolist()]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Selection
 
 
-def _medoid(members: list[Candidate]) -> Candidate:
-    """The member with the smallest integer total Hamming distance to the
-    group, over every period and descriptor; ties go to the
-    lexicographically smallest scenario sequence.
+def _medoids(states: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """For each group g in 0..max(group), the index of its medoid among the
+    pathways in states whose group is g: the member with the smallest
+    integer total Hamming distance to the group, over every period and
+    descriptor; ties go to the lexicographically smallest scenario sequence.
 
     Hamming distance splits by position, so a member's total is, summed
     over positions, the number of members holding another state there.
     """
-    m = len(members)
-    states = np.array([c.pathway.scenarios for c in members]).reshape(m, -1)
-    width = states.shape[1]
-    codes = states + np.arange(width) * (states.max() + 1)
-    holders = np.bincount(codes.ravel())
-    totals = m * width - holders[codes].sum(axis=1)
-    tied = np.flatnonzero(totals == totals.min())
-    return members[min(tied, key=lambda i: members[i].pathway.scenarios)]
+    flat = flat_rows(states).astype(np.int64)
+    base = group * (int(flat.max()) + 1)
+    agreeing = np.zeros(len(flat), np.int64)  # members holding the same state, summed
+    for column in flat.T:
+        codes = base + column
+        agreeing += np.bincount(codes)[codes]
+    totals = np.bincount(group)[group] * flat.shape[1] - agreeing
+    order = np.lexsort((*flat.T[::-1], totals, group))
+    ordered = group[order]
+    return order[np.r_[True, ordered[1:] != ordered[:-1]]]
 
 
 def select_candidates(
@@ -235,34 +262,29 @@ def select_candidates(
     in the best outcome state whenever the pool allows it."""
     if k < 2:
         raise ConfigError(f"candidate count must be >= 2 (got {k})")
-    survivors = list(screened.candidates)
-    if len(survivors) < k:
-        raise InsufficientCandidatesError(
-            f"{len(survivors)} surviving pathways, {k} requested"
-        )
+    pool = screened.candidates
+    if len(pool) < k:
+        raise InsufficientCandidatesError(f"{len(pool)} surviving pathways, {k} requested")
+    if not isinstance(pool, CandidateTable):
+        pool = CandidateTable.of(pool)
     j_best = spec.index_of(best_outcome[0])
     best_state = best_outcome[1]
 
-    groups: dict[Scenario, list[Candidate]] = {}
-    for c in survivors:
-        groups.setdefault(c.pathway.terminal(), []).append(c)
-    ordered = sorted(
-        groups.items(), key=lambda kv: (-kv[1][0].terminal_frequency, kv[0])
-    )
-    reps = [
-        (terminal, _medoid(members), len(members)) for terminal, members in ordered
-    ]
+    # Groups come out of np.unique in terminal order; a stable sort by
+    # falling frequency then gives the order (-frequency, terminal).
+    terminals = pool.states[:, -1]
+    _, group = np.unique(row_keys(terminals), return_inverse=True)
+    group = group.ravel()
+    frequency = np.zeros(group.max() + 1)
+    frequency[group] = pool.labels
+    reps = _medoids(pool.states, group)[np.argsort(-frequency, kind="stable")].tolist()
+    is_best = (terminals[:, j_best] == best_state).tolist()
 
-    selected: list[tuple[Scenario, Candidate, str]] = []
-    for rank, (terminal, rep, _size) in enumerate(reps[:k], start=1):
-        selected.append((terminal, rep, f"frequency-rank-{rank}"))
-
+    selected = [(rep, f"frequency-rank-{rank}") for rank, rep in enumerate(reps[:k], start=1)]
     warnings: list[str] = []
-    is_best = lambda t: t[j_best] == best_state
-    have = sum(1 for t, _, _ in selected if is_best(t))
-    pool_best = [c for c in survivors if is_best(c.pathway.terminal())]
+    have = sum(is_best[rep] for rep, _ in selected)
     if have < 2:
-        if len(pool_best) < 2:
+        if sum(is_best) < 2:
             warnings.append(
                 "fewer than 2 surviving pathways reach the best outcome state; "
                 "quota relaxed"
@@ -271,21 +293,19 @@ def select_candidates(
             # Swap lowest-ranked non-best selections for best-outcome
             # representatives: unseen best groups first, then extra members
             # of already-selected best groups.
-            chosen_paths = {c.pathway for _, c, _ in selected}
-            extras: list[tuple[Scenario, Candidate]] = []
-            for terminal, rep, _size in reps[k:]:
-                if is_best(terminal):
-                    extras.append((terminal, rep))
-            for c in sorted(pool_best, key=lambda c: c.pathway.scenarios):
-                if c.pathway not in chosen_paths and all(c is not e[1] for e in extras):
-                    extras.append((c.pathway.terminal(), c))
+            chosen = {rep for rep, _ in selected}
+            extras = [rep for rep in reps[k:] if is_best[rep]]
+            by_scenarios = np.lexsort(flat_rows(pool.states).T[::-1]).tolist()
+            extras += [
+                i for i in by_scenarios if is_best[i] and i not in chosen and i not in extras
+            ]
             need = 2 - have
-            for terminal, rep in extras[:need]:
+            for rep in extras[:need]:
                 for pos in range(len(selected) - 1, -1, -1):
-                    if not is_best(selected[pos][0]):
-                        selected[pos] = (terminal, rep, "best-outcome-guarantee")
+                    if not is_best[selected[pos][0]]:
+                        selected[pos] = (rep, "best-outcome-guarantee")
                         break
-            have = sum(1 for t, _, _ in selected if is_best(t))
+            have = sum(is_best[rep] for rep, _ in selected)
             if have < 2:
                 warnings.append(
                     "could not satisfy the best-outcome quota without duplicates; "
@@ -293,7 +313,7 @@ def select_candidates(
                 )
 
     out = [
-        Candidate(rep.pathway, rep.terminal_frequency, f"{tag};diversity-group-{i}")
-        for i, (_, rep, tag) in enumerate(selected)
+        replace(pool[rep], rationale=f"{tag};diversity-group-{i}")
+        for i, (rep, tag) in enumerate(selected)
     ]
     return CandidateSet(tuple(out), screened.rejected, tuple(warnings))

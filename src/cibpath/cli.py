@@ -67,7 +67,10 @@ def _guarded(fn):
             fn(*args, **kwargs)
         except ValidationFailure as e:
             _fail(EXIT_VALIDATION, e)
-        except (ConfigError, ParseError, TractabilityError, json.JSONDecodeError, OSError) as e:
+        except (
+            ConfigError, ParseError, TractabilityError, json.JSONDecodeError, UnicodeDecodeError,
+            OSError,
+        ) as e:
             _fail(EXIT_CONFIG, e)
         except CibError as e:
             _fail(EXIT_RUNTIME, e)

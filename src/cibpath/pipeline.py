@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -21,7 +20,9 @@ import numpy as np
 from . import __version__
 from .analytics import (
     DEFAULT_CONFIDENCE_LEVEL,
+    REASONS,
     ScreeningConfig,
+    flat_rows,
     screen_candidates,
     select_candidates,
     state_share_series,
@@ -118,10 +119,12 @@ def read_json(path: str):
         return json.load(fh)
 
 
-def _dump_json(doc, path: str) -> None:
+def _dump_json(doc, path: str, compact: bool = False) -> None:
+    """Indented, or on one line; only json.dumps without indent uses the C
+    encoder, which for a large doc is ten times faster."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, **layout) + "\n")
 
 
 def _dump_csv(rows: list[dict], fieldnames: list[str], path: str) -> None:
@@ -168,59 +171,29 @@ def raise_on_errors(findings: list[Finding], hint: str) -> None:
 
 def load_checked_ensemble(path: str, spec: StudySpec, spec_digest: str) -> EnsembleResult:
     """Load an ensemble for a stage, refusing one simulated from another spec
-    (spec_digest is the digest of spec) and one holding a state row or a
-    period list that does not fit the spec."""
+    (spec_digest is the digest of spec) and one whose time grid, descriptor
+    count or states do not fit the spec."""
     ensemble = load_ensemble(path)
     if ensemble.spec_digest != spec_digest:
         raise ConfigError(
             f"{path} was simulated from spec {ensemble.spec_digest}, "
             f"not from the spec in use ({spec_digest})"
         )
-    misfit = _record_misfit(ensemble, spec)
-    if misfit is not None:
-        run, reason = misfit
-        raise ParseError(f"{path}: runs[{run}]", reason)
+    width = ensemble.states.shape[2]
+    if (ensemble.time_grid, width) != (spec.time_grid, len(spec.descriptors)):
+        raise ParseError(f"{path}: header", (
+            f"time grid {list(ensemble.time_grid)} and {width} descriptors, but the spec has "
+            f"{list(spec.time_grid)} and {len(spec.descriptors)}"
+        ))
+    misfit = ensemble.states >= np.array(spec.state_counts)
+    if misfit.any():
+        run, t, j = np.unravel_index(misfit.argmax(), misfit.shape)
+        d = spec.descriptors[j]
+        raise ParseError(f"{path}: runs[{run}]", (
+            f"state {ensemble.states[run, t, j]} is not a state of descriptor {d.id!r} "
+            f"({d.state_count} states)"
+        ))
     return ensemble
-
-
-def _record_misfit(ensemble: EnsembleResult, spec: StudySpec) -> Optional[tuple[int, str]]:
-    """(record index, reason) for the first record whose periods are not the
-    spec's time grid (for a record that ends in an error, not a prefix of
-    it) or that holds a state row of the wrong length or a value that is not
-    a state of its descriptor; None when every record fits.
-
-    Well-formed state rows pass with one comparison over all rows; they are
-    searched record by record only when that fails.
-    """
-    try:
-        states = ensemble.states
-    except (TypeError, ValueError, OverflowError):  # ragged, non-integer or beyond int8
-        states = None
-    width = len(spec.descriptors)
-    states_fit = (
-        states is not None
-        and states.shape[1] == width
-        and not ((states < 0) | (states >= np.array(spec.state_counts))).any()
-    )
-    grid = spec.time_grid
-    period_of = itemgetter(0)
-    for i, r in enumerate(ensemble.runs):
-        periods = tuple(map(period_of, r.pathway.entries))
-        if periods != grid and (r.error is None or periods != grid[:len(periods)]):
-            expected = "the time grid" if r.error is None else "a prefix of the time grid"
-            return i, f"periods {list(periods)}, expected {expected} {list(grid)}"
-        if states_fit:
-            continue
-        for z in r.pathway.scenarios:
-            if len(z) != width:
-                return i, f"state row of length {len(z)}, expected {width}"
-            for d, state in zip(spec.descriptors, z):
-                if not (type(state) is int and 0 <= state < d.state_count):
-                    return i, (
-                        f"state {state!r} is not a state of descriptor {d.id!r} "
-                        f"({d.state_count} states)"
-                    )
-    return None
 
 
 def screening_config_from(doc: dict) -> ScreeningConfig:
@@ -315,6 +288,8 @@ def screen_stage(
         raise ConfigError(f"screening config: {e}")
     screened = screen_candidates(ensemble, spec, scfg)
     selected = select_candidates(screened, candidate_count, (outcome.id, best_state), spec)
+    rejected = selected.rejected
+    flat = flat_rows(rejected.states).tolist()
     doc = {
         "candidates": [
             {
@@ -325,13 +300,15 @@ def screen_stage(
             }
             for i, c in enumerate(selected.candidates)
         ],
-        "rejected": [
-            {**p.to_doc(), "reason": reason} for p, reason in selected.rejected
-        ],
+        "rejected": {  # the time grid once, then one [reason, flat states] row each
+            "counts": {reason: rejected.labels.count(reason) for reason in REASONS},
+            "periods": list(rejected.periods),
+            "rows": list(zip(rejected.labels, flat)),
+        },
         "warnings": list(selected.warnings),
     }
     path = _artifact(out_dir, "candidates.json")
-    _dump_json(doc, path)
+    _dump_json(doc, path, compact=True)  # thousands of rejected rows
     return [path]
 
 

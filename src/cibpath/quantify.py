@@ -9,10 +9,12 @@ proportional rescaling of designated adjustable dimensions.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
+from .analytics import row_keys
 from .engine import Scenario
 from .errors import (
     ConfigError, CoverageError, EmptyInputError, OutOfRangeError, ParseError, schema_error,
@@ -159,11 +161,12 @@ def build_extreme_scenarios(
     Returns (scenarios, warnings); an axis with no matching ensemble
     scenario is skipped with a warning.
     """
-    runs = ensemble.ok_runs()
-    if not runs:
+    terminals = ensemble.ok_states[:, -1]
+    if not len(terminals):
         raise EmptyInputError("ensemble holds no successful runs")
-    terminal_period = runs[0].pathway.periods[-1]
-    counts = Counter(r.pathway.terminal() for r in runs)
+    terminal_period = ensemble.time_grid[-1]
+    _, first, sizes = np.unique(row_keys(terminals), return_index=True, return_counts=True)
+    counts = dict(zip(map(tuple, terminals[first].tolist()), sizes.tolist()))
     out: list[ExtremeScenario] = []
     warnings: list[str] = []
 

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
 from .engine import Scenario, check_consistency, checked_kernel
-from .errors import ConfigError, InfeasibilityError, ParseError, schema_error
+from .errors import ConfigError, InfeasibilityError, ParseError
 from .model import CyclicParams, StructuralShockConfig, StudySpec
 from .uncertainty import (
     RandomSource, apply_structural_shock, ar1_step, check_persistence, draw_factor, draw_raw,
@@ -60,11 +61,8 @@ class Pathway:
     def terminal(self) -> Scenario:
         return self.entries[-1][1]
 
-    def states_of(self, j: int) -> tuple[int, ...]:
-        return tuple(z[j] for _, z in self.entries)
-
     def to_doc(self) -> dict:
-        """The {"periods", "states"} form of ensemble and candidate files."""
+        """The {"periods", "states"} form of candidates in candidates.json."""
         return {"periods": list(self.periods), "states": [list(z) for z in self.scenarios]}
 
     @classmethod
@@ -86,49 +84,67 @@ class RunRecord:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
+    """A simulated ensemble as arrays, in run order; the arrays are
+    read-only, since every caller shares them. Run r recorded the first
+    lengths[r] periods of time_grid, and past them its states, flags and
+    iteration counts are zero. errors maps each run that ended in an
+    InfeasibilityError to its text."""
+
     spec_digest: str
     master_seed: int
-    run_count: int
-    runs: tuple[RunRecord, ...]
+    time_grid: tuple[int, ...]
+    states: np.ndarray  # (runs, periods, descriptors) int8
+    converged: np.ndarray  # (runs, periods) bool
+    iterations: np.ndarray  # (runs, periods) int64
+    lengths: np.ndarray  # (runs,)
+    errors: dict  # run index -> error text
+
+    def __post_init__(self):
+        for array in self._arrays():
+            array.flags.writeable = False
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.states, self.converged, self.iterations, self.lengths
+
+    def __eq__(self, other):
+        if not isinstance(other, EnsembleResult):
+            return NotImplemented
+        return (self.spec_digest, self.master_seed, self.time_grid, self.errors) == (
+            other.spec_digest, other.master_seed, other.time_grid, other.errors
+        ) and all(map(np.array_equal, self._arrays(), other._arrays()))
+
+    @property
+    def run_count(self) -> int:
+        return len(self.states)
+
+    @cached_property
+    def runs(self) -> tuple[RunRecord, ...]:
+        """One RunRecord per run, built on first use."""
+        n = self.run_count
+        errors = [self.errors.get(r) for r in range(n)]
+        blocks = (  # a block at a time, so the lists tolist() makes stay small
+            BlockResult(
+                range(a, min(a + BLOCK_RUNS, n)), *(x[a:a + BLOCK_RUNS] for x in self._arrays()),
+                errors[a:a + BLOCK_RUNS],
+            )
+            for a in range(0, n, BLOCK_RUNS)
+        )
+        return tuple(record for block in blocks for record in _records(block, self.time_grid))
 
     def ok_runs(self) -> tuple[RunRecord, ...]:
         return tuple(r for r in self.runs if r.error is None)
 
     @cached_property
-    def states(self) -> np.ndarray:
-        """Every run's scenarios, in run and period order, as one int8 array
-        of shape (scenarios, descriptors); read-only, since every caller
-        shares it. Raises ValueError when the scenarios differ in length,
-        TypeError for a state that is not an integer (a float or a bool
-        would be truncated) and OverflowError for a state beyond int8."""
-        rows = [z for r in self.runs for _, z in r.pathway.entries]
-        widths = set(map(len, rows))
-        if len(widths) > 1:
-            raise ValueError(f"scenarios of different lengths {sorted(widths)}")
-        kinds = set(map(type, chain.from_iterable(rows)))
-        odd = [k for k in kinds if k is bool or not issubclass(k, (int, np.integer))]
-        if odd:
-            raise TypeError(f"states of type {sorted(k.__name__ for k in odd)}")
-        width = widths.pop() if widths else 0
-        states = np.fromiter(chain.from_iterable(rows), np.int8, width * len(rows))
-        states = states.reshape(len(rows), width)
-        states.flags.writeable = False
-        return states
-
-    @cached_property
     def ok_states(self) -> np.ndarray:
-        """The rows of ``states`` that belong to error-free runs, shaped
-        (runs, periods, descriptors); read-only. Raises ValueError when the
-        error-free runs differ in period count."""
-        ok = [r.error is None for r in self.runs]
-        sizes = [len(r.pathway.entries) for r in self.runs]
-        periods = {n for n, keep in zip(sizes, ok) if keep}
-        if len(periods) > 1:
-            raise ValueError(f"error-free runs of different lengths {sorted(periods)}")
-        rows = self.states if all(ok) else self.states[np.repeat(ok, sizes)]
-        states = rows.reshape(sum(ok), periods.pop() if periods else 0, rows.shape[1])
+        """The states of the error-free runs, (runs, periods, descriptors);
+        read-only."""
+        if not self.errors:
+            return self.states
+        ok = np.ones(self.run_count, bool)
+        ok[list(self.errors)] = False
+        states = self.states[ok]
         states.flags.writeable = False
         return states
 
@@ -156,8 +172,8 @@ class BlockResult(NamedTuple):
 
     runs: range
     states: np.ndarray  # (runs, periods, descriptors) int8; zero past a run's length
-    converged: np.ndarray  # (runs, periods) bool
-    iterations: np.ndarray  # (runs, periods) int64
+    converged: np.ndarray  # (runs, periods) bool; False past a run's length
+    iterations: np.ndarray  # (runs, periods) int64; zero past a run's length
     lengths: np.ndarray  # (runs,)
     errors: list
 
@@ -194,7 +210,8 @@ def _simulate_block(
     n, periods = len(runs), len(grid)
     states = np.zeros((n, periods, len(kernel.ids)), np.int8)
     states[:, 0] = spec.baseline
-    converged = np.ones((n, periods), bool)
+    converged = np.zeros((n, periods), bool)
+    converged[:, 0] = True
     iterations = np.zeros((n, periods), np.int64)
     lengths = np.full(n, periods)
     errors: list[Optional[str]] = [None] * n
@@ -390,8 +407,11 @@ def simulate_ensemble(
     else:
         with ProcessPoolExecutor(max_workers=min(worker_count, len(blocks))) as pool:
             results = list(pool.map(_simulate_block, *args))
-    runs = tuple(record for block in results for record in _records(block, spec.time_grid))
-    return EnsembleResult(spec.digest(), master_seed, run_count, runs)
+    columns = zip(*(block[1:5] for block in results))  # states, converged, iterations, lengths
+    return EnsembleResult(
+        spec.digest(), master_seed, spec.time_grid, *map(np.concatenate, columns),
+        {run: e for block in results for run, e in zip(block.runs, block.errors) if e is not None},
+    )
 
 
 def robustness_fraction(
@@ -417,67 +437,165 @@ def robustness_fraction(
 
 
 # ---------------------------------------------------------------------------
-# Ensemble file format: one JSON header line, then one JSON record per run.
+# Ensemble file format: a JSON header line, then one line per run holding a
+# flat JSON array of integers: the run index, the number of periods the run
+# recorded, its states period by period, its converged flags (0 or 1) and its
+# succession iterations, zero past the recorded periods.
+
+#: The layout this version writes; load_ensemble reads no other.
+ENSEMBLE_FORMAT = "cibpath-ensemble/2"
+
+#: Header fields and their JSON types (bool is not an int here).
+_HEADER_TYPES = {
+    "descriptors": int, "errors": list, "format": str, "master_seed": int, "run_count": int,
+    "spec_digest": str, "time_grid": list,
+}
+
+_TO_SPACES = bytes.maketrans(b",[]", b"   ")
+_RECORD = re.compile(rb"\[-?[0-9]+(,-?[0-9]+)*\]")
 
 
 def write_ensemble(ensemble: EnsembleResult, fh: TextIO) -> None:
+    n, _, width = ensemble.states.shape
     header = {
-        "spec_digest": ensemble.spec_digest,
+        "descriptors": width,
+        "errors": [[run, text] for run, text in sorted(ensemble.errors.items())],
+        "format": ENSEMBLE_FORMAT,
         "master_seed": ensemble.master_seed,
-        "run_count": ensemble.run_count,
+        "run_count": n,
+        "spec_digest": ensemble.spec_digest,
+        "time_grid": list(ensemble.time_grid),
     }
     fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-    for r in ensemble.runs:
-        rec = {
-            "run": r.run_index,
-            **r.pathway.to_doc(),
-            "converged": list(r.converged),
-            "iterations": list(r.succession_iterations),
-        }
-        if r.error is not None:
-            rec["error"] = r.error
-        fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    rows = np.concatenate([
+        np.arange(n)[:, None], ensemble.lengths[:, None], ensemble.states.reshape(n, -1),
+        ensemble.converged, ensemble.iterations,
+    ], axis=1)
+    for start in range(0, n, BLOCK_RUNS):  # in blocks, so the text in memory stays small
+        text = json.dumps(rows[start:start + BLOCK_RUNS].tolist(), separators=(",", ":"))
+        fh.write(text[1:-1].replace("],[", "]\n[") + "\n")
 
 
 def save_ensemble(ensemble: EnsembleResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_ensemble(ensemble, fh)
 
 
 def load_ensemble(path: str) -> EnsembleResult:
-    """Read an ensemble file; a missing key or a record that is not a JSON
-    object raises ParseError naming the node."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise ParseError(path, "empty ensemble file")
-    header = json.loads(lines[0])
-    try:
-        spec_digest, master_seed, run_count = (
-            header["spec_digest"], header["master_seed"], header["run_count"]
+    """Read an ensemble file, checking it once, here: the header's fields and
+    their types, one record per run of the header's width, run indices 0 to
+    n - 1 in order, 0/1 flags, non-negative iteration counts, states that
+    fit int8, zeros past a run's recorded periods, and an error text for
+    exactly the runs that stop before the end of the time grid. A failure
+    raises ParseError naming the node (``header`` or ``runs[i]``); a header
+    that is not UTF-8 or not JSON raises UnicodeDecodeError or
+    JSONDecodeError."""
+    with open(path, "rb") as fh:  # CRLF line ends, as an editor may leave them, read as LF
+        head, _, body = fh.read().replace(b"\r\n", b"\n").partition(b"\n")
+    header = _checked_header(json.loads(head.decode("utf-8")), f"{path}: header")
+    grid, width, n = header["time_grid"], header["descriptors"], header["run_count"]
+    errors, periods = dict(header["errors"]), len(grid)
+    values = _parse_records(body, n, 2 + periods * (width + 2), path)
+    runs, lengths = values[:, 0], values[:, 1]
+    states = values[:, 2:2 + periods * width].reshape(n, periods, width)
+    converged, iterations = values[:, -2 * periods:-periods], values[:, -periods:]
+    errored = np.isin(np.arange(n), list(errors))
+    past = np.arange(periods) >= lengths[:, None]
+    for column, bad, reason in (
+        (runs, runs != np.arange(n), "run index {}, expected {run}"),
+        (lengths, (lengths < 1) | (lengths > periods),
+         f"{{}} periods recorded, but the time grid has {periods}"),
+        (lengths, errored & (lengths == periods), "ends in an error but records all {} periods"),
+        (lengths, ~errored & (lengths < periods),
+         f"{{}} of the time grid's {periods} periods recorded, but no error"),
+        (states, (states != 0) & past[:, :, None], "state {} past the recorded periods"),
+        (converged, (converged != 0) & past, "converged flag {} past the recorded periods"),
+        (iterations, (iterations != 0) & past, "iteration count {} past the recorded periods"),
+        (converged, (converged != 0) & (converged != 1), "converged flag {} is not 0 or 1"),
+        # np.fromstring saturates a number beyond int64 at its largest value
+        (iterations, (iterations < 0) | (iterations == np.iinfo(np.int64).max),
+         "iteration count {} is not a non-negative 64-bit integer"),
+        (states, (states < 0) | (states > 127), "state {} is not a state index (0 to 127)"),
+    ):
+        if bad.any():
+            at = np.unravel_index(bad.argmax(), bad.shape)
+            raise ParseError(f"{path}: runs[{at[0]}]", reason.format(column[at], run=at[0]))
+    return EnsembleResult(
+        header["spec_digest"], header["master_seed"], tuple(grid), states.astype(np.int8),
+        converged.astype(bool), np.ascontiguousarray(iterations), lengths.copy(), errors,
+    )
+
+
+def _checked_header(header, node: str) -> dict:
+    """The header, once its format, field types, time grid and error list
+    are checked."""
+    if type(header) is not dict:
+        raise ParseError(node, "not a JSON object")
+    if header.get("format") != ENSEMBLE_FORMAT:
+        found = f"format {header['format']!r}" if "format" in header else "no format field"
+        raise ParseError(node, (
+            f"{found}, but this cibpath reads {ENSEMBLE_FORMAT!r}; "
+            "re-run `cibpath simulate` to write the ensemble again"
+        ))
+    for key, kind in _HEADER_TYPES.items():
+        if type(header.get(key)) is not kind:
+            raise ParseError(f"{node}.{key}", f"expected {kind.__name__}, got {header.get(key)!r}")
+    grid, n = header["time_grid"], header["run_count"]
+    if not grid or any(type(p) is not int for p in grid):
+        raise ParseError(f"{node}.time_grid", f"{grid!r} is not a list of integer periods")
+    if header["descriptors"] < 1 or n < 0:
+        raise ParseError(node, "descriptors must be >= 1 and run_count >= 0")
+    last = -1
+    for i, entry in enumerate(header["errors"]):
+        if not (
+            type(entry) is list and len(entry) == 2 and type(entry[0]) is int
+            and last < entry[0] < n and type(entry[1]) is str
+        ):
+            raise ParseError(f"{node}.errors[{i}]", (
+                f"{entry!r} is not a [run, text] pair with a run index above the "
+                "previous entry's and below run_count, and a text"
+            ))
+        last = entry[0]
+    return header
+
+
+def _parse_records(body: bytes, run_count: int, width: int, path: str) -> np.ndarray:
+    """The run records as a (run_count, width) int64 array: one line per
+    run, each a compact JSON array of width integers.
+
+    np.fromstring reads the numbers once the text is known to hold only
+    such arrays, each with width - 1 commas and every minus sign at the
+    start of a number, so that it reads each number as one value or fails.
+    """
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    lines = body.split(b"\n")[:-1]
+    if len(lines) != run_count:
+        raise ParseError(path, f"{len(lines)} run records, but the header says {run_count}")
+    minus = body.count(b"-")
+    values = np.zeros(0, np.int64)
+    if (
+        not body.translate(None, b"0123456789,-[]\n")
+        and body.count(b"[") == body.count(b"]") == run_count
+        and body.count(b"]\n[") == run_count - 1
+        and body.startswith(b"[") and body.endswith(b"]\n")
+        and (not minus or minus == body.count(b",-") + body.count(b"[-"))
+        and set(map(bytes.count, lines, repeat(b","))) == {width - 1}
+    ):
+        try:  # at a number it cannot read numpy 2.x raises; 1.x warns and stops
+            values = np.fromstring(body.translate(_TO_SPACES), np.int64, sep=" ")
+        except ValueError:
+            pass
+    if values.size != run_count * width:
+        bad = next(
+            i for i, line in enumerate(lines)
+            if not (_RECORD.fullmatch(line) and line.count(b",") == width - 1)
         )
-    except (KeyError, TypeError) as e:
-        raise schema_error(f"{path}: header", e)
-    runs = []
-    for i, ln in enumerate(lines[1:]):
-        rec = json.loads(ln)
-        try:
-            runs.append(
-                RunRecord(
-                    run_index=rec["run"],
-                    pathway=Pathway.from_doc(rec, f"{path}: runs[{i}]"),
-                    converged=tuple(rec["converged"]),
-                    succession_iterations=tuple(rec["iterations"]),
-                    error=rec.get("error"),
-                )
-            )
-        except (KeyError, TypeError) as e:
-            raise schema_error(f"{path}: runs[{i}]", e)
-    if len(runs) != run_count:
-        raise ParseError(
-            path, f"{len(runs)} run records, but the header says {run_count}"
-        )
-    return EnsembleResult(spec_digest, master_seed, run_count, tuple(runs))
+        raise ParseError(f"{path}: runs[{bad}]", (
+            f"not a compact JSON array of {width} integers (run index, periods recorded, "
+            "states, converged flags, iterations)"
+        ))
+    return values.reshape(run_count, width)
 
 
 def ensemble_digest(path: str) -> str:

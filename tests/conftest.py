@@ -2,10 +2,11 @@ import importlib.resources
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cibpath.model import parse_study_spec
-from cibpath.simulate import EnsembleResult, Pathway, RunRecord
+from cibpath.simulate import EnsembleResult
 
 
 def two_desc_document(extra=None):
@@ -117,18 +118,18 @@ def brute_force_consistent(document):
     return consistent
 
 
-def make_ensemble(pathway_states, periods=(2025, 2030, 2035), digest="test"):
+def make_ensemble(pathway_states, periods=(2025, 2030, 2035), digest="test", errors=None):
     """Hand-built ensemble: pathway_states is a list of per-run state-vector
-    sequences (one vector per period)."""
-    runs = []
-    for i, states in enumerate(pathway_states):
-        pathway = Pathway(tuple((p, tuple(z)) for p, z in zip(periods, states)))
-        runs.append(
-            RunRecord(
-                run_index=i,
-                pathway=pathway,
-                converged=(True,) * len(periods),
-                succession_iterations=(0,) * len(periods),
-            )
-        )
-    return EnsembleResult(digest, 0, len(runs), tuple(runs))
+    sequences (one vector per period). errors maps a run index to its error
+    text; such a run's sequence may stop before the last period."""
+    n, width = len(pathway_states), len(pathway_states[0][0])
+    states = np.zeros((n, len(periods), width), np.int8)
+    converged = np.zeros((n, len(periods)), bool)
+    for r, seq in enumerate(pathway_states):
+        states[r, :len(seq)] = seq
+        converged[r, :len(seq)] = True
+    lengths = np.array([len(seq) for seq in pathway_states])
+    iterations = np.zeros((n, len(periods)), np.int64)
+    return EnsembleResult(
+        digest, 0, tuple(periods), states, converged, iterations, lengths, dict(errors or {})
+    )

@@ -382,7 +382,7 @@ def test_13_screening():
     def reason_of(states):
         ens = make_ensemble([[(s, 0) for s in states]], periods=periods)
         result = screen_candidates(ens, spec, config)
-        return result.rejected[0][1] if result.rejected else None
+        return result.rejected.labels[0] if result.rejected else None
 
     reasons_ok = (
         reason_of((0, 1, 1, 2, 2, 1)) == "backsliding"

@@ -1,16 +1,17 @@
-import dataclasses
 import itertools
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.stats import norm
 
 from cibpath.analytics import (
     Candidate,
+    CandidateSet,
     ScreeningConfig,
-    _medoid,
+    _medoids,
     screen_candidates,
     select_candidates,
     state_share_series,
@@ -93,9 +94,9 @@ class TestShares:
             assert sum(c.share for c in cells) == pytest.approx(1.0)
 
     def test_errored_runs_excluded(self, fixture_spec):
-        ens = make_ensemble([[(0, 0), (0, 0), (0, 0)], [(1, 1), (1, 1), (1, 1)]])
-        bad = dataclasses.replace(ens.runs[1], error="boom")
-        ens = dataclasses.replace(ens, runs=(ens.runs[0], bad))
+        ens = make_ensemble(
+            [[(0, 0), (0, 0), (0, 0)], [(1, 1), (1, 1), (1, 1)]], errors={1: "boom"}
+        )
         series = state_share_series(ens, fixture_spec, "A")
         assert dict(series.cells)[2035][0].share == 1.0
 
@@ -103,28 +104,24 @@ class TestShares:
         spec = spec3()
         rng = random.Random(7)
         periods = (2025, 2030, 2035)
-        ens = make_ensemble(
-            [[(rng.randrange(3), rng.randrange(3)) for _ in periods] for _ in range(60)]
-        )
-        # Failed runs stop early, so their pathways are shorter.
         runs = [
-            dataclasses.replace(
-                r, pathway=Pathway(r.pathway.entries[:2]), error="infeasible"
-            )
-            if r.run_index % 7 == 0
-            else r
-            for r in ens.runs
+            [(rng.randrange(3), rng.randrange(3)) for _ in periods] for _ in range(60)
         ]
+        # Failed runs stop early, so their pathways are shorter.
+        runs = [(seq[:2], "infeasible") if i % 7 == 0 else (seq, None) for i, seq in enumerate(runs)]
         rng.shuffle(runs)
-        ens = dataclasses.replace(ens, runs=tuple(runs))
-        ok = [r for r in runs if r.error is None]
+        ens = make_ensemble(
+            [seq for seq, _ in runs], periods,
+            errors={i: error for i, (_, error) in enumerate(runs) if error},
+        )
+        ok = [seq for seq, error in runs if error is None]
         n = len(ok)
         for level in (0.95, 0.8):
             for j, did in enumerate(("A", "B")):
                 series = state_share_series(ens, spec, did, level)
                 assert [p for p, _ in series.cells] == list(periods)
                 for t, (_, cells) in enumerate(series.cells):
-                    counts = Counter(r.pathway.scenarios[t][j] for r in ok)
+                    counts = Counter(seq[t][j] for seq in ok)
                     expected = [
                         (counts[s] / n, *wilson_interval(counts[s], n, level))
                         for s in range(3)
@@ -155,7 +152,7 @@ class TestScreening:
         result = screen_candidates(ens, spec, config or self.config)
         if result.candidates:
             return None
-        return result.rejected[0][1]
+        return result.rejected.labels[0]
 
     def test_steady_progress_passes(self):
         assert self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)]) is None
@@ -257,6 +254,13 @@ def _brute_force_medoid(members):
     return min(members, key=key)
 
 
+def _medoid(members):
+    """The member _medoids picks for members taken as one group."""
+    states = np.array([c.pathway.scenarios for c in members], np.int8)
+    (index,) = _medoids(states, np.zeros(len(members), np.intp))
+    return members[index]
+
+
 class TestMedoid:
     def test_matches_brute_force_on_random_groups(self):
         rng = random.Random(11)
@@ -272,6 +276,25 @@ class TestMedoid:
             ]
             members = _candidates(groups, range(2025, 2025 + n_periods))
             assert _medoid(members) is _brute_force_medoid(members)
+
+    def test_interleaved_groups_match_brute_force(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            n_periods, n_desc = rng.randint(1, 5), rng.randint(1, 4)
+            rows = [
+                (rng.randrange(4), [
+                    tuple(rng.randrange(3) for _ in range(n_desc)) for _ in range(n_periods)
+                ])
+                for _ in range(rng.randint(4, 30))
+            ]
+            group = np.unique([g for g, _ in rows], return_inverse=True)[1].ravel()
+            states = np.array([seq for _, seq in rows], np.int8)
+            members = _candidates([seq for _, seq in rows], range(2025, 2025 + n_periods))
+            for g, index in enumerate(_medoids(states, group)):
+                assert group[index] == g
+                assert members[index] is _brute_force_medoid(
+                    [m for m, h in zip(members, group) if h == g]
+                )
 
     def test_integer_tie_goes_to_smaller_scenarios(self):
         # Four members have total distance 8. Their old float means,
@@ -317,6 +340,18 @@ class TestSelection:
         # groups by terminal frequency: (1,1) 8 runs, (0,0) 2, (1,0) 1
         assert terms == [(1, 1), (0, 0), (1, 0)]
         assert result.candidates[0].rationale.startswith("frequency-rank-1")
+
+    def test_plain_candidate_sequence_selects_the_same(self, fixture_spec):
+        states = (
+            [[(0, 0), (0, 0), (1, 1)]] * 3 + [[(0, 0), (1, 1), (1, 1)]] * 2
+            + [[(0, 0), (0, 0), (0, 0)]] * 2 + [[(0, 0), (1, 0), (1, 0)]]
+        )
+        screened = self.screened(fixture_spec, states)
+        table = select_candidates(screened, 3, ("A", 1), fixture_spec)
+        plain = CandidateSet(tuple(screened.candidates), screened.rejected)
+        assert select_candidates(plain, 3, ("A", 1), fixture_spec) == table
+        again = select_candidates(table, 3, ("A", 1), fixture_spec).candidates
+        assert [c.pathway for c in again] == [c.pathway for c in table.candidates]
 
     def test_medoid_representative(self, fixture_spec):
         # two pathways share the (1, 1) terminal; medoid is nearest the

@@ -3,10 +3,15 @@ import importlib.resources
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import legacy_format
 from cibpath.cli import main
+from cibpath.model import parse_study_spec
+from cibpath.simulate import load_ensemble, save_ensemble
+from conftest import make_ensemble, two_desc_document
 
 
 @pytest.fixture
@@ -203,47 +208,77 @@ class TestScreenMcdaQuantify:
         assert result.exit_code == 3
 
 
-def _set_state(value):
-    def edit(states):
-        states[2][1] = value
+#: The mini study's time grid length and descriptor count, and where a run
+#: record's converged flags and iteration counts start: a record is [run,
+#: periods recorded, states period by period, flags, iterations].
+PERIODS, WIDTH = 6, 5
+CONVERGED = 2 + PERIODS * WIDTH
+ITERATIONS = CONVERGED + PERIODS
+INFEASIBLE = "no feasible state for descriptor 'PS'"
+
+
+def _set(offset, value):
+    def edit(header, record):
+        record[offset] = value
     return edit
+
+
+def _set_state(value):
+    return _set(2 + 2 * WIDTH + 1, value)  # period 2, descriptor 1
+
+
+def _stop_after(periods, error=None):
+    """The record ends after periods periods, zero past them; error, if
+    given, is its entry in the header's error list."""
+    def edit(header, record):
+        record[1] = periods
+        for t in range(periods, PERIODS):
+            record[2 + t * WIDTH:2 + (t + 1) * WIDTH] = [0] * WIDTH
+            record[CONVERGED + t] = record[ITERATIONS + t] = 0
+        if error is not None:
+            header["errors"] = [[5, error]]
+    return edit
+
+
+def _drop_last_period(header, record):
+    del record[ITERATIONS + PERIODS - 1]
+    del record[CONVERGED + PERIODS - 1]
+    del record[2 + (PERIODS - 1) * WIDTH:2 + PERIODS * WIDTH]
+
+
+def _errored(header, record):
+    header["errors"] = [[5, INFEASIBLE]]
 
 
 #: Ensemble files whose record 5 does not fit the mini study, by stem.
 MISFITS = {
     "state7": _set_state(7),
     "state300": _set_state(300),
-    "short_row": lambda states: states[2].pop(),
+    "short_row": lambda header, record: record.pop(2 + 2 * WIDTH + 1),
     "state_text": _set_state("a"),
     "state_float": _set_state(1.5),
     "state_bool": _set_state(True),
 }
 
-
-def _set_period(value):
-    def edit(record):
-        record["periods"][2] = value
-    return edit
-
-
-def _drop_last_period(record):
-    for key in ("periods", "states", "converged", "iterations"):
-        record[key].pop()
-
-
-def _errored_off_grid(record):
-    _drop_last_period(record)
-    record["periods"][-1] = 1999
-    record["error"] = "no feasible state for descriptor 'PS'"
-
-
 #: Ensemble files whose record 5 does not fit the mini study's time grid,
-#: or whose periods and states differ in length, by stem.
+#: or whose recorded periods and error disagree, by stem.
 RECORD_MISFITS = {
-    "period_missing": _drop_last_period,
-    "period_off_grid": _set_period(1999),
-    "periods_short": lambda record: record["periods"].pop(),
-    "errored_off_grid": _errored_off_grid,
+    "period_missing": _stop_after(PERIODS - 1),
+    "period_off_grid": _set(1, PERIODS + 1),
+    "periods_short": _drop_last_period,
+    "errored_off_grid": _errored,
+}
+
+#: Malformed ensemble files: the edit, the record it edits and the node the
+#: error message names, by stem.
+MALFORMED = {
+    "run_index_text": (_set(0, "x"), 5, "runs[5]"),
+    "run_index_duplicated": (_set(0, 5), 6, "runs[6]"),
+    "converged_seven": (_set(CONVERGED + 2, 7), 5, "runs[5]"),
+    "iterations_negative": (_set(ITERATIONS + 2, -5), 5, "runs[5]"),
+    "error_not_text": (_stop_after(3, 5), 5, "header.errors[0]"),
+    "run_count_text": (lambda header, record: header.update(run_count="200"), 5,
+                       "header.run_count"),
 }
 
 
@@ -269,32 +304,27 @@ def small_run(tmp_path_factory):
     result = invoke(CliRunner(), "simulate", "--spec", spec, "--out", str(root),
                     "--runs", "200", "--seed", "42")
     assert result.exit_code == 0, result.output
-    header, *records = (root / "ensemble.jsonl").read_text().splitlines(keepends=True)
-    (root / "truncated.jsonl").write_text(header + "".join(records[:49]))
-    # record 5 edited six ways: a state past its descriptor's range, one
-    # past int8, a state row missing its last descriptor, a text, a float
-    # and a boolean state
-    for stem, edit in MISFITS.items():
-        edited = json.loads(records[5])
-        edit(edited["states"])
-        lines = records[:5] + [json.dumps(edited) + "\n"] + records[6:]
-        (root / f"{stem}.jsonl").write_text(header + "".join(lines))
-    for stem, edit in RECORD_MISFITS.items():
-        edited = json.loads(records[5])
-        edit(edited)
-        lines = records[:5] + [json.dumps(edited) + "\n"] + records[6:]
-        (root / f"{stem}.jsonl").write_text(header + "".join(lines))
-    # an errored record's periods are a prefix of the time grid
-    errored = json.loads(records[5])
-    for _ in range(3):
-        _drop_last_period(errored)
-    errored["error"] = "no feasible state for descriptor 'PS'"
-    lines = records[:5] + [json.dumps(errored) + "\n"] + records[6:]
-    (root / "errored_prefix.jsonl").write_text(header + "".join(lines))
-    stateless = json.loads(records[3])
-    del stateless["states"]
-    records[3] = json.dumps(stateless) + "\n"
-    (root / "stateless.jsonl").write_text(header + "".join(records))
+    ensemble = root / "ensemble.jsonl"
+    first, *lines = ensemble.read_text().splitlines()
+    (root / "truncated.jsonl").write_text("\n".join([first, *lines[:49]]) + "\n")
+
+    def write_edited(stem, edit, run=5):
+        header, records = json.loads(first), [json.loads(line) for line in lines]
+        edit(header, records[run])
+        with open(root / f"{stem}.jsonl", "w") as fh:
+            for doc in (header, *records):
+                fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+
+    for stem, edit in {**MISFITS, **RECORD_MISFITS}.items():
+        write_edited(stem, edit)
+    for stem, (edit, run, _) in MALFORMED.items():
+        write_edited(stem, edit, run)
+    # an errored record stops on a prefix of the time grid
+    write_edited("errored_prefix", _stop_after(3, INFEASIBLE))
+    write_edited("stateless", _set(slice(2, None), []), run=3)
+    with open(root / "parent_format.jsonl", "w") as fh:
+        legacy_format.write_ensemble(load_ensemble(str(ensemble)), fh)
+    (root / "not_utf8.json").write_bytes(b"\xff\xfe{}")
     (root / "periodless.json").write_text(json.dumps({"candidates": [{"id": "C1"}]}))
     (root / "broken.json").write_text('{"descriptors": [')
     grid = [2025, 2030, 2035, 2040, 2045, 2050]
@@ -384,6 +414,25 @@ FAILURES = [
     ("mcda-not-json", lambda f: ["mcda", "--out", f["out"], "--input", f["broken"]],
      None, 3, "JSONDecodeError"),
     ("ensemble-not-json", lambda f: _stats(f, "spec", "broken"), None, 3, "JSONDecodeError"),
+    ("spec-not-utf8", lambda f: ["validate", "--spec", f["not_utf8"]], None, 3,
+     "UnicodeDecodeError"),
+    ("mcda-not-utf8", lambda f: _mcda(f, "not_utf8"), None, 3, "UnicodeDecodeError"),
+    ("ensemble-not-utf8", lambda f: _stats(f, "spec", "not_utf8"), None, 3,
+     "UnicodeDecodeError"),
+    ("ensemble-parent-format", lambda f: _stats(f, "spec", "parent_format"), None, 3,
+     "ParseError"),
+    ("ensemble-run-index-not-integer", lambda f: _stats(f, "spec", "run_index_text"),
+     None, 3, "ParseError"),
+    ("ensemble-run-index-duplicated", lambda f: _stats(f, "spec", "run_index_duplicated"),
+     None, 3, "ParseError"),
+    ("ensemble-converged-not-flag", lambda f: _stats(f, "spec", "converged_seven"),
+     None, 3, "ParseError"),
+    ("ensemble-iterations-negative", lambda f: _stats(f, "spec", "iterations_negative"),
+     None, 3, "ParseError"),
+    ("ensemble-error-not-text", lambda f: _stats(f, "spec", "error_not_text"),
+     None, 3, "ParseError"),
+    ("ensemble-header-run-count-text", lambda f: _stats(f, "spec", "run_count_text"),
+     None, 3, "ParseError"),
     ("ensemble-truncated", lambda f: _stats(f, "spec", "truncated"), None, 3, "ParseError"),
     ("ensemble-record-without-states", lambda f: _stats(f, "spec", "stateless"),
      None, 3, "ParseError"),
@@ -465,9 +514,58 @@ def test_state_misfit_names_the_record(small_run, stem):
     assert report["message"].startswith(f"{small_run[stem]}: runs[5]: ")
 
 
+@pytest.mark.parametrize("stem", MALFORMED)
+def test_malformed_ensemble_names_the_node(small_run, stem):
+    result = invoke(CliRunner(), *_stats(small_run, "spec", stem))
+    report = json.loads(result.stderr)
+    assert report["message"].startswith(f"{small_run[stem]}: {MALFORMED[stem][2]}: ")
+
+
+def test_parent_format_ensemble_asks_for_a_new_simulation(small_run):
+    result = invoke(CliRunner(), *_stats(small_run, "spec", "parent_format"))
+    assert "re-run `cibpath simulate`" in json.loads(result.stderr)["message"]
+
+
 def test_errored_record_on_a_prefix_of_the_grid_loads(small_run):
     result = invoke(CliRunner(), *_stats(small_run, "spec", "errored_prefix"))
     assert result.exit_code == 0, result.output
+
+
+def test_crlf_ensemble_loads_as_saved(small_run, tmp_path):
+    crlf = tmp_path / "crlf.jsonl"
+    with open(small_run["ensemble"], "rb") as fh:
+        crlf.write_bytes(fh.read().replace(b"\n", b"\r\n"))
+    saved, edited = load_ensemble(small_run["ensemble"]), load_ensemble(str(crlf))
+    for field in ("states", "converged", "iterations", "lengths"):
+        assert np.array_equal(getattr(saved, field), getattr(edited, field))
+    assert saved.errors == edited.errors
+
+
+def test_screen_rejecting_nothing_writes_no_rows(runner, tmp_path):
+    doc = two_desc_document()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    # steps of at most one state, no fall of A, none in the last period
+    ensemble = make_ensemble(
+        [[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (1, 0)], [(0, 1), (1, 1), (1, 1)]],
+        digest=parse_study_spec(doc).digest(),
+    )
+    save_ensemble(ensemble, str(tmp_path / "ensemble.jsonl"))
+    config = tmp_path / "screening.json"
+    config.write_text(json.dumps({"outcome_descriptor": "A"}))
+    result = invoke(runner, "screen", "--spec", str(spec), "--out", str(tmp_path),
+                    "--ensemble", str(tmp_path / "ensemble.jsonl"), "--config", str(config),
+                    "-k", "2")
+    assert result.exit_code == 0, result.output
+    doc = json.loads((tmp_path / "candidates.json").read_text())
+    assert len(doc["candidates"]) == 2
+    assert doc["rejected"] == {
+        "counts": dict.fromkeys(
+            ["backsliding", "discontinuity", "endpoint_inconsistency", "late_rush"], 0
+        ),
+        "periods": [2025, 2030, 2035],
+        "rows": [],
+    }
 
 
 @pytest.mark.parametrize("candidates, matrix, node", [

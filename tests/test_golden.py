@@ -8,17 +8,23 @@ must update the digest here and say why.
 
 import hashlib
 import importlib.resources
+import io
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
 
+import legacy_format
+from cibpath.analytics import screen_candidates, select_candidates
 from cibpath.cli import main
-from cibpath.pipeline import load_pipeline_config, run_pipeline
+from cibpath.model import load_study_spec
+from cibpath.pipeline import (
+    load_checked_ensemble, load_pipeline_config, run_pipeline, screening_config_from,
+)
 
-ENSEMBLE_SHA256 = "a2f8a56b9eae033497e0761d6c24bc0df1303e6f53f6c6e4cd98a62e529f8fab"
-MANIFEST_SHA256 = "a4ec4947f757f66eb4e6bb2ba32727e481ef0e5131d938186c254d89e72b7443"
+ENSEMBLE_SHA256 = "c8f67ea497a63242be4a2705981b20a97d3754f43b21a558f66fe1f990a8f8e3"
+MANIFEST_SHA256 = "4103e179e6822b452f98e7ea671d6dec8f52e3eb4539c4cb9ce822806a70c142"
 
 STAGE_DIGESTS = {
     "validate": {
@@ -32,7 +38,7 @@ STAGE_DIGESTS = {
         "shares.json": "1e0b8cc0ac3783d2989588e08fb1c86721e953f79717652aae8f3c9322464906",
     },
     "screen": {
-        "candidates.json": "39e293da8e8a2860c217c2ca41d357b6adec1ed60e8cf28b0d1b4c0cb33a26a2",
+        "candidates.json": "f60996f9ca0b205eaec1b1d6d4053601156b7aebbc3731bccc9428fefbc287f4",
     },
     "mcda": {
         "mcda_report.json": "85386d3b3c3bac87cb1f409e8f30b06bfea1054d71561d186926377b00d62d51",
@@ -70,6 +76,37 @@ def test_pipeline_matches_golden_digests(golden_run):
     for files in STAGE_DIGESTS.values():
         for name, digest in files.items():
             assert sha256_of(os.path.join(out, name)) == digest, name
+
+
+#: The digests of the same two files in the layout that came before the
+#: columnar ensemble format, which tests/legacy_format.py renders.
+LEGACY_DIGESTS = {
+    "ensemble.jsonl": "a2f8a56b9eae033497e0761d6c24bc0df1303e6f53f6c6e4cd98a62e529f8fab",
+    "candidates.json": "39e293da8e8a2860c217c2ca41d357b6adec1ed60e8cf28b0d1b4c0cb33a26a2",
+}
+
+
+def test_legacy_layout_of_the_results_keeps_its_digests(golden_run):
+    """The ensemble read back from the new file, and the candidates screened
+    from it, written in the old layout give the old layout's pinned bytes:
+    the new layout changed how the content is written, not the content."""
+    cfg, _ = golden_run
+    spec = load_study_spec(cfg.spec_path)
+    ensemble = load_checked_ensemble(
+        os.path.join(cfg.output_dir, "ensemble.jsonl"), spec, spec.digest()
+    )
+    screened = screen_candidates(ensemble, spec, screening_config_from(cfg.screening))
+    best = (cfg.screening["outcome_descriptor"], cfg.screening["best_outcome_state"])
+    selected = select_candidates(screened, cfg.candidate_count, best, spec)
+    rendered = {}
+    for name, write, result in (
+        ("ensemble.jsonl", legacy_format.write_ensemble, ensemble),
+        ("candidates.json", legacy_format.write_candidates, selected),
+    ):
+        buf = io.StringIO()
+        write(result, buf)
+        rendered[name] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert rendered == LEGACY_DIGESTS
 
 
 def _cli(*args):
