@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ConfigError, EmptyInputError, InsufficientCandidatesError
 from .model import StudySpec
@@ -20,9 +19,81 @@ from .simulate import EnsembleResult, Pathway
 
 DEFAULT_CONFIDENCE_LEVEL = 0.95
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the routine behind scipy.special.ndtri and
+# scipy.stats.norm.ppf. Coefficients run from the highest power down; the Q
+# tuples carry Cephes' implicit leading 1.0 (its p1evl), which Horner's
+# first step multiplies exactly, so the results are the same floats.
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# 1/x with x = sqrt(-2 log y) in [2, 8): y between exp(-2) and exp(-32)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+# x >= 8: y below exp(-32)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _horner(x: float, coefs: tuple[float, ...]) -> float:
+    acc = 0.0
+    for c in coefs:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri(p: float) -> float:
+    """The standard normal quantile of 0 <= p <= 1: the same float as
+    ``scipy.special.ndtri(p)``, which ``tests/test_analytics.py`` checks."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p_tail, q_tail = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x0 - z * _horner(z, p_tail) / _horner(z, q_tail)
+    return x if upper else -x
+
 
 def _wilson_z(confidence_level: float) -> float:
-    return float(norm.ppf(0.5 + confidence_level / 2.0))
+    """The two-sided normal critical value; the one check of every level."""
+    if not 0.0 < confidence_level < 1.0:
+        raise ConfigError(f"confidence level must lie strictly between 0 and 1 "
+                          f"(got {confidence_level!r})")
+    return _ndtri(0.5 + confidence_level / 2.0)
 
 
 def _wilson(successes: int, n: int, z: float) -> tuple[float, float]:

@@ -22,6 +22,7 @@ from .analytics import (
     DEFAULT_CONFIDENCE_LEVEL,
     REASONS,
     ScreeningConfig,
+    _wilson_z,
     flat_rows,
     screen_candidates,
     select_candidates,
@@ -383,9 +384,9 @@ def quantify_stage(
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the enabled stages in order; returns the manifest document.
 
-    A missing stage input raises ConfigError before any stage runs; a spec
-    with validation errors raises ValidationFailure after findings.json
-    has been written.
+    A missing stage input or a confidence level outside (0, 1) raises
+    ConfigError before any stage runs; a spec with validation errors raises
+    ValidationFailure after findings.json has been written.
     """
     stages, out = config.stages, config.output_dir
     for stage, field in (
@@ -395,6 +396,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
             raise ConfigError(f"{stage} stage enabled but {field} is not set")
     if "quantify" in stages and "mcda" not in stages and config.selected_pathway is None:
         raise ConfigError("quantify stage needs a selected pathway (mcda stage or override)")
+    if "stats" in stages:
+        _wilson_z(config.confidence_level)
 
     spec = load_study_spec(config.spec_path)
     manifest: dict = {

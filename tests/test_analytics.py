@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from cibpath.analytics import (
@@ -12,12 +13,14 @@ from cibpath.analytics import (
     CandidateSet,
     ScreeningConfig,
     _medoids,
+    _ndtri,
+    _wilson_z,
     screen_candidates,
     select_candidates,
     state_share_series,
     wilson_interval,
 )
-from cibpath.errors import EmptyInputError, InsufficientCandidatesError
+from cibpath.errors import ConfigError, EmptyInputError, InsufficientCandidatesError
 from cibpath.model import parse_study_spec
 from cibpath.simulate import Pathway
 
@@ -66,6 +69,52 @@ class TestWilson:
     def test_empty_guard(self):
         with pytest.raises(EmptyInputError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("level", [1.5, -0.2, math.nan, 0.0, 1.0, math.inf])
+    def test_level_outside_the_open_unit_interval_is_refused(self, level):
+        with pytest.raises(ConfigError):
+            wilson_interval(30, 100, level)
+
+    def test_z_equals_scipy_norm_ppf(self):
+        levels = [*np.linspace(1e-6, 1 - 1e-9, 10_001).tolist(), 0.8, 0.9, 0.95, 0.99, 0.999]
+        for level in levels:
+            assert _wilson_z(level) == float(norm.ppf(0.5 + level / 2)), level
+
+
+def _float_neighbours(x: float, n: int = 64) -> np.ndarray:
+    """The n floats below a positive x, x itself and the n above it."""
+    bits = np.array([x]).view(np.int64) + np.arange(-n, n + 1)
+    return bits.view(np.float64)
+
+
+class TestNdtri:
+    """The port of Cephes ndtri against scipy.special.ndtri, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise_equal(ps):
+        ps = np.asarray(ps, dtype=np.float64)
+        got = np.array([_ndtri(p) for p in ps.tolist()])
+        np.testing.assert_array_equal(got.view(np.int64), ndtri(ps).view(np.int64))
+
+    def test_dense_grid(self):
+        rng = np.random.default_rng(20260)
+        self.assert_bitwise_equal(np.linspace(0.0, 1.0, 100_001))
+        self.assert_bitwise_equal(rng.random(50_000))
+
+    def test_both_sides_of_the_branch_points(self):
+        exp_m2 = math.exp(-2)
+        for point in (exp_m2, 0.13533528323661269189, 1 - exp_m2, 0.5):
+            self.assert_bitwise_equal(_float_neighbours(point))
+
+    def test_tails(self):
+        # below exp(-32) the x >= 8 polynomials run; 1 - p mirrors the tail
+        self.assert_bitwise_equal(_float_neighbours(math.exp(-32)))
+        self.assert_bitwise_equal(np.logspace(-300, -14, 20_001))
+        self.assert_bitwise_equal([5e-324, 1e-310, 2.2250738585072014e-308])
+        self.assert_bitwise_equal(1 - np.logspace(-16, -1, 20_001))
+
+    def test_ends_are_infinite(self):
+        assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
 
 
 class TestShares:

@@ -2,6 +2,8 @@ import hashlib
 import importlib.resources
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -369,6 +371,10 @@ def small_run(tmp_path_factory):
         "output_dir": str(root / "k1_out"),
     }))
     (root / "bad_value_pipeline.json").write_text(json.dumps({"spec": spec, "run_count": "many"}))
+    (root / "level0_pipeline.json").write_text(json.dumps({
+        "spec": spec, "run_count": 50, "confidence_level": 0,
+        "stages": ["validate", "simulate", "stats"], "output_dir": str(root / "level0_out"),
+    }))
     (root / "missing_input_pipeline.json").write_text(json.dumps({
         "spec": spec, "stages": ["quantify"], "selected_pathway": "C1",
         "translation": str(root / "missing.json"), "output_dir": str(root / "out"),
@@ -490,6 +496,10 @@ FAILURES = [
      None, 3, "ConfigError"),
     ("pipeline-run-count-not-int", lambda f: ["pipeline", "--config", f["bad_value_pipeline"]],
      None, 3, "ConfigError"),
+    ("stats-level-above-one", lambda f: [*_stats(f, "spec", "ensemble"), "--level", "1.5"],
+     None, 3, "ConfigError"),
+    ("pipeline-confidence-level-zero",
+     lambda f: ["pipeline", "--config", f["level0_pipeline"]], None, 3, "ConfigError"),
     ("stage-input-file-missing",
      lambda f: ["pipeline", "--config", f["missing_input_pipeline"]], None, 3, "FileNotFoundError"),
     ("too-few-candidates", lambda f: _screen(f, "500"), None, 2, "InsufficientCandidatesError"),
@@ -505,6 +515,30 @@ def test_failure_exit_code_and_json_error_line(small_run, argv, env, code, error
     (line,) = result.stderr.splitlines()
     report = json.loads(line)
     assert report["error"] == error and report["message"]
+
+
+def test_bad_confidence_level_stops_the_pipeline_before_any_stage(small_run):
+    config = small_run["level0_pipeline"]
+    result = invoke(CliRunner(), "pipeline", "--config", config)
+    assert result.exit_code == 3, result.output
+    assert not os.path.exists(os.path.join(os.path.dirname(config), "level0_out"))
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy is a test-only dependency: start-up must not import it."""
+    import cibpath
+
+    src = os.path.dirname(os.path.dirname(cibpath.__file__))
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    code = (
+        "import sys, cibpath, cibpath.cli, cibpath.pipeline\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("stem", [*MISFITS, *RECORD_MISFITS])

@@ -17,7 +17,7 @@ from cibpath.quantify import (
 @given(
     n=st.integers(min_value=1, max_value=10_000),
     data=st.data(),
-    level=st.floats(min_value=0.5, max_value=0.999),
+    level=st.floats(min_value=1e-6, max_value=1 - 1e-9),
 )
 def test_wilson_bounds_bracket_the_proportion(n, data, level):
     s = data.draw(st.integers(min_value=0, max_value=n))
