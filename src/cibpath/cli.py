@@ -177,7 +177,7 @@ def stats(spec_path, out_dir, level, ensemble_path):
 def screen(spec_path, out_dir, ensemble_path, config_path, k):
     """Screen pathways for plausibility and select the candidate set."""
     spec, ensemble = _spec_and_ensemble(spec_path, ensemble_path)
-    _echo(screen_stage(ensemble, spec, read_json(config_path), k, out_dir))
+    _echo(screen_stage(ensemble, spec, read_json(config_path), k, out_dir)[0])
 
 
 @main.command()

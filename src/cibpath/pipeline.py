@@ -274,10 +274,11 @@ def stats_stage(
 def screen_stage(
     ensemble: EnsembleResult, spec: StudySpec, screening: dict, candidate_count: int,
     out_dir: str,
-) -> list[str]:
-    """candidates.json. The best outcome state is a state label or index of
-    the outcome descriptor, its last state when the config gives none; any
-    other value raises ConfigError."""
+) -> tuple[list[str], dict[str, Pathway]]:
+    """candidates.json, plus the selected pathways by candidate id for a
+    later stage to reuse. The best outcome state is a state label or index
+    of the outcome descriptor, its last state when the config gives none;
+    any other value raises ConfigError."""
     scfg = screening_config_from(screening)
     outcome = spec.descriptor(scfg.outcome_descriptor)
     try:
@@ -310,7 +311,23 @@ def screen_stage(
     }
     path = _artifact(out_dir, "candidates.json")
     _dump_json(doc, path, compact=True)  # thousands of rejected rows
-    return [path]
+    return [path], {f"C{i + 1}": c.pathway for i, c in enumerate(selected.candidates)}
+
+
+def read_candidates(path: str) -> dict[str, Pathway]:
+    """The candidate pathways of a candidates.json, by id."""
+    doc = read_json(path)
+    try:
+        entries = doc["candidates"]
+    except (KeyError, TypeError) as e:
+        raise schema_error(path, e)
+    pathways = {}
+    for i, c in enumerate(entries):
+        try:
+            pathways[c["id"]] = Pathway.from_doc(c, f"{path}: candidates[{i}]")
+        except (KeyError, TypeError) as e:
+            raise schema_error(f"{path}: candidates[{i}]", e)
+    return pathways
 
 
 def mcda_stage(inp: McdaInput, out_dir: str) -> tuple[list[str], McdaRanking]:
@@ -326,20 +343,13 @@ def quantify_stage(
     spec: StudySpec, candidates_path: str, pathway_id: str, translation_path: str,
     out_dir: str, ranges: Optional[dict] = None, identities_path: Optional[str] = None,
     extremes: Optional[dict] = None, ensemble: Optional[EnsembleResult] = None,
+    pathways: Optional[dict[str, Pathway]] = None,
 ) -> list[str]:
-    """quantified.csv and quantified.json for one candidate pathway; extreme
-    scenarios are drawn from the ensemble."""
-    doc = read_json(candidates_path)
-    try:
-        entries = doc["candidates"]
-    except (KeyError, TypeError) as e:
-        raise schema_error(candidates_path, e)
-    pathways = {}
-    for i, c in enumerate(entries):
-        try:
-            pathways[c["id"]] = Pathway.from_doc(c, f"{candidates_path}: candidates[{i}]")
-        except (KeyError, TypeError) as e:
-            raise schema_error(f"{candidates_path}: candidates[{i}]", e)
+    """quantified.csv and quantified.json for one candidate pathway, taken
+    from pathways (screen_stage's) when given, else read from
+    candidates_path; extreme scenarios are drawn from the ensemble."""
+    if pathways is None:
+        pathways = read_candidates(candidates_path)
     if pathway_id not in pathways:
         raise ConfigError(f"pathway {pathway_id!r} not in {candidates_path}")
     dims, matrix = load_translation_file(translation_path, spec)
@@ -433,10 +443,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
         record("simulate", paths)
     if "stats" in stages:
         record("stats", stats_stage(need_ensemble(), spec, config.confidence_level, out))
+    pathways: Optional[dict[str, Pathway]] = None  # the candidates, when screened here
     if "screen" in stages:
-        record("screen", screen_stage(
+        paths, pathways = screen_stage(
             need_ensemble(), spec, config.screening, config.candidate_count, out
-        ))
+        )
+        record("screen", paths)
     selected_id = config.selected_pathway
     if "mcda" in stages:
         paths, ranking = mcda_stage(load_mcda_input(config.mcda_input_path), out)
@@ -447,7 +459,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         record("quantify", quantify_stage(
             spec, os.path.join(out, "candidates.json"), selected_id,
             config.translation_path, out, config.ranges, config.identities_path,
-            config.extremes, need_ensemble() if config.extremes else None,
+            config.extremes, need_ensemble() if config.extremes else None, pathways,
         ))
 
     _dump_json(manifest, _artifact(out, "manifest.json"))

@@ -26,7 +26,7 @@ from .engine import Scenario, check_consistency, checked_kernel
 from .errors import ConfigError, InfeasibilityError, ParseError
 from .model import CyclicParams, StructuralShockConfig, StudySpec
 from .uncertainty import (
-    RandomSource, apply_structural_shock, ar1_step, check_persistence, draw_factor, draw_raw,
+    RandomSource, apply_structural_shock, ar1_step, check_persistence, draw_factor, filler,
     perturbed, sampled_scores,
 )
 
@@ -39,9 +39,12 @@ DEFAULT_MAX_ITER = 100
 #: The purposes of a period's sub-streams, the last part of their names.
 PURPOSES = ("cim", "structural", "cyclic", "dynamic")
 
-#: Runs whose sub-streams one StreamBlock derives; its seed table then
-#: takes 32 bytes x BLOCK_RUNS x periods x len(PURPOSES).
+#: Runs whose sub-streams one StreamBlock derives; its table of PCG64
+#: states then takes 32 bytes x BLOCK_RUNS x periods x len(PURPOSES).
 BLOCK_RUNS = 256
+
+#: Samples whose sub-streams robustness_fraction derives in one StreamBlock.
+ROBUSTNESS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,27 @@ def transition_cyclic_state(
     return current
 
 
+def _cyclic_moves(moves, prior: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """transition_cyclic_state on every row of prior (runs, cyclic
+    descriptors) at once: descriptor j moves under moves[j], a (params,
+    state count) pair, in order, and each row takes its draws of random()
+    from its row of uniforms in order, as the function takes them from one
+    stream: one for a stay, two for a move."""
+    current = prior.astype(np.int64)
+    rows = np.arange(len(current))
+    drawn = np.zeros(len(current), np.int64)
+    for j, (params, count) in enumerate(moves):
+        r = uniforms[rows, drawn]
+        stay = r < params.stay
+        steps = np.where(r < params.stay + params.step, 1, 2)
+        up = uniforms[rows, drawn + 1] < (1.0 + params.drift) / 2.0
+        target = current[:, j] + np.where(up, steps, -steps)
+        move = ~stay & (target >= 0) & (target < count)
+        current[move, j] = target[move]
+        drawn += np.where(stay, 1, 2)
+    return current
+
+
 class BlockResult(NamedTuple):
     """A block's runs as arrays, in run order. Run b recorded the first
     lengths[b] periods; errors[b] is its InfeasibilityError text or None."""
@@ -196,17 +220,20 @@ def _simulate_block(
     per_run policy, the one drawn from the first period's "cim" stream), one
     AR(1) step and succession with the cyclic descriptors locked.
 
-    Per run this only requests sub-streams, draws into the run's buffer row
-    and moves the cyclic descriptors, so each stream gives the same draws in
-    the same order as one run at a time. The sigma scaling, the add, clip
-    and zero of the matrices and the AR(1) update are elementwise, so doing
-    them once per block and period gives the same floats.
+    Per run this only sets each drawn stream's state on its purpose's
+    Generator and fills the run's buffer row, so each stream gives the same
+    draws in the same order as one run at a time. The cyclic moves take
+    their uniforms from StreamBlock.uniforms and run on arrays
+    (_cyclic_moves). The sigma scaling, the add, clip and zero of the
+    matrices and the AR(1) update are elementwise, so doing them once per
+    block and period gives the same floats.
     """
     grid, kernel, cim = spec.time_grid, spec.kernel, spec.cim
     sampling = spec.uncertainty.sampling_distribution
     per_run = spec.uncertainty.resample == "per_run"
     structural, dynamic = spec.shocks.structural, spec.shocks.dynamic
     streams = source.block(runs, grid, PURPOSES)
+    run_stride, period_stride, _ = streams.strides
     n, periods = len(runs), len(grid)
     states = np.zeros((n, periods, len(kernel.ids)), np.int8)
     states[:, 0] = spec.baseline
@@ -216,40 +243,43 @@ def _simulate_block(
     lengths = np.full(n, periods)
     errors: list[Optional[str]] = [None] * n
 
+    def draw(purpose, distribution, rows, p, members):
+        """Fill rows[b] from run b's purpose stream at period index p, for
+        each b in members."""
+        rng, set_state = streams.generator(purpose), streams.set_state
+        fill, bit_generator = filler(rng, distribution), rng.bit_generator
+        first = p * period_stride + PURPOSES.index(purpose)
+        for b in members:
+            set_state(bit_generator, first + b * run_stride)
+            fill(rows[b])
+
     noise = np.zeros((n,) + cim.scores.shape)
     shock = np.zeros_like(noise)
     eta = np.zeros(noise.shape[:3])
     innovation = np.zeros_like(eta)
-    draws = [] if per_run else [("cim", sampling, noise)]  # (purpose, distribution, rows)
+    draws = [] if per_run else [("cim", sampling, list(noise))]  # (purpose, distribution, rows)
     if structural.enabled:
-        draws.append(("structural", structural.distribution, shock))
+        draws.append(("structural", structural.distribution, list(shock)))
     if dynamic.enabled:
-        draws.append(("dynamic", dynamic.distribution, innovation))
+        draws.append(("dynamic", dynamic.distribution, list(innovation)))
     cyclic = list(spec.cyclic_indices)
     moves = [(spec.descriptors[j].cyclic_params, spec.state_counts[j]) for j in cyclic]
     if per_run:
-        for b, run in enumerate(runs):
-            draw_raw(streams.substream(run, grid[0], "cim"), sampling, noise[b])
+        draw("cim", sampling, list(noise), 0, range(n))
         sampled = sampled_scores(spec, noise, grid[0])
 
     alive = np.arange(n)
     for p in range(1, periods):
         if not alive.size:
             break
+        members = alive.tolist()
+        for purpose, distribution, rows in draws:
+            draw(purpose, distribution, rows, p, members)
         start = states[:, p - 1].copy()
-        prior = start[:, cyclic].tolist()
-        moved = []
-        for b in alive.tolist():
-            for purpose, distribution, rows in draws:
-                draw_raw(streams.substream(runs[b], grid[p], purpose), distribution, rows[b])
-            if cyclic:
-                rng = streams.substream(runs[b], grid[p], "cyclic")
-                moved.append([
-                    transition_cyclic_state(params, state, count, rng)
-                    for (params, count), state in zip(moves, prior[b])
-                ])
         if cyclic:
-            start[alive[:, None], cyclic] = moved
+            at = alive * run_stride + (p * period_stride + PURPOSES.index("cyclic"))
+            uniforms = streams.uniforms(at, 2 * len(cyclic))
+            start[alive[:, None], cyclic] = _cyclic_moves(moves, start[alive][:, cyclic], uniforms)
         scores = sampled if per_run else sampled_scores(spec, noise, grid[p])
         if structural.enabled:
             shock *= draw_factor(structural.distribution, structural.scale)
@@ -283,8 +313,10 @@ def _settle(spec, scores, eta, start, runs, max_iter):
     """
     kernel = spec.kernel
     counts = np.array(kernel.state_counts)
-    locked = np.isin(np.arange(len(counts)), spec.cyclic_indices)
+    locked = np.zeros(len(counts), bool)
+    locked[list(spec.cyclic_indices)] = True
     padded = np.arange(scores.shape[2]) >= counts[:, None]
+    padded = padded if padded.any() else None
     # A 64-bit code word holds descriptors while their state counts' product fits.
     word, place = [0], [1]
     for prev, count in zip(kernel.state_counts, kernel.state_counts[1:]):
@@ -304,17 +336,21 @@ def _settle(spec, scores, eta, start, runs, max_iter):
         nxt, failed = _succession_step(kernel, scores, eta, runs[at], current, locked, padded)
         code = nxt @ weights
         seen = (history[:, :t] == code[:, None]).all(2)
-        live = failed < 0
-        stuck[at[~live]] = failed[~live]
-        ends = seen.any(1) & live
-        first = seen[ends].argmax(1)
-        length = t - first
-        member = history[ends, first + (max_iter - first) % length]
-        done = at[ends]
-        final[done] = member[:, word] // place % counts
-        converged[done] = length == 1
-        iterations[done] = np.where(length == 1, first, max_iter)
-        going = live & ~ends
+        ends = seen.any(1)
+        going = ~ends
+        if failed is not None:
+            live = failed < 0
+            stuck[at[~live]] = failed[~live]
+            ends &= live
+            going &= live
+        if ends.any():
+            first = seen[ends].argmax(1)
+            length = t - first
+            member = history[ends, first + (max_iter - first) % length]
+            done = at[ends]
+            final[done] = member[:, word] // place % counts
+            converged[done] = length == 1
+            iterations[done] = np.where(length == 1, first, max_iter)
         if t == max_iter:
             final[at[going]] = nxt[going]
             break
@@ -330,9 +366,12 @@ def _settle(spec, scores, eta, start, runs, max_iter):
 
 def _succession_step(kernel, scores, eta, runs, current, locked, padded):
     """succession_step on each row of current, scored under scores[runs]
-    plus eta[runs]; returns the next states and the first unlocked
-    descriptor without a feasible state, or -1. Summing the source rows in
-    order is what rows.sum(axis=0) does, so the scores are the same floats.
+    plus eta[runs]; returns the next states and, when some row has an
+    unlocked descriptor without a feasible state, the first such descriptor
+    per row (-1 for the others), else None. padded masks the (descriptor,
+    state) slots past each descriptor's states, or is None when there are
+    none. Summing the source rows in order is what rows.sum(axis=0) does,
+    so the scores are the same floats.
     """
     rows = scores[runs[:, None], kernel.sources, current]
     for conditions, (src, src_state, tgt, tgt_state, delta) in kernel.thresholds:
@@ -344,18 +383,28 @@ def _succession_step(kernel, scores, eta, runs, current, locked, padded):
     for i in range(1, rows.shape[1]):
         theta += rows[:, i]
     theta += eta[runs]
-    blocked = np.repeat(padded[None], len(current), 0)
+    if padded is not None:
+        theta[:, padded] = -np.inf
     for j, forbidden in enumerate(kernel.blocks):
         for state, other, other_state in forbidden:
-            blocked[:, j, state] |= current[:, other] == other_state
-    theta[blocked] = -np.inf
-    best = theta.max(2)
+            theta[current[:, other] == other_state, j, state] = -np.inf
+    # theta.max(2) and theta.argmax(2), the first state at the maximum, as
+    # one elementwise pass per state: a reduction over a short last axis
+    # costs more.
+    best, chosen = theta[..., 0].copy(), np.zeros(theta.shape[:2], np.int8)
+    for state in range(1, theta.shape[2]):
+        column = theta[..., state]
+        np.copyto(chosen, state, where=column > best)
+        np.maximum(best, column, out=best)
     keep = theta[np.arange(len(current))[:, None], kernel.sources, current] == best
-    nxt = np.where(keep | locked, current, theta.argmax(2)).astype(np.int8)
+    nxt = np.where(keep | locked, current, chosen)
     for a, a_state, c, c_state in kernel.implications:
         if not locked[c]:
             nxt[nxt[:, a] == a_state, c] = c_state
-    dead = (best == -np.inf) & ~locked
+    dead = best == -np.inf
+    dead &= ~locked
+    if not dead.any():
+        return nxt, None
     return nxt, np.where(dead.any(1), dead.argmax(1), -1)
 
 
@@ -425,14 +474,16 @@ def robustness_fraction(
     estimates) under which the scenario stays consistent."""
     if sample_count < 1:
         raise ConfigError(f"sample_count must be >= 1 (got {sample_count})")
-    streams = RandomSource(master_seed).block(("robustness",), range(sample_count))
-    hits = 0
-    for s in range(sample_count):
-        shocked = apply_structural_shock(
-            spec.cim, streams.substream("robustness", s), shock_config
-        )
-        if check_consistency(spec, shocked, scenario).consistent:
-            hits += 1
+    source, hits = RandomSource(master_seed), 0
+    for first in range(0, sample_count, ROBUSTNESS_CHUNK):  # memory bounded by the chunk
+        samples = range(first, min(first + ROBUSTNESS_CHUNK, sample_count))
+        streams = source.block(("robustness",), samples)
+        for s in samples:
+            shocked = apply_structural_shock(
+                spec.cim, streams.substream("robustness", s), shock_config
+            )
+            if check_consistency(spec, shocked, scenario).consistent:
+                hits += 1
     return hits / sample_count
 
 

@@ -12,7 +12,7 @@ import zlib
 from dataclasses import dataclass, replace
 from itertools import product
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .model import (
 
 _SEED_MASK = (1 << 64) - 1
 _WORD_MASK = (1 << 32) - 1
-_STATE_MASK = (1 << 128) - 1
 
 # numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
 # multiplier; StreamBlock repeats both algorithms on arrays.
@@ -42,6 +41,14 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# uint64 constants of the limb arithmetic: the multiplier's high word, its
+# low word and that word's 32-bit halves, and what next_double scales by.
+_M_HI, _M_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _SEED_MASK)
+_M_LO0, _M_LO1 = np.uint64(_PCG64_MULT & _WORD_MASK), np.uint64(_PCG64_MULT >> 32 & _WORD_MASK)
+_LOW32 = np.uint64(_WORD_MASK)
+_1, _11, _32, _58, _63 = map(np.uint64, (1, 11, 32, 58, 63))
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
 
 StreamPart = Union[int, str]
 
@@ -90,28 +97,32 @@ class RandomSource:
 class StreamBlock:
     """Many sub-streams of one master seed, derived in one vectorised pass.
 
-    The block covers every parts tuple that takes one part from each axis;
-    ``substream(*parts)`` gives the same draws as
-    ``RandomSource(master_seed).substream(*parts)``. numpy's SeedSequence
-    mixing and ``generate_state(4, uint64)`` run as uint32 array operations
-    over all combinations at once, and only the four seed words per stream
-    are kept. A request then seeds PCG64 with Python ints (state = 0,
-    inc = (seq << 1) | 1, step, state += seed, step) and sets that state on
-    a Generator reused for every request with the same parts on the axes
-    that hold only str parts (its purpose): a returned stream stays valid
-    until the next request for the same purpose.
+    The block covers every parts tuple that takes one part from each axis,
+    at the flat index ``index(*parts)`` (row-major over the axes, so part i
+    of axis k adds i * strides[k]); ``substream(*parts)`` gives the same
+    draws as ``RandomSource(master_seed).substream(*parts)``. numpy's
+    SeedSequence mixing and ``generate_state(4, uint64)`` run as uint32
+    array operations over all combinations at once, and PCG64's seeding
+    (inc = (seq << 1) | 1, state = ((seed + inc) * M + inc) mod 2**128) as
+    uint64 limb arithmetic on the same table, which then holds each stream's
+    (state, inc). A request only sets a stream's state on a Generator; the
+    first draws of random() can also be computed for many streams at once
+    (uniforms). substream reuses one Generator for every request with the
+    same parts on the axes that hold only str parts (its purpose): a
+    returned stream stays valid until the next request for the same purpose.
     """
 
     def __init__(self, master_seed: int, axes: Sequence[Sequence[StreamPart]]):
         # Per axis, each part's offset in the row-major order of the streams.
-        stride = np.cumprod([1] + [len(axis) for axis in axes[:0:-1]])[::-1].tolist()
-        self._index = [{p: i * s for i, p in enumerate(axis)} for axis, s in zip(axes, stride)]
+        strides = np.cumprod([1] + [len(axis) for axis in axes[:0:-1]])[::-1].tolist()
+        self._index = [{p: i * s for i, p in enumerate(axis)} for axis, s in zip(axes, strides)]
+        self.strides = tuple(strides)
         # A request's purpose: its parts on the axes that hold only str parts.
         labels = [k for k, axis in enumerate(axes) if all(isinstance(p, str) for p in axis)]
         self._purpose = itemgetter(*labels) if labels else (lambda parts: None)
         self._generators: dict = {}
         shape = tuple(len(axis) for axis in axes)
-        seeds = np.zeros(shape + (4,), dtype=np.uint64)
+        table = np.zeros(shape + (4,), dtype=np.uint64)
         seed = [np.full((1,) * len(axes), w, dtype=np.uint32)
                 for w in _words(master_seed & _SEED_MASK)]
         # Parts whose encodings have the same word count share one layout of
@@ -134,31 +145,89 @@ class StreamBlock:
         for combo in product(*groups):
             words = seed + [column for _, columns in combo for column in columns]
             at = np.ix_(*(positions for positions, _ in combo))
-            seeds[at] = _seed_words(_mix_entropy(words))
-        self._rows = seeds.reshape(-1, 4).tolist()
+            table[at] = _seed_words(_mix_entropy(words))
+        self._table = table.reshape(-1, 4)
+        _pcg64_seed(self._table)
 
-    def substream(self, *parts) -> np.random.Generator:
-        """The stream named by parts, which must be in the block."""
+    def index(self, *parts) -> int:
+        """The flat index of the stream named by parts, which must be in the
+        block."""
         if len(parts) != len(self._index):
             raise KeyError(f"stream {parts!r} is not in this block")
         try:
-            at = sum(map(dict.__getitem__, self._index, parts))
+            return sum(map(dict.__getitem__, self._index, parts))
         except KeyError:
             raise KeyError(f"stream {parts!r} is not in this block") from None
-        seed_hi, seed_lo, seq_hi, seq_lo = self._rows[at]
-        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _STATE_MASK
-        state = ((((seed_hi << 64) | seed_lo) + inc) * _PCG64_MULT + inc) & _STATE_MASK
-        purpose = self._purpose(parts)
-        rng = self._generators.get(purpose)
+
+    def generator(self, key) -> np.random.Generator:
+        """The PCG64 Generator this block reuses for requests under key."""
+        rng = self._generators.get(key)
         if rng is None:
-            rng = self._generators[purpose] = np.random.Generator(np.random.PCG64(0))
-        rng.bit_generator.state = {
+            rng = self._generators[key] = np.random.Generator(np.random.PCG64(0))
+        return rng
+
+    def set_state(self, bit_generator: np.random.PCG64, at: int) -> None:
+        """Put bit_generator at the start of the stream at flat index at."""
+        state_hi, state_lo, inc_hi, inc_lo = self._table[at].tolist()
+        bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
+
+    def substream(self, *parts) -> np.random.Generator:
+        """The stream named by parts, which must be in the block."""
+        at = self.index(*parts)
+        rng = self.generator(self._purpose(parts))
+        self.set_state(rng.bit_generator, at)
         return rng
+
+    def uniforms(self, at: np.ndarray, count: int) -> np.ndarray:
+        """The first count draws of ``random()`` from each stream at the
+        flat indices at, as a (len(at), count) array: per draw one PCG64
+        step, its XSL-RR output x and numpy's next_double, (x >> 11) * 2**-53.
+        """
+        state_hi, state_lo, inc_hi, inc_lo = self._table[at].T
+        out = np.empty((len(state_hi), count))
+        for k in range(count):
+            state_hi, state_lo = _mul_add(state_hi, state_lo, inc_hi, inc_lo)
+            mixed = state_hi ^ state_lo
+            turn = state_hi >> _58
+            mixed = (mixed >> turn) | (mixed << (-turn & _63))
+            np.multiply(mixed >> _11, _DOUBLE_UNIT, out=out[:, k])
+        return out
+
+
+def _mul_add(x_hi, x_lo, a_hi, a_lo):
+    """(x * M + a) mod 2**128 for 128-bit values held as (high, low) uint64
+    limbs, with M the PCG64 multiplier; returns (high, low). x_lo * M_lo is
+    formed in full from 32-bit halves, and the cross terms only need their
+    low 64 bits, which uint64 products keep."""
+    x0, x1 = x_lo & _LOW32, x_lo >> _32
+    p00, p01, p10 = x0 * _M_LO0, x0 * _M_LO1, x1 * _M_LO0
+    mid = (p00 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    lo = (p00 & _LOW32) | (mid << _32)
+    hi = x1 * _M_LO1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    hi += x_hi * _M_LO + x_lo * _M_HI
+    total = lo + a_lo
+    hi += a_hi
+    hi += total < lo  # the carry of the low limbs
+    return hi, total
+
+
+def _pcg64_seed(table: np.ndarray) -> None:
+    """Turn rows (seed_hi, seed_lo, seq_hi, seq_lo) of generate_state(4,
+    uint64) words into PCG64's (state_hi, state_lo, inc_hi, inc_lo), in
+    place: inc = (seq << 1) | 1 and state = ((seed + inc) * M + inc), mod
+    2**128, as numpy's pcg64_set_seed makes them."""
+    seed_hi, seed_lo, seq_hi, seq_lo = table.T
+    inc_hi = (seq_hi << _1) | (seq_lo >> _63)
+    inc_lo = (seq_lo << _1) | _1
+    sum_lo = seed_lo + inc_lo
+    sum_hi = seed_hi + inc_hi + (sum_lo < seed_lo)
+    table[:, 0], table[:, 1] = _mul_add(sum_hi, sum_lo, inc_hi, inc_lo)
+    table[:, 2], table[:, 3] = inc_hi, inc_lo
 
 
 def _hash_keys(init: int, mult: int):
@@ -222,13 +291,22 @@ def draw_factor(distribution: Distribution, sd: float) -> float:
     return sd * math.sqrt((df - 2) / df)
 
 
-def draw_raw(rng: np.random.Generator, distribution: Distribution, out: np.ndarray) -> np.ndarray:
-    """Fill out, in C order, with unit draws: standard normal, or Student-t
-    with the distribution's df. Returns out."""
+def filler(rng: np.random.Generator, distribution: Distribution) -> Callable[[np.ndarray], None]:
+    """rng's fill method for the distribution's unit draws, bound once: it
+    fills an array, in C order, with standard normal draws, or Student-t
+    draws with the distribution's df."""
     if distribution.kind == "gaussian":
-        rng.standard_normal(out=out)
-    else:
-        out[...] = rng.standard_t(distribution.df, out.shape)
+        return lambda out: rng.standard_normal(out=out)
+    df = distribution.df
+
+    def fill(out: np.ndarray) -> None:
+        out[...] = rng.standard_t(df, out.shape)
+    return fill
+
+
+def draw_raw(rng: np.random.Generator, distribution: Distribution, out: np.ndarray) -> np.ndarray:
+    """Fill out with unit draws (see filler). Returns out."""
+    filler(rng, distribution)(out)
     return out
 
 

@@ -2,17 +2,19 @@ import dataclasses
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sim_reference as reference
 from cibpath import simulate
-from cibpath.engine import iterate_to_attractor
+from cibpath.engine import check_consistency, iterate_to_attractor
 from cibpath.errors import ConfigError, ParseError
 from cibpath.model import CyclicParams, StructuralShockConfig, Distribution, parse_study_spec
 from cibpath.simulate import (
     BLOCK_RUNS,
+    PURPOSES,
     RandomSource,
     ensemble_digest,
     load_ensemble,
@@ -23,6 +25,7 @@ from cibpath.simulate import (
     transition_cyclic_state,
     write_ensemble,
 )
+from cibpath.uncertainty import StreamBlock, apply_structural_shock
 
 from conftest import random_spec_document, two_desc_document
 
@@ -75,6 +78,43 @@ class TestCyclicTransition:
         params = CyclicParams(stay=0.0, step=0.0, step2=1.0, drift=1.0)
         rng = np.random.default_rng(3)
         assert transition_cyclic_state(params, 0, 3, rng) == 2
+
+    def test_array_moves_equal_sequential_transitions(self):
+        """_cyclic_moves on StreamBlock.uniforms against transition_cyclic_state
+        called descriptor by descriptor on each run's own cyclic stream."""
+        rng = random.Random(31)
+        seen = {"stay": 0, "blocked": 0, "up": 0, "down": 0, "two": 0, "three_cyclic": 0}
+        for case in range(300):
+            moves = []
+            for _ in range(rng.randint(1, 3)):
+                stay = rng.choice([0.0, 1.0, rng.random()])
+                step = rng.choice([0.0, rng.uniform(0.0, 1.0 - stay)])
+                drift = rng.choice([-1.0, 1.0, rng.uniform(-1, 1)])
+                params = CyclicParams(stay, step, 1.0 - stay - step, drift)
+                moves.append((params, rng.randint(1, 5)))
+            runs = range(rng.randrange(100), 100 + rng.randrange(40))
+            # each scale's edges and interior, for every run
+            prior = np.array([[rng.choice([0, count - 1, rng.randrange(count)])
+                               for _, count in moves] for _ in runs], np.int8)
+            source = RandomSource(rng.randrange(2**40))
+            block = source.block(runs, (2030,), PURPOSES)
+            at = np.array([block.index(run, 2030, "cyclic") for run in runs])
+            got = simulate._cyclic_moves(moves, prior, block.uniforms(at, 2 * len(moves)))
+            for b, run in enumerate(runs):
+                stream = source.substream(run, 2030, "cyclic")
+                want = [
+                    transition_cyclic_state(params, int(state), count, stream)
+                    for (params, count), state in zip(moves, prior[b])
+                ]
+                assert got[b].tolist() == want, (case, run)
+                for (params, count), old, new in zip(moves, prior[b], want):
+                    seen["stay"] += params.stay == 1.0
+                    seen["blocked"] += new == old and params.stay == 0.0
+                    seen["up"] += new > old
+                    seen["down"] += new < old
+                    seen["two"] += abs(new - old) == 2
+            seen["three_cyclic"] += len(moves) == 3
+        assert min(seen.values()) >= 30, seen
 
 
 class TestSimulateRun:
@@ -208,7 +248,7 @@ def random_lockstep_document(rng: random.Random, **size):
         return rng.choice(["gaussian", {"kind": "student_t", "df": rng.choice([3, 5, 30])}])
 
     for d in rng.sample(descriptors, rng.randint(0, min(2, len(descriptors) - 1))):
-        stay = rng.choice([0.0, 0.3, 0.7])
+        stay = rng.choice([0.0, 0.3, 0.7, 1.0])
         step = rng.uniform(0.0, 1.0 - stay)
         d.update(kind="cyclic", cyclic={
             "stay": stay, "step": step, "step2": 1.0 - stay - step,
@@ -268,7 +308,10 @@ class TestLockStepOracle:
         """600 random specs and blocks: the block kernel's records equal the
         reference per-run loop's, run for run."""
         rng = random.Random(20061)
-        seen = {"error": 0, "capped": 0, "per_run": 0, "cyclic": 0, "dynamic": 0, "rules": 0}
+        seen = {
+            "error": 0, "capped": 0, "per_run": 0, "cyclic": 0, "two_cyclic": 0, "dynamic": 0,
+            "rules": 0,
+        }
         for case in range(600):
             spec = parse_study_spec(random_lockstep_document(rng))
             max_iter = ORACLE_CAPS[case % len(ORACLE_CAPS)]
@@ -284,6 +327,7 @@ class TestLockStepOracle:
             seen["capped"] += any(not all(r.converged) for r in want)
             seen["per_run"] += spec.uncertainty.resample == "per_run"
             seen["cyclic"] += bool(spec.cyclic_indices)
+            seen["two_cyclic"] += len(spec.cyclic_indices) == 2
             seen["dynamic"] += spec.shocks.dynamic.enabled
             seen["rules"] += bool(spec.threshold_rules and spec.rules.implications)
         assert min(seen.values()) >= 30, seen
@@ -396,6 +440,25 @@ class TestEnsemble:
         with pytest.raises(ConfigError):
             simulate_ensemble(mini_spec, 10, 42, worker_count=0)
 
+    def test_stream_requests(self, monkeypatch, mini_spec):
+        """A 2000-run mini ensemble sets a generator state once per drawn
+        stream: runs x 5 periods x the cim, structural and dynamic streams.
+        The cyclic moves take their uniforms from the state table."""
+        purposes = []
+        set_state = StreamBlock.set_state
+
+        def counted(self, bit_generator, at):
+            purposes.append(PURPOSES[at % len(PURPOSES)])
+            set_state(self, bit_generator, at)
+
+        monkeypatch.setattr(StreamBlock, "set_state", counted)
+        ensemble = simulate_ensemble(mini_spec, 2000, 1)
+        assert not ensemble.errors and len(mini_spec.time_grid) == 6
+        assert len(purposes) == 30_000
+        assert {p: purposes.count(p) for p in set(purposes)} == {
+            "cim": 10_000, "structural": 10_000, "dynamic": 10_000,
+        }
+
     def test_degenerate_ensemble_is_constant(self):
         spec = parse_study_spec(degenerate_document())
         ens = simulate_ensemble(spec, 50, 123)
@@ -428,6 +491,43 @@ class TestRobustness:
         a = robustness_fraction(fixture_spec, (0, 0), cfg, 500, 5)
         b = robustness_fraction(fixture_spec, (0, 0), cfg, 500, 5)
         assert a == b
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
+    def test_chunks_equal_the_reference_streams(self, monkeypatch, mini_spec, count):
+        monkeypatch.setattr(simulate, "ROBUSTNESS_CHUNK", 64)
+        cfg = StructuralShockConfig(True, 1.0, Distribution("gaussian"))
+        source, scenario = RandomSource(8), mini_spec.baseline
+        hits = sum(
+            check_consistency(
+                mini_spec, apply_structural_shock(
+                    mini_spec.cim, source.substream("robustness", s), cfg
+                ), scenario,
+            ).consistent
+            for s in range(count)
+        )
+        assert robustness_fraction(mini_spec, scenario, cfg, count, 8) == hits / count
+        if count == 200:
+            assert 0 < hits < count
+
+    def test_peak_memory_is_bounded_by_the_chunk(self, monkeypatch, fixture_spec):
+        """Streams are derived a chunk at a time, so the peak does not grow
+        with the sample count; one block of 16 chunks' streams peaks higher."""
+        monkeypatch.setattr(simulate, "ROBUSTNESS_CHUNK", 256)
+        cfg = StructuralShockConfig(True, 0.3, Distribution("gaussian"))
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two = peak(lambda: robustness_fraction(fixture_spec, (0, 0), cfg, 2 * 256, 4))
+        sixteen = peak(lambda: robustness_fraction(fixture_spec, (0, 0), cfg, 16 * 256, 4))
+        one_block = peak(lambda: RandomSource(4).block(("robustness",), range(16 * 256)))
+        assert sixteen < 1.25 * two, (two, sixteen)
+        assert sixteen < one_block / 2, (sixteen, one_block)
 
 
 class TestEnsembleIo:

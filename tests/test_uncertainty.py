@@ -78,6 +78,32 @@ class TestStreamBlock:
             )
         assert len(cases) * len(self.SEEDS) >= 1000
 
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_flat_index_requests_equal_the_reference(self, master_seed):
+        """index is row-major over the axes, set_state puts a Generator at
+        the stream's precomputed PCG64 state, and uniforms gives each
+        stream's first k draws of random(), for k = 1..6."""
+        source = RandomSource(master_seed)
+        block = source.block(self.RUNS, self.PERIODS, PURPOSES)
+        cases = list(product(self.RUNS, self.PERIODS, PURPOSES))
+        every = np.arange(len(cases))
+        uniforms = {k: block.uniforms(every, k) for k in range(1, 7)}
+        rng = np.random.Generator(np.random.PCG64(0))
+        for at, parts in enumerate(cases):
+            assert block.index(*parts) == at
+            block.set_state(rng.bit_generator, at)
+            same_stream(rng, source.substream(*parts))
+            for k, drawn in uniforms.items():
+                assert np.array_equal(drawn[at], source.substream(*parts).random(k)), (parts, k)
+        picked = every[::-7]  # any subset, in any order
+        assert np.array_equal(block.uniforms(picked, 6), uniforms[6][picked])
+
+    def test_generators_are_reused_per_key(self):
+        block = RandomSource(3).block((0, 1), (2030,), PURPOSES)
+        assert block.generator("cim") is block.generator("cim")
+        assert block.generator("cim") is not block.generator("dynamic")
+        assert block.substream(1, 2030, "cim") is block.generator("cim")
+
     def test_leading_str_axis_equals_the_reference(self):
         source = RandomSource(9)
         block = source.block(("robustness",), range(300))
@@ -97,6 +123,8 @@ class TestStreamBlock:
             block.substream(4, 2030, "cim")
         with pytest.raises(KeyError):
             block.substream(0, 2030)
+        with pytest.raises(KeyError):
+            block.index(0, 2035, "cim")
 
     def test_rejects_float_parts(self):
         with pytest.raises(TypeError):
