@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -120,12 +120,56 @@ def read_json(path: str):
         return json.load(fh)
 
 
-def _dump_json(doc, path: str, compact: bool = False) -> None:
-    """Indented, or on one line; only json.dumps without indent uses the C
-    encoder, which for a large doc is ten times faster."""
-    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+def _dump_json(doc, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, **layout) + "\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _compact(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+#: Rows that _json_rows renders, and screen_stage writes, at a time.
+ROW_CHUNK = 4096
+
+
+def _cells(texts: list[str]) -> np.ndarray:
+    """Each text right-aligned in NUL-padded cells of one common width, a
+    multiple of 4 bytes, as one row of uint32 words per text."""
+    width = -(-max(map(len, texts), default=0) // 4)
+    padded = b"".join(text.encode().rjust(4 * width, b"\0") for text in texts)
+    return np.frombuffer(padded, np.uint32).reshape(len(texts), width)
+
+
+#: "<state>," for each int8 state 0..127 in one word, and the word "]"
+_STATE_CELLS = _cells([f"{s}," for s in range(128)]).ravel()
+_ROW_END = _cells(["]"])[0, 0]
+
+
+def _json_rows(labels: list, states: np.ndarray) -> Iterator[bytes]:
+    """The [label, flat states] pairs of labels and states (states 0..127),
+    comma-separated as _compact writes them, ROW_CHUNK rows at a time.
+
+    A row is laid out in NUL-padded words: its label's head, one
+    _STATE_CELLS word per state, then _ROW_END. A chunk is thus one uint32
+    array built by indexing, whose padding one bytes.translate deletes (json
+    text holds no NUL byte); no Python list is made per row.
+    """
+    flat = flat_rows(states)
+    n, width = flat.shape
+    index = {name: i for i, name in enumerate(dict.fromkeys(labels))}
+    heads = _cells([f",[{json.dumps(name)},[" for name in index])
+    codes = np.fromiter(map(index.__getitem__, labels), np.intp, n)
+    h = heads.shape[1]
+    for start in range(0, n, ROW_CHUNK):
+        stop = min(start + ROW_CHUNK, n)
+        words = np.empty((stop - start, h + width + 1), np.uint32)
+        words[:, :h] = heads[codes[start:stop]]
+        words[:, h:-1] = _STATE_CELLS.take(flat[start:stop])
+        words[:, -1] = _ROW_END
+        words.view(np.uint8)[:, 4 * (h + width) - 1] = ord("]")  # the last state's comma
+        text = words.tobytes().translate(None, b"\0")
+        yield text[1:] if start == 0 else text  # no comma before the first row
 
 
 def _dump_csv(rows: list[dict], fieldnames: list[str], path: str) -> None:
@@ -291,31 +335,35 @@ def screen_stage(
     screened = screen_candidates(ensemble, spec, scfg)
     selected = select_candidates(screened, candidate_count, (outcome.id, best_state), spec)
     rejected = selected.rejected
-    flat = flat_rows(rejected.states).tolist()
-    doc = {
-        "candidates": [
-            {
-                "id": f"C{i + 1}",
-                "rationale": c.rationale,
-                "terminal_frequency": c.terminal_frequency,
-                **c.pathway.to_doc(),
-            }
-            for i, c in enumerate(selected.candidates)
-        ],
-        "rejected": {  # the time grid once, then one [reason, flat states] row each
-            "counts": {reason: rejected.labels.count(reason) for reason in REASONS},
-            "periods": list(rejected.periods),
-            "rows": list(zip(rejected.labels, flat)),
-        },
-        "warnings": list(selected.warnings),
-    }
+    candidates = [
+        {
+            "id": f"C{i + 1}",
+            "rationale": c.rationale,
+            "terminal_frequency": c.terminal_frequency,
+            **c.pathway.to_doc(),
+        }
+        for i, c in enumerate(selected.candidates)
+    ]
+    counts = {reason: rejected.labels.count(reason) for reason in REASONS}
+    # _compact of {"candidates", "rejected": {"counts", "periods", "rows"},
+    # "warnings"}, keys in sorted order; rows holds one [reason, flat states]
+    # pair per rejected pathway, thousands of them, rendered from the array
+    head = (
+        '{"candidates":' + _compact(candidates) + ',"rejected":{"counts":' + _compact(counts)
+        + ',"periods":' + _compact(list(rejected.periods)) + ',"rows":['
+    )
     path = _artifact(out_dir, "candidates.json")
-    _dump_json(doc, path, compact=True)  # thousands of rejected rows
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        fh.writelines(_json_rows(rejected.labels, rejected.states))
+        fh.write((']},"warnings":' + _compact(list(selected.warnings)) + "}\n").encode())
     return [path], {f"C{i + 1}": c.pathway for i, c in enumerate(selected.candidates)}
 
 
-def read_candidates(path: str) -> dict[str, Pathway]:
-    """The candidate pathways of a candidates.json, by id."""
+def read_candidates(path: str, spec: StudySpec) -> dict[str, Pathway]:
+    """The candidate pathways of a candidates.json, by id. Each must cover
+    the spec's time grid with one state of each descriptor per period; one
+    that does not raises ParseError naming candidates[i]."""
     doc = read_json(path)
     try:
         entries = doc["candidates"]
@@ -323,10 +371,29 @@ def read_candidates(path: str) -> dict[str, Pathway]:
         raise schema_error(path, e)
     pathways = {}
     for i, c in enumerate(entries):
+        node = f"{path}: candidates[{i}]"
         try:
-            pathways[c["id"]] = Pathway.from_doc(c, f"{path}: candidates[{i}]")
+            pathway = Pathway.from_doc(c, node)
+            pathways[c["id"]] = pathway
         except (KeyError, TypeError) as e:
-            raise schema_error(f"{path}: candidates[{i}]", e)
+            raise schema_error(node, e)
+        if pathway.periods != spec.time_grid:
+            raise ParseError(node, (
+                f"periods {list(pathway.periods)}, but the spec's time grid is "
+                f"{list(spec.time_grid)}"
+            ))
+        for period, scenario in pathway.entries:
+            if len(scenario) != len(spec.descriptors):
+                raise ParseError(node, (
+                    f"{len(scenario)} states in {period}, but the spec has "
+                    f"{len(spec.descriptors)} descriptors"
+                ))
+            for d, state in zip(spec.descriptors, scenario):
+                if type(state) is not int or not 0 <= state < d.state_count:
+                    raise ParseError(node, (
+                        f"state {state!r} in {period} is not a state of descriptor "
+                        f"{d.id!r} ({d.state_count} states)"
+                    ))
     return pathways
 
 
@@ -349,7 +416,7 @@ def quantify_stage(
     from pathways (screen_stage's) when given, else read from
     candidates_path; extreme scenarios are drawn from the ensemble."""
     if pathways is None:
-        pathways = read_candidates(candidates_path)
+        pathways = read_candidates(candidates_path, spec)
     if pathway_id not in pathways:
         raise ConfigError(f"pathway {pathway_id!r} not in {candidates_path}")
     dims, matrix = load_translation_file(translation_path, spec)

@@ -336,6 +336,15 @@ def small_run(tmp_path_factory):
     (root / "ragged_candidate.json").write_text(json.dumps(
         {"candidates": [{"id": "C1", "periods": grid[:3], "states": [[0] * 5] * 6}]}
     ))
+    for stem, periods, states in (
+        ("short_row_candidate", grid, [[0] * 5] * 5 + [[0] * 4]),
+        ("off_grid_candidate", [p - 35 for p in grid], [[0] * 5] * 6),
+        ("state7_candidate", grid, [[0] * 5] * 5 + [[0, 0, 7, 0, 0]]),
+    ):
+        (root / f"{stem}.json").write_text(json.dumps({"candidates": [
+            {"id": "C0", "periods": grid, "states": [[0] * 5] * 6},
+            {"id": "C1", "periods": periods, "states": states},
+        ]}))
     translation = os.path.join(os.path.dirname(spec), "mini_translation.json")
     with open(translation) as fh:
         doc = json.load(fh)
@@ -467,6 +476,12 @@ FAILURES = [
     ("ensemble-errored-record-off-grid", lambda f: _stats(f, "spec", "errored_off_grid"),
      None, 3, "ParseError"),
     ("candidate-periods-short", lambda f: _quantify(f, "ragged_candidate", "translation"),
+     None, 3, "ParseError"),
+    ("candidate-state-row-short", lambda f: _quantify(f, "short_row_candidate", "translation"),
+     None, 3, "ParseError"),
+    ("candidate-periods-off-grid", lambda f: _quantify(f, "off_grid_candidate", "translation"),
+     None, 3, "ParseError"),
+    ("candidate-state-out-of-range", lambda f: _quantify(f, "state7_candidate", "translation"),
      None, 3, "ParseError"),
     ("translation-value-not-number", lambda f: _quantify(f, "candidate", "text_translation"),
      None, 3, "ParseError"),
@@ -604,6 +619,9 @@ def test_screen_rejecting_nothing_writes_no_rows(runner, tmp_path):
 
 @pytest.mark.parametrize("candidates, matrix, node", [
     ("ragged_candidate", "translation", "candidates[0]"),
+    ("short_row_candidate", "translation", "candidates[1]"),
+    ("off_grid_candidate", "translation", "candidates[1]"),
+    ("state7_candidate", "translation", "candidates[1]"),
     ("candidate", "text_translation", "dimensions[0].values.Low"),
 ])
 def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node):
