@@ -361,9 +361,10 @@ def screen_stage(
 
 
 def read_candidates(path: str, spec: StudySpec) -> dict[str, Pathway]:
-    """The candidate pathways of a candidates.json, by id. Each must cover
-    the spec's time grid with one state of each descriptor per period; one
-    that does not raises ParseError naming candidates[i]."""
+    """The candidate pathways of a candidates.json, by id. Each must have
+    an id no earlier one has, and cover the spec's time grid with one state
+    of each descriptor per period; one that does not raises ParseError
+    naming candidates[i]."""
     doc = read_json(path)
     try:
         entries = doc["candidates"]
@@ -374,6 +375,8 @@ def read_candidates(path: str, spec: StudySpec) -> dict[str, Pathway]:
         node = f"{path}: candidates[{i}]"
         try:
             pathway = Pathway.from_doc(c, node)
+            if c["id"] in pathways:
+                raise ParseError(node, f"id {c['id']!r} is also an earlier candidate's")
             pathways[c["id"]] = pathway
         except (KeyError, TypeError) as e:
             raise schema_error(node, e)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -502,11 +501,19 @@ _HEADER_TYPES = {
     "spec_digest": str, "time_grid": list,
 }
 
-_TO_SPACES = bytes.maketrans(b",[]", b"   ")
-_RECORD = re.compile(rb"\[-?[0-9]+(,-?[0-9]+)*\]")
+#: Run records that write_ensemble renders, and _parse_records decodes, at a
+#: time; decoding a chunk takes some 30 to 40 bytes of scratch space per number.
+RECORD_CHUNK = 512
+
+#: The byte values of the record syntax.
+_COMMA, _CLOSE, _OPEN, _MINUS, _NEWLINE, _ZERO = b",][-\n0"
+_INT64 = np.iinfo(np.int64)
 
 
 def write_ensemble(ensemble: EnsembleResult, fh: TextIO) -> None:
+    """Write the header line, then one record line per run. The records
+    are rendered RECORD_CHUNK runs at a time from the ensemble's arrays, by
+    _render_records, with the bytes json.dumps gives each row."""
     n, _, width = ensemble.states.shape
     header = {
         "descriptors": width,
@@ -518,13 +525,14 @@ def write_ensemble(ensemble: EnsembleResult, fh: TextIO) -> None:
         "time_grid": list(ensemble.time_grid),
     }
     fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-    rows = np.concatenate([
-        np.arange(n)[:, None], ensemble.lengths[:, None], ensemble.states.reshape(n, -1),
-        ensemble.converged, ensemble.iterations,
-    ], axis=1)
-    for start in range(0, n, BLOCK_RUNS):  # in blocks, so the text in memory stays small
-        text = json.dumps(rows[start:start + BLOCK_RUNS].tolist(), separators=(",", ":"))
-        fh.write(text[1:-1].replace("],[", "]\n[") + "\n")
+    for start in range(0, n, RECORD_CHUNK):
+        chunk = slice(start, start + RECORD_CHUNK)
+        states = ensemble.states[chunk]
+        rows = np.concatenate([
+            np.arange(start, start + len(states))[:, None], ensemble.lengths[chunk, None],
+            states.reshape(len(states), -1), ensemble.converged[chunk], ensemble.iterations[chunk],
+        ], axis=1, dtype=np.int64)
+        fh.write(_render_records(rows).decode("ascii"))
 
 
 def save_ensemble(ensemble: EnsembleResult, path: str) -> None:
@@ -540,10 +548,15 @@ def load_ensemble(path: str) -> EnsembleResult:
     exactly the runs that stop before the end of the time grid. A failure
     raises ParseError naming the node (``header`` or ``runs[i]``); a header
     that is not UTF-8 or not JSON raises UnicodeDecodeError or
-    JSONDecodeError."""
-    with open(path, "rb") as fh:  # CRLF line ends, as an editor may leave them, read as LF
-        head, _, body = fh.read().replace(b"\r\n", b"\n").partition(b"\n")
-    header = _checked_header(json.loads(head.decode("utf-8")), f"{path}: header")
+    JSONDecodeError. CRLF line ends read as LF; only a file that holds a
+    carriage return is copied to replace them. The records are decoded
+    from the bytes by _parse_records."""
+    with open(path, "rb") as fh:
+        head, body = fh.readline(), fh.read()
+    if b"\r" in head or b"\r" in body:  # CRLF line ends, as an editor may leave them, read as LF
+        head, body = head.replace(b"\r\n", b"\n"), body.replace(b"\r\n", b"\n")
+    header = json.loads(head.removesuffix(b"\n").decode("utf-8"))
+    header = _checked_header(header, f"{path}: header")
     grid, width, n = header["time_grid"], header["descriptors"], header["run_count"]
     errors, periods = dict(header["errors"]), len(grid)
     values = _parse_records(body, n, 2 + periods * (width + 2), path)
@@ -563,8 +576,8 @@ def load_ensemble(path: str) -> EnsembleResult:
         (converged, (converged != 0) & past, "converged flag {} past the recorded periods"),
         (iterations, (iterations != 0) & past, "iteration count {} past the recorded periods"),
         (converged, (converged != 0) & (converged != 1), "converged flag {} is not 0 or 1"),
-        # np.fromstring saturates a number beyond int64 at its largest value
-        (iterations, (iterations < 0) | (iterations == np.iinfo(np.int64).max),
+        # _parse_records reads a number beyond int64 as its largest value
+        (iterations, (iterations < 0) | (iterations == _INT64.max),
          "iteration count {} is not a non-negative 64-bit integer"),
         (states, (states < 0) | (states > 127), "state {} is not a state index (0 to 127)"),
     ):
@@ -614,39 +627,151 @@ def _parse_records(body: bytes, run_count: int, width: int, path: str) -> np.nda
     """The run records as a (run_count, width) int64 array: one line per
     run, each a compact JSON array of width integers.
 
-    np.fromstring reads the numbers once the text is known to hold only
-    such arrays, each with width - 1 commas and every minus sign at the
-    start of a number, so that it reads each number as one value or fails.
+    The body is viewed as a uint8 array and its line ends indexed once;
+    _decode_records then checks and decodes RECORD_CHUNK lines at a time.
+    A number beyond int64, on either side, reads as int64's largest value,
+    which load_ensemble's range checks refuse. A chunk holding a line that
+    is not such an array is halved, by the same check, until its first
+    such line is found; that line is named as runs[i].
     """
     if body and not body.endswith(b"\n"):
         body += b"\n"
-    lines = body.split(b"\n")[:-1]
-    if len(lines) != run_count:
-        raise ParseError(path, f"{len(lines)} run records, but the header says {run_count}")
-    minus = body.count(b"-")
-    values = np.zeros(0, np.int64)
-    if (
-        not body.translate(None, b"0123456789,-[]\n")
-        and body.count(b"[") == body.count(b"]") == run_count
-        and body.count(b"]\n[") == run_count - 1
-        and body.startswith(b"[") and body.endswith(b"]\n")
-        and (not minus or minus == body.count(b",-") + body.count(b"[-"))
-        and set(map(bytes.count, lines, repeat(b","))) == {width - 1}
+    data = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(data == _NEWLINE)
+    if len(ends) != run_count:
+        raise ParseError(path, f"{len(ends)} run records, but the header says {run_count}")
+    values = np.empty((run_count, width), np.int64)
+    for first in range(0, run_count, RECORD_CHUNK):
+        stop = min(first + RECORD_CHUNK, run_count)
+        lines = _lines(data, ends, first, stop)
+        if not _decode_records(*lines, values[first:stop]):
+            bad = first + _first_bad_line(*lines, values[first:stop])
+            raise ParseError(f"{path}: runs[{bad}]", (
+                f"not a compact JSON array of {width} integers (run index, periods recorded, "
+                "states, converged flags, iterations)"
+            ))
+    return values
+
+
+def _lines(data: np.ndarray, ends: np.ndarray, first: int, stop: int):
+    """Lines first to stop - 1 of data, whose lines end at ends: their
+    bytes, and the ends within them."""
+    start = ends[first - 1] + 1 if first else 0
+    return data[start:ends[stop - 1] + 1], ends[first:stop] - start
+
+
+def _first_bad_line(text: np.ndarray, ends: np.ndarray, out: np.ndarray) -> int:
+    """The index of the first line of text that _decode_records refuses;
+    there must be one. It overwrites out."""
+    good, bad = 0, len(ends)  # lines [0, good) are records; [0, bad) holds one that is not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _decode_records(*_lines(text, ends, good, mid), out[good:mid]):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _decode_records(text: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
+    """Whether every line of text, a uint8 array whose lines end in the
+    newlines at ends, is a compact JSON array of width integers, where out
+    is a (lines, width) int64 array; if so, the numbers are written to out.
+
+    The ',' and ']' bytes end the numbers. A line is a record when its
+    first byte is '[' and its last ']', its width-th number ends at its ']',
+    it holds no other '[' or ']' and no byte but digits, ',' and '-', no
+    number is empty, and each '-' starts a number that has digits after it.
+    The first byte of every number is read with one gather, which gives
+    the one-digit numbers; only the longer ones are read digit by digit.
+    """
+    m, width = out.shape
+    close = text == _CLOSE
+    closes = np.count_nonzero(close)
+    stops = np.flatnonzero(close | (text == _COMMA))
+    if len(stops) != m * width or not (stops[width - 1::width] == ends - 1).all():
+        return False
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    opens, minus = np.count_nonzero(text == _OPEN), np.count_nonzero(text == _MINUS)
+    digits = np.count_nonzero((text - _ZERO) < 10)
+    if not (
+        opens == m == closes and (text[starts] == _OPEN).all() and (text[ends - 1] == _CLOSE).all()
+        and digits + len(stops) + opens + minus + m == len(text)
     ):
-        try:  # at a number it cannot read numpy 2.x raises; 1.x warns and stops
-            values = np.fromstring(body.translate(_TO_SPACES), np.int64, sep=" ")
-        except ValueError:
-            pass
-    if values.size != run_count * width:
-        bad = next(
-            i for i, line in enumerate(lines)
-            if not (_RECORD.fullmatch(line) and line.count(b",") == width - 1)
-        )
-        raise ParseError(f"{path}: runs[{bad}]", (
-            f"not a compact JSON array of {width} integers (run index, periods recorded, "
-            "states, converged flags, iterations)"
-        ))
-    return values.reshape(run_count, width)
+        return False
+    begin = np.empty_like(stops)
+    begin[1:] = stops[:-1] + 1
+    begin[::width] = starts + 1
+    lengths = stops - begin
+    lead = text[begin]
+    negative = lead == _MINUS
+    if not (lengths > 0).all() or np.count_nonzero(negative) != minus or (
+        minus and not (lengths[negative] > 1).all()
+    ):
+        return False
+    values = out.reshape(-1)
+    np.subtract(lead, _ZERO, out=values, casting="unsafe")
+    longer = np.flatnonzero(lengths > 1)
+    if longer.size:
+        values[longer] = _read_numbers(text, begin[longer], stops[longer], negative[longer])
+    return True
+
+
+def _read_numbers(text: np.ndarray, begin: np.ndarray, stops: np.ndarray, negative: np.ndarray):
+    """The numbers text[begin:stops], '-' first where negative, as int64; a
+    number beyond int64 reads as int64's largest value. Numbers of up to 18
+    digits are read a decimal place at a time on arrays, longer ones (which
+    may overflow) one at a time."""
+    start = begin + negative
+    count = stops - start
+    kept = np.where(count <= 18, count, 0)
+    values = np.zeros(len(begin), np.int64)
+    for place in range(kept.max()):
+        on = kept > place
+        values[on] = values[on] * 10 + (text[start[on] + place] - _ZERO)
+    np.negative(values, out=values, where=negative)
+    for i in np.flatnonzero(count > 18):
+        number = int(text[begin[i]:stops[i]].tobytes())
+        values[i] = number if _INT64.min <= number <= _INT64.max else _INT64.max
+    return values
+
+
+def _render_records(rows: np.ndarray) -> bytes:
+    """rows, a (records, width) int64 array, as compact JSON arrays one a
+    line: json.dumps(row, separators=(",", ":")) + "\\n" for each row.
+
+    Each number's digits are worked out on arrays, units first, and placed
+    with its separators in one uint8 buffer, so that no Python int or list
+    is made per number.
+    """
+    m, width = rows.shape
+    numbers = rows.ravel()
+    negative = numbers < 0
+    rest = numbers.astype(np.uint64)
+    np.negative(rest, out=rest, where=negative)  # the magnitude; int64's least value too
+    places = []  # per decimal place, units first: the numbers that have it and its digits
+    index = np.arange(len(numbers))
+    while index.size:
+        higher = rest // 10
+        places.append((index, (rest - higher * 10).astype(np.uint8)))
+        more = np.flatnonzero(rest >= 10)
+        index, rest = index[more], higher[more]
+    digits = np.ones(len(numbers), np.int64)
+    for have, _ in places[1:]:
+        digits[have] += 1
+    # a number takes its sign, its digits and the ',' or ']' after it; a line also '[' and '\n'
+    stops = np.cumsum(digits + negative + 1).reshape(m, width) + 2 * np.arange(m)[:, None]
+    text = np.full(stops[-1, -1] + 2 if m else 0, _COMMA, np.uint8)
+    text[stops[:, -1]] = _CLOSE
+    text[stops[:, -1] + 1] = _NEWLINE
+    text[0:1] = _OPEN
+    text[stops[:-1, -1] + 2] = _OPEN
+    stops = stops.ravel()
+    for place, (have, figures) in enumerate(places):
+        text[stops[have] - 1 - place] = figures + _ZERO
+    text[stops[negative] - digits[negative] - 1] = _MINUS
+    return text.tobytes()
 
 
 def ensemble_digest(path: str) -> str:

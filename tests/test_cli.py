@@ -278,6 +278,7 @@ MALFORMED = {
     "run_index_duplicated": (_set(0, 5), 6, "runs[6]"),
     "converged_seven": (_set(CONVERGED + 2, 7), 5, "runs[5]"),
     "iterations_negative": (_set(ITERATIONS + 2, -5), 5, "runs[5]"),
+    "iterations_beyond_int64": (_set(ITERATIONS + 2, 2 ** 64), 5, "runs[5]"),
     "error_not_text": (_stop_after(3, 5), 5, "header.errors[0]"),
     "run_count_text": (lambda header, record: header.update(run_count="200"), 5,
                        "header.run_count"),
@@ -345,6 +346,10 @@ def small_run(tmp_path_factory):
             {"id": "C0", "periods": grid, "states": [[0] * 5] * 6},
             {"id": "C1", "periods": periods, "states": states},
         ]}))
+    (root / "duplicate_id_candidate.json").write_text(json.dumps({"candidates": [
+        {"id": "C1", "periods": grid, "states": [[0] * 5] * 6},
+        {"id": "C1", "periods": grid, "states": [[1] * 5] * 6},
+    ]}))
     translation = os.path.join(os.path.dirname(spec), "mini_translation.json")
     with open(translation) as fh:
         doc = json.load(fh)
@@ -483,6 +488,8 @@ FAILURES = [
      None, 3, "ParseError"),
     ("candidate-state-out-of-range", lambda f: _quantify(f, "state7_candidate", "translation"),
      None, 3, "ParseError"),
+    ("candidate-id-duplicated",
+     lambda f: _quantify(f, "duplicate_id_candidate", "translation"), None, 3, "ParseError"),
     ("translation-value-not-number", lambda f: _quantify(f, "candidate", "text_translation"),
      None, 3, "ParseError"),
     ("ranges-value-not-number",
@@ -622,6 +629,7 @@ def test_screen_rejecting_nothing_writes_no_rows(runner, tmp_path):
     ("short_row_candidate", "translation", "candidates[1]"),
     ("off_grid_candidate", "translation", "candidates[1]"),
     ("state7_candidate", "translation", "candidates[1]"),
+    ("duplicate_id_candidate", "translation", "candidates[1]"),
     ("candidate", "text_translation", "dimensions[0].values.Low"),
 ])
 def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node):

@@ -1,0 +1,352 @@
+"""ensemble.jsonl's run records: the loader's edge cases, checked on the
+text of a saved mini-study ensemble edited one record at a time, and the
+record codec's renderer and decoder against json.dumps and a regular
+expression on random tables."""
+
+import importlib.resources
+import io
+import json
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cibpath import simulate
+from cibpath.errors import ParseError
+from cibpath.model import load_study_spec
+from cibpath.simulate import EnsembleResult, load_ensemble, simulate_ensemble, write_ensemble
+
+#: The record that the edits change, and where its iteration counts and
+#: states start: a mini-study record is [run, periods recorded, 30 states,
+#: 6 converged flags, 6 iteration counts].
+RUN = 9
+ITERATIONS = 2 + 30 + 6
+STATE = 2 + 2 * 5 + 1  # period 2, descriptor 1
+INT64_MAX = np.iinfo(np.int64).max
+SYNTAX = "not a compact JSON array of 44 integers"
+
+
+@pytest.fixture(scope="module")
+def saved():
+    fixtures = importlib.resources.files("cibpath") / "fixtures"
+    spec = load_study_spec(str(fixtures / "mini_study.json"))
+    ensemble = simulate_ensemble(spec, 12, 42)
+    assert not ensemble.errors
+    buf = io.StringIO()
+    write_ensemble(ensemble, buf)
+    return ensemble, buf.getvalue().encode()
+
+
+@pytest.fixture(params=[1, 7, None], ids=["chunk1", "chunk7", "chunk-default"])
+def chunk(request, monkeypatch):
+    """RECORD_CHUNK at 1, 7 and its default."""
+    if request.param:
+        monkeypatch.setattr(simulate, "RECORD_CHUNK", request.param)
+    return simulate.RECORD_CHUNK
+
+
+def load_text(tmp_path, text: bytes):
+    path = tmp_path / "ensemble.jsonl"
+    path.write_bytes(text)
+    return load_ensemble(str(path))
+
+
+def edit_record(text: bytes, edit, run=RUN) -> bytes:
+    """text with record run's line replaced by edit(line)."""
+    lines = text.split(b"\n")
+    lines[1 + run] = edit(lines[1 + run])
+    return b"\n".join(lines)
+
+
+def set_number(index, number: bytes):
+    def edit(line):
+        numbers = line[1:-1].split(b",")
+        numbers[index] = number
+        return b"[" + b",".join(numbers) + b"]"
+    return edit
+
+
+def assert_fails_at(tmp_path, text, reason, run=RUN):
+    with pytest.raises(ParseError) as caught:
+        load_text(tmp_path, text)
+    assert caught.value.path.endswith(f": runs[{run}]")
+    assert caught.value.reason.startswith(reason), caught.value.reason
+
+
+def test_19_digit_iteration_count_inside_int64_loads_exactly(saved, tmp_path):
+    _, text = saved
+    edited = edit_record(text, set_number(ITERATIONS + 2, b"9223372036854775806"))
+    loaded = load_text(tmp_path, edited)
+    assert loaded.iterations[RUN, 2] == INT64_MAX - 1
+
+
+@pytest.mark.parametrize("number, read", [
+    (b"12345678901234567890", INT64_MAX),
+    (b"9223372036854775807", INT64_MAX),
+    (b"-12345678901234567890", INT64_MAX),
+    (b"-9223372036854775808", -INT64_MAX - 1),
+    (b"9999999999999999999", INT64_MAX),
+    (b"-9223372036854775809", INT64_MAX),
+])
+def test_iteration_count_beyond_int64_is_refused(saved, tmp_path, number, read):
+    """A number beyond int64, on either side, reads as int64's largest value."""
+    _, text = saved
+    reason = f"iteration count {read} is not a non-negative 64-bit integer"
+    assert_fails_at(tmp_path, edit_record(text, set_number(ITERATIONS + 2, number)), reason)
+
+
+def test_state_beyond_int64_is_refused_as_its_largest_value(saved, tmp_path):
+    _, text = saved
+    edited = edit_record(text, set_number(STATE, b"-" + b"9" * 25))
+    assert_fails_at(tmp_path, edited, f"state {INT64_MAX} is not a state index (0 to 127)")
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(set_number(STATE, b""), id="empty-number"),
+    pytest.param(set_number(0, b""), id="empty-first-number"),
+    pytest.param(set_number(-1, b""), id="empty-last-number"),
+    pytest.param(set_number(STATE, b"-"), id="lone-minus"),
+    pytest.param(set_number(-1, b"-"), id="lone-minus-last"),
+    pytest.param(set_number(STATE, b"--1"), id="double-minus"),
+    pytest.param(set_number(STATE, b"1-2"), id="inner-minus"),
+    pytest.param(set_number(STATE, b"1-"), id="trailing-minus"),
+    pytest.param(set_number(STATE, b"+1"), id="plus-sign"),
+    pytest.param(set_number(STATE, b" 1"), id="space"),
+    pytest.param(set_number(STATE, b"1.0"), id="decimal"),
+    pytest.param(set_number(STATE, b"1:"), id="colon"),
+    pytest.param(set_number(STATE, b"/1"), id="slash"),
+    pytest.param(set_number(STATE, b"1\r"), id="stray-cr"),
+    pytest.param(lambda line: line[:-1] + b"\r]", id="cr-before-close"),
+    pytest.param(lambda line: line + b"\r\r", id="cr-cr-lf"),
+    pytest.param(set_number(STATE, b"\xc3\xa9"), id="non-ascii"),
+    pytest.param(set_number(STATE, b"[1]"), id="nested-array"),
+    pytest.param(lambda line: b"[" + line + b"]", id="wrapped-array"),
+    pytest.param(lambda line: line + b",", id="trailing-comma"),
+    pytest.param(lambda line: line[1:], id="no-open"),
+    pytest.param(lambda line: line[:-1], id="no-close"),
+    pytest.param(lambda line: line + b"]", id="double-close"),
+    pytest.param(lambda line: line.replace(b",", b"]", 1)[:-1] + b",", id="close-inside"),
+    pytest.param(lambda line: line.replace(b",", b"]", 1), id="close-for-comma"),
+    pytest.param(set_number(STATE, b"[1"), id="open-inside"),
+    pytest.param(lambda line: line[:-1] + b",0]", id="one-number-too-many"),
+    pytest.param(lambda line: line[:line.rindex(b",")] + b"]", id="one-number-too-few"),
+    pytest.param(lambda line: line.replace(b",", b"", 1), id="merged-numbers"),
+    pytest.param(lambda line: b"", id="empty-line"),
+    pytest.param(lambda line: b"[]", id="empty-array"),
+])
+def test_malformed_record_names_it(saved, tmp_path, chunk, edit):
+    _, text = saved
+    assert_fails_at(tmp_path, edit_record(text, edit), SYNTAX)
+
+
+def test_first_malformed_record_is_named(saved, tmp_path, chunk):
+    _, text = saved
+    edited = edit_record(edit_record(text, set_number(STATE, b"")), set_number(0, b"x"), run=3)
+    assert_fails_at(tmp_path, edited, SYNTAX, run=3)
+
+
+def test_malformed_first_and_last_records_are_named(saved, tmp_path, chunk):
+    _, text = saved
+    assert_fails_at(tmp_path, edit_record(text, set_number(1, b"-"), run=0), SYNTAX, run=0)
+    assert_fails_at(tmp_path, edit_record(text, set_number(1, b"-"), run=11), SYNTAX, run=11)
+
+
+def test_minus_zero_and_leading_zeros_load_as_their_value(saved, tmp_path, chunk):
+    ensemble, text = saved
+    edited = edit_record(edit_record(text, set_number(STATE, b"007")), set_number(2, b"-0"))
+    loaded = load_text(tmp_path, edited)
+    assert loaded.states[RUN, 2, 1] == 7 and loaded.states[RUN, 0, 0] == 0
+    assert loaded.iterations.tolist() == ensemble.iterations.tolist()
+
+
+def test_body_without_final_newline_loads(saved, tmp_path, chunk):
+    ensemble, text = saved
+    assert text.endswith(b"]\n")
+    assert load_text(tmp_path, text[:-1]) == ensemble
+
+
+@pytest.mark.parametrize("edit, found", [
+    (lambda text: text + b"\n", 13),
+    (lambda text: text.replace(b"]\n[", b"]\n\n[", 1), 13),
+    (lambda text: text.replace(b"]\n[", b"][", 1), 11),
+    (lambda text: text[:text.index(b"\n") + 1], 0),
+])
+def test_line_count_differs_from_the_header(saved, tmp_path, edit, found):
+    _, text = saved
+    reason = f"{found} run records, but the header says 12"
+    with pytest.raises(ParseError, match=re.escape(reason)):
+        load_text(tmp_path, edit(text))
+
+
+# ---------------------------------------------------------------------------
+# The record codec on random int64 tables
+
+#: The least and largest magnitude of a number of 1 to 19 digits in int64.
+LEAST = np.array([0] + [10 ** (d - 1) for d in range(2, 20)], np.int64)
+LARGEST = np.array([10 ** d - 1 for d in range(1, 19)] + [INT64_MAX], np.int64)
+
+
+def random_table(rng, rows, width):
+    """Numbers of 1 to 19 digits, half of them negative, and 0, int64's
+    least and int64's largest value sprinkled in."""
+    digits = rng.integers(1, 20, (rows, width))
+    table = rng.integers(LEAST[digits - 1], LARGEST[digits - 1], endpoint=True)
+    table = np.where(rng.random((rows, width)) < 0.5, -table, table)
+    special = rng.integers(0, 10, (rows, width))
+    for value, pick in ((0, 0), (-INT64_MAX - 1, 1), (INT64_MAX, 2)):
+        table[special == pick] = value
+    return table
+
+
+def json_lines(table) -> bytes:
+    """The oracle: json.dumps of each row, one a line."""
+    rows = table.tolist()
+    return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows).encode()
+
+
+def rendered(table) -> bytes:
+    """The table rendered a chunk at a time, as write_ensemble does."""
+    step = simulate.RECORD_CHUNK
+    chunks = (table[a:a + step] for a in range(0, len(table), step))
+    return b"".join(map(simulate._render_records, chunks))
+
+
+def table_shapes(seed):
+    rng = np.random.default_rng(seed)
+    return rng, int(rng.integers(0, 40)), int(rng.integers(1, 61))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rendered_table_equals_json_dumps_and_decodes_back(seed, chunk):
+    rng, rows, width = table_shapes(seed)
+    table = random_table(rng, rows, width)
+    text = rendered(table)
+    assert text == json_lines(table) == simulate._render_records(table)
+    assert np.array_equal(simulate._parse_records(text, rows, width, "t"), table)
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (0, 44), (1, 1), (1, 60), (3, 1), (50, 60)])
+def test_codec_at_the_edges(shape, chunk):
+    table = random_table(np.random.default_rng(sum(shape)), *shape)
+    text = rendered(table)
+    assert text == json_lines(table)
+    assert np.array_equal(simulate._parse_records(text, *shape, "t"), table)
+
+
+def test_every_digit_count_and_sign_round_trips(chunk):
+    magnitudes = [0, *(10 ** d for d in range(19)), *(10 ** d - 1 for d in range(1, 19))]
+    magnitudes.append(INT64_MAX)
+    table = np.array([[m, -m] for m in magnitudes] + [[-INT64_MAX - 1, 0]], np.int64)
+    text = rendered(table)
+    assert text == json_lines(table)
+    assert np.array_equal(simulate._parse_records(text, *table.shape, "t"), table)
+
+
+def test_write_ensemble_equals_json_dumps_across_chunk_edges(chunk):
+    """write_ensemble builds each chunk's rows from the ensemble's arrays."""
+    rng = np.random.default_rng(5)
+    runs, periods, width = 23, 3, 4
+    iterations = random_table(rng, runs, periods)
+    ensemble = EnsembleResult(
+        "d" * 64, 7, (2020, 2025, 2030),
+        rng.integers(-128, 128, (runs, periods, width)).astype(np.int8),
+        rng.random((runs, periods)) < 0.5, iterations, random_table(rng, runs, 1)[:, 0], {},
+    )
+    buf = io.StringIO()
+    write_ensemble(ensemble, buf)
+    rows = np.concatenate([
+        np.arange(runs)[:, None], ensemble.lengths[:, None], ensemble.states.reshape(runs, -1),
+        ensemble.converged, ensemble.iterations,
+    ], axis=1)
+    header, body = buf.getvalue().encode().split(b"\n", 1)
+    assert body == json_lines(rows)
+
+
+def record_oracle(text: bytes, rows: int, width: int):
+    """What the loader makes of text: ("count", lines), ("record", i) for
+    the first line that is not a compact JSON array of width integers, or
+    ("values", rows) with a number beyond int64 read as its largest value."""
+    if text and not text.endswith(b"\n"):
+        text += b"\n"
+    lines = text.split(b"\n")[:-1]
+    if len(lines) != rows:
+        return "count", len(lines)
+    record = re.compile(rb"\[-?[0-9]+(,-?[0-9]+){%d}\]" % (width - 1))
+    for i, line in enumerate(lines):
+        if not record.fullmatch(line):
+            return "record", i
+    numbers = [[int(x) for x in line[1:-1].split(b",")] for line in lines]
+    return "values", [
+        [x if -INT64_MAX - 1 <= x <= INT64_MAX else INT64_MAX for x in row] for row in numbers
+    ]
+
+
+def loaded(text: bytes, rows: int, width: int):
+    try:
+        return "values", simulate._parse_records(text, rows, width, "t").tolist()
+    except ParseError as e:
+        if e.path == "t":
+            return "count", int(e.reason.split()[0])
+        return "record", int(re.fullmatch(r"t: runs\[(\d+)\]", e.path).group(1))
+
+
+#: Bytes that a corruption writes: the record syntax's own and a few others.
+CORRUPTIONS = [
+    b"", b"0", b"7", b"-", b",", b"[", b"]", b"\n", b"\r", b" ", b"+", b"/", b":", b"\xff",
+    b"--", b",,",
+]
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_corrupted_tables_are_read_as_the_regular_expression_says(seed, monkeypatch):
+    """One to three bytes of a table's text replaced, deleted or inserted:
+    the decoder accepts exactly what the record syntax accepts, names the
+    same first bad record, and reads the same numbers."""
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(simulate, "RECORD_CHUNK", int(rng.choice([1, 2, 3, 7, 1024])))
+    rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+    table = random_table(rng, rows, width) // 10 ** int(rng.integers(0, 19))
+    text = bytearray(json_lines(table))
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(0, len(text)))
+        put = CORRUPTIONS[int(rng.integers(0, len(CORRUPTIONS)))]
+        text[at:at + int(rng.integers(0, 2))] = put
+    text = bytes(text)
+    assert loaded(text, rows, width) == record_oracle(text, rows, width), text
+
+
+def decoding_scratch(tmp_path, runs, periods=6, descriptors=5):
+    """The tracemalloc peak of decoding the records of a mini-study-shaped
+    ensemble of runs runs, less the int64 table it returns; and the table's
+    width."""
+    rng = np.random.default_rng(runs)
+    ensemble = EnsembleResult(
+        "d" * 64, 1, tuple(range(2025, 2025 + 5 * periods, 5)),
+        rng.integers(0, 3, (runs, periods, descriptors)).astype(np.int8),
+        rng.random((runs, periods)) < 0.9, rng.integers(0, 101, (runs, periods)),
+        np.full(runs, periods), {},
+    )
+    path = tmp_path / f"ensemble{runs}.jsonl"
+    simulate.save_ensemble(ensemble, str(path))
+    assert load_ensemble(str(path)) == ensemble
+    body = path.read_bytes().split(b"\n", 1)[1]
+    width = 2 + periods * (descriptors + 2)
+    tracemalloc.start()
+    try:
+        values = simulate._parse_records(body, runs, width, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - values.nbytes, width
+
+
+def test_decoding_peak_memory_is_a_chunk_of_scratch_space(tmp_path):
+    """Decoding 40 000 runs takes, besides the int64 table it returns, 8
+    bytes a run to index the line ends and one chunk's scratch space (about
+    41 bytes per number on this table); 10 000 runs take the same but for
+    the index."""
+    scratch, width = decoding_scratch(tmp_path, 40_000)
+    assert 0 < scratch <= 8 * 40_000 + 48 * simulate.RECORD_CHUNK * width
+    fewer, _ = decoding_scratch(tmp_path, 10_000)
+    assert scratch - fewer <= 8 * 30_000 + 64 * 1024, (scratch, fewer)
