@@ -4,14 +4,19 @@ Impact balances, consistency checks, the simultaneous succession operator,
 attractor detection, and exhaustive enumeration of consistent scenarios.
 All operations are pure functions of their inputs and safe to call
 concurrently with a shared immutable spec and matrix.
+
+Each is computed once, on arrays of scenarios: balances (impact balances
+and consistency deficits), succession_batch (one succession step) and
+settle (succession until a scenario recurs). The simulator runs them over
+a block of runs; the single-scenario functions check their arguments once
+and run them on a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, FrozenSet, Optional, Union
+from typing import FrozenSet, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -23,6 +28,9 @@ Scenario = tuple[int, ...]
 
 #: Scenario-space size above which enumerate_consistent refuses to run.
 DEFAULT_ENUMERATION_LIMIT = 100_000
+
+#: Scenarios enumerate_consistent decodes and checks at a time.
+ENUMERATION_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -80,14 +88,37 @@ def checked_kernel(
     return kernel
 
 
-def _theta(kernel: SpecKernel, scores: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Raw impact-score array of shape (D, S_max).
+def balances(
+    kernel: SpecKernel, scores: np.ndarray, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Impact balances and consistency deficits of each row of states, an
+    (n, D) array of scenarios, under scores: one (D, S, D, S) matrix, or a
+    stack of n, one per row.
 
-    Entries for padded (nonexistent) states are zero by construction and
-    must not be consulted. The diagonal source==target blocks are zero, so
-    a plain sum over sources realises the sum over i != j.
+    Returns theta, (n, D, S): the summed influence each state receives,
+    the sources' rows gathered and summed in source order (the floats
+    rows.sum(axis=0) gives), with the padded states at -inf; and the
+    deficits, (n, D): each descriptor's maximal score minus its chosen
+    state's (>= 0). The diagonal source==target blocks are zero, so a plain
+    sum over sources realises the sum over i != j.
     """
-    return scores[kernel.sources, scenario].sum(axis=0)
+    rows = np.arange(len(states))
+    stack = np.broadcast_to(scores, (len(states),) + scores.shape[-4:])
+    theta = stack[rows, 0, states[:, 0]]
+    for i in range(1, states.shape[1]):
+        theta += stack[rows, i, states[:, i]]
+    if kernel.padded is not None:
+        theta[:, kernel.padded] = -np.inf
+    chosen = np.take_along_axis(theta, states[:, :, None], 2)[:, :, 0]
+    return theta, theta.max(2) - chosen
+
+
+def _violations(kernel: SpecKernel, states: np.ndarray) -> np.ndarray:
+    """Per row of states, (n, D), whether a forbidden pair co-occurs in it."""
+    hit = np.zeros(len(states), bool)
+    for a, a_state, b, b_state in kernel.forbidden:
+        hit |= (states[:, a] == a_state) & (states[:, b] == b_state)
+    return hit
 
 
 def impact_balance(
@@ -96,18 +127,9 @@ def impact_balance(
     """Summed influence every state of every descriptor receives from the
     other descriptors' scenario states."""
     kernel = checked_kernel(spec, cim, scenario)
-    theta = _theta(kernel, cim.scores, scenario).tolist()
+    theta, _ = balances(kernel, cim.scores, np.array([scenario]))
     return ImpactBalance(
-        tuple(tuple(row[:n]) for row, n in zip(theta, kernel.state_counts))
-    )
-
-
-def _deficits(
-    kernel: SpecKernel, scores: np.ndarray, scenario: Scenario
-) -> tuple[float, ...]:
-    theta = _theta(kernel, scores, scenario).tolist()
-    return tuple(
-        max(row[:n]) - row[s] for row, n, s in zip(theta, kernel.state_counts, scenario)
+        tuple(tuple(row[:n]) for row, n in zip(theta[0].tolist(), kernel.state_counts))
     )
 
 
@@ -117,18 +139,8 @@ def check_consistency(
     """A scenario is consistent when every chosen state attains the maximal
     impact score of its descriptor (ties allowed)."""
     kernel = checked_kernel(spec, cim, scenario)
-    deficits = _deficits(kernel, cim.scores, scenario)
-    return ConsistencyResult(all(v == 0.0 for v in deficits), deficits)
-
-
-def _applicable(kernel: SpecKernel, scenario: Scenario):
-    """Effects (src, src_state, tgt, tgt_state, delta) of the threshold
-    rules whose conditions hold in the scenario, in rule order."""
-    return [
-        effect
-        for conditions, effect in kernel.thresholds
-        if all(scenario[i] == s for i, s in conditions)
-    ]
+    _, deficits = balances(kernel, cim.scores, np.array([scenario]))
+    return ConsistencyResult(not deficits.any(), tuple(deficits[0].tolist()))
 
 
 def effective_cim(
@@ -141,7 +153,11 @@ def effective_cim(
     """
     kernel = spec.kernel
     _check_structure(kernel, cim)
-    applicable = _applicable(kernel, scenario)
+    applicable = [
+        effect
+        for conditions, effect in kernel.thresholds
+        if all(scenario[i] == s for i, s in conditions)
+    ]
     if not applicable:
         return cim
     scores = cim.scores.copy()
@@ -164,66 +180,123 @@ def succession_step(
     perturbation of shape (D, S_max). Ties keep the current state when it
     is maximal, otherwise the lowest state index wins. Implications are
     enforced as a single post-step repair pass in spec order; locked
-    descriptors are never touched.
+    descriptors are never touched. succession_batch on a batch of one;
+    raises InfeasibilityError for the first unlocked descriptor left
+    without a feasible state.
+    """
+    kernel = checked_kernel(spec, cim, scenario)
+    held = np.zeros(len(kernel.ids), bool)
+    held[[spec.index_of(did) for did in locked]] = True
+    eta = np.zeros(cim.scores.shape[:2]) if perturbation is None else perturbation
+    nxt, failed = succession_batch(
+        kernel, cim.scores[None], eta[None], np.zeros(1, np.intp), np.array([scenario]), held
+    )
+    if failed is not None:
+        raise InfeasibilityError(kernel.ids[failed[0]])
+    return tuple(nxt[0].tolist())
+
+
+class Settled(NamedTuple):
+    """What settle found from each start, one row each.
+
+    sequence, (starts, T, D), holds the scenarios visited, in order, then
+    zeros. When a scenario recurred, the first + length visited end with
+    the cycle, sequence[first:first + length], of length 1 for a fixed
+    point. Otherwise length is 0, and the max_steps + 1 visited end with
+    the scenario after the last step, at first = max_steps. stuck is the
+    first unlocked descriptor a step left without a feasible state, or -1;
+    the rest of such a row is unspecified.
+    """
+
+    sequence: np.ndarray
+    first: np.ndarray
+    length: np.ndarray
+    stuck: np.ndarray
+
+
+def settle(kernel, scores, eta, start, runs, locked, max_steps) -> Settled:
+    """Apply succession_batch from start[r], for every r in runs at once,
+    until a scenario recurs or max_steps steps pass; run r scores under
+    scores[r] plus eta[r], and the descriptors in the locked mask are held.
+    A run leaves the active set when a step fails or its new scenario is
+    one it has visited. Row b of the result is run runs[b]'s.
+    """
+    n = len(runs)
+    first, length, stuck = np.full(n, max_steps), np.zeros(n, np.int64), np.full(n, -1)
+    at, current = np.arange(n), start[runs]
+    history = np.zeros((n, min(max_steps, 8) + 1, current.shape[1]), current.dtype)
+    history[:, 0] = current
+    for t in range(1, max_steps + 1):
+        nxt, failed = succession_batch(kernel, scores, eta, runs[at], current, locked)
+        seen = (history[at, :t] == nxt[:, None]).all(2)
+        ends = seen.any(1)
+        going = ~ends
+        if failed is not None:
+            live = failed < 0
+            stuck[at[~live]] = failed[~live]
+            ends &= live
+            going &= live
+        done = at[ends]
+        first[done] = seen[ends].argmax(1)
+        length[done] = t - first[done]
+        if t == history.shape[1]:
+            grown = np.zeros_like(history[:, : min(t, max_steps + 1 - t)])
+            history = np.concatenate([history, grown], 1)
+        at, current = at[going], nxt[going]
+        history[at, t] = current
+        if not at.size:
+            break
+    return Settled(history, first, length, stuck)
+
+
+def succession_batch(kernel, scores, eta, runs, current, locked):
+    """succession_step on each row of current, scored under scores[runs]
+    plus eta[runs], with the descriptors in the locked mask held; returns
+    the next states and, when some row has an unlocked descriptor without a
+    feasible state, the first such descriptor per row (-1 for the others),
+    else None.
 
     Threshold deltas are added to the gathered source rows before the sum
     over sources, one rule at a time, which gives the same floats as
     summing the rows of the threshold-adjusted matrix; an effect whose
-    source state is not in the scenario touches no gathered row. Scores
-    are finite, so a blocked state scored -inf never wins.
+    source state is not in the scenario touches no gathered row. Summing
+    the source rows in order is what rows.sum(axis=0) does, so the scores
+    are the same floats. Scores are finite, so a blocked state scored -inf
+    never wins.
     """
-    kernel = checked_kernel(spec, cim, scenario)
-    rows = cim.scores[kernel.sources, scenario]
-    for src, src_state, tgt, tgt_state, delta in _applicable(kernel, scenario):
-        if scenario[src] == src_state:
-            rows[src, tgt, tgt_state] += delta
-    theta = rows.sum(axis=0)
-    if perturbation is not None:
-        theta = theta + perturbation
-    locked_idx = {spec.index_of(did) for did in locked}
-    counts, blocks = kernel.state_counts, kernel.blocks
-    new = list(scenario)
-    for j, row in enumerate(theta.tolist()):
-        if j in locked_idx:
-            continue
-        scores = row[: counts[j]]
-        if blocks[j]:
-            blocked = {b for b, other, s in blocks[j] if scenario[other] == s}
-            if blocked.issuperset(range(counts[j])):
-                raise InfeasibilityError(kernel.ids[j])
-            if blocked:
-                scores = [-math.inf if l in blocked else v for l, v in enumerate(scores)]
-        best = max(scores)
-        if scores[scenario[j]] != best:
-            new[j] = scores.index(best)
+    rows = scores[runs[:, None], kernel.sources, current]
+    for conditions, (src, src_state, tgt, tgt_state, delta) in kernel.thresholds:
+        hit = current[:, src] == src_state
+        for i, state in conditions:
+            hit &= current[:, i] == state
+        rows[hit, src, tgt, tgt_state] += delta
+    theta = rows[:, 0].copy()
+    for i in range(1, rows.shape[1]):
+        theta += rows[:, i]
+    theta += eta[runs]
+    if kernel.padded is not None:
+        theta[:, kernel.padded] = -np.inf
+    for j, forbidden in enumerate(kernel.blocks):
+        for state, other, other_state in forbidden:
+            theta[current[:, other] == other_state, j, state] = -np.inf
+    # theta.max(2) and theta.argmax(2), the first state at the maximum, as
+    # one elementwise pass per state: a reduction over a short last axis
+    # costs more.
+    best, chosen = theta[..., 0].copy(), np.zeros(theta.shape[:2], np.int8)
+    for state in range(1, theta.shape[2]):
+        column = theta[..., state]
+        np.copyto(chosen, state, where=column > best)
+        np.maximum(best, column, out=best)
+    keep = theta[np.arange(len(current))[:, None], kernel.sources, current] == best
+    nxt = np.where(keep | locked, current, chosen)
     for a, a_state, c, c_state in kernel.implications:
-        if new[a] == a_state and c not in locked_idx:
-            new[c] = c_state
-    return tuple(new)
-
-
-def iterate_to_attractor(
-    step: Callable[[Scenario], Scenario], start: Scenario, max_steps: int
-) -> tuple[list[Scenario], Optional[int]]:
-    """Apply step from start until a scenario recurs, for at most max_steps
-    steps.
-
-    Returns the distinct scenarios visited, in order, and the index at
-    which the recurring scenario was first seen: the attractor is
-    sequence[first:], a fixed point when that has one member. first is None
-    when max_steps steps pass without a recurrence; sequence[-1] is then
-    the scenario after the last step.
-    """
-    visited = {start: 0}
-    sequence = [start]
-    for _ in range(max_steps):
-        nxt = step(sequence[-1])
-        first = visited.get(nxt)
-        if first is not None:
-            return sequence, first
-        visited[nxt] = len(sequence)
-        sequence.append(nxt)
-    return sequence, None
+        if not locked[c]:
+            nxt[nxt[:, a] == a_state, c] = c_state
+    dead = best == -np.inf
+    dead &= ~locked
+    if not dead.any():
+        return nxt, None
+    return nxt, np.where(dead.any(1), dead.argmax(1), -1)
 
 
 def find_attractor(
@@ -232,7 +305,9 @@ def find_attractor(
     start: Scenario,
     max_steps: int = 1000,
 ) -> Union[Attractor, NonConvergence]:
-    """Iterate succession until a fixed point or cycle recurs.
+    """Iterate succession until a fixed point or cycle recurs: settle on a
+    batch of one. Raises InfeasibilityError for the first descriptor a step
+    leaves without a feasible state.
 
     Over a finite space with exact arithmetic this always terminates when
     max_steps exceeds the state-space size; the cap guards pathological
@@ -240,25 +315,24 @@ def find_attractor(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    sequence, first = iterate_to_attractor(
-        lambda z: succession_step(spec, cim, z), start, max_steps
+    kernel = checked_kernel(spec, cim, start)
+    settled = settle(
+        kernel, cim.scores[None], np.zeros((1,) + cim.scores.shape[:2]), np.array([start]),
+        np.zeros(1, np.intp), np.zeros(len(kernel.ids), bool), max_steps,
     )
-    if first is None:
-        return NonConvergence(max_steps, sequence[-1])
-    kind = "fixed_point" if first == len(sequence) - 1 else "cycle"
-    return Attractor(kind, tuple(sequence[first:]), first)
-
-
-def _violates(kernel: SpecKernel, scenario: Scenario) -> bool:
-    return any(
-        scenario[a] == a_state and scenario[b] == b_state
-        for a, a_state, b, b_state in kernel.forbidden
-    )
+    if settled.stuck[0] >= 0:
+        raise InfeasibilityError(kernel.ids[settled.stuck[0]])
+    sequence = list(map(tuple, settled.sequence[0].tolist()))
+    first, length = int(settled.first[0]), int(settled.length[0])
+    if not length:
+        return NonConvergence(max_steps, sequence[first])
+    kind = "fixed_point" if length == 1 else "cycle"
+    return Attractor(kind, tuple(sequence[first:first + length]), first)
 
 
 def violates_forbidden(spec: StudySpec, scenario: Scenario) -> bool:
     """True when any forbidden pair co-occurs in the scenario."""
-    return _violates(spec.kernel, scenario)
+    return bool(_violations(spec.kernel, np.array([scenario]))[0])
 
 
 def enumerate_consistent(
@@ -266,6 +340,9 @@ def enumerate_consistent(
 ) -> list[Scenario]:
     """All consistent, feasible scenarios in lexicographic state order.
 
+    The scenarios' mixed-radix codes, the last descriptor's state counting
+    fastest, are decoded ENUMERATION_CHUNK at a time into (n, D) states,
+    and balances and the forbidden pairs are checked on each chunk.
     Feasible only for small spaces; raises TractabilityError when the
     product of state counts exceeds the caller's limit.
     """
@@ -274,9 +351,12 @@ def enumerate_consistent(
     space = math.prod(kernel.state_counts)
     if space > limit:
         raise TractabilityError(space, limit)
-    return [
-        combo
-        for combo in product(*(range(n) for n in kernel.state_counts))
-        if not _violates(kernel, combo)
-        and not any(_deficits(kernel, cim.scores, combo))
-    ]
+    counts = np.array(kernel.state_counts)
+    place = np.cumprod((kernel.state_counts + (1,))[:0:-1])[::-1]
+    found: list[Scenario] = []
+    for first in range(0, space, ENUMERATION_CHUNK):
+        states = np.arange(first, min(first + ENUMERATION_CHUNK, space))[:, None] // place % counts
+        _, deficits = balances(kernel, cim.scores, states)
+        keep = ~deficits.any(1) & ~_violations(kernel, states)
+        found += map(tuple, states[keep].tolist())
+    return found

@@ -251,6 +251,9 @@ class SpecKernel:
     state_counts: tuple[int, ...]
     #: Source positions 0..D-1, the first index of the impact-score gather.
     sources: np.ndarray
+    #: The (descriptor, state) slots of a score array past each descriptor's
+    #: states, as a (D, max state count) mask, or None when there are none.
+    padded: Optional[np.ndarray]
     #: Per descriptor: (blocked state, other position, other state) for every
     #: forbidden pair naming the descriptor.
     blocks: tuple[tuple[tuple[int, int, int], ...], ...]
@@ -276,10 +279,13 @@ class SpecKernel:
         for ai, a_s, bi, b_s in forbidden:
             blocks[ai].append((a_s, bi, b_s))
             blocks[bi].append((b_s, ai, a_s))
+        counts = spec.state_counts
+        padded = np.arange(max(counts, default=0)) >= np.array(counts)[:, None]
         return cls(
             ids=tuple(d.id for d in spec.descriptors),
-            state_counts=spec.state_counts,
+            state_counts=counts,
             sources=np.arange(len(spec.descriptors)),
+            padded=padded if padded.any() else None,
             blocks=tuple(tuple(b) for b in blocks),
             forbidden=forbidden,
             implications=tuple(pair(a) + pair(c) for a, c in spec.rules.implications),

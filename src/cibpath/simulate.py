@@ -21,17 +21,16 @@ from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
-from .engine import Scenario, check_consistency, checked_kernel
+from .engine import Scenario, balances, checked_kernel, settle
 from .errors import ConfigError, InfeasibilityError, ParseError
 from .model import CyclicParams, StructuralShockConfig, StudySpec
 from .uncertainty import (
-    RandomSource, apply_structural_shock, ar1_step, check_persistence, draw_factor, filler,
-    perturbed, sampled_scores,
+    RandomSource, ar1_step, check_persistence, draw_factor, filler, perturbed, sampled_scores,
 )
 
 # Not called here, but perfbench/bench_trace.py patches them in this namespace.
 from .engine import succession_step  # noqa: F401
-from .uncertainty import advance_dynamic_shock, sample_cim  # noqa: F401
+from .uncertainty import advance_dynamic_shock, apply_structural_shock, sample_cim  # noqa: F401
 
 DEFAULT_MAX_ITER = 100
 
@@ -42,8 +41,10 @@ PURPOSES = ("cim", "structural", "cyclic", "dynamic")
 #: states then takes 32 bytes x BLOCK_RUNS x periods x len(PURPOSES).
 BLOCK_RUNS = 256
 
-#: Samples whose sub-streams robustness_fraction derives in one StreamBlock.
-ROBUSTNESS_CHUNK = 4096
+#: Samples whose sub-streams robustness_fraction derives in one StreamBlock
+#: and whose shocked matrices it stacks, at 8 bytes a cell: 19 MB for 12
+#: descriptors of 4 states.
+ROBUSTNESS_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,8 @@ def _simulate_block(
         draws.append(("dynamic", dynamic.distribution, list(innovation)))
     cyclic = list(spec.cyclic_indices)
     moves = [(spec.descriptors[j].cyclic_params, spec.state_counts[j]) for j in cyclic]
+    locked = np.zeros(len(kernel.ids), bool)
+    locked[cyclic] = True
     if per_run:
         draw("cim", sampling, list(noise), 0, range(n))
         sampled = sampled_scores(spec, noise, grid[0])
@@ -285,126 +288,23 @@ def _simulate_block(
             scores = perturbed(cim, scores, shock)
         if dynamic.enabled:
             eta = ar1_step(eta, innovation, dynamic)
-        final, conv, iters, stuck = _settle(spec, scores, eta, start, alive, max_iter)
-        ok = stuck < 0
-        for b, j in zip(alive[~ok].tolist(), stuck[~ok].tolist()):
+        settled = settle(kernel, scores, eta, start, alive, locked, max_iter)
+        ok = settled.stuck < 0
+        for b, j in zip(alive[~ok].tolist(), settled.stuck[~ok].tolist()):
             errors[b] = str(InfeasibilityError(kernel.ids[j]))
             lengths[b] = p
         innovation[alive[~ok]] = 0.0  # no longer drawn into; unclipped, it must not grow
-        alive = alive[ok]
-        states[alive, p] = final[ok]
-        converged[alive, p] = conv[ok]
-        iterations[alive, p] = iters[ok]
+        alive, kept = alive[ok], np.flatnonzero(ok)
+        first, length = settled.first[kept], settled.length[kept]
+        # A fixed point is realised after the steps to it. Otherwise the run
+        # takes the scenario max_iter steps reach: on a cycle entered at step
+        # f with length L, sequence[f + (max_iter - f) % L]; with no
+        # recurrence (L = 0), the last one, at f = max_iter.
+        at = first + (max_iter - first) % np.maximum(length, 1)
+        states[alive, p] = settled.sequence[kept, at]
+        converged[alive, p] = length == 1
+        iterations[alive, p] = np.where(length == 1, first, max_iter)
     return BlockResult(runs, states, converged, iterations, lengths, errors)
-
-
-def _settle(spec, scores, eta, start, runs, max_iter):
-    """iterate_to_attractor over succession_step from start[r], for every r
-    in runs at once, with the cyclic descriptors locked; run r scores under
-    scores[r] plus eta[r]. A run leaves the active set when a step fails or
-    the mixed-radix code of its new scenario is one it has visited.
-
-    Returns per run the realised scenario, converged flag and iterations: a
-    fixed point and True with the steps to it, else the scenario max_iter
-    steps reach (on a cycle entered at step f with length L, sequence[f +
-    (max_iter - f) % L]) and False with max_iter; and the first unlocked
-    descriptor left without a feasible state, or -1.
-    """
-    kernel = spec.kernel
-    counts = np.array(kernel.state_counts)
-    locked = np.zeros(len(counts), bool)
-    locked[list(spec.cyclic_indices)] = True
-    padded = np.arange(scores.shape[2]) >= counts[:, None]
-    padded = padded if padded.any() else None
-    # A 64-bit code word holds descriptors while their state counts' product fits.
-    word, place = [0], [1]
-    for prev, count in zip(kernel.state_counts, kernel.state_counts[1:]):
-        fits = place[-1] * prev * count <= 1 << 63
-        word.append(word[-1] + (not fits))
-        place.append(place[-1] * prev if fits else 1)
-    place = np.array(place, np.int64)
-    weights = np.zeros((len(counts), word[-1] + 1), np.int64)
-    weights[np.arange(len(counts)), word] = place
-
-    final, converged = start[runs], np.zeros(len(runs), bool)
-    iterations, stuck = np.full(len(runs), max_iter), np.full(len(runs), -1)
-    at, current = np.arange(len(runs)), final.copy()
-    history = np.empty((len(runs), min(max_iter, 8) + 1, weights.shape[1]), np.int64)
-    history[:, 0] = current @ weights
-    for t in range(1, max_iter + 1):
-        nxt, failed = _succession_step(kernel, scores, eta, runs[at], current, locked, padded)
-        code = nxt @ weights
-        seen = (history[:, :t] == code[:, None]).all(2)
-        ends = seen.any(1)
-        going = ~ends
-        if failed is not None:
-            live = failed < 0
-            stuck[at[~live]] = failed[~live]
-            ends &= live
-            going &= live
-        if ends.any():
-            first = seen[ends].argmax(1)
-            length = t - first
-            member = history[ends, first + (max_iter - first) % length]
-            done = at[ends]
-            final[done] = member[:, word] // place % counts
-            converged[done] = length == 1
-            iterations[done] = np.where(length == 1, first, max_iter)
-        if t == max_iter:
-            final[at[going]] = nxt[going]
-            break
-        at, current, history = at[going], nxt[going], history[going]
-        if not at.size:
-            break
-        if t == history.shape[1]:
-            grown = np.empty_like(history[:, : min(t, max_iter + 1 - t)])
-            history = np.concatenate([history, grown], 1)
-        history[:, t] = code[going]
-    return final, converged, iterations, stuck
-
-
-def _succession_step(kernel, scores, eta, runs, current, locked, padded):
-    """succession_step on each row of current, scored under scores[runs]
-    plus eta[runs]; returns the next states and, when some row has an
-    unlocked descriptor without a feasible state, the first such descriptor
-    per row (-1 for the others), else None. padded masks the (descriptor,
-    state) slots past each descriptor's states, or is None when there are
-    none. Summing the source rows in order is what rows.sum(axis=0) does,
-    so the scores are the same floats.
-    """
-    rows = scores[runs[:, None], kernel.sources, current]
-    for conditions, (src, src_state, tgt, tgt_state, delta) in kernel.thresholds:
-        hit = current[:, src] == src_state
-        for i, state in conditions:
-            hit &= current[:, i] == state
-        rows[hit, src, tgt, tgt_state] += delta
-    theta = rows[:, 0].copy()
-    for i in range(1, rows.shape[1]):
-        theta += rows[:, i]
-    theta += eta[runs]
-    if padded is not None:
-        theta[:, padded] = -np.inf
-    for j, forbidden in enumerate(kernel.blocks):
-        for state, other, other_state in forbidden:
-            theta[current[:, other] == other_state, j, state] = -np.inf
-    # theta.max(2) and theta.argmax(2), the first state at the maximum, as
-    # one elementwise pass per state: a reduction over a short last axis
-    # costs more.
-    best, chosen = theta[..., 0].copy(), np.zeros(theta.shape[:2], np.int8)
-    for state in range(1, theta.shape[2]):
-        column = theta[..., state]
-        np.copyto(chosen, state, where=column > best)
-        np.maximum(best, column, out=best)
-    keep = theta[np.arange(len(current))[:, None], kernel.sources, current] == best
-    nxt = np.where(keep | locked, current, chosen)
-    for a, a_state, c, c_state in kernel.implications:
-        if not locked[c]:
-            nxt[nxt[:, a] == a_state, c] = c_state
-    dead = best == -np.inf
-    dead &= ~locked
-    if not dead.any():
-        return nxt, None
-    return nxt, np.where(dead.any(1), dead.argmax(1), -1)
 
 
 def _records(block: BlockResult, grid: tuple[int, ...]) -> list[RunRecord]:
@@ -418,16 +318,6 @@ def _records(block: BlockResult, grid: tuple[int, ...]) -> list[RunRecord]:
         )
         for b, run in enumerate(block.runs)
     ]
-
-
-def simulate_run(
-    spec: StudySpec, run_index: int, source: RandomSource, max_iter: int = DEFAULT_MAX_ITER
-) -> RunRecord:
-    """One full pathway: the block of run_index alone. Infeasibility is
-    recorded, not raised."""
-    _check_invariants(spec, max_iter)
-    block = _simulate_block(spec, source, range(run_index, run_index + 1), max_iter)
-    return _records(block, spec.time_grid)[0]
 
 
 def simulate_ensemble(
@@ -470,19 +360,34 @@ def robustness_fraction(
     master_seed: int,
 ) -> float:
     """Fraction of structurally shocked matrices (drawn around the point
-    estimates) under which the scenario stays consistent."""
+    estimates) under which the scenario stays consistent.
+
+    Sample s's matrix is apply_structural_shock(spec.cim, its stream
+    ("robustness", s), shock_config). A chunk of ROBUSTNESS_CHUNK samples
+    is drawn at once: each stream fills its row of one noise stack, the
+    scaling, the add, clip and zero run once on the stack (they are
+    elementwise, so the floats are the same), and the scenario is checked
+    under every matrix of the stack with one call to balances."""
     if sample_count < 1:
         raise ConfigError(f"sample_count must be >= 1 (got {sample_count})")
+    kernel = checked_kernel(spec, spec.cim, scenario)
+    factor = draw_factor(shock_config.distribution, shock_config.scale)
     source, hits = RandomSource(master_seed), 0
+    buffer = np.empty((min(ROBUSTNESS_CHUNK, sample_count),) + spec.cim.scores.shape)
     for first in range(0, sample_count, ROBUSTNESS_CHUNK):  # memory bounded by the chunk
         samples = range(first, min(first + ROBUSTNESS_CHUNK, sample_count))
         streams = source.block(("robustness",), samples)
-        for s in samples:
-            shocked = apply_structural_shock(
-                spec.cim, streams.substream("robustness", s), shock_config
-            )
-            if check_consistency(spec, shocked, scenario).consistent:
-                hits += 1
+        rng = streams.generator("robustness")
+        fill, bit_generator = filler(rng, shock_config.distribution), rng.bit_generator
+        noise = buffer[:len(samples)]
+        for b, row in enumerate(noise):
+            streams.set_state(bit_generator, b)
+            fill(row)
+        noise *= factor
+        shocked = perturbed(spec.cim, spec.cim.scores, noise)
+        states = np.broadcast_to(np.array(scenario), (len(samples), len(scenario)))
+        _, deficits = balances(kernel, shocked, states)
+        hits += int(np.count_nonzero(~deficits.any(1)))
     return hits / sample_count
 
 

@@ -88,8 +88,9 @@ def random_spec_document(
 
 
 def brute_force_consistent(document):
-    """Independent oracle: enumerate all state combinations and check the
-    impact-balance maximum directly from the raw cell records."""
+    """Independent oracle: enumerate all state combinations, drop those
+    holding a forbidden pair, and check the impact-balance maximum directly
+    from the raw cell records."""
     from itertools import product
 
     ids = [d["id"] for d in document["descriptors"]]
@@ -98,9 +99,13 @@ def brute_force_consistent(document):
     for rec in document["cim"]:
         key = (rec["source"], rec["source_state"], rec["target"], rec["target_state"])
         table[key] = float(rec["score"])
+    forbidden = [
+        (ids.index(a), a_state, ids.index(b), b_state)
+        for (a, a_state), (b, b_state) in document.get("rules", {}).get("forbidden_pairs", [])
+    ]
     consistent = []
     for combo in product(*(range(c) for c in counts)):
-        ok = True
+        ok = not any(combo[a] == sa and combo[b] == sb for a, sa, b, sb in forbidden)
         for j, tgt in enumerate(ids):
             theta = []
             for l in range(counts[j]):

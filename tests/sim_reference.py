@@ -4,9 +4,10 @@ A copy of the per-run simulation loop that ``cibpath.simulate`` replaced
 with its block kernel, kept as the oracle the kernel must match exactly:
 per run and period it samples the period matrix, applies the structural
 shock, moves the cyclic descriptors, advances the AR(1) perturbation and
-iterates ``engine.succession_step`` with ``engine.iterate_to_attractor``.
-The float formulas of the draws are written out here rather than taken
-from ``cibpath.uncertainty``, so a change there shows as a mismatch.
+iterates ``reference_succession_step`` with ``iterate_to_attractor``.
+Succession, the attractor loop and the float formulas of the draws are
+written out here rather than taken from ``cibpath.engine`` and
+``cibpath.uncertainty``, so a change there shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -15,10 +16,80 @@ import math
 
 import numpy as np
 
-from cibpath.engine import iterate_to_attractor, succession_step
 from cibpath.errors import ConfigError, InfeasibilityError
 from cibpath.model import SCORE_MAX, SCORE_MIN
 from cibpath.simulate import Pathway, RunRecord, transition_cyclic_state
+
+
+def reference_succession_step(spec, cim, scenario, locked=frozenset(), perturbation=None):
+    """Oracle for succession_step, written without the compiled kernel: the
+    full threshold-adjusted matrix, feasible states rebuilt from the
+    forbidden pairs for every descriptor, and a running argmax."""
+    applicable = [
+        r.effect
+        for r in spec.threshold_rules
+        if all(scenario[spec.index_of(did)] == s for did, s in r.conditions)
+    ]
+    scores = cim.scores.copy()
+    for e in applicable:
+        scores[
+            spec.index_of(e.source), e.source_state, spec.index_of(e.target), e.target_state
+        ] += e.delta
+    theta = scores[np.arange(len(scenario)), list(scenario)].sum(axis=0)
+    if perturbation is not None:
+        theta = theta + perturbation
+    locked_idx = {spec.index_of(did) for did in locked}
+    new = list(scenario)
+    for j, d in enumerate(spec.descriptors):
+        if j in locked_idx:
+            continue
+        blocked = set()
+        for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
+            ai, bi = spec.index_of(a_id), spec.index_of(b_id)
+            if ai == j and scenario[bi] == b_s:
+                blocked.add(a_s)
+            elif bi == j and scenario[ai] == a_s:
+                blocked.add(b_s)
+        best_state, best_score, current_is_max = -1, -np.inf, False
+        for l in range(d.state_count):
+            if l in blocked:
+                continue
+            v = theta[j, l]
+            if v > best_score:
+                best_score, best_state, current_is_max = v, l, l == scenario[j]
+            elif v == best_score and l == scenario[j]:
+                current_is_max = True
+        if best_state < 0:
+            raise InfeasibilityError(d.id)
+        new[j] = scenario[j] if current_is_max else best_state
+    for (a_id, a_s), (c_id, c_s) in spec.rules.implications:
+        if new[spec.index_of(a_id)] == a_s:
+            ci = spec.index_of(c_id)
+            if ci not in locked_idx:
+                new[ci] = c_s
+    return tuple(new)
+
+
+def iterate_to_attractor(step, start, max_steps):
+    """Apply step from start until a scenario recurs, for at most max_steps
+    steps.
+
+    Returns the distinct scenarios visited, in order, and the index at
+    which the recurring scenario was first seen: the attractor is
+    sequence[first:], a fixed point when that has one member. first is None
+    when max_steps steps pass without a recurrence; sequence[-1] is then
+    the scenario after the last step.
+    """
+    visited = {start: 0}
+    sequence = [start]
+    for _ in range(max_steps):
+        nxt = step(sequence[-1])
+        first = visited.get(nxt)
+        if first is not None:
+            return sequence, first
+        visited[nxt] = len(sequence)
+        sequence.append(nxt)
+    return sequence, None
 
 
 def draw_scaled(rng, distribution, sd, shape):
@@ -87,7 +158,7 @@ def simulate_period(spec, prev, period, eta, source, run_index, max_iter, run_ci
         perturbation = None
     locked_frozen = frozenset(locked)
     sequence, first = iterate_to_attractor(
-        lambda z: succession_step(spec, period_cim, z, locked_frozen, perturbation),
+        lambda z: reference_succession_step(spec, period_cim, z, locked_frozen, perturbation),
         tuple(start),
         max_iter,
     )

@@ -3,8 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from cibpath import engine
 from cibpath.engine import (
     Attractor,
+    NonConvergence,
     check_consistency,
     effective_cim,
     enumerate_consistent,
@@ -16,6 +18,7 @@ from cibpath.errors import InfeasibilityError, StructureError, TractabilityError
 from cibpath.model import CrossImpactMatrix, parse_study_spec
 
 from conftest import brute_force_consistent, random_spec_document, two_desc_document
+from sim_reference import iterate_to_attractor, reference_succession_step
 
 
 def zero_cim(spec):
@@ -184,6 +187,42 @@ class TestAttractor:
         att = find_attractor(fixture_spec, cim, (1, 0), 50)
         assert att == Attractor("fixed_point", ((1, 0),), 0)
 
+    def test_matches_iterating_the_reference_step(self):
+        """find_attractor against iterate_to_attractor over
+        reference_succession_step, on specs with thresholds, forbidden pairs
+        (sometimes blocking every state of a descriptor) and implications,
+        from random starts."""
+        rng = random.Random(2006)
+        seen = {"fixed_point": 0, "cycle": 0, "nonconverged": 0, "infeasible": 0}
+        for case in range(400):
+            spec = parse_study_spec(random_rule_document(rng))
+            start = tuple(rng.randrange(n) for n in spec.state_counts)
+            max_steps = (1, 2, 3, 1000)[case % 4]
+            try:
+                sequence, first = iterate_to_attractor(
+                    lambda z: reference_succession_step(spec, spec.cim, z), start, max_steps
+                )
+            except InfeasibilityError as e:
+                with pytest.raises(InfeasibilityError) as exc:
+                    find_attractor(spec, spec.cim, start, max_steps)
+                assert exc.value.descriptor_id == e.descriptor_id
+                seen["infeasible"] += 1
+                continue
+            got = find_attractor(spec, spec.cim, start, max_steps)
+            if first is None:
+                assert got == NonConvergence(max_steps, sequence[-1]), case
+                seen["nonconverged"] += 1
+            else:
+                kind = "fixed_point" if first == len(sequence) - 1 else "cycle"
+                assert got == Attractor(kind, tuple(sequence[first:]), first), case
+                seen[kind] += 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_below_one(self, fixture_spec, max_steps):
+        with pytest.raises(ValueError):
+            find_attractor(fixture_spec, fixture_spec.cim, (0, 0), max_steps)
+
     def test_cycle_members_map_to_successors(self):
         rng = random.Random(23)
         for _ in range(30):
@@ -220,12 +259,19 @@ class TestEnumeration:
             enumerate_consistent(fixture_spec, fixture_spec.cim, limit=3)
         assert exc.value.space == 4
 
-    def test_matches_brute_force_oracle(self):
+    def test_matches_brute_force_oracle(self, monkeypatch):
+        """Specs without rules, with up to five states a descriptor (one-state
+        descriptors too), and with forbidden pairs, at several chunk sizes."""
         rng = random.Random(99)
-        for _ in range(25):
-            doc = random_spec_document(rng)
-            spec = parse_study_spec(doc)
-            assert enumerate_consistent(spec, spec.cim) == brute_force_consistent(doc)
+        docs = [random_spec_document(rng) for _ in range(25)]
+        docs += [random_spec_document(rng, 4, 5, 1) for _ in range(25)]
+        docs += [random_rule_document(rng) for _ in range(25)]
+        cases = [(parse_study_spec(doc), brute_force_consistent(doc)) for doc in docs]
+        assert sum(bool(doc["rules"]["forbidden_pairs"]) for doc in docs[50:]) >= 15
+        for chunk in (1, 7, engine.ENUMERATION_CHUNK):
+            monkeypatch.setattr(engine, "ENUMERATION_CHUNK", chunk)
+            for spec, expected in cases:
+                assert enumerate_consistent(spec, spec.cim) == expected, chunk
 
     def test_idempotence_on_consistent_scenarios(self):
         rng = random.Random(17)
@@ -234,55 +280,6 @@ class TestEnumeration:
             spec = parse_study_spec(doc)
             for z in enumerate_consistent(spec, spec.cim):
                 assert succession_step(spec, spec.cim, z) == z
-
-
-def reference_succession_step(spec, cim, scenario, locked=frozenset(), perturbation=None):
-    """Oracle for succession_step, written without the compiled kernel: the
-    full threshold-adjusted matrix, feasible states rebuilt from the
-    forbidden pairs for every descriptor, and a running argmax."""
-    applicable = [
-        r.effect
-        for r in spec.threshold_rules
-        if all(scenario[spec.index_of(did)] == s for did, s in r.conditions)
-    ]
-    scores = cim.scores.copy()
-    for e in applicable:
-        scores[
-            spec.index_of(e.source), e.source_state, spec.index_of(e.target), e.target_state
-        ] += e.delta
-    theta = scores[np.arange(len(scenario)), list(scenario)].sum(axis=0)
-    if perturbation is not None:
-        theta = theta + perturbation
-    locked_idx = {spec.index_of(did) for did in locked}
-    new = list(scenario)
-    for j, d in enumerate(spec.descriptors):
-        if j in locked_idx:
-            continue
-        blocked = set()
-        for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
-            ai, bi = spec.index_of(a_id), spec.index_of(b_id)
-            if ai == j and scenario[bi] == b_s:
-                blocked.add(a_s)
-            elif bi == j and scenario[ai] == a_s:
-                blocked.add(b_s)
-        best_state, best_score, current_is_max = -1, -np.inf, False
-        for l in range(d.state_count):
-            if l in blocked:
-                continue
-            v = theta[j, l]
-            if v > best_score:
-                best_score, best_state, current_is_max = v, l, l == scenario[j]
-            elif v == best_score and l == scenario[j]:
-                current_is_max = True
-        if best_state < 0:
-            raise InfeasibilityError(d.id)
-        new[j] = scenario[j] if current_is_max else best_state
-    for (a_id, a_s), (c_id, c_s) in spec.rules.implications:
-        if new[spec.index_of(a_id)] == a_s:
-            ci = spec.index_of(c_id)
-            if ci not in locked_idx:
-                new[ci] = c_s
-    return tuple(new)
 
 
 def random_rule_document(rng):

@@ -9,7 +9,7 @@ import pytest
 
 import sim_reference as reference
 from cibpath import simulate
-from cibpath.engine import check_consistency, iterate_to_attractor
+from cibpath.engine import check_consistency
 from cibpath.errors import ConfigError, ParseError
 from cibpath.model import CyclicParams, StructuralShockConfig, Distribution, parse_study_spec
 from cibpath.simulate import (
@@ -21,13 +21,19 @@ from cibpath.simulate import (
     robustness_fraction,
     save_ensemble,
     simulate_ensemble,
-    simulate_run,
     transition_cyclic_state,
     write_ensemble,
 )
 from cibpath.uncertainty import StreamBlock, apply_structural_shock
 
 from conftest import random_spec_document, two_desc_document
+from sim_reference import iterate_to_attractor
+
+
+def run_record(spec, run_index, source, max_iter=simulate.DEFAULT_MAX_ITER):
+    """Run run_index's record, from an ensemble of run_index + 1 runs under
+    source's master seed."""
+    return simulate_ensemble(spec, run_index + 1, source.master_seed, max_iter).runs[run_index]
 
 
 def degenerate_document(extra=None):
@@ -119,35 +125,35 @@ class TestCyclicTransition:
 
 class TestSimulateRun:
     def test_first_period_is_baseline(self, mini_spec):
-        rec = simulate_run(mini_spec, 0, RandomSource(42))
+        rec = run_record(mini_spec, 0, RandomSource(42))
         assert rec.pathway.entries[0] == (2025, mini_spec.baseline)
         assert rec.converged[0] is True
 
     def test_covers_whole_grid(self, mini_spec):
-        rec = simulate_run(mini_spec, 0, RandomSource(42))
+        rec = run_record(mini_spec, 0, RandomSource(42))
         assert rec.pathway.periods == mini_spec.time_grid
 
     def test_degenerate_spec_reaches_fixed_point(self):
         spec = parse_study_spec(degenerate_document())
-        rec = simulate_run(spec, 0, RandomSource(7))
+        rec = run_record(spec, 0, RandomSource(7))
         # baseline (0, 0) is consistent, so the pathway never leaves it
         assert rec.pathway.scenarios == ((0, 0), (0, 0), (0, 0))
         assert all(rec.converged)
 
     def test_run_reproducibility(self, mini_spec):
-        a = simulate_run(mini_spec, 5, RandomSource(42))
-        b = simulate_run(mini_spec, 5, RandomSource(42))
+        a = run_record(mini_spec, 5, RandomSource(42))
+        b = run_record(mini_spec, 5, RandomSource(42))
         assert a == b
 
     def test_runs_differ(self, mini_spec):
-        a = simulate_run(mini_spec, 0, RandomSource(42))
-        b = simulate_run(mini_spec, 1, RandomSource(42))
-        c = simulate_run(mini_spec, 0, RandomSource(43))
+        a = run_record(mini_spec, 0, RandomSource(42))
+        b = run_record(mini_spec, 1, RandomSource(42))
+        c = run_record(mini_spec, 0, RandomSource(43))
         assert a.pathway != b.pathway or a.pathway != c.pathway
 
     def test_max_iter_guard(self, mini_spec):
         with pytest.raises(ConfigError):
-            simulate_run(mini_spec, 0, RandomSource(0), max_iter=0)
+            run_record(mini_spec, 0, RandomSource(0), max_iter=0)
 
 
 CAPS = (1, 2, 3, 50, 100, 101)
@@ -194,7 +200,7 @@ def period_against_cap(monkeypatch, spec, prev, period, run_index, source, max_i
         spec, prev, period, reference.initial_eta(spec), source, run_index, max_iter
     )
     (step, start), = captured
-    record = simulate_run(one_period_spec(spec, prev, period), run_index, source, max_iter)
+    record = run_record(one_period_spec(spec, prev, period), run_index, source, max_iter)
     got = (record.pathway.terminal(), record.converged[-1], record.succession_iterations[-1])
     assert got == (scenario, converged, iterations)
     return got, iterate_to_cap(step, start, max_iter)
@@ -350,14 +356,14 @@ class TestLockStepOracle:
             "rules": {"forbidden_pairs": [[["A", 0], ["B", 0]], [["A", 1], ["B", 0]]]},
         })
         spec = parse_study_spec(doc)
-        record = simulate_run(spec, 0, RandomSource(3))
+        record = run_record(spec, 0, RandomSource(3))
         assert record == reference.simulate_run(spec, 0, RandomSource(3), 100)
         assert record.error == "no feasible state for descriptor 'A'"
         assert record.pathway.periods == (2025,)
 
     def test_scores_sum_in_source_order(self):
         spec = parse_study_spec(ulp_tie_document())
-        record = simulate_run(spec, 0, RandomSource(0))
+        record = run_record(spec, 0, RandomSource(0))
         assert record == reference.simulate_run(spec, 0, RandomSource(0), 100)
         assert record.pathway.terminal() == (0, 0, 0, 0)
 
