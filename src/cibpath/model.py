@@ -137,6 +137,10 @@ class CrossImpactMatrix:
                     for tj in range(self.state_counts[j]):
                         yield i, si, j, tj
 
+    def cell_path(self, i, si, j, tj) -> str:
+        """The cell's node in messages: cim[source:state->target:state]."""
+        return f"cim[{self.descriptor_ids[i]}:{si}->{self.descriptor_ids[j]}:{tj}]"
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CrossImpactMatrix):
             return NotImplemented
@@ -225,17 +229,6 @@ class UncertaintyConfig:
     time_scale: tuple[tuple[int, float], ...] = ()
     sampling_distribution: Distribution = GAUSSIAN
     resample: str = "per_period"  # "per_run" | "per_period"
-
-    def sigma(self, confidence: int) -> float:
-        if not 1 <= confidence <= 5:
-            raise ValueError(f"confidence code {confidence} outside 1..5")
-        return self.confidence_sigma[confidence - 1]
-
-    def factor(self, period: int) -> float:
-        for p, f in self.time_scale:
-            if p == period:
-                return f
-        raise KeyError(period)
 
 
 @dataclass(frozen=True)
@@ -827,13 +820,13 @@ def validate_study_spec(spec: StudySpec) -> list[Finding]:
         bad = mask & ~((scores >= SCORE_MIN) & (scores <= SCORE_MAX))
         for i, si, j, tj in np.argwhere(bad):
             err(
-                f"cim[{cim.descriptor_ids[i]}:{si}->{cim.descriptor_ids[j]}:{tj}]",
+                cim.cell_path(i, si, j, tj),
                 f"score {scores[i, si, j, tj]:g} outside [{SCORE_MIN:g}, {SCORE_MAX:g}]",
             )
         badc = mask & ~((cim.confidences >= 1) & (cim.confidences <= 5))
         for i, si, j, tj in np.argwhere(badc):
             err(
-                f"cim[{cim.descriptor_ids[i]}:{si}->{cim.descriptor_ids[j]}:{tj}]",
+                cim.cell_path(i, si, j, tj),
                 f"confidence {cim.confidences[i, si, j, tj]} outside 1..5",
             )
         # All-zero outgoing rows usually mean a pair was never elicited.

@@ -17,9 +17,10 @@ import numpy as np
 from .analytics import row_keys
 from .engine import Scenario
 from .errors import (
-    ConfigError, CoverageError, EmptyInputError, OutOfRangeError, ParseError, schema_error,
+    ConfigError, CoverageError, EmptyInputError, OutOfRangeError, ParseError, SpecReferenceError,
+    schema_error,
 )
-from .model import StudySpec
+from .model import StudySpec, resolve_state
 from .simulate import EnsembleResult, Pathway
 
 IDENTITY_TOL = 1e-9
@@ -159,8 +160,31 @@ def build_extreme_scenarios(
     axes_config keys: "outcome" ({"descriptor": id}), "descriptor_stacks"
     ({label: {descriptor: state}}), "frequency" ({"min_count": n}).
     Returns (scenarios, warnings); an axis with no matching ensemble
-    scenario is skipped with a warning.
+    scenario is skipped with a warning. A node of axes_config that is
+    missing, of the wrong type or names no descriptor or state raises
+    ParseError naming it (extremes.<node>).
     """
+    outcome, stacks, min_count, node = None, [], None, "extremes"
+    try:
+        if "outcome" in axes_config:
+            node = "extremes.outcome"
+            outcome = spec.index_of(axes_config["outcome"]["descriptor"])
+        stack_config = axes_config.get("descriptor_stacks") or {}
+        node = "extremes.descriptor_stacks"
+        for label, stack in stack_config.items():
+            scenario = {}
+            for did, ref in stack.items():
+                node = f"extremes.descriptor_stacks.{label}.{did}"
+                j = spec.index_of(did)
+                scenario[j] = resolve_state(spec.descriptors[j], ref, node)
+            stacks.append((label, scenario))
+        if "frequency" in axes_config:
+            node = "extremes.frequency"
+            min_count = int(axes_config["frequency"].get("min_count", 1))
+    except SpecReferenceError as e:
+        raise SpecReferenceError(node, e.reason) from None
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise schema_error(node, e) from None
     terminals = ensemble.ok_states[:, -1]
     if not len(terminals):
         raise EmptyInputError("ensemble holds no successful runs")
@@ -180,31 +204,26 @@ def build_extreme_scenarios(
         }
         out.append(ExtremeScenario(label, axis, terminal_period, values))
 
-    if "outcome" in axes_config:
-        did = axes_config["outcome"]["descriptor"]
-        j = spec.index_of(did)
-        for state, side in ((0, "low"), (spec.descriptors[j].state_count - 1, "high")):
-            found = max((t for t in counts if t[j] == state), key=by_count, default=None)
+    if outcome is not None:
+        desc = spec.descriptors[outcome]
+        for state, side in ((0, "low"), (desc.state_count - 1, "high")):
+            found = max((t for t in counts if t[outcome] == state), key=by_count, default=None)
             if found is None:
                 warnings.append(
-                    f"outcome axis: no terminal scenario with {did!r} in state {state}; skipped"
+                    f"outcome axis: no terminal scenario with {desc.id!r} in state {state}; skipped"
                 )
             else:
                 add(f"outcome-{side}", "outcome_based", found)
 
     # Unstacked drivers take their modal terminal state in the ensemble.
     modal = max(counts, key=by_count)
-    for label, stack in (axes_config.get("descriptor_stacks") or {}).items():
+    for label, stack in stacks:
         scenario = list(modal)
-        for did, state in stack.items():
-            j = spec.index_of(did)
-            if isinstance(state, str):
-                state = spec.descriptors[j].state_labels().index(state)
+        for j, state in stack.items():
             scenario[j] = state
         add(f"stack-{label}", "descriptor_based", tuple(scenario))
 
-    if "frequency" in axes_config:
-        min_count = int(axes_config["frequency"].get("min_count", 1))
+    if min_count is not None:
         found = min((t for t in counts if counts[t] >= min_count), key=by_count, default=None)
         if found is None:
             warnings.append(

@@ -25,7 +25,7 @@ from .engine import Scenario, balances, checked_kernel, settle
 from .errors import ConfigError, InfeasibilityError, ParseError
 from .model import CyclicParams, StructuralShockConfig, StudySpec
 from .uncertainty import (
-    RandomSource, ar1_step, check_persistence, draw_factor, filler, perturbed, sampled_scores,
+    RandomSource, ar1_step, check_persistence, draw_factor, perturbed, sampled_scores,
 )
 
 # Not called here, but perfbench/bench_trace.py patches them in this namespace.
@@ -220,10 +220,9 @@ def _simulate_block(
     per_run policy, the one drawn from the first period's "cim" stream), one
     AR(1) step and succession with the cyclic descriptors locked.
 
-    Per run this only sets each drawn stream's state on its purpose's
-    Generator and fills the run's buffer row, so each stream gives the same
-    draws in the same order as one run at a time. The cyclic moves take
-    their uniforms from StreamBlock.uniforms and run on arrays
+    Each drawn stream fills its run's buffer row (StreamBlock.fill), so it
+    gives the same draws in the same order as one run at a time. The cyclic
+    moves take their uniforms from StreamBlock.uniforms and run on arrays
     (_cyclic_moves). The sigma scaling, the add, clip and zero of the
     matrices and the AR(1) update are elementwise, so doing them once per
     block and period gives the same floats.
@@ -242,45 +241,35 @@ def _simulate_block(
     iterations = np.zeros((n, periods), np.int64)
     lengths = np.full(n, periods)
     errors: list[Optional[str]] = [None] * n
-
-    def draw(purpose, distribution, rows, p, members):
-        """Fill rows[b] from run b's purpose stream at period index p, for
-        each b in members."""
-        rng, set_state = streams.generator(purpose), streams.set_state
-        fill, bit_generator = filler(rng, distribution), rng.bit_generator
-        first = p * period_stride + PURPOSES.index(purpose)
-        for b in members:
-            set_state(bit_generator, first + b * run_stride)
-            fill(rows[b])
-
     noise = np.zeros((n,) + cim.scores.shape)
     shock = np.zeros_like(noise)
     eta = np.zeros(noise.shape[:3])
     innovation = np.zeros_like(eta)
-    draws = [] if per_run else [("cim", sampling, list(noise))]  # (purpose, distribution, rows)
+    # (purpose's stream offset, distribution, buffer with a row per run)
+    draws = [] if per_run else [(PURPOSES.index("cim"), sampling, noise)]
     if structural.enabled:
-        draws.append(("structural", structural.distribution, list(shock)))
+        draws.append((PURPOSES.index("structural"), structural.distribution, shock))
     if dynamic.enabled:
-        draws.append(("dynamic", dynamic.distribution, list(innovation)))
+        draws.append((PURPOSES.index("dynamic"), dynamic.distribution, innovation))
     cyclic = list(spec.cyclic_indices)
     moves = [(spec.descriptors[j].cyclic_params, spec.state_counts[j]) for j in cyclic]
     locked = np.zeros(len(kernel.ids), bool)
     locked[cyclic] = True
     if per_run:
-        draw("cim", sampling, list(noise), 0, range(n))
+        streams.fill(np.arange(n) * run_stride + PURPOSES.index("cim"), sampling, noise)
         sampled = sampled_scores(spec, noise, grid[0])
 
     alive = np.arange(n)
     for p in range(1, periods):
         if not alive.size:
             break
+        base = alive * run_stride + p * period_stride  # each run's period streams start here
         members = alive.tolist()
-        for purpose, distribution, rows in draws:
-            draw(purpose, distribution, rows, p, members)
+        for offset, distribution, rows in draws:
+            streams.fill(base + offset, distribution, [rows[b] for b in members])
         start = states[:, p - 1].copy()
         if cyclic:
-            at = alive * run_stride + (p * period_stride + PURPOSES.index("cyclic"))
-            uniforms = streams.uniforms(at, 2 * len(cyclic))
+            uniforms = streams.uniforms(base + PURPOSES.index("cyclic"), 2 * len(cyclic))
             start[alive[:, None], cyclic] = _cyclic_moves(moves, start[alive][:, cyclic], uniforms)
         scores = sampled if per_run else sampled_scores(spec, noise, grid[p])
         if structural.enabled:
@@ -376,13 +365,9 @@ def robustness_fraction(
     buffer = np.empty((min(ROBUSTNESS_CHUNK, sample_count),) + spec.cim.scores.shape)
     for first in range(0, sample_count, ROBUSTNESS_CHUNK):  # memory bounded by the chunk
         samples = range(first, min(first + ROBUSTNESS_CHUNK, sample_count))
-        streams = source.block(("robustness",), samples)
-        rng = streams.generator("robustness")
-        fill, bit_generator = filler(rng, shock_config.distribution), rng.bit_generator
         noise = buffer[:len(samples)]
-        for b, row in enumerate(noise):
-            streams.set_state(bit_generator, b)
-            fill(row)
+        streams = source.block(("robustness",), samples)
+        streams.fill(range(len(samples)), shock_config.distribution, noise)
         noise *= factor
         shocked = perturbed(spec.cim, spec.cim.scores, noise)
         states = np.broadcast_to(np.array(scenario), (len(samples), len(scenario)))

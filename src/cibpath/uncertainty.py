@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .model import (
     DynamicShockConfig,
     StructuralShockConfig,
     StudySpec,
-    UncertaintyConfig,
 )
 
 _SEED_MASK = (1 << 64) - 1
@@ -98,29 +96,22 @@ class StreamBlock:
     """Many sub-streams of one master seed, derived in one vectorised pass.
 
     The block covers every parts tuple that takes one part from each axis,
-    at the flat index ``index(*parts)`` (row-major over the axes, so part i
-    of axis k adds i * strides[k]); ``substream(*parts)`` gives the same
-    draws as ``RandomSource(master_seed).substream(*parts)``. numpy's
-    SeedSequence mixing and ``generate_state(4, uint64)`` run as uint32
-    array operations over all combinations at once, and PCG64's seeding
-    (inc = (seq << 1) | 1, state = ((seed + inc) * M + inc) mod 2**128) as
-    uint64 limb arithmetic on the same table, which then holds each stream's
-    (state, inc). A request only sets a stream's state on a Generator; the
-    first draws of random() can also be computed for many streams at once
-    (uniforms). substream reuses one Generator for every request with the
-    same parts on the axes that hold only str parts (its purpose): a
-    returned stream stays valid until the next request for the same purpose.
+    addressed by flat index: row-major over the axes, so part i of axis k
+    adds i * strides[k]. The stream at a flat index gives the same draws as
+    ``RandomSource(master_seed).substream(*parts)``. numpy's SeedSequence
+    mixing and ``generate_state(4, uint64)`` run as uint32 array operations
+    over all combinations at once, and PCG64's seeding (inc = (seq << 1) | 1,
+    state = ((seed + inc) * M + inc) mod 2**128) as uint64 limb arithmetic
+    on the same table, which then holds each stream's (state, inc). fill
+    draws buffer rows from streams by setting each one's state on the
+    block's one Generator; the first draws of random() can also be computed
+    for many streams at once (uniforms).
     """
 
     def __init__(self, master_seed: int, axes: Sequence[Sequence[StreamPart]]):
         # Per axis, each part's offset in the row-major order of the streams.
-        strides = np.cumprod([1] + [len(axis) for axis in axes[:0:-1]])[::-1].tolist()
-        self._index = [{p: i * s for i, p in enumerate(axis)} for axis, s in zip(axes, strides)]
-        self.strides = tuple(strides)
-        # A request's purpose: its parts on the axes that hold only str parts.
-        labels = [k for k, axis in enumerate(axes) if all(isinstance(p, str) for p in axis)]
-        self._purpose = itemgetter(*labels) if labels else (lambda parts: None)
-        self._generators: dict = {}
+        self.strides = tuple(np.cumprod([1] + [len(axis) for axis in axes[:0:-1]])[::-1].tolist())
+        self._rng = np.random.Generator(np.random.PCG64(0))
         shape = tuple(len(axis) for axis in axes)
         table = np.zeros(shape + (4,), dtype=np.uint64)
         seed = [np.full((1,) * len(axes), w, dtype=np.uint32)
@@ -149,23 +140,6 @@ class StreamBlock:
         self._table = table.reshape(-1, 4)
         _pcg64_seed(self._table)
 
-    def index(self, *parts) -> int:
-        """The flat index of the stream named by parts, which must be in the
-        block."""
-        if len(parts) != len(self._index):
-            raise KeyError(f"stream {parts!r} is not in this block")
-        try:
-            return sum(map(dict.__getitem__, self._index, parts))
-        except KeyError:
-            raise KeyError(f"stream {parts!r} is not in this block") from None
-
-    def generator(self, key) -> np.random.Generator:
-        """The PCG64 Generator this block reuses for requests under key."""
-        rng = self._generators.get(key)
-        if rng is None:
-            rng = self._generators[key] = np.random.Generator(np.random.PCG64(0))
-        return rng
-
     def set_state(self, bit_generator: np.random.PCG64, at: int) -> None:
         """Put bit_generator at the start of the stream at flat index at."""
         state_hi, state_lo, inc_hi, inc_lo = self._table[at].tolist()
@@ -176,12 +150,14 @@ class StreamBlock:
             "uinteger": 0,
         }
 
-    def substream(self, *parts) -> np.random.Generator:
-        """The stream named by parts, which must be in the block."""
-        at = self.index(*parts)
-        rng = self.generator(self._purpose(parts))
-        self.set_state(rng.bit_generator, at)
-        return rng
+    def fill(self, at: Iterable[int], distribution: Distribution, rows: Iterable) -> None:
+        """Fill each array rows[k] with the distribution's unit draws
+        (filler) from the start of the stream at flat index at[k]."""
+        rng = self._rng
+        fill, bit_generator = filler(rng, distribution), rng.bit_generator
+        for k, row in zip(at, rows):
+            self.set_state(bit_generator, k)
+            fill(row)
 
     def uniforms(self, at: np.ndarray, count: int) -> np.ndarray:
         """The first count draws of ``random()`` from each stream at the
@@ -291,23 +267,20 @@ def draw_factor(distribution: Distribution, sd: float) -> float:
     return sd * math.sqrt((df - 2) / df)
 
 
-def filler(rng: np.random.Generator, distribution: Distribution) -> Callable[[np.ndarray], None]:
+def filler(
+    rng: np.random.Generator, distribution: Distribution
+) -> Callable[[np.ndarray], np.ndarray]:
     """rng's fill method for the distribution's unit draws, bound once: it
     fills an array, in C order, with standard normal draws, or Student-t
-    draws with the distribution's df."""
+    draws with the distribution's df, and returns it."""
     if distribution.kind == "gaussian":
         return lambda out: rng.standard_normal(out=out)
     df = distribution.df
 
-    def fill(out: np.ndarray) -> None:
+    def fill(out: np.ndarray) -> np.ndarray:
         out[...] = rng.standard_t(df, out.shape)
+        return out
     return fill
-
-
-def draw_raw(rng: np.random.Generator, distribution: Distribution, out: np.ndarray) -> np.ndarray:
-    """Fill out with unit draws (see filler). Returns out."""
-    filler(rng, distribution)(out)
-    return out
 
 
 def draw_scaled(
@@ -315,33 +288,27 @@ def draw_scaled(
 ) -> np.ndarray:
     """Zero-mean draws whose standard deviation equals sd (see draw_factor)."""
     factor = draw_factor(distribution, sd)
-    out = draw_raw(rng, distribution, np.empty(shape))
+    out = filler(rng, distribution)(np.empty(shape))
     out *= factor
     return out
 
 
-def judgement_sigma(
-    uncertainty: UncertaintyConfig, confidence: int, period: int
-) -> float:
-    """Per-cell sampling scale: confidence sigma times the period factor."""
-    if not 1 <= confidence <= 5:
-        raise OutOfRangeError(f"confidence code {confidence} outside 1..5")
-    try:
-        factor = uncertainty.factor(period)
-    except KeyError:
-        raise OutOfRangeError(f"period {period} not in the time grid")
-    return uncertainty.sigma(confidence) * factor
-
-
 def sigma_tables(spec: StudySpec) -> dict[int, np.ndarray]:
     """Per period of the time scale, every cell's sampling scale: the
-    judgement_sigma of its confidence code, 0.0 outside valid_mask.
-    Read-only; StudySpec.sigma_tables compiles them once per spec."""
+    confidence_sigma of its confidence code times the period's factor, 0.0
+    outside valid_mask. A valid cell's code outside 1..5 raises
+    OutOfRangeError. Read-only; StudySpec.sigma_tables compiles them once
+    per spec."""
     unc, cim = spec.uncertainty, spec.cim
+    bad = np.argwhere(cim.valid_mask & ((cim.confidences < 1) | (cim.confidences > 5)))
+    if len(bad):
+        raise OutOfRangeError(
+            f"{cim.cell_path(*bad[0])}: confidence {cim.confidences[tuple(bad[0])]} outside 1..5"
+        )
     codes = np.where(cim.valid_mask, cim.confidences, 0)
     tables = {}
-    for period, _ in unc.time_scale:
-        by_code = np.array([0.0] + [judgement_sigma(unc, c, period) for c in range(1, 6)])
+    for period, factor in unc.time_scale:
+        by_code = np.array([0.0] + [sigma * factor for sigma in unc.confidence_sigma])
         tables[period] = by_code[codes]
         tables[period].flags.writeable = False
     return tables
@@ -352,9 +319,8 @@ def sample_cim(
 ) -> CrossImpactMatrix:
     """Sample every cell around its point estimate with its confidence-derived
     scale, clipped to the elicitation range; confidences pass through."""
-    cim = spec.cim
-    noise = draw_raw(rng, spec.uncertainty.sampling_distribution, np.empty(cim.scores.shape))
-    return cim.with_scores(sampled_scores(spec, noise, period))
+    noise = filler(rng, spec.uncertainty.sampling_distribution)(np.empty(spec.cim.scores.shape))
+    return spec.cim.with_scores(sampled_scores(spec, noise, period))
 
 
 def sampled_scores(spec: StudySpec, noise: np.ndarray, period: int) -> np.ndarray:
@@ -394,36 +360,19 @@ def check_persistence(rho: float) -> None:
         raise ConfigError(f"|rho| = {abs(rho):g} must be < 1 for stationarity")
 
 
-def ar1_step(eta: np.ndarray, noise: np.ndarray, process) -> np.ndarray:
+def ar1_step(eta: np.ndarray, noise: np.ndarray, config: DynamicShockConfig) -> np.ndarray:
     """rho * eta + u, with u the unit draws noise scaled in their buffer to
     the innovation sd tau * sqrt(1 - rho^2), so the long-run sd of eta is
-    tau; process gives rho, tau and the distribution (a DynamicShockState or
-    DynamicShockConfig). eta and noise may stack runs on leading axes."""
-    rho, tau = process.persistence, process.long_run_sd
-    noise *= draw_factor(process.distribution, tau * math.sqrt(1.0 - rho * rho))
+    tau; config gives rho, tau and the distribution. eta and noise may stack
+    runs on leading axes."""
+    rho, tau = config.persistence, config.long_run_sd
+    noise *= draw_factor(config.distribution, tau * math.sqrt(1.0 - rho * rho))
     return rho * eta + noise
 
 
-@dataclass(frozen=True)
-class DynamicShockState:
-    """AR(1) score perturbations eta per (descriptor, state)."""
-
-    eta: np.ndarray  # shape (D, S_max)
-    persistence: float
-    long_run_sd: float
-    distribution: Distribution
-
-    @classmethod
-    def initial(cls, spec: StudySpec) -> "DynamicShockState":
-        cfg: DynamicShockConfig = spec.shocks.dynamic
-        shape = (len(spec.descriptors), max(spec.state_counts))
-        return cls(np.zeros(shape), cfg.persistence, cfg.long_run_sd, cfg.distribution)
-
-
 def advance_dynamic_shock(
-    state: DynamicShockState, rng: np.random.Generator
-) -> DynamicShockState:
-    """One AR(1) step (ar1_step)."""
-    check_persistence(state.persistence)
-    noise = draw_raw(rng, state.distribution, np.empty(state.eta.shape))
-    return replace(state, eta=ar1_step(state.eta, noise, state))
+    eta: np.ndarray, rng: np.random.Generator, config: DynamicShockConfig
+) -> np.ndarray:
+    """The next eta: one AR(1) step (ar1_step) with innovations from rng."""
+    check_persistence(config.persistence)
+    return ar1_step(eta, filler(rng, config.distribution)(np.empty(eta.shape)), config)

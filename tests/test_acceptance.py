@@ -28,6 +28,7 @@ from cibpath.mcda import McdaInput, Persona, rank_pathways
 from cibpath.model import (
     CyclicParams,
     Distribution,
+    DynamicShockConfig,
     StructuralShockConfig,
     parse_study_spec,
 )
@@ -48,7 +49,6 @@ from cibpath.simulate import (
     transition_cyclic_state,
 )
 from cibpath.uncertainty import (
-    DynamicShockState,
     advance_dynamic_shock,
     apply_structural_shock,
     sample_cim,
@@ -188,12 +188,12 @@ def test_05_sampling_calibration():
 
 
 def test_06_ar1_stationarity():
-    st = DynamicShockState(np.zeros((1, 1)), 0.6, 1.0, Distribution("gaussian"))
-    rng = np.random.default_rng(6)
+    cfg = DynamicShockConfig(True, long_run_sd=1.0, persistence=0.6)
+    eta, rng = np.zeros((1, 1)), np.random.default_rng(6)
     xs = np.empty(100_000)
     for i in range(xs.size):
-        st = advance_dynamic_shock(st, rng)
-        xs[i] = st.eta[0, 0]
+        eta = advance_dynamic_shock(eta, rng, cfg)
+        xs[i] = eta[0, 0]
     sd = xs[500:].std()
     ok = 0.97 <= sd <= 1.03
     report("ar1-stationarity", ok, f"long-run sd {sd:.4f}")

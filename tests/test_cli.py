@@ -297,6 +297,17 @@ IDENTITIES = {
     },
     "object_identities": {"identities": {"terms": {"carbon_price": 1.0}}},
 }
+#: Malformed --extremes files: the axes config and the node the error
+#: message names, by stem.
+EXTREMES = {
+    "label_extremes": ({"descriptor_stacks": {"adverse": {"PS": "Nope"}}},
+                       "extremes.descriptor_stacks.adverse.PS"),
+    "state7_extremes": ({"descriptor_stacks": {"adverse": {"PS": 7}}},
+                        "extremes.descriptor_stacks.adverse.PS"),
+    "outcome_empty_extremes": ({"outcome": {}}, "extremes.outcome"),
+    "min_count_text_extremes": ({"frequency": {"min_count": "x"}}, "extremes.frequency"),
+    "stacks_list_extremes": ({"descriptor_stacks": [{"PS": 0}]}, "extremes.descriptor_stacks"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +383,8 @@ def small_run(tmp_path_factory):
         (root / f"{stem}.json").write_text(json.dumps(ranges))
     for stem, identities in IDENTITIES.items():
         (root / f"{stem}.json").write_text(json.dumps(identities))
+    for stem, (extremes, _) in EXTREMES.items():
+        (root / f"{stem}.json").write_text(json.dumps(extremes))
     (root / "text_steps_screening.json").write_text(
         json.dumps({"outcome_descriptor": "RD", "late_rush_steps": "two"})
     )
@@ -383,6 +396,14 @@ def small_run(tmp_path_factory):
         "spec": spec, "run_count": 50, "master_seed": 42, "candidate_count": 1,
         "stages": ["simulate", "screen"], "screening": {"outcome_descriptor": "RD"},
         "output_dir": str(root / "k1_out"),
+    }))
+    with open(os.path.join(os.path.dirname(spec), "mini_pipeline.json")) as fh:
+        doc = json.load(fh)
+    for key in ("spec", "mcda_input", "translation"):
+        doc[key] = os.path.join(os.path.dirname(spec), doc[key])
+    (root / "outcome_empty_extremes_pipeline.json").write_text(json.dumps({
+        **doc, "run_count": 300, "extremes": {"outcome": {}},
+        "output_dir": str(root / "extremes_out"),
     }))
     (root / "bad_value_pipeline.json").write_text(json.dumps({"spec": spec, "run_count": "many"}))
     (root / "level0_pipeline.json").write_text(json.dumps({
@@ -414,6 +435,11 @@ def _stats(f, spec, ensemble):
 def _quantify(f, candidates, matrix, option=None, stem=None):
     return ["quantify", "--spec", f["spec"], "--out", f["out"], "--candidates", f[candidates],
             "--pathway", "C1", "--matrix", f[matrix], *((option, f[stem]) if option else ())]
+
+
+def _extremes(f, stem):
+    return [*_quantify(f, "candidate", "translation", "--extremes", stem),
+            "--ensemble", f["ensemble"]]
 
 
 def _mcda(f, mcda):
@@ -525,6 +551,16 @@ FAILURES = [
     ("stage-input-file-missing",
      lambda f: ["pipeline", "--config", f["missing_input_pipeline"]], None, 3, "FileNotFoundError"),
     ("too-few-candidates", lambda f: _screen(f, "500"), None, 2, "InsufficientCandidatesError"),
+    ("extremes-stack-state-unknown-label", lambda f: _extremes(f, "label_extremes"), None, 3,
+     "SpecReferenceError"),
+    ("extremes-stack-state-out-of-range", lambda f: _extremes(f, "state7_extremes"), None, 3,
+     "SpecReferenceError"),
+    ("extremes-outcome-without-descriptor", lambda f: _extremes(f, "outcome_empty_extremes"),
+     None, 3, "ParseError"),
+    ("extremes-min-count-not-int", lambda f: _extremes(f, "min_count_text_extremes"), None, 3,
+     "ParseError"),
+    ("extremes-stacks-list", lambda f: _extremes(f, "stacks_list_extremes"), None, 3,
+     "ParseError"),
 ]
 
 
@@ -647,6 +683,20 @@ def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node
 def test_quantify_side_file_error_names_the_node(small_run, option, stem, node):
     result = invoke(CliRunner(), *_quantify(small_run, "candidate", "translation", option, stem))
     assert json.loads(result.stderr)["message"].startswith(f"{node}: ")
+
+
+@pytest.mark.parametrize("stem", EXTREMES)
+def test_quantify_extremes_error_names_the_node(small_run, stem):
+    result = invoke(CliRunner(), *_extremes(small_run, stem))
+    assert json.loads(result.stderr)["message"].startswith(f"{EXTREMES[stem][1]}: ")
+
+
+def test_pipeline_extremes_error_names_the_node(small_run):
+    config = small_run["outcome_empty_extremes_pipeline"]
+    result = invoke(CliRunner(), "pipeline", "--config", config)
+    assert result.exit_code == 3, result.output
+    report = json.loads(result.stderr)
+    assert report["error"] == "ParseError" and report["message"].startswith("extremes.outcome: ")
 
 
 def test_best_outcome_state_label_equals_its_index(small_run, tmp_path):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cibpath.errors import ParseError, SpecReferenceError
@@ -58,16 +59,22 @@ class TestParse:
 
     def test_default_sigma_mapping_is_linear_between_anchors(self, fixture_spec):
         assert fixture_spec.uncertainty.confidence_sigma == DEFAULT_CONFIDENCE_SIGMA
-        assert fixture_spec.uncertainty.sigma(5) == 0.2
-        assert fixture_spec.uncertainty.sigma(1) == 1.5
+        doc = two_desc_document()
+        doc["cim"][0]["confidence"] = 1  # A:0->B:0; the other cells keep code 5
+        spec = parse_study_spec(doc)
+        first = spec.sigma_tables[2025]
+        assert first[0, 0, 1, 0] == 1.5
+        assert (first[spec.cim.valid_mask & (spec.cim.confidences == 5)] == 0.2).all()
 
     def test_default_time_scale_linear_to_last_period(self):
         doc = two_desc_document()
         doc["time_grid"] = [2025, 2030, 2035, 2040, 2045, 2050]
         spec = parse_study_spec(doc)
-        assert spec.uncertainty.factor(2025) == 1.0
-        assert spec.uncertainty.factor(2050) == 1.5
-        assert spec.uncertainty.factor(2040) == pytest.approx(1.3)
+        # all cells have code 5, so every valid cell's scale is 0.2 x the factor
+        scale = {p: spec.sigma_tables[p][spec.cim.valid_mask] for p in (2025, 2040, 2050)}
+        assert (scale[2025] == 0.2).all()
+        assert (scale[2050] == 0.2 * 1.5).all()
+        np.testing.assert_allclose(scale[2040], 0.2 * 1.3)
 
     def test_resample_defaults(self):
         spec = parse_study_spec(two_desc_document())

@@ -104,7 +104,7 @@ class TestCyclicTransition:
                                for _, count in moves] for _ in runs], np.int8)
             source = RandomSource(rng.randrange(2**40))
             block = source.block(runs, (2030,), PURPOSES)
-            at = np.array([block.index(run, 2030, "cyclic") for run in runs])
+            at = np.arange(len(runs)) * block.strides[0] + PURPOSES.index("cyclic")
             got = simulate._cyclic_moves(moves, prior, block.uniforms(at, 2 * len(moves)))
             for b, run in enumerate(runs):
                 stream = source.substream(run, 2030, "cyclic")
