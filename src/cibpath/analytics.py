@@ -137,8 +137,6 @@ def state_share_series(
 ) -> StateShareSeries:
     """Fraction of runs in each state per period, with Wilson bands."""
     states = ensemble.ok_states
-    if not len(states):
-        raise EmptyInputError("ensemble holds no successful runs")
     j = spec.index_of(descriptor_id)
     n_states = spec.descriptors[j].state_count
     periods = ensemble.time_grid
@@ -168,8 +166,8 @@ class ScreeningConfig:
     discontinuity_steps: int = 2
     #: evaluate backsliding on every descriptor instead of the outcome only.
     full_vector_backsliding: bool = False
-    #: terminal state combinations ((descriptor id, state index), ...) that
-    #: are jointly implausible; never inferred, always supplied.
+    #: terminal state combinations ((descriptor id, state label or index),
+    #: ...) that are jointly implausible; never inferred, always supplied.
     endpoint_exclusions: tuple[tuple[tuple[str, int], ...], ...] = ()
 
 
@@ -249,8 +247,8 @@ def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np
     descriptors = range(len(spec.descriptors))
     backslide_targets = list(descriptors) if config.full_vector_backsliding else [j_out]
     exclusions = [
-        [(spec.index_of(did), s) for did, s in combo]
-        for combo in config.endpoint_exclusions
+        [spec.resolve_pair(pair, f"endpoint_exclusions[{i}][{k}]") for k, pair in enumerate(combo)]
+        for i, combo in enumerate(config.endpoint_exclusions)
     ]
     cyclic_step2 = {
         i for i in spec.cyclic_indices if spec.descriptors[i].cyclic_params.step2 > 0
@@ -263,7 +261,7 @@ def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np
     backslide = ((moves < 0) & np.logical_or.accumulate(moves > 0, axis=1)).any((1, 2))
     endpoint = np.zeros(len(states), bool)
     for combo in exclusions:
-        endpoint |= np.logical_and.reduce([states[:, -1, j] == s for j, s in combo])
+        endpoint |= np.logical_and.reduce([states[:, -1, spec.index_of(d)] == s for d, s in combo])
     late_rush = (steps[:, -1:, j_out] >= config.late_rush_steps).any(1)  # none with one period
     jumps = np.abs(steps[:, :, discontinuity_targets]) >= config.discontinuity_steps
     return np.select([backslide, endpoint, late_rush, jumps.any((1, 2))], range(len(REASONS)), -1)
@@ -279,8 +277,6 @@ def screen_candidates(
     pathway's status.
     """
     states = ensemble.ok_states
-    if not len(states):
-        raise EmptyInputError("ensemble holds no successful runs")
     _, first = np.unique(row_keys(states), return_index=True)
     first.sort()
     _, terminal_of, terminal_counts = np.unique(

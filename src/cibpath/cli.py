@@ -21,7 +21,7 @@ from .analytics import DEFAULT_CONFIDENCE_LEVEL
 from .engine import DEFAULT_ENUMERATION_LIMIT, enumerate_consistent
 from .errors import CibError, ConfigError, ParseError, TractabilityError, ValidationFailure
 from .mcda import load_mcda_input
-from .model import load_study_spec, validate_study_spec
+from .model import load_study_spec, read_json, validate_study_spec
 from .pipeline import (
     PipelineConfig,
     findings_report,
@@ -30,7 +30,6 @@ from .pipeline import (
     mcda_stage,
     quantify_stage,
     raise_on_errors,
-    read_json,
     run_pipeline,
     screen_stage,
     simulate_stage,

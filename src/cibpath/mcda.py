@@ -9,11 +9,10 @@ presentational only and the deliberative selection stays with the panel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParseError, schema_error
-from .model import Finding
+from .model import Finding, read_json
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,7 @@ def parse_mcda_input(doc: dict) -> McdaInput:
 
 
 def load_mcda_input(path: str) -> McdaInput:
-    with open(path, encoding="utf-8") as fh:
-        return parse_mcda_input(json.load(fh))
+    return parse_mcda_input(read_json(path))
 
 
 def ranking_report(inp: McdaInput, ranking: McdaRanking) -> dict:

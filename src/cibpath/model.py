@@ -16,7 +16,7 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from .errors import ParseError, SpecReferenceError
+from .errors import OutOfRangeError, ParseError, SpecReferenceError
 
 SCORE_MIN = -3.0
 SCORE_MAX = 3.0
@@ -65,6 +65,7 @@ class Descriptor:
         return tuple(s.label for s in self.states)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class CrossImpactMatrix:
     """Dense judgement storage over all ordered pairs of distinct descriptors.
 
@@ -73,22 +74,10 @@ class CrossImpactMatrix:
     the source == target diagonal are structurally zero and masked out.
     """
 
-    __slots__ = (
-        "descriptor_ids", "state_counts", "scores", "confidences", "_mask"
-    )
-
-    def __init__(
-        self,
-        descriptor_ids: tuple[str, ...],
-        state_counts: tuple[int, ...],
-        scores: np.ndarray,
-        confidences: np.ndarray,
-    ):
-        self.descriptor_ids = descriptor_ids
-        self.state_counts = state_counts
-        self.scores = scores
-        self.confidences = confidences
-        self._mask: Optional[np.ndarray] = None
+    descriptor_ids: tuple[str, ...]
+    state_counts: tuple[int, ...]
+    scores: np.ndarray
+    confidences: np.ndarray
 
     @classmethod
     def zeros(
@@ -103,39 +92,25 @@ class CrossImpactMatrix:
             np.full((d, s, d, s), 3, dtype=np.int64),
         )
 
-    @property
+    @cached_property
     def valid_mask(self) -> np.ndarray:
         """Boolean mask of structurally meaningful cells."""
-        if self._mask is None:
-            d = len(self.descriptor_ids)
-            s = self.scores.shape[1]
-            src_ok = np.zeros((d, s), dtype=bool)
-            for i, n in enumerate(self.state_counts):
-                src_ok[i, :n] = True
-            mask = src_ok[:, :, None, None] & src_ok[None, None, :, :]
-            mask &= ~np.eye(d, dtype=bool)[:, None, :, None]
-            self._mask = mask
-        return self._mask
+        src_ok = np.arange(self.scores.shape[1]) < np.array(self.state_counts)[:, None]
+        mask = src_ok[:, :, None, None] & src_ok[None, None, :, :]
+        mask &= ~np.eye(len(self.descriptor_ids), dtype=bool)[:, None, :, None]
+        return mask
 
     def with_scores(self, scores: np.ndarray) -> "CrossImpactMatrix":
-        """New matrix sharing structure, confidences and the cached valid
-        mask, with replaced scores."""
-        out = CrossImpactMatrix(
-            self.descriptor_ids, self.state_counts, scores, self.confidences
-        )
-        out._mask = self._mask
+        """New matrix sharing structure, confidences and the valid mask,
+        with replaced scores."""
+        out = CrossImpactMatrix(self.descriptor_ids, self.state_counts, scores, self.confidences)
+        out.__dict__["valid_mask"] = self.valid_mask
         return out
 
     def iter_cells(self) -> Iterator[tuple[int, int, int, int]]:
-        """Yield (src, src_state, tgt, tgt_state) for every structural cell."""
-        d = len(self.descriptor_ids)
-        for i in range(d):
-            for si in range(self.state_counts[i]):
-                for j in range(d):
-                    if i == j:
-                        continue
-                    for tj in range(self.state_counts[j]):
-                        yield i, si, j, tj
+        """(src, src_state, tgt, tgt_state) of every structural cell, in
+        row-major order."""
+        return map(tuple, np.argwhere(self.valid_mask).tolist())
 
     def cell_path(self, i, si, j, tj) -> str:
         """The cell's node in messages: cim[source:state->target:state]."""
@@ -329,11 +304,23 @@ class StudySpec:
 
     @cached_property
     def sigma_tables(self) -> dict[int, np.ndarray]:
-        """Every cell's sampling scale per period (uncertainty.sigma_tables),
-        built on first use."""
-        from .uncertainty import sigma_tables  # uncertainty imports this module
-
-        return sigma_tables(self)
+        """Per period of the time scale, every cell's sampling scale, built
+        on first use: the confidence_sigma of its confidence code times the
+        period's factor, 0.0 outside valid_mask. A valid cell's code outside
+        1..5 raises OutOfRangeError. The tables are read-only."""
+        unc, cim = self.uncertainty, self.cim
+        bad = np.argwhere(cim.valid_mask & ((cim.confidences < 1) | (cim.confidences > 5)))
+        if len(bad):
+            raise OutOfRangeError(
+                f"{cim.cell_path(*bad[0])}: confidence {cim.confidences[tuple(bad[0])]} outside 1..5"
+            )
+        codes = np.where(cim.valid_mask, cim.confidences, 0)
+        tables = {}
+        for period, factor in unc.time_scale:
+            by_code = np.array([0.0] + [sigma * factor for sigma in unc.confidence_sigma])
+            tables[period] = by_code[codes]
+            tables[period].flags.writeable = False
+        return tables
 
     @property
     def state_counts(self) -> tuple[int, ...]:
@@ -343,11 +330,14 @@ class StudySpec:
     def cyclic_indices(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.descriptors) if d.kind == "cyclic")
 
+    def resolve_pair(self, raw: Any, path: str) -> tuple[str, int]:
+        """A [descriptor id, state label or index] pair as (id, state index),
+        or ParseError / SpecReferenceError naming path."""
+        return _parse_pair(raw, self.descriptors, self._index, path)
+
     def digest(self) -> str:
         """Content hash of the canonical serialized form."""
-        doc = serialize_study_spec(self)
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return hashlib.sha256(compact_json(serialize_study_spec(self)).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -358,7 +348,25 @@ class Finding:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# JSON files and parsing
+
+
+def read_json(path: str) -> Any:
+    """The JSON document in the UTF-8 file at path."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def compact_json(doc: Any) -> str:
+    """The canonical text of a JSON document: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def is_json(value: Any, kind: type) -> bool:
+    """Whether value holds the JSON type kind stands for: int an integer,
+    float any number, bool true or false, and other types themselves. A
+    boolean is no number here."""
+    return type(value) is kind or (kind is float and type(value) is int)
 
 
 def _require(doc: dict, key: str, path: str) -> Any:
@@ -575,14 +583,17 @@ def parse_study_spec(document: dict) -> StudySpec:
     raw_shocks = document.get("shocks", {}) or {}
     raw_struct = raw_shocks.get("structural", {}) or {}
     raw_dyn = raw_shocks.get("dynamic", {}) or {}
+    for kind, raw in (("structural", raw_struct), ("dynamic", raw_dyn)):
+        if not is_json(raw.get("enabled", False), bool):
+            raise ParseError(f"shocks.{kind}.enabled", "enabled must be true or false")
     shocks = ShockConfig(
         structural=StructuralShockConfig(
-            enabled=bool(raw_struct.get("enabled", False)),
+            enabled=raw_struct.get("enabled", False),
             scale=float(raw_struct.get("scale", 0.0)),
             distribution=_parse_distribution(raw_struct.get("distribution"), "shocks.structural.distribution"),
         ),
         dynamic=DynamicShockConfig(
-            enabled=bool(raw_dyn.get("enabled", False)),
+            enabled=raw_dyn.get("enabled", False),
             long_run_sd=float(raw_dyn.get("long_run_sd", 0.0)),
             persistence=float(raw_dyn.get("persistence", 0.0)),
             distribution=_parse_distribution(raw_dyn.get("distribution"), "shocks.dynamic.distribution"),
@@ -748,8 +759,7 @@ def serialize_study_spec(spec: StudySpec) -> dict:
 
 
 def load_study_spec(path: str) -> StudySpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_study_spec(json.load(fh))
+    return parse_study_spec(read_json(path))
 
 
 def save_study_spec(spec: StudySpec, path: str) -> None:

@@ -30,7 +30,10 @@ from .analytics import (
 )
 from .errors import ConfigError, ParseError, SpecReferenceError, ValidationFailure, schema_error
 from .mcda import McdaInput, McdaRanking, load_mcda_input, rank_pathways, ranking_report
-from .model import Finding, StudySpec, load_study_spec, resolve_state, validate_study_spec
+from .model import (
+    Finding, StudySpec, compact_json, is_json, load_study_spec, read_json, resolve_state,
+    validate_study_spec,
+)
 from .quantify import (
     attach_uncertainty_ranges,
     build_extreme_scenarios,
@@ -39,6 +42,7 @@ from .quantify import (
     parse_identities,
     quantified_table_rows,
     quantify_pathway,
+    read_extreme_axes,
 )
 from .simulate import (
     DEFAULT_MAX_ITER,
@@ -92,9 +96,10 @@ def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> Pipelin
             ranges=doc.get("ranges"),
             extremes=doc.get("extremes"),
             selected_pathway=doc.get("selected_pathway"),
-            **_given(doc, {
+            stages=tuple(doc.get("stages", ALL_STAGES)),
+            **_given(doc, "pipeline", {
                 "run_count": int, "master_seed": int, "worker_count": int, "max_iter": int,
-                "confidence_level": float, "stages": tuple, "candidate_count": int,
+                "confidence_level": float, "candidate_count": int,
             }),
         )
     except KeyError as e:
@@ -109,24 +114,19 @@ def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> Pipelin
     return cfg
 
 
-def _given(doc: dict, casts: dict) -> dict:
-    """The keys of casts that doc holds, each value converted by its cast;
-    the caller's dataclass defaults stand for the absent keys."""
-    return {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
-
-
-def read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _given(doc: dict, what: str, kinds: dict) -> dict:
+    """The keys of kinds that doc holds, each of whose values must have its
+    JSON type (model.is_json), else ConfigError naming it; the caller's
+    dataclass defaults stand for the absent keys."""
+    for key, kind in kinds.items():
+        if key in doc and not is_json(doc[key], kind):
+            raise ConfigError(f"{what} config: {key} must be {kind.__name__}, got {doc[key]!r}")
+    return {key: doc[key] for key in kinds if key in doc}
 
 
 def _dump_json(doc, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _compact(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 #: Rows that _json_rows renders, and screen_stage writes, at a time.
@@ -148,7 +148,7 @@ _ROW_END = _cells(["]"])[0, 0]
 
 def _json_rows(labels: list, states: np.ndarray) -> Iterator[bytes]:
     """The [label, flat states] pairs of labels and states (states 0..127),
-    comma-separated as _compact writes them, ROW_CHUNK rows at a time.
+    comma-separated as compact_json writes them, ROW_CHUNK rows at a time.
 
     A row is laid out in NUL-padded words: its label's head, one
     _STATE_CELLS word per state, then _ROW_END. A chunk is thus one uint32
@@ -249,7 +249,7 @@ def screening_config_from(doc: dict) -> ScreeningConfig:
                 tuple((d, s) for d, s in combo)
                 for combo in doc.get("endpoint_exclusions", [])
             ),
-            **_given(doc, {
+            **_given(doc, "screening", {
                 "late_rush_steps": int, "discontinuity_steps": int,
                 "full_vector_backsliding": bool,
             }),
@@ -345,18 +345,18 @@ def screen_stage(
         for i, c in enumerate(selected.candidates)
     ]
     counts = {reason: rejected.labels.count(reason) for reason in REASONS}
-    # _compact of {"candidates", "rejected": {"counts", "periods", "rows"},
-    # "warnings"}, keys in sorted order; rows holds one [reason, flat states]
-    # pair per rejected pathway, thousands of them, rendered from the array
+    # compact_json of {"candidates", "rejected": {"counts", "periods", "rows"},
+    # "warnings"}; rows holds one [reason, flat states] pair per rejected
+    # pathway, thousands of them, rendered from the array
     head = (
-        '{"candidates":' + _compact(candidates) + ',"rejected":{"counts":' + _compact(counts)
-        + ',"periods":' + _compact(list(rejected.periods)) + ',"rows":['
+        '{"candidates":' + compact_json(candidates) + ',"rejected":{"counts":'
+        + compact_json(counts) + ',"periods":' + compact_json(list(rejected.periods)) + ',"rows":['
     )
     path = _artifact(out_dir, "candidates.json")
     with open(path, "wb") as fh:
         fh.write(head.encode())
         fh.writelines(_json_rows(rejected.labels, rejected.states))
-        fh.write((']},"warnings":' + _compact(list(selected.warnings)) + "}\n").encode())
+        fh.write((']},"warnings":' + compact_json(list(selected.warnings)) + "}\n").encode())
     return [path], {f"C{i + 1}": c.pathway for i, c in enumerate(selected.candidates)}
 
 
@@ -465,8 +465,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the enabled stages in order; returns the manifest document.
 
     A missing stage input or a confidence level outside (0, 1) raises
-    ConfigError before any stage runs; a spec with validation errors raises
-    ValidationFailure after findings.json has been written.
+    ConfigError, and a malformed extremes config ParseError, before any
+    stage runs; a spec with validation errors raises ValidationFailure
+    after findings.json has been written.
     """
     stages, out = config.stages, config.output_dir
     for stage, field in (
@@ -480,6 +481,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         _wilson_z(config.confidence_level)
 
     spec = load_study_spec(config.spec_path)
+    if "quantify" in stages and config.extremes:
+        read_extreme_axes(config.extremes, spec)
     manifest: dict = {
         "spec_digest": spec.digest(),
         "master_seed": config.master_seed,

@@ -8,19 +8,17 @@ proportional rescaling of designated adjustable dimensions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .analytics import row_keys
 from .engine import Scenario
 from .errors import (
-    ConfigError, CoverageError, EmptyInputError, OutOfRangeError, ParseError, SpecReferenceError,
-    schema_error,
+    ConfigError, CoverageError, OutOfRangeError, ParseError, SpecReferenceError, schema_error,
 )
-from .model import StudySpec, resolve_state
+from .model import StudySpec, is_json, read_json, resolve_state
 from .simulate import EnsembleResult, Pathway
 
 IDENTITY_TOL = 1e-9
@@ -109,32 +107,43 @@ def quantify_pathway(
     return QuantifiedPathway(dimensions, pathway.periods, values, {}, provenance)
 
 
+def _range_rule(rs: dict) -> Callable[[float], tuple[float, float]]:
+    """A range spec as the map from a central value to its (low, high)
+    band; a malformed one raises KeyError, TypeError or ValueError."""
+    if "relative" in rs:
+        f = float(rs["relative"])
+        return lambda central: tuple(sorted((central * (1 - f), central * (1 + f))))
+    if "low_offset" in rs or "high_offset" in rs:
+        low, high = float(rs.get("low_offset", 0.0)), float(rs.get("high_offset", 0.0))
+        return lambda central: (central + low, central + high)
+    low, high = float(rs["low"]), float(rs["high"])
+    return lambda central: (low, high)
+
+
 def attach_uncertainty_ranges(qp: QuantifiedPathway, range_spec: dict) -> QuantifiedPathway:
     """Fill per-cell (low, high) bands from a per-dimension range spec.
 
     Per dimension either {"relative": f} (central * (1 -/+ f)),
     {"low_offset": a, "high_offset": b}, or absolute {"low": x, "high": y}.
-    A range that is not such an object raises ParseError naming
-    ranges.<dimension>.
+    A range that is not such an object, or a key that is not one of qp's
+    dimensions, raises ParseError naming ranges.<key>.
     """
     if not isinstance(range_spec, dict):
         raise ParseError("ranges", "not an object of dimension -> range")
-    ranges = {}
-    for (d, p), central in qp.values.items():
-        if d not in range_spec:
-            continue
-        rs = range_spec[d]
+    known = {d.id for d in qp.dimensions}
+    rules = {}
+    for d, rs in range_spec.items():
+        if d not in known:
+            raise ParseError(f"ranges.{d}", f"{d!r} is not a dimension of the translation file")
         try:
-            if "relative" in rs:
-                f = float(rs["relative"])
-                lo, hi = sorted((central * (1 - f), central * (1 + f)))
-            elif "low_offset" in rs or "high_offset" in rs:
-                lo = central + float(rs.get("low_offset", 0.0))
-                hi = central + float(rs.get("high_offset", 0.0))
-            else:
-                lo, hi = float(rs["low"]), float(rs["high"])
+            rules[d] = _range_rule(rs)
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise schema_error(f"ranges.{d}", e)
+    ranges = {}
+    for (d, p), central in qp.values.items():
+        if d not in rules:
+            continue
+        lo, hi = rules[d](central)
         if lo > hi:
             raise OutOfRangeError(
                 f"inverted range ({lo:g}, {hi:g}) for dimension {d!r} at period {p}"
@@ -148,22 +157,13 @@ def attach_uncertainty_ranges(qp: QuantifiedPathway, range_spec: dict) -> Quanti
     return replace(qp, ranges=ranges)
 
 
-def build_extreme_scenarios(
-    ensemble: EnsembleResult,
-    dimensions: tuple[Dimension, ...],
-    matrix: TranslationMatrix,
-    spec: StudySpec,
-    axes_config: dict,
-) -> tuple[tuple[ExtremeScenario, ...], tuple[str, ...]]:
-    """Terminal-period bounding cases along the configured axes.
-
-    axes_config keys: "outcome" ({"descriptor": id}), "descriptor_stacks"
-    ({label: {descriptor: state}}), "frequency" ({"min_count": n}).
-    Returns (scenarios, warnings); an axis with no matching ensemble
-    scenario is skipped with a warning. A node of axes_config that is
-    missing, of the wrong type or names no descriptor or state raises
-    ParseError naming it (extremes.<node>).
-    """
+def read_extreme_axes(
+    axes_config: dict, spec: StudySpec
+) -> tuple[Optional[int], list[tuple[str, dict[int, int]]], Optional[int]]:
+    """The outcome descriptor's position, the stacks as (label, {position:
+    state}) pairs and the min_count of an extremes config, None for an axis
+    it lacks. A node that is missing, of the wrong type or names no
+    descriptor or state raises ParseError naming it (extremes.<node>)."""
     outcome, stacks, min_count, node = None, [], None, "extremes"
     try:
         if "outcome" in axes_config:
@@ -180,14 +180,32 @@ def build_extreme_scenarios(
             stacks.append((label, scenario))
         if "frequency" in axes_config:
             node = "extremes.frequency"
-            min_count = int(axes_config["frequency"].get("min_count", 1))
+            min_count = axes_config["frequency"].get("min_count", 1)
+            if not is_json(min_count, int):
+                raise TypeError(f"min_count must be an integer, got {min_count!r}")
     except SpecReferenceError as e:
         raise SpecReferenceError(node, e.reason) from None
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise schema_error(node, e) from None
+    return outcome, stacks, min_count
+
+
+def build_extreme_scenarios(
+    ensemble: EnsembleResult,
+    dimensions: tuple[Dimension, ...],
+    matrix: TranslationMatrix,
+    spec: StudySpec,
+    axes_config: dict,
+) -> tuple[tuple[ExtremeScenario, ...], tuple[str, ...]]:
+    """Terminal-period bounding cases along the configured axes.
+
+    axes_config keys, read by read_extreme_axes: "outcome" ({"descriptor":
+    id}), "descriptor_stacks" ({label: {descriptor: state}}), "frequency"
+    ({"min_count": n}, an integer). Returns (scenarios, warnings); an axis
+    with no matching ensemble scenario is skipped with a warning.
+    """
+    outcome, stacks, min_count = read_extreme_axes(axes_config, spec)
     terminals = ensemble.ok_states[:, -1]
-    if not len(terminals):
-        raise EmptyInputError("ensemble holds no successful runs")
     terminal_period = ensemble.time_grid[-1]
     _, first, sizes = np.unique(row_keys(terminals), return_index=True, return_counts=True)
     counts = dict(zip(map(tuple, terminals[first].tolist()), sizes.tolist()))
@@ -311,7 +329,7 @@ def enforce_identities(
 def parse_translation_file(doc: dict, spec: StudySpec) -> tuple[tuple[Dimension, ...], TranslationMatrix]:
     """Translation-matrix file: per-dimension driver, unit, and state->value
     table, with optional per-period columns. A state may be given once, by
-    label or by index."""
+    label or by index, and must be a state of the driver."""
     dims, entries, timed = [], {}, {}
     for i, raw in enumerate(doc.get("dimensions", [])):
         path = f"dimensions[{i}]"
@@ -324,13 +342,14 @@ def parse_translation_file(doc: dict, spec: StudySpec) -> tuple[tuple[Dimension,
             raise ParseError(f"{path}.values", "not an object of state -> value")
         if any(d.id == dim.id for d in dims):
             raise ParseError(f"{path}.id", f"dimension {dim.id!r} given twice")
-        labels = spec.descriptor(dim.driver).state_labels()
+        driver = spec.descriptor(dim.driver)
+        labels = driver.state_labels()
         dims.append(dim)
         seen = set()
         for ref, value in raw_vals.items():
             node = f"{path}.values.{ref}"
             try:
-                state = labels.index(ref) if ref in labels else int(ref)
+                state = resolve_state(driver, ref if ref in labels else int(ref), node)
             except ValueError:
                 raise ParseError(node, f"unknown state {ref!r} of {dim.driver!r}")
             if state in seen:
@@ -348,8 +367,7 @@ def parse_translation_file(doc: dict, spec: StudySpec) -> tuple[tuple[Dimension,
 
 
 def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, ...], TranslationMatrix]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_translation_file(json.load(fh), spec)
+    return parse_translation_file(read_json(path), spec)
 
 
 def parse_identities(doc: dict) -> tuple[Identity, ...]:

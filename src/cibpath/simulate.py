@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, TextIO
 import numpy as np
 
 from .engine import Scenario, balances, checked_kernel, settle
-from .errors import ConfigError, InfeasibilityError, ParseError
-from .model import CyclicParams, StructuralShockConfig, StudySpec
+from .errors import ConfigError, EmptyInputError, InfeasibilityError, ParseError
+from .model import CyclicParams, StructuralShockConfig, StudySpec, compact_json
 from .uncertainty import (
     RandomSource, ar1_step, check_persistence, draw_factor, perturbed, sampled_scores,
 )
@@ -142,12 +142,12 @@ class EnsembleResult:
     @cached_property
     def ok_states(self) -> np.ndarray:
         """The states of the error-free runs, (runs, periods, descriptors);
-        read-only."""
-        if not self.errors:
-            return self.states
+        read-only. An ensemble without one raises EmptyInputError."""
         ok = np.ones(self.run_count, bool)
         ok[list(self.errors)] = False
-        states = self.states[ok]
+        if not ok.any():
+            raise EmptyInputError("ensemble holds no successful runs")
+        states = self.states if ok.all() else self.states[ok]
         states.flags.writeable = False
         return states
 
@@ -414,7 +414,7 @@ def write_ensemble(ensemble: EnsembleResult, fh: TextIO) -> None:
         "spec_digest": ensemble.spec_digest,
         "time_grid": list(ensemble.time_grid),
     }
-    fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    fh.write(compact_json(header) + "\n")
     for start in range(0, n, RECORD_CHUNK):
         chunk = slice(start, start + RECORD_CHUNK)
         states = ensemble.states[chunk]

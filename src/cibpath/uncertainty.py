@@ -254,9 +254,9 @@ def _seed_words(pool: list) -> np.ndarray:
 
 
 def draw_factor(distribution: Distribution, sd: float) -> float:
-    """What draw_scaled multiplies unit draws by so that their standard
-    deviation equals sd: sd itself for Gaussian draws, and for Student-t
-    draws sd * sqrt((df-2)/df), which needs df > 2."""
+    """What unit draws are multiplied by so that their standard deviation
+    equals sd: sd itself for Gaussian draws, and for Student-t draws
+    sd * sqrt((df-2)/df), which needs df > 2."""
     if distribution.kind == "gaussian":
         return sd
     df = distribution.df or 0
@@ -281,37 +281,6 @@ def filler(
         out[...] = rng.standard_t(df, out.shape)
         return out
     return fill
-
-
-def draw_scaled(
-    rng: np.random.Generator, distribution: Distribution, sd: float, shape
-) -> np.ndarray:
-    """Zero-mean draws whose standard deviation equals sd (see draw_factor)."""
-    factor = draw_factor(distribution, sd)
-    out = filler(rng, distribution)(np.empty(shape))
-    out *= factor
-    return out
-
-
-def sigma_tables(spec: StudySpec) -> dict[int, np.ndarray]:
-    """Per period of the time scale, every cell's sampling scale: the
-    confidence_sigma of its confidence code times the period's factor, 0.0
-    outside valid_mask. A valid cell's code outside 1..5 raises
-    OutOfRangeError. Read-only; StudySpec.sigma_tables compiles them once
-    per spec."""
-    unc, cim = spec.uncertainty, spec.cim
-    bad = np.argwhere(cim.valid_mask & ((cim.confidences < 1) | (cim.confidences > 5)))
-    if len(bad):
-        raise OutOfRangeError(
-            f"{cim.cell_path(*bad[0])}: confidence {cim.confidences[tuple(bad[0])]} outside 1..5"
-        )
-    codes = np.where(cim.valid_mask, cim.confidences, 0)
-    tables = {}
-    for period, factor in unc.time_scale:
-        by_code = np.array([0.0] + [sigma * factor for sigma in unc.confidence_sigma])
-        tables[period] = by_code[codes]
-        tables[period].flags.writeable = False
-    return tables
 
 
 def sample_cim(
@@ -339,8 +308,10 @@ def apply_structural_shock(
     cim: CrossImpactMatrix, rng: np.random.Generator, config: StructuralShockConfig
 ) -> CrossImpactMatrix:
     """Add an independent perturbation of the configured scale to every cell,
-    clipping the result back to the elicitation range."""
-    noise = draw_scaled(rng, config.distribution, config.scale, cim.scores.shape)
+    clipping the result back to the elicitation range: zero-mean draws whose
+    standard deviation is the scale (see draw_factor)."""
+    noise = filler(rng, config.distribution)(np.empty(cim.scores.shape))
+    noise *= draw_factor(config.distribution, config.scale)
     return cim.with_scores(perturbed(cim, cim.scores, noise))
 
 

@@ -20,9 +20,11 @@ from cibpath.analytics import (
     state_share_series,
     wilson_interval,
 )
-from cibpath.errors import ConfigError, EmptyInputError, InsufficientCandidatesError
+from cibpath.errors import (
+    ConfigError, EmptyInputError, InsufficientCandidatesError, SpecReferenceError,
+)
 from cibpath.model import parse_study_spec
-from cibpath.simulate import Pathway
+from cibpath.simulate import EnsembleResult, Pathway
 
 from conftest import make_ensemble, two_desc_document
 
@@ -149,6 +151,20 @@ class TestShares:
         series = state_share_series(ens, fixture_spec, "A")
         assert dict(series.cells)[2035][0].share == 1.0
 
+    def test_no_successful_run_is_refused(self, fixture_spec):
+        """All runs errored, or none at all: shares and screening refuse."""
+        errored = make_ensemble([[(0, 0)], [(1, 1)]], errors={0: "boom", 1: "boom"})
+        grid = errored.time_grid
+        empty = EnsembleResult(
+            "test", 0, grid, np.zeros((0, 3, 2), np.int8), np.zeros((0, 3), bool),
+            np.zeros((0, 3), np.int64), np.zeros(0, np.int64), {},
+        )
+        for ens in (errored, empty):
+            with pytest.raises(EmptyInputError, match="no successful runs"):
+                state_share_series(ens, fixture_spec, "A")
+            with pytest.raises(EmptyInputError, match="no successful runs"):
+                screen_candidates(ens, fixture_spec, TestScreening.config)
+
     def test_matches_counter_oracle_with_errors_and_permuted_runs(self):
         spec = spec3()
         rng = random.Random(7)
@@ -223,6 +239,19 @@ class TestScreening:
         )
         assert self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)], cfg) == "endpoint_inconsistency"
         assert self.run_one(spec3(), [(0, 1), (1, 1), (2, 1)], cfg) is None
+
+    def test_endpoint_exclusion_by_state_label(self):
+        cfg = ScreeningConfig(
+            outcome_descriptor="A", endpoint_exclusions=((("A", "s3"), ("B", "s1")),)
+        )
+        assert self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)], cfg) == "endpoint_inconsistency"
+        assert self.run_one(spec3(), [(0, 1), (1, 1), (2, 1)], cfg) is None
+
+    @pytest.mark.parametrize("pair", [("B", 3), ("B", "s9"), ("Z", 0)])
+    def test_endpoint_exclusion_outside_the_spec_is_refused(self, pair):
+        cfg = ScreeningConfig(outcome_descriptor="A", endpoint_exclusions=((("A", 2), pair),))
+        with pytest.raises(SpecReferenceError, match=r"^endpoint_exclusions\[0\]\[1\]: "):
+            self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)], cfg)
 
     def test_late_rush(self):
         assert self.run_one(spec3(), [(0, 0), (0, 0), (2, 0)]) == "late_rush"

@@ -285,10 +285,24 @@ MALFORMED = {
 }
 
 
+#: Screening configs beside the outcome descriptor RD, by stem.
+SCREENINGS = {
+    "text_steps_screening": {"late_rush_steps": "two"},
+    "float_steps_screening": {"late_rush_steps": 1.7},
+    "bool_steps_screening": {"discontinuity_steps": True},
+    "text_backsliding_screening": {"full_vector_backsliding": "no"},
+    "label_exclusion_screening": {"endpoint_exclusions": [[["RD", "High"]]]},
+    "index_exclusion_screening": {"endpoint_exclusions": [[["RD", 2]]]},
+    "state9_exclusion_screening": {"endpoint_exclusions": [[["PS", 0], ["RD", 9]]]},
+    "unknown_label_exclusion_screening": {"endpoint_exclusions": [[["PS", 0], ["RD", "Top"]]]},
+    "unknown_descriptor_exclusion_screening": {"endpoint_exclusions": [[["PS", 0], ["XX", 0]]]},
+}
+
 #: Malformed --ranges and --identities files, by stem.
 RANGES = {
     "text_ranges": {"carbon_price": {"relative": "abc"}},
     "number_ranges": {"carbon_price": 0.2},
+    "unknown_key_ranges": {"carbon_price": {"relative": 0.2}, "carbn_price": {"relative": 0.2}},
 }
 IDENTITIES = {
     "terms_list_identities": {"identities": [{"terms": ["carbon_price"], "adjustable": []}]},
@@ -306,6 +320,8 @@ EXTREMES = {
                         "extremes.descriptor_stacks.adverse.PS"),
     "outcome_empty_extremes": ({"outcome": {}}, "extremes.outcome"),
     "min_count_text_extremes": ({"frequency": {"min_count": "x"}}, "extremes.frequency"),
+    "min_count_float_extremes": ({"frequency": {"min_count": 2.7}}, "extremes.frequency"),
+    "min_count_bool_extremes": ({"frequency": {"min_count": True}}, "extremes.frequency"),
     "stacks_list_extremes": ({"descriptor_stacks": [{"PS": 0}]}, "extremes.descriptor_stacks"),
 }
 
@@ -364,8 +380,10 @@ def small_run(tmp_path_factory):
     translation = os.path.join(os.path.dirname(spec), "mini_translation.json")
     with open(translation) as fh:
         doc = json.load(fh)
-    doc["dimensions"][0]["values"]["Low"] = "abc"
-    (root / "text_translation.json").write_text(json.dumps(doc))
+    for stem, ref, value in (("text", "Low", "abc"), ("state7", "7", 1.0), ("minus1", "-1", 1.0)):
+        edited = json.loads(json.dumps(doc))
+        edited["dimensions"][0]["values"][ref] = value
+        (root / f"{stem}_translation.json").write_text(json.dumps(edited))
     mcda = os.path.join(os.path.dirname(spec), "mini_mcda.json")
     with open(mcda) as fh:
         doc = json.load(fh)
@@ -385,13 +403,23 @@ def small_run(tmp_path_factory):
         (root / f"{stem}.json").write_text(json.dumps(identities))
     for stem, (extremes, _) in EXTREMES.items():
         (root / f"{stem}.json").write_text(json.dumps(extremes))
-    (root / "text_steps_screening.json").write_text(
-        json.dumps({"outcome_descriptor": "RD", "late_rush_steps": "two"})
-    )
+    (root / "outcome_extremes.json").write_text(json.dumps({"outcome": {"descriptor": "RD"}}))
+    for stem, field in SCREENINGS.items():
+        (root / f"{stem}.json").write_text(json.dumps({"outcome_descriptor": "RD", **field}))
     with open(spec) as fh:
         doc = json.load(fh)
+    spec_digest = parse_study_spec(doc).digest()
+    doc["shocks"]["structural"]["enabled"] = "false"
+    (root / "text_shock_spec.json").write_text(json.dumps(doc))
+    doc["shocks"]["structural"]["enabled"] = True
     doc["descriptors"][0]["name"] = "Renamed policy stringency"
     (root / "other_spec.json").write_text(json.dumps(doc))
+    # the spec's own digest, but a time grid one period short
+    save_ensemble(make_ensemble([[[0] * WIDTH] * (PERIODS - 1)] * 3, grid[:-1], spec_digest),
+                  str(root / "short_grid.jsonl"))
+    # every run infeasible after the baseline period
+    save_ensemble(make_ensemble([[[0] * WIDTH]] * 3, grid, spec_digest, dict.fromkeys(
+        range(3), INFEASIBLE)), str(root / "infeasible.jsonl"))
     (root / "k1_pipeline.json").write_text(json.dumps({
         "spec": spec, "run_count": 50, "master_seed": 42, "candidate_count": 1,
         "stages": ["simulate", "screen"], "screening": {"outcome_descriptor": "RD"},
@@ -405,7 +433,9 @@ def small_run(tmp_path_factory):
         **doc, "run_count": 300, "extremes": {"outcome": {}},
         "output_dir": str(root / "extremes_out"),
     }))
-    (root / "bad_value_pipeline.json").write_text(json.dumps({"spec": spec, "run_count": "many"}))
+    for stem, field in (("bad_value", {"run_count": "many"}), ("float_runs", {"run_count": 1.5}),
+                        ("bool_workers", {"worker_count": True})):
+        (root / f"{stem}_pipeline.json").write_text(json.dumps({"spec": spec, **field}))
     (root / "level0_pipeline.json").write_text(json.dumps({
         "spec": spec, "run_count": 50, "confidence_level": 0,
         "stages": ["validate", "simulate", "stats"], "output_dir": str(root / "level0_out"),
@@ -419,8 +449,8 @@ def small_run(tmp_path_factory):
     return {"spec": spec, "out": str(root / "out"), "translation": translation, **files}
 
 
-def _screen(f, k, config="screening"):
-    return ["screen", "--spec", f["spec"], "--out", f["out"], "--ensemble", f["ensemble"],
+def _screen(f, k, config="screening", ensemble="ensemble"):
+    return ["screen", "--spec", f["spec"], "--out", f["out"], "--ensemble", f[ensemble],
             "--config", f[config], "-k", k]
 
 
@@ -437,9 +467,9 @@ def _quantify(f, candidates, matrix, option=None, stem=None):
             "--pathway", "C1", "--matrix", f[matrix], *((option, f[stem]) if option else ())]
 
 
-def _extremes(f, stem):
+def _extremes(f, stem, ensemble="ensemble"):
     return [*_quantify(f, "candidate", "translation", "--extremes", stem),
-            "--ensemble", f["ensemble"]]
+            "--ensemble", f[ensemble]]
 
 
 def _mcda(f, mcda):
@@ -561,7 +591,61 @@ FAILURES = [
      "ParseError"),
     ("extremes-stacks-list", lambda f: _extremes(f, "stacks_list_extremes"), None, 3,
      "ParseError"),
+    ("extremes-min-count-float", lambda f: _extremes(f, "min_count_float_extremes"), None, 3,
+     "ParseError"),
+    ("extremes-min-count-bool", lambda f: _extremes(f, "min_count_bool_extremes"), None, 3,
+     "ParseError"),
+    ("screening-steps-float", lambda f: _screen(f, "4", "float_steps_screening"), None, 3,
+     "ConfigError"),
+    ("screening-steps-bool", lambda f: _screen(f, "4", "bool_steps_screening"), None, 3,
+     "ConfigError"),
+    ("screening-backsliding-not-bool", lambda f: _screen(f, "4", "text_backsliding_screening"),
+     None, 3, "ConfigError"),
+    ("screen-exclusion-state-out-of-range",
+     lambda f: _screen(f, "4", "state9_exclusion_screening"), None, 3, "SpecReferenceError"),
+    ("screen-exclusion-state-unknown-label",
+     lambda f: _screen(f, "4", "unknown_label_exclusion_screening"), None, 3,
+     "SpecReferenceError"),
+    ("screen-exclusion-descriptor-unknown",
+     lambda f: _screen(f, "4", "unknown_descriptor_exclusion_screening"), None, 3,
+     "SpecReferenceError"),
+    ("pipeline-run-count-float", lambda f: ["pipeline", "--config", f["float_runs_pipeline"]],
+     None, 3, "ConfigError"),
+    ("pipeline-worker-count-bool", lambda f: ["pipeline", "--config", f["bool_workers_pipeline"]],
+     None, 3, "ConfigError"),
+    ("spec-shock-enabled-not-bool", lambda f: ["validate", "--spec", f["text_shock_spec"]],
+     None, 3, "ParseError"),
+    ("translation-state-index-out-of-range",
+     lambda f: _quantify(f, "candidate", "state7_translation"), None, 3, "SpecReferenceError"),
+    ("translation-state-index-negative",
+     lambda f: _quantify(f, "candidate", "minus1_translation"), None, 3, "SpecReferenceError"),
+    ("ranges-key-not-a-dimension",
+     lambda f: _quantify(f, "candidate", "translation", "--ranges", "unknown_key_ranges"),
+     None, 3, "ParseError"),
+    ("ensemble-time-grid-short", lambda f: _stats(f, "spec", "short_grid"), None, 3,
+     "ParseError"),
+    ("stats-no-successful-run", lambda f: _stats(f, "spec", "infeasible"), None, 2,
+     "EmptyInputError"),
+    ("screen-no-successful-run", lambda f: _screen(f, "4", ensemble="infeasible"), None, 2,
+     "EmptyInputError"),
+    ("extremes-no-successful-run", lambda f: _extremes(f, "outcome_extremes", "infeasible"),
+     None, 2, "EmptyInputError"),
 ]
+
+
+#: The field that the message of a FAILURES case names, by case.
+NAMED_FIELDS = {
+    "screening-steps-float": "late_rush_steps",
+    "screening-steps-bool": "discontinuity_steps",
+    "screening-backsliding-not-bool": "full_vector_backsliding",
+    "screen-exclusion-state-out-of-range": "endpoint_exclusions[0][1]: ",
+    "screen-exclusion-state-unknown-label": "endpoint_exclusions[0][1]: ",
+    "screen-exclusion-descriptor-unknown": "endpoint_exclusions[0][1]: ",
+    "pipeline-run-count-float": "run_count",
+    "pipeline-worker-count-bool": "worker_count",
+    "spec-shock-enabled-not-bool": "shocks.structural.enabled: ",
+    "ensemble-time-grid-short": "short_grid.jsonl: header: ",
+}
 
 
 @pytest.mark.parametrize(
@@ -573,6 +657,13 @@ def test_failure_exit_code_and_json_error_line(small_run, argv, env, code, error
     (line,) = result.stderr.splitlines()
     report = json.loads(line)
     assert report["error"] == error and report["message"]
+
+
+@pytest.mark.parametrize("case", NAMED_FIELDS)
+def test_refusal_names_the_field(small_run, case):
+    (argv,) = [c[1] for c in FAILURES if c[0] == case]
+    result = invoke(CliRunner(), *argv(small_run))
+    assert NAMED_FIELDS[case] in json.loads(result.stderr)["message"]
 
 
 def test_bad_confidence_level_stops_the_pipeline_before_any_stage(small_run):
@@ -667,6 +758,8 @@ def test_screen_rejecting_nothing_writes_no_rows(runner, tmp_path):
     ("state7_candidate", "translation", "candidates[1]"),
     ("duplicate_id_candidate", "translation", "candidates[1]"),
     ("candidate", "text_translation", "dimensions[0].values.Low"),
+    ("candidate", "state7_translation", "dimensions[0].values.7"),
+    ("candidate", "minus1_translation", "dimensions[0].values.-1"),
 ])
 def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node):
     result = invoke(CliRunner(), *_quantify(small_run, candidates, matrix))
@@ -676,6 +769,7 @@ def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node
 @pytest.mark.parametrize("option, stem, node", [
     ("--ranges", "text_ranges", "ranges.carbon_price"),
     ("--ranges", "number_ranges", "ranges.carbon_price"),
+    ("--ranges", "unknown_key_ranges", "ranges.carbn_price"),
     ("--identities", "terms_list_identities", "identities[0]"),
     ("--identities", "text_coefficient_identities", "identities[0]"),
     ("--identities", "object_identities", "identities"),
@@ -697,6 +791,47 @@ def test_pipeline_extremes_error_names_the_node(small_run):
     assert result.exit_code == 3, result.output
     report = json.loads(result.stderr)
     assert report["error"] == "ParseError" and report["message"].startswith("extremes.outcome: ")
+
+
+def test_pipeline_reads_the_extremes_config_before_any_stage(small_run, tmp_path):
+    with open(small_run["outcome_empty_extremes_pipeline"]) as fh:
+        doc = json.load(fh)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+    result = invoke(CliRunner(), "pipeline", "--config", str(config))
+    assert result.exit_code == 3, result.output
+    assert not os.path.exists(tmp_path / "out" / "ensemble.jsonl")
+
+
+def test_exclusion_state_label_equals_its_index(small_run, tmp_path):
+    documents = []
+    for stem in ("label_exclusion_screening", "index_exclusion_screening"):
+        out = tmp_path / stem
+        result = invoke(CliRunner(), *_screen({**small_run, "out": str(out)}, "4", stem))
+        assert result.exit_code == 0, result.output
+        documents.append((out / "candidates.json").read_bytes())
+    assert documents[0] == documents[1]
+    assert json.loads(documents[0])["rejected"]["counts"]["endpoint_inconsistency"] > 0
+
+
+def test_later_stages_over_a_saved_ensemble_write_the_full_run_digests(fixture_dir, tmp_path):
+    """stats, screen, mcda and quantify (with extremes) over the output of a
+    full run load its ensemble.jsonl and write the same files."""
+    with open(os.path.join(fixture_dir, "mini_pipeline.json")) as fh:
+        doc = json.load(fh)
+    for key in ("spec", "mcda_input", "translation"):
+        doc[key] = os.path.join(fixture_dir, doc[key])
+    doc.update(run_count=300, output_dir=str(tmp_path))
+    manifests = []
+    for stages in (None, ["stats", "screen", "mcda", "quantify"]):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({**doc, "stages": stages} if stages else doc))
+        result = invoke(CliRunner(), "pipeline", "--config", str(config))
+        assert result.exit_code == 0, result.output
+        manifests.append(json.loads(result.output)["stages"])
+    full, later = manifests
+    assert "extremes" in doc and set(later) == {"stats", "screen", "mcda", "quantify"}
+    assert later == {stage: full[stage] for stage in later}
 
 
 def test_best_outcome_state_label_equals_its_index(small_run, tmp_path):

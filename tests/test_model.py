@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +25,36 @@ class TestParse:
         # 2 ordered pairs x 2x2 state combinations
         assert len(list(fixture_spec.cim.iter_cells())) == 8
         assert len(fixture_spec.descriptors) == 2
+
+    def test_cells_in_nested_loop_order(self):
+        """iter_cells, which serialize_study_spec and so every digest
+        follow, gives the cells source by source, state by state."""
+        rng = random.Random(5)
+        for _ in range(20):
+            spec = parse_study_spec(random_spec_document(rng, max_states=4))
+            counts = spec.state_counts
+            expected = [
+                (i, si, j, tj)
+                for i in range(len(counts)) for si in range(counts[i])
+                for j in range(len(counts)) if j != i for tj in range(counts[j])
+            ]
+            assert list(spec.cim.iter_cells()) == expected
+            assert spec.cim.valid_mask.sum() == len(expected)
+
+    def test_with_scores_shares_structure_and_mask(self, fixture_spec):
+        cim = fixture_spec.cim
+        out = cim.with_scores(cim.scores * 0.5)
+        assert out.valid_mask is cim.valid_mask and out.confidences is cim.confidences
+        assert out != cim and out == cim.with_scores(cim.scores * 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cim.scores = out.scores
+
+    @pytest.mark.parametrize("kind", ["structural", "dynamic"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_shock_enabled_must_be_a_boolean(self, kind, value):
+        doc = two_desc_document({"shocks": {kind: {"enabled": value}}})
+        with pytest.raises(ParseError, match=rf"^shocks\.{kind}\.enabled: "):
+            parse_study_spec(doc)
 
     def test_cyclic_drift_defaults_to_zero(self):
         doc = two_desc_document()
@@ -95,8 +127,6 @@ class TestRoundTrip:
         assert again.digest() == mini_spec.digest()
 
     def test_random_specs_round_trip(self):
-        import random
-
         rng = random.Random(7)
         for _ in range(20):
             spec = parse_study_spec(random_spec_document(rng))

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from cibpath.errors import ConfigError, CoverageError, OutOfRangeError, ParseError
+from cibpath.errors import (
+    ConfigError, CoverageError, OutOfRangeError, ParseError, SpecReferenceError,
+)
 from cibpath.model import parse_study_spec
 from cibpath.quantify import (
     CellProvenance,
@@ -157,6 +159,12 @@ class TestRanges:
                 qp, {"price": {"low_offset": 30.0, "high_offset": -15.0}}
             )
 
+    def test_key_that_is_no_dimension_is_refused(self):
+        qp = quantify_pathway(pathway([(1, 0)] * 6), (PRICE,), MATRIX, spec3())
+        with pytest.raises(ParseError) as exc:
+            attach_uncertainty_ranges(qp, {"price": {"relative": 0.2}, "prise": {"relative": 0.2}})
+        assert exc.value.path == "ranges.prise"
+
 
 class TestExtremes:
     periods = (2025, 2030, 2035, 2040, 2045, 2050)
@@ -199,6 +207,14 @@ class TestExtremes:
         )
         tail = dict(next(s for s in scenarios if s.label == "tail-outcome").values)
         assert tail == {"price": 50.0, "capacity": 10.0}
+
+    @pytest.mark.parametrize("min_count", [2.7, True, "2"])
+    def test_min_count_must_be_an_integer(self, min_count):
+        with pytest.raises(ParseError) as exc:
+            build_extreme_scenarios(
+                self.ensemble(), (PRICE,), MATRIX, spec3(), {"frequency": {"min_count": min_count}},
+            )
+        assert exc.value.path == "extremes.frequency"
 
     def test_count_warning_outside_two_to_four(self):
         _, warnings = build_extreme_scenarios(
@@ -291,6 +307,13 @@ class TestFiles:
         with pytest.raises(ParseError) as exc:
             parse_translation_file(doc, spec3())
         assert exc.value.path == "dimensions[0].values.0"
+
+    @pytest.mark.parametrize("ref", ["3", "-1", "7"])
+    def test_state_index_outside_the_driver_is_refused(self, ref):
+        doc = {"dimensions": [{"id": "price", "driver": "A", "values": {"Low": 50, ref: 60}}]}
+        with pytest.raises(SpecReferenceError) as exc:
+            parse_translation_file(doc, spec3())
+        assert exc.value.path == f"dimensions[0].values.{ref}"
 
     def test_dimension_given_twice_is_refused(self):
         dim = {"id": "price", "driver": "A", "values": {"Low": 50}}

@@ -12,7 +12,8 @@ from cibpath.uncertainty import (
     advance_dynamic_shock,
     apply_structural_shock,
     ar1_step,
-    draw_scaled,
+    draw_factor,
+    filler,
     sample_cim,
 )
 
@@ -157,6 +158,15 @@ class TestStreamBlock:
     def test_rejects_float_parts(self):
         with pytest.raises(TypeError):
             RandomSource(1).block((1.5,))
+
+
+def draw_scaled(rng, distribution, sd, shape):
+    """Zero-mean draws whose standard deviation is sd, made as
+    apply_structural_shock makes its noise: unit draws from filler, scaled
+    by draw_factor."""
+    out = filler(rng, distribution)(np.empty(shape))
+    out *= draw_factor(distribution, sd)
+    return out
 
 
 class TestDrawScaled:
