@@ -243,11 +243,12 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
 def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np.ndarray:
     """The index in REASONS of the first rule each pathway in states
     (pathways, periods, descriptors) fails, or -1 where it passes."""
-    j_out = spec.index_of(config.outcome_descriptor)
+    j_out = spec.index_of(config.outcome_descriptor, "screening.outcome_descriptor")
     descriptors = range(len(spec.descriptors))
     backslide_targets = list(descriptors) if config.full_vector_backsliding else [j_out]
     exclusions = [
-        [spec.resolve_pair(pair, f"endpoint_exclusions[{i}][{k}]") for k, pair in enumerate(combo)]
+        [spec.resolve_pair(pair, f"screening.endpoint_exclusions[{i}][{k}]")
+         for k, pair in enumerate(combo)]
         for i, combo in enumerate(config.endpoint_exclusions)
     ]
     cyclic_step2 = {

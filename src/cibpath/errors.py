@@ -19,13 +19,6 @@ class ParseError(CibError):
         super().__init__(f"{path}: {reason}")
 
 
-def schema_error(path: str, error: Exception) -> ParseError:
-    """ParseError for the KeyError or TypeError raised while reading the
-    JSON node at path: a missing key, or a node of the wrong type."""
-    reason = f"missing key {error}" if isinstance(error, KeyError) else str(error)
-    return ParseError(path, reason)
-
-
 class SpecReferenceError(ParseError):
     """A document references an unknown descriptor or state."""
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParseError, schema_error
-from .model import Finding, read_json
+from .errors import ConfigError, ParseError
+from .model import Finding, child, read_json
 
 
 @dataclass(frozen=True)
@@ -136,26 +136,25 @@ def rank_pathways(inp: McdaInput) -> McdaRanking:
 
 
 def parse_mcda_input(doc: dict) -> McdaInput:
-    """Read an MCDA input document; a missing key or a node of the wrong type
-    or a non-numeric score or weight raises ParseError naming the node."""
-    node = "mcda"
-    try:
-        criteria = tuple(doc["criteria"])
-        pathways = tuple(doc["pathways"])
-        scores = []
-        for p in pathways:
-            node = f"scores.{p}"
-            scores.append(tuple(float(doc["scores"][p][c]) for c in criteria))
-        node = "personas"
-        if not isinstance(doc["personas"], dict):
-            raise ParseError(node, "not an object of persona id -> criterion weights")
-        personas = []
-        for pid, weights in doc["personas"].items():
-            node = f"personas.{pid}"
-            personas.append(Persona(pid, tuple((c, float(weights[c])) for c in criteria)))
-    except (KeyError, TypeError, ValueError) as e:
-        raise schema_error(node, e)
-    scale = tuple(doc.get("scale", McdaInput.scale))
+    """Read an MCDA input document; a missing node, one of the wrong JSON
+    type, or a scale that is not two numbers, low below high, raises
+    ParseError naming the node."""
+    criteria = tuple(child(doc, "criteria", [str]))
+    pathways = tuple(child(doc, "pathways", [str]))
+    raw_scores, raw_personas = child(doc, "scores", dict), child(doc, "personas", dict)
+    scores = []
+    for p in pathways:
+        row = child(raw_scores, p, dict, "scores")
+        scores.append(tuple(child(row, c, float, f"scores.{p}") for c in criteria))
+    personas = []
+    for pid in raw_personas:
+        weights = child(raw_personas, pid, dict, "personas")
+        personas.append(Persona(pid, tuple(
+            (c, child(weights, c, float, f"personas.{pid}")) for c in criteria
+        )))
+    scale = tuple(child(doc, "scale", [float], "", McdaInput.scale))
+    if len(scale) != 2 or not scale[0] < scale[1]:
+        raise ParseError("scale", f"expected two numbers, low below high, got {list(scale)}")
     return McdaInput(pathways, criteria, tuple(scores), tuple(personas), scale)
 
 

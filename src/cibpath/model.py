@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -287,14 +288,12 @@ class StudySpec:
             self, "_index", {d.id: i for i, d in enumerate(self.descriptors)}
         )
 
-    def index_of(self, descriptor_id: str) -> int:
-        try:
-            return self._index[descriptor_id]
-        except KeyError:
-            raise SpecReferenceError("descriptors", f"unknown descriptor {descriptor_id!r}")
+    def index_of(self, descriptor_id: str, path: str = "descriptors") -> int:
+        """The descriptor's position, else SpecReferenceError naming path."""
+        return _position(self._index, descriptor_id, path)
 
-    def descriptor(self, descriptor_id: str) -> Descriptor:
-        return self.descriptors[self.index_of(descriptor_id)]
+    def descriptor(self, descriptor_id: str, path: str = "descriptors") -> Descriptor:
+        return self.descriptors[self.index_of(descriptor_id, path)]
 
     @cached_property
     def kernel(self) -> SpecKernel:
@@ -333,7 +332,7 @@ class StudySpec:
     def resolve_pair(self, raw: Any, path: str) -> tuple[str, int]:
         """A [descriptor id, state label or index] pair as (id, state index),
         or ParseError / SpecReferenceError naming path."""
-        return _parse_pair(raw, self.descriptors, self._index, path)
+        return _parse_pair(raw, self._index, self.descriptors, path)
 
     def digest(self) -> str:
         """Content hash of the canonical serialized form."""
@@ -352,9 +351,17 @@ class Finding:
 
 
 def read_json(path: str) -> Any:
-    """The JSON document in the UTF-8 file at path."""
+    """The JSON document in the UTF-8 file at path; NaN, Infinity and 1e400,
+    which Python's json would read as non-finite numbers, raise ParseError."""
+    def refuse(text: str):
+        raise ParseError(path, f"{text} is not a finite JSON number")
+
+    def number(text: str) -> float:
+        value = float(text)
+        return value if math.isfinite(value) else refuse(text)
+
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=refuse, parse_float=number)
 
 
 def compact_json(doc: Any) -> str:
@@ -362,130 +369,162 @@ def compact_json(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def is_json(value: Any, kind: type) -> bool:
-    """Whether value holds the JSON type kind stands for: int an integer,
-    float any number, bool true or false, and other types themselves. A
-    boolean is no number here."""
-    return type(value) is kind or (kind is float and type(value) is int)
+_KIND_NAMES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number",
+    bool: "true or false",
+}
+_REQUIRED = object()
+
+#: The kind of a state reference: a label or an index.
+STATE_REF = (int, str)
 
 
-def _require(doc: dict, key: str, path: str) -> Any:
-    if key not in doc:
-        raise ParseError(f"{path}.{key}" if path else key, "missing required key")
-    return doc[key]
+def _kind_name(kind: Any) -> str:
+    if type(kind) is tuple:
+        return " or ".join(map(_kind_name, kind))
+    return "a list" if type(kind) is list else _KIND_NAMES[kind]
 
 
-def _parse_distribution(value: Any, path: str) -> Distribution:
-    if value is None:
+def _shown(value: Any) -> str:
+    return _KIND_NAMES[type(value)] if type(value) in (dict, list) else repr(value)
+
+
+def child(parent: Any, key: Any, kind: Any, path: str = "", default: Any = _REQUIRED) -> Any:
+    """parent[key], where parent is the JSON node at path, if it holds the
+    JSON type kind: dict, list, str, bool (true or false), int (an integer)
+    or float (any number, returned as a float; a boolean is no number), a
+    tuple of these for any of them, or [k] for a list of k. An absent key
+    gives default, if one is given. Else ParseError names the child's
+    dotted path, or path when parent is no object (for a str key) or list."""
+    if type(parent) is not dict and (type(key) is not int or type(parent) not in (list, tuple)):
+        expected = "a list" if type(key) is int else "an object"
+        raise ParseError(path or "(root)", f"expected {expected}, got {_shown(parent)}")
+    try:
+        value = parent[key]
+    except (KeyError, IndexError):
+        if default is _REQUIRED:
+            raise ParseError(_join(path, key), "missing") from None
+        return default
+    if type(value) is kind or type(kind) is tuple and type(value) in kind:
+        return value
+    if type(value) is int and (kind is float or type(kind) is tuple and float in kind):
+        if abs(value) < 1e308:  # float() would overflow
+            return float(value)
+    if type(kind) is list and type(value) is list:
+        for i in range(len(value)):
+            child(value, i, kind[0], _join(path, key))
+        return value
+    raise ParseError(_join(path, key), f"expected {_kind_name(kind)}, got {_shown(value)}")
+
+
+def _join(path: str, key: Any) -> str:
+    """The dotted path of child key of the node at path."""
+    return f"{path}[{key}]" if type(key) is int else f"{path}.{key}" if path else key
+
+
+def _position(index: dict, descriptor_id: Any, path: str) -> int:
+    """The position of descriptor_id in index, else SpecReferenceError naming path."""
+    try:
+        return index[descriptor_id]
+    except (KeyError, TypeError):
+        raise SpecReferenceError(path, f"unknown descriptor {descriptor_id!r}") from None
+
+
+def _parse_distribution(parent: dict, key: str, path: str) -> Distribution:
+    value = child(parent, key, (str, dict), path, "gaussian")
+    path = f"{path}.{key}"
+    if value == "gaussian":
         return GAUSSIAN
-    if isinstance(value, str):
-        if value == "gaussian":
-            return GAUSSIAN
+    if type(value) is str:
         raise ParseError(path, f"unknown distribution {value!r}")
-    if isinstance(value, dict):
-        kind = _require(value, "kind", path)
-        if kind == "gaussian":
-            return GAUSSIAN
-        if kind == "student_t":
-            df = _require(value, "df", path)
-            if not isinstance(df, int) or df < 1:
-                raise ParseError(f"{path}.df", "df must be a positive integer")
-            return Distribution("student_t", df)
+    kind = child(value, "kind", str, path)
+    if kind == "gaussian":
+        return GAUSSIAN
+    if kind != "student_t":
         raise ParseError(f"{path}.kind", f"unknown distribution kind {kind!r}")
-    raise ParseError(path, "distribution must be a string or object")
+    df = child(value, "df", int, path)
+    if df < 1:
+        raise ParseError(f"{path}.df", "df must be a positive integer")
+    return Distribution("student_t", df)
 
 
 def resolve_state(desc: Descriptor, ref: Any, path: str) -> int:
     """Normalize a state reference (label or index) to a state index."""
-    if isinstance(ref, bool):
-        raise SpecReferenceError(path, f"invalid state reference {ref!r}")
-    if isinstance(ref, int):
-        if 0 <= ref < desc.state_count:
+    if type(ref) is int:
+        if 0 <= ref < len(desc.states):  # len(): the state_count property triples this cost
             return ref
         raise SpecReferenceError(
             path, f"state index {ref} outside 0..{desc.state_count - 1} of {desc.id!r}"
         )
-    if isinstance(ref, str):
-        for s in desc.states:
-            if s.label == ref:
-                return s.index
-        raise SpecReferenceError(path, f"unknown state {ref!r} of descriptor {desc.id!r}")
-    raise SpecReferenceError(path, f"invalid state reference {ref!r}")
+    for s in desc.states:
+        if s.label == ref:
+            return s.index
+    raise SpecReferenceError(path, f"unknown state {ref!r} of descriptor {desc.id!r}")
 
 
-def _parse_descriptor(doc: dict, pos: int) -> Descriptor:
-    path = f"descriptors[{pos}]"
-    did = _require(doc, "id", path)
-    if not isinstance(did, str) or not did:
+def _parse_descriptor(doc: dict, path: str) -> Descriptor:
+    did = child(doc, "id", str, path)
+    if not did:
         raise ParseError(f"{path}.id", "id must be a non-empty string")
-    name = doc.get("name", did)
-    kind = doc.get("kind", "endogenous")
+    kind = child(doc, "kind", str, path, "endogenous")
     if kind not in DESCRIPTOR_KINDS:
         raise ParseError(f"{path}.kind", f"kind must be one of {DESCRIPTOR_KINDS}")
-    raw_states = _require(doc, "states", path)
-    if not isinstance(raw_states, list) or not raw_states:
+    raw_states = child(doc, "states", [(str, dict)], path)
+    if not raw_states:
         raise ParseError(f"{path}.states", "states must be a non-empty list")
     states = []
     for i, s in enumerate(raw_states):
         spath = f"{path}.states[{i}]"
-        if isinstance(s, str):
+        if type(s) is str:
             states.append(StateDef(i, s))
-        elif isinstance(s, dict):
-            label = _require(s, "label", spath)
-            states.append(StateDef(i, label, s.get("definition", "")))
         else:
-            raise ParseError(spath, "state must be a label string or object")
+            label = child(s, "label", str, spath)
+            states.append(StateDef(i, label, child(s, "definition", str, spath, "")))
     cyclic = None
     if kind == "cyclic":
-        raw = _require(doc, "cyclic", path)
-        cpath = f"{path}.cyclic"
+        raw, cpath = child(doc, "cyclic", dict, path), f"{path}.cyclic"
         cyclic = CyclicParams(
-            stay=float(_require(raw, "stay", cpath)),
-            step=float(_require(raw, "step", cpath)),
-            step2=float(_require(raw, "step2", cpath)),
-            drift=float(raw.get("drift", 0.0)),
+            *(child(raw, key, float, cpath) for key in ("stay", "step", "step2")),
+            drift=child(raw, "drift", float, cpath, 0.0),
         )
     elif "cyclic" in doc:
         raise ParseError(f"{path}.cyclic", "cyclic parameters on a non-cyclic descriptor")
-    return Descriptor(did, name, tuple(states), kind, cyclic)
+    return Descriptor(did, child(doc, "name", str, path, did), tuple(states), kind, cyclic)
 
 
 def _parse_cim(
-    records: Any, descriptors: tuple[Descriptor, ...], index: dict
+    records: list, descriptors: tuple[Descriptor, ...], index: dict
 ) -> CrossImpactMatrix:
-    if not isinstance(records, list):
-        raise ParseError("cim", "cim must be a flat list of cell records")
     ids = tuple(d.id for d in descriptors)
     counts = tuple(d.state_count for d in descriptors)
-    cim = CrossImpactMatrix.zeros(ids, counts)
-    seen = np.zeros_like(cim.scores, dtype=bool)
-    for pos, rec in enumerate(records):
-        path = f"cim[{pos}]"
-        src_id = _require(rec, "source", path)
-        tgt_id = _require(rec, "target", path)
-        for ref, label in ((src_id, "source"), (tgt_id, "target")):
-            if ref not in index:
-                raise SpecReferenceError(f"{path}.{label}", f"unknown descriptor {ref!r}")
-        i, j = index[src_id], index[tgt_id]
+    cells: dict[tuple[int, int, int, int], tuple[float, int]] = {}
+    for pos in range(len(records)):
+        rec, path = child(records, pos, dict, "cim"), f"cim[{pos}]"
+        i = _position(index, child(rec, "source", str, path), f"{path}.source")
+        j = _position(index, child(rec, "target", str, path), f"{path}.target")
         if i == j:
-            raise ParseError(path, f"self-impact cell for descriptor {src_id!r}")
-        si = resolve_state(descriptors[i], _require(rec, "source_state", path), f"{path}.source_state")
-        tj = resolve_state(descriptors[j], _require(rec, "target_state", path), f"{path}.target_state")
-        score = _require(rec, "score", path)
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise ParseError(f"{path}.score", "score must be a number")
-        if not SCORE_MIN <= float(score) <= SCORE_MAX:
+            raise ParseError(path, f"self-impact cell for descriptor {ids[i]!r}")
+        si = child(rec, "source_state", STATE_REF, path)
+        si = resolve_state(descriptors[i], si, f"{path}.source_state")
+        tj = child(rec, "target_state", STATE_REF, path)
+        tj = resolve_state(descriptors[j], tj, f"{path}.target_state")
+        score = child(rec, "score", float, path)
+        if not SCORE_MIN <= score <= SCORE_MAX:
             raise ParseError(
                 f"{path}.score", f"score {score} outside [{SCORE_MIN:g}, {SCORE_MAX:g}]"
             )
-        conf = _require(rec, "confidence", path)
-        if not isinstance(conf, int) or isinstance(conf, bool) or not 1 <= conf <= 5:
+        conf = child(rec, "confidence", int, path)
+        if not 1 <= conf <= 5:
             raise ParseError(f"{path}.confidence", "confidence must be an integer in 1..5")
-        if seen[i, si, j, tj]:
+        if (i, si, j, tj) in cells:
             raise ParseError(path, "duplicate cell")
-        seen[i, si, j, tj] = True
-        cim.scores[i, si, j, tj] = float(score)
-        cim.confidences[i, si, j, tj] = conf
+        cells[i, si, j, tj] = score, conf
+    cim = CrossImpactMatrix.zeros(ids, counts)
+    seen = np.zeros_like(cim.valid_mask)
+    at = tuple(np.fromiter(chain.from_iterable(cells), np.intp, 4 * len(cells)).reshape(-1, 4).T)
+    seen[at] = True
+    values = np.fromiter(chain.from_iterable(cells.values()), float, 2 * len(cells))
+    cim.scores[at], cim.confidences[at] = values.reshape(-1, 2).T
     missing = cim.valid_mask & ~seen
     if missing.any():
         i, si, j, tj = (int(x) for x in np.argwhere(missing)[0])
@@ -496,133 +535,118 @@ def _parse_cim(
     return cim
 
 
-def _parse_pair(raw: Any, descriptors: tuple[Descriptor, ...], index: dict, path: str) -> tuple[str, int]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ParseError(path, "expected a [descriptor, state] pair")
-    did, state = raw
-    if did not in index:
-        raise SpecReferenceError(path, f"unknown descriptor {did!r}")
-    return did, resolve_state(descriptors[index[did]], state, path)
+def _parse_pair(raw: Any, index: dict, descriptors: tuple[Descriptor, ...], path: str) -> tuple[str, int]:
+    """A [descriptor id, state label or index] pair as (id, state index)."""
+    did = child(raw, 0, str, path)
+    if len(raw) != 2:
+        raise ParseError(path, f"expected a [descriptor, state] pair, got {len(raw)} items")
+    return did, resolve_state(descriptors[_position(index, did, path)], raw[1], path)
 
 
 def parse_study_spec(document: dict) -> StudySpec:
     """Build a StudySpec from a JSON-compatible document, applying defaults.
 
-    Raises ParseError (schema violations, out-of-range scalars) or
-    SpecReferenceError (unknown descriptor/state references). Semantic
-    invariants beyond the schema are the job of ``validate_study_spec``.
+    Every node is read by ``child``: a missing node or one of the wrong JSON
+    type raises ParseError, an out-of-range scalar ParseError, and an
+    unknown descriptor or state SpecReferenceError, each naming the node.
+    Semantic invariants beyond the schema are the job of
+    ``validate_study_spec``.
     """
-    if not isinstance(document, dict):
-        raise ParseError("", "study spec must be a JSON object")
-    raw_desc = _require(document, "descriptors", "")
-    if not isinstance(raw_desc, list) or not raw_desc:
+    raw_desc = child(document, "descriptors", list)
+    if not raw_desc:
         raise ParseError("descriptors", "must be a non-empty list")
-    descriptors = tuple(_parse_descriptor(d, i) for i, d in enumerate(raw_desc))
+    descriptors = tuple(
+        _parse_descriptor(child(raw_desc, i, dict, "descriptors"), f"descriptors[{i}]")
+        for i in range(len(raw_desc))
+    )
     index: dict[str, int] = {}
     for i, d in enumerate(descriptors):
         if d.id in index:
             raise ParseError(f"descriptors[{i}].id", f"duplicate descriptor id {d.id!r}")
         index[d.id] = i
 
-    cim = _parse_cim(_require(document, "cim", ""), descriptors, index)
+    def pair(parent: Any, key: Any, path: str) -> tuple[str, int]:
+        return _parse_pair(child(parent, key, list, path), index, descriptors, _join(path, key))
 
-    raw_base = _require(document, "baseline", "")
-    if not isinstance(raw_base, dict):
-        raise ParseError("baseline", "baseline must map descriptor id to state")
-    baseline = []
-    for d in descriptors:
-        if d.id not in raw_base:
-            raise ParseError("baseline", f"missing baseline state for {d.id!r}")
-        baseline.append(resolve_state(d, raw_base[d.id], f"baseline.{d.id}"))
+    cim = _parse_cim(child(document, "cim", list), descriptors, index)
+
+    raw_base = child(document, "baseline", dict)
+    baseline = tuple(
+        resolve_state(d, child(raw_base, d.id, STATE_REF, "baseline"), f"baseline.{d.id}")
+        for d in descriptors
+    )
     for key in raw_base:
-        if key not in index:
-            raise SpecReferenceError("baseline", f"unknown descriptor {key!r}")
+        _position(index, key, f"baseline.{key}")
 
-    raw_rules = document.get("rules", {}) or {}
-    forbidden = tuple(
-        (
-            _parse_pair(p[0], descriptors, index, f"rules.forbidden_pairs[{i}][0]"),
-            _parse_pair(p[1], descriptors, index, f"rules.forbidden_pairs[{i}][1]"),
-        )
-        for i, p in enumerate(raw_rules.get("forbidden_pairs", []))
+    raw_rules = child(document, "rules", dict, "", {})
+    raw_pairs = child(raw_rules, "forbidden_pairs", [list], "rules", [])
+    raw_implications = child(raw_rules, "implications", [dict], "rules", [])
+    rules = DomainRules(
+        tuple(
+            (pair(p, 0, f"rules.forbidden_pairs[{i}]"), pair(p, 1, f"rules.forbidden_pairs[{i}]"))
+            for i, p in enumerate(raw_pairs)
+        ),
+        tuple(
+            (pair(r, "if", f"rules.implications[{i}]"), pair(r, "then", f"rules.implications[{i}]"))
+            for i, r in enumerate(raw_implications)
+        ),
     )
-    implications = tuple(
-        (
-            _parse_pair(_require(r, "if", f"rules.implications[{i}]"), descriptors, index, f"rules.implications[{i}].if"),
-            _parse_pair(_require(r, "then", f"rules.implications[{i}]"), descriptors, index, f"rules.implications[{i}].then"),
-        )
-        for i, r in enumerate(raw_rules.get("implications", []))
-    )
-    rules = DomainRules(forbidden, implications)
 
     threshold_rules = []
-    for i, r in enumerate(document.get("threshold_rules", []) or []):
+    for i, r in enumerate(child(document, "threshold_rules", [dict], "", [])):
         path = f"threshold_rules[{i}]"
+        raw_conditions = child(r, "conditions", list, path)
         conditions = tuple(
-            _parse_pair(c, descriptors, index, f"{path}.conditions[{k}]")
-            for k, c in enumerate(_require(r, "conditions", path))
+            pair(raw_conditions, k, f"{path}.conditions") for k in range(len(raw_conditions))
         )
-        raw_eff = _require(r, "effect", path)
-        src = _require(raw_eff, "source", f"{path}.effect")
-        tgt = _require(raw_eff, "target", f"{path}.effect")
-        for ref in (src, tgt):
-            if ref not in index:
-                raise SpecReferenceError(f"{path}.effect", f"unknown descriptor {ref!r}")
-        delta = float(_require(raw_eff, "delta", f"{path}.effect"))
+        raw_eff, epath = child(r, "effect", dict, path), f"{path}.effect"
+        src, tgt = (child(raw_eff, key, str, epath) for key in ("source", "target"))
+        delta = child(raw_eff, "delta", float, epath)
         if not math.isfinite(delta):
-            raise ParseError(f"{path}.effect.delta", "delta must be finite")
-        effect = ThresholdEffect(
-            src,
-            resolve_state(descriptors[index[src]], _require(raw_eff, "source_state", f"{path}.effect"), f"{path}.effect.source_state"),
-            tgt,
-            resolve_state(descriptors[index[tgt]], _require(raw_eff, "target_state", f"{path}.effect"), f"{path}.effect.target_state"),
-            delta,
+            raise ParseError(f"{epath}.delta", "delta must be finite")
+        source_state, target_state = (
+            resolve_state(
+                descriptors[_position(index, did, f"{epath}.{key}")],
+                child(raw_eff, f"{key}_state", STATE_REF, epath), f"{epath}.{key}_state",
+            )
+            for did, key in ((src, "source"), (tgt, "target"))
         )
+        effect = ThresholdEffect(src, source_state, tgt, target_state, delta)
         threshold_rules.append(ThresholdRule(conditions, effect))
 
-    raw_shocks = document.get("shocks", {}) or {}
-    raw_struct = raw_shocks.get("structural", {}) or {}
-    raw_dyn = raw_shocks.get("dynamic", {}) or {}
-    for kind, raw in (("structural", raw_struct), ("dynamic", raw_dyn)):
-        if not is_json(raw.get("enabled", False), bool):
-            raise ParseError(f"shocks.{kind}.enabled", "enabled must be true or false")
+    raw_shocks = child(document, "shocks", dict, "", {})
+    raw_struct = child(raw_shocks, "structural", dict, "shocks", {})
+    raw_dyn = child(raw_shocks, "dynamic", dict, "shocks", {})
+    spath, dpath = "shocks.structural", "shocks.dynamic"
     shocks = ShockConfig(
         structural=StructuralShockConfig(
-            enabled=raw_struct.get("enabled", False),
-            scale=float(raw_struct.get("scale", 0.0)),
-            distribution=_parse_distribution(raw_struct.get("distribution"), "shocks.structural.distribution"),
+            enabled=child(raw_struct, "enabled", bool, spath, False),
+            scale=child(raw_struct, "scale", float, spath, 0.0),
+            distribution=_parse_distribution(raw_struct, "distribution", spath),
         ),
         dynamic=DynamicShockConfig(
-            enabled=raw_dyn.get("enabled", False),
-            long_run_sd=float(raw_dyn.get("long_run_sd", 0.0)),
-            persistence=float(raw_dyn.get("persistence", 0.0)),
-            distribution=_parse_distribution(raw_dyn.get("distribution"), "shocks.dynamic.distribution"),
+            enabled=child(raw_dyn, "enabled", bool, dpath, False),
+            long_run_sd=child(raw_dyn, "long_run_sd", float, dpath, 0.0),
+            persistence=child(raw_dyn, "persistence", float, dpath, 0.0),
+            distribution=_parse_distribution(raw_dyn, "distribution", dpath),
         ),
     )
 
-    raw_grid = _require(document, "time_grid", "")
-    if not isinstance(raw_grid, list) or not all(isinstance(p, int) for p in raw_grid):
-        raise ParseError("time_grid", "time_grid must be a list of integer periods")
-    time_grid = tuple(raw_grid)
+    time_grid = tuple(child(document, "time_grid", [int]))
 
-    raw_unc = document.get("uncertainty", {}) or {}
-    raw_cs = raw_unc.get("confidence_sigma")
-    if raw_cs is None:
-        confidence_sigma = DEFAULT_CONFIDENCE_SIGMA
-    else:
-        try:
-            confidence_sigma = tuple(float(raw_cs[str(c)]) for c in range(1, 6))
-        except KeyError as e:
-            raise ParseError("uncertainty.confidence_sigma", f"missing code {e}")
-    raw_ts = raw_unc.get("time_scale")
+    raw_unc = child(document, "uncertainty", dict, "", {})
+    raw_cs = child(raw_unc, "confidence_sigma", dict, "uncertainty", None)
+    confidence_sigma = DEFAULT_CONFIDENCE_SIGMA if raw_cs is None else tuple(
+        child(raw_cs, str(c), float, "uncertainty.confidence_sigma") for c in range(1, 6)
+    )
+    raw_ts = child(raw_unc, "time_scale", dict, "uncertainty", None)
     if raw_ts is None:
         time_scale = tuple(zip(time_grid, _default_time_scale(time_grid)))
     else:
-        try:
-            time_scale = tuple((p, float(raw_ts[str(p)])) for p in time_grid)
-        except KeyError as e:
-            raise ParseError("uncertainty.time_scale", f"missing period {e}")
-    resample = raw_unc.get("resample")
+        time_scale = tuple(
+            (p, child(raw_ts, str(p), float, "uncertainty.time_scale")) for p in time_grid
+        )
+    resample = child(raw_unc, "resample", str, "uncertainty", None)
     if resample is None:
         factors = {f for _, f in time_scale}
         resample = "per_period" if len(factors) > 1 else "per_run"
@@ -631,16 +655,14 @@ def parse_study_spec(document: dict) -> StudySpec:
     uncertainty = UncertaintyConfig(
         confidence_sigma=confidence_sigma,
         time_scale=time_scale,
-        sampling_distribution=_parse_distribution(
-            raw_unc.get("sampling_distribution"), "uncertainty.sampling_distribution"
-        ),
+        sampling_distribution=_parse_distribution(raw_unc, "sampling_distribution", "uncertainty"),
         resample=resample,
     )
 
     return StudySpec(
         descriptors=descriptors,
         cim=cim,
-        baseline=tuple(baseline),
+        baseline=baseline,
         rules=rules,
         threshold_rules=tuple(threshold_rules),
         shocks=shocks,

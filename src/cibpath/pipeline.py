@@ -28,11 +28,11 @@ from .analytics import (
     select_candidates,
     state_share_series,
 )
-from .errors import ConfigError, ParseError, SpecReferenceError, ValidationFailure, schema_error
+from .errors import ConfigError, ParseError, ValidationFailure
 from .mcda import McdaInput, McdaRanking, load_mcda_input, rank_pathways, ranking_report
 from .model import (
-    Finding, StudySpec, compact_json, is_json, load_study_spec, read_json, resolve_state,
-    validate_study_spec,
+    STATE_REF, Finding, StudySpec, child, compact_json, load_study_spec, read_json,
+    resolve_state, validate_study_spec,
 )
 from .quantify import (
     attach_uncertainty_ranges,
@@ -76,52 +76,44 @@ class PipelineConfig:
     selected_pathway: Optional[str] = None
 
 
+#: The JSON type of each optional pipeline config field that is no file.
+_CONFIG_KINDS = {
+    "run_count": int, "master_seed": int, "worker_count": int, "max_iter": int,
+    "confidence_level": float, "candidate_count": int, "screening": dict, "ranges": dict,
+    "extremes": dict, "selected_pathway": str,
+}
+
+
 def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> PipelineConfig:
+    """The pipeline config at path, its file names resolved against its
+    directory; a missing node or one of the wrong JSON type raises
+    ConfigError naming it."""
     doc = read_json(path)
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p: Optional[str]) -> Optional[str]:
-        if p is None:
-            return None
-        return p if os.path.isabs(p) else os.path.join(base, p)
+    def file(key: str, *default) -> Optional[str]:
+        p = child(doc, key, str, "", *default)
+        return p if p is None or os.path.isabs(p) else os.path.join(base, p)
 
     try:
         cfg = PipelineConfig(
-            spec_path=resolve(doc["spec"]),
-            output_dir=output_dir or resolve(doc.get("output_dir", "out")),
-            screening=doc.get("screening"),
-            mcda_input_path=resolve(doc.get("mcda_input")),
-            translation_path=resolve(doc.get("translation")),
-            identities_path=resolve(doc.get("identities")),
-            ranges=doc.get("ranges"),
-            extremes=doc.get("extremes"),
-            selected_pathway=doc.get("selected_pathway"),
-            stages=tuple(doc.get("stages", ALL_STAGES)),
-            **_given(doc, "pipeline", {
-                "run_count": int, "master_seed": int, "worker_count": int, "max_iter": int,
-                "confidence_level": float, "candidate_count": int,
-            }),
+            spec_path=file("spec"),
+            output_dir=output_dir or file("output_dir", "out"),
+            mcda_input_path=file("mcda_input", None),
+            translation_path=file("translation", None),
+            identities_path=file("identities", None),
+            stages=tuple(child(doc, "stages", [str], "", ALL_STAGES)),
+            **{key: child(doc, key, kind, "", getattr(PipelineConfig, key))
+               for key, kind in _CONFIG_KINDS.items()},
         )
-    except KeyError as e:
-        raise ConfigError(f"pipeline config missing key {e}")
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"pipeline config has a malformed value: {e}")
-    for stage in cfg.stages:
+    except ParseError as e:
+        raise ConfigError(f"pipeline config: {e}") from None
+    for i, stage in enumerate(cfg.stages):
         if stage not in ALL_STAGES:
-            raise ConfigError(f"unknown stage {stage!r}")
+            raise ConfigError(f"pipeline config: stages[{i}]: unknown stage {stage!r}")
     if cfg.run_count < 1:
         raise ConfigError("run_count must be >= 1")
     return cfg
-
-
-def _given(doc: dict, what: str, kinds: dict) -> dict:
-    """The keys of kinds that doc holds, each of whose values must have its
-    JSON type (model.is_json), else ConfigError naming it; the caller's
-    dataclass defaults stand for the absent keys."""
-    for key, kind in kinds.items():
-        if key in doc and not is_json(doc[key], kind):
-            raise ConfigError(f"{what} config: {key} must be {kind.__name__}, got {doc[key]!r}")
-    return {key: doc[key] for key in kinds if key in doc}
 
 
 def _dump_json(doc, path: str) -> None:
@@ -242,22 +234,21 @@ def load_checked_ensemble(path: str, spec: StudySpec, spec_digest: str) -> Ensem
 
 
 def screening_config_from(doc: dict) -> ScreeningConfig:
+    """The screening config doc, whose nodes are named screening.<key>; a
+    missing node or one of the wrong JSON type raises ConfigError naming it."""
     try:
         return ScreeningConfig(
-            outcome_descriptor=doc["outcome_descriptor"],
+            outcome_descriptor=child(doc, "outcome_descriptor", str, "screening"),
             endpoint_exclusions=tuple(
-                tuple((d, s) for d, s in combo)
-                for combo in doc.get("endpoint_exclusions", [])
+                tuple(map(tuple, combo))
+                for combo in child(doc, "endpoint_exclusions", [[list]], "screening", ())
             ),
-            **_given(doc, "screening", {
-                "late_rush_steps": int, "discontinuity_steps": int,
-                "full_vector_backsliding": bool,
-            }),
+            **{key: child(doc, key, kind, "screening", getattr(ScreeningConfig, key))
+               for key, kind in (("late_rush_steps", int), ("discontinuity_steps", int),
+                                 ("full_vector_backsliding", bool))},
         )
-    except KeyError:
-        raise ConfigError("screening config needs 'outcome_descriptor'")
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"screening config has a malformed value: {e}")
+    except ParseError as e:
+        raise ConfigError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +315,13 @@ def screen_stage(
     of the outcome descriptor, its last state when the config gives none;
     any other value raises ConfigError."""
     scfg = screening_config_from(screening)
-    outcome = spec.descriptor(scfg.outcome_descriptor)
+    outcome = spec.descriptor(scfg.outcome_descriptor, "screening.outcome_descriptor")
     try:
-        best_state = resolve_state(
-            outcome, screening.get("best_outcome_state", outcome.state_count - 1),
-            "best_outcome_state",
-        )
-    except SpecReferenceError as e:
-        raise ConfigError(f"screening config: {e}")
+        last = outcome.state_count - 1
+        best = child(screening, "best_outcome_state", STATE_REF, "screening", last)
+        best_state = resolve_state(outcome, best, "screening.best_outcome_state")
+    except ParseError as e:
+        raise ConfigError(str(e)) from None
     screened = screen_candidates(ensemble, spec, scfg)
     selected = select_candidates(screened, candidate_count, (outcome.id, best_state), spec)
     rejected = selected.rejected
@@ -365,21 +355,15 @@ def read_candidates(path: str, spec: StudySpec) -> dict[str, Pathway]:
     an id no earlier one has, and cover the spec's time grid with one state
     of each descriptor per period; one that does not raises ParseError
     naming candidates[i]."""
-    doc = read_json(path)
-    try:
-        entries = doc["candidates"]
-    except (KeyError, TypeError) as e:
-        raise schema_error(path, e)
     pathways = {}
+    entries = child(read_json(path), "candidates", [dict])
     for i, c in enumerate(entries):
-        node = f"{path}: candidates[{i}]"
-        try:
-            pathway = Pathway.from_doc(c, node)
-            if c["id"] in pathways:
-                raise ParseError(node, f"id {c['id']!r} is also an earlier candidate's")
-            pathways[c["id"]] = pathway
-        except (KeyError, TypeError) as e:
-            raise schema_error(node, e)
+        node = f"candidates[{i}]"
+        pathway = Pathway.from_doc(c, node)
+        pid = child(c, "id", str, node)
+        if pid in pathways:
+            raise ParseError(node, f"id {pid!r} is also an earlier candidate's")
+        pathways[pid] = pathway
         if pathway.periods != spec.time_grid:
             raise ParseError(node, (
                 f"periods {list(pathway.periods)}, but the spec's time grid is "
@@ -392,7 +376,7 @@ def read_candidates(path: str, spec: StudySpec) -> dict[str, Pathway]:
                     f"{len(spec.descriptors)} descriptors"
                 ))
             for d, state in zip(spec.descriptors, scenario):
-                if type(state) is not int or not 0 <= state < d.state_count:
+                if not 0 <= state < d.state_count:
                     raise ParseError(node, (
                         f"state {state!r} in {period} is not a state of descriptor "
                         f"{d.id!r} ({d.state_count} states)"
@@ -474,9 +458,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         ("screen", "screening"), ("mcda", "mcda_input_path"), ("quantify", "translation_path")
     ):
         if stage in stages and not getattr(config, field):
-            raise ConfigError(f"{stage} stage enabled but {field} is not set")
+            raise ConfigError(f"stages: {stage} stage enabled but {field} is not set")
     if "quantify" in stages and "mcda" not in stages and config.selected_pathway is None:
-        raise ConfigError("quantify stage needs a selected pathway (mcda stage or override)")
+        raise ConfigError("stages: quantify needs a selected pathway (an mcda stage or override)")
     if "stats" in stages:
         _wilson_z(config.confidence_level)
 

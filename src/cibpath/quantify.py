@@ -15,10 +15,8 @@ import numpy as np
 
 from .analytics import row_keys
 from .engine import Scenario
-from .errors import (
-    ConfigError, CoverageError, OutOfRangeError, ParseError, SpecReferenceError, schema_error,
-)
-from .model import StudySpec, is_json, read_json, resolve_state
+from .errors import ConfigError, CoverageError, OutOfRangeError, ParseError
+from .model import STATE_REF, StudySpec, child, read_json, resolve_state
 from .simulate import EnsembleResult, Pathway
 
 IDENTITY_TOL = 1e-9
@@ -107,16 +105,17 @@ def quantify_pathway(
     return QuantifiedPathway(dimensions, pathway.periods, values, {}, provenance)
 
 
-def _range_rule(rs: dict) -> Callable[[float], tuple[float, float]]:
-    """A range spec as the map from a central value to its (low, high)
-    band; a malformed one raises KeyError, TypeError or ValueError."""
+def _range_rule(ranges: dict, d: str) -> Callable[[float], tuple[float, float]]:
+    """Dimension d's range in ranges as the map from a central value to its
+    (low, high) band."""
+    rs, path = child(ranges, d, dict, "ranges"), f"ranges.{d}"
     if "relative" in rs:
-        f = float(rs["relative"])
+        f = child(rs, "relative", float, path)
         return lambda central: tuple(sorted((central * (1 - f), central * (1 + f))))
     if "low_offset" in rs or "high_offset" in rs:
-        low, high = float(rs.get("low_offset", 0.0)), float(rs.get("high_offset", 0.0))
+        low, high = (child(rs, key, float, path, 0.0) for key in ("low_offset", "high_offset"))
         return lambda central: (central + low, central + high)
-    low, high = float(rs["low"]), float(rs["high"])
+    low, high = child(rs, "low", float, path), child(rs, "high", float, path)
     return lambda central: (low, high)
 
 
@@ -126,19 +125,17 @@ def attach_uncertainty_ranges(qp: QuantifiedPathway, range_spec: dict) -> Quanti
     Per dimension either {"relative": f} (central * (1 -/+ f)),
     {"low_offset": a, "high_offset": b}, or absolute {"low": x, "high": y}.
     A range that is not such an object, or a key that is not one of qp's
-    dimensions, raises ParseError naming ranges.<key>.
+    dimensions, raises ParseError naming ranges.<key>, and a value that is
+    not a number ranges.<key>.<field>.
     """
-    if not isinstance(range_spec, dict):
+    if type(range_spec) is not dict:
         raise ParseError("ranges", "not an object of dimension -> range")
     known = {d.id for d in qp.dimensions}
     rules = {}
-    for d, rs in range_spec.items():
+    for d in range_spec:
         if d not in known:
             raise ParseError(f"ranges.{d}", f"{d!r} is not a dimension of the translation file")
-        try:
-            rules[d] = _range_rule(rs)
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise schema_error(f"ranges.{d}", e)
+        rules[d] = _range_rule(range_spec, d)
     ranges = {}
     for (d, p), central in qp.values.items():
         if d not in rules:
@@ -164,29 +161,26 @@ def read_extreme_axes(
     state}) pairs and the min_count of an extremes config, None for an axis
     it lacks. A node that is missing, of the wrong type or names no
     descriptor or state raises ParseError naming it (extremes.<node>)."""
-    outcome, stacks, min_count, node = None, [], None, "extremes"
-    try:
-        if "outcome" in axes_config:
-            node = "extremes.outcome"
-            outcome = spec.index_of(axes_config["outcome"]["descriptor"])
-        stack_config = axes_config.get("descriptor_stacks") or {}
-        node = "extremes.descriptor_stacks"
-        for label, stack in stack_config.items():
-            scenario = {}
-            for did, ref in stack.items():
-                node = f"extremes.descriptor_stacks.{label}.{did}"
-                j = spec.index_of(did)
-                scenario[j] = resolve_state(spec.descriptors[j], ref, node)
-            stacks.append((label, scenario))
-        if "frequency" in axes_config:
-            node = "extremes.frequency"
-            min_count = axes_config["frequency"].get("min_count", 1)
-            if not is_json(min_count, int):
-                raise TypeError(f"min_count must be an integer, got {min_count!r}")
-    except SpecReferenceError as e:
-        raise SpecReferenceError(node, e.reason) from None
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise schema_error(node, e) from None
+    outcome = child(axes_config, "outcome", dict, "extremes", None)
+    if outcome is not None:
+        path = "extremes.outcome.descriptor"
+        outcome = spec.index_of(child(outcome, "descriptor", str, "extremes.outcome"), path)
+    stacks = []
+    stack_config = child(axes_config, "descriptor_stacks", dict, "extremes", {})
+    for label in stack_config:
+        path = f"extremes.descriptor_stacks.{label}"
+        stack = child(stack_config, label, dict, "extremes.descriptor_stacks")
+        scenario = {}
+        for did in stack:
+            j = spec.index_of(did, f"{path}.{did}")
+            scenario[j] = resolve_state(
+                spec.descriptors[j], child(stack, did, STATE_REF, path), f"{path}.{did}"
+            )
+        stacks.append((label, scenario))
+    frequency = child(axes_config, "frequency", dict, "extremes", None)
+    min_count = frequency if frequency is None else child(
+        frequency, "min_count", int, "extremes.frequency", 1
+    )
     return outcome, stacks, min_count
 
 
@@ -280,17 +274,18 @@ def enforce_identities(
     values untouched and repairs land in provenance."""
     values = dict(qp.values)
     prov = dict(qp.provenance)
-    for ident in identities:
+    for k, ident in enumerate(identities):
+        node, name = f"identities[{k}]", ident.name
         if not ident.adjustable:
-            raise ConfigError(f"identity {ident.name!r} has no adjustable dimension")
+            raise ConfigError(f"{node}.adjustable: identity {name!r} has no adjustable dimension")
         term_dims = {d for d, _ in ident.terms}
         for d in ident.adjustable:
             if d not in term_dims:
-                raise ConfigError(f"identity {ident.name!r}: adjustable {d!r} is not a term")
+                raise ConfigError(f"{node}.adjustable: {d!r} is not a term of identity {name!r}")
         named = term_dims if ident.rhs_dimension is None else term_dims | {ident.rhs_dimension}
         unknown = sorted(named - {d.id for d in qp.dimensions})
         if unknown:
-            raise ConfigError(f"identity {ident.name!r} names unknown dimensions {unknown}")
+            raise ConfigError(f"{node}: identity {name!r} names unknown dimensions {unknown}")
         for period in qp.periods:
             if ident.rhs_dimension is not None:
                 rhs = values[ident.rhs_dimension, period]
@@ -308,7 +303,7 @@ def enforce_identities(
             target = rhs - fixed
             if current == 0.0:
                 raise ConfigError(
-                    f"identity {ident.name!r} unrepairable at period {period}: "
+                    f"{node}: identity {name!r} unrepairable at period {period}: "
                     "adjustable contribution is zero"
                 )
             scale = target / current
@@ -329,41 +324,42 @@ def enforce_identities(
 def parse_translation_file(doc: dict, spec: StudySpec) -> tuple[tuple[Dimension, ...], TranslationMatrix]:
     """Translation-matrix file: per-dimension driver, unit, and state->value
     table, with optional per-period columns. A state may be given once, by
-    label or by index, and must be a state of the driver."""
+    label or by index, and must be a state of the driver; a period key is
+    an integer."""
     dims, entries, timed = [], {}, {}
-    for i, raw in enumerate(doc.get("dimensions", [])):
+    for i, raw in enumerate(child(doc, "dimensions", [dict], "", [])):
         path = f"dimensions[{i}]"
-        try:
-            dim = Dimension(raw["id"], raw.get("unit", ""), raw["driver"])
-        except (KeyError, TypeError) as e:
-            raise schema_error(path, e)
-        raw_vals = raw.get("values", {})
-        if not isinstance(raw_vals, dict):
-            raise ParseError(f"{path}.values", "not an object of state -> value")
+        dim = Dimension(
+            child(raw, "id", str, path), child(raw, "unit", str, path, ""),
+            child(raw, "driver", str, path),
+        )
         if any(d.id == dim.id for d in dims):
             raise ParseError(f"{path}.id", f"dimension {dim.id!r} given twice")
-        driver = spec.descriptor(dim.driver)
+        driver = spec.descriptor(dim.driver, f"{path}.driver")
         labels = driver.state_labels()
         dims.append(dim)
-        seen = set()
-        for ref, value in raw_vals.items():
+        raw_vals, seen = child(raw, "values", dict, path, {}), set()
+        for ref in raw_vals:
             node = f"{path}.values.{ref}"
-            try:
-                state = resolve_state(driver, ref if ref in labels else int(ref), node)
-            except ValueError:
-                raise ParseError(node, f"unknown state {ref!r} of {dim.driver!r}")
+            state = resolve_state(driver, ref if ref in labels else _integer(ref), node)
             if state in seen:
                 raise ParseError(node, f"state {state} of {dim.driver!r} given twice")
             seen.add(state)
-            try:
-                if isinstance(value, dict):
-                    for p, v in value.items():
-                        timed[dim.id, state, int(p)] = float(v)
-                else:
-                    entries[dim.id, state] = float(value)
-            except (TypeError, ValueError) as e:
-                raise ParseError(node, f"not a number: {e}")
+            value = child(raw_vals, ref, (float, dict), f"{path}.values")
+            if type(value) is not dict:
+                entries[dim.id, state] = value
+                continue
+            for p in value:
+                period = _integer(p)
+                if type(period) is not int:
+                    raise ParseError(f"{node}.{p}", "a period is an integer")
+                timed[dim.id, state, period] = child(value, p, float, node)
     return tuple(dims), TranslationMatrix(entries, timed)
+
+
+def _integer(text: str) -> int | str:
+    """text as an int if it is the decimal text of one, else text."""
+    return int(text) if text.removeprefix("-").isdecimal() else text
 
 
 def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, ...], TranslationMatrix]:
@@ -371,25 +367,19 @@ def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, 
 
 
 def parse_identities(doc: dict) -> tuple[Identity, ...]:
-    """Identities file; a missing key or a value of the wrong type raises
-    ParseError naming identities[i]."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("identities", []), list):
-        raise ParseError("identities", "not an object holding a list of identities")
+    """Identities file; a missing node or one of the wrong JSON type raises
+    ParseError naming it."""
     out = []
-    for i, raw in enumerate(doc.get("identities", [])):
-        try:
-            equals = raw.get("equals")
-            out.append(
-                Identity(
-                    name=raw.get("name", f"identity-{i}"),
-                    terms=tuple((d, float(c)) for d, c in raw["terms"].items()),
-                    adjustable=tuple(raw["adjustable"]),
-                    rhs_value=None if equals is None else float(equals),
-                    rhs_dimension=raw.get("equals_dimension"),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise schema_error(f"identities[{i}]", e)
+    for i, raw in enumerate(child(doc, "identities", [dict], "", [])):
+        path = f"identities[{i}]"
+        terms = child(raw, "terms", dict, path)
+        out.append(Identity(
+            name=child(raw, "name", str, path, f"identity-{i}"),
+            terms=tuple((d, child(terms, d, float, f"{path}.terms")) for d in terms),
+            adjustable=tuple(child(raw, "adjustable", [str], path)),
+            rhs_value=child(raw, "equals", float, path, None),
+            rhs_dimension=child(raw, "equals_dimension", str, path, None),
+        ))
     return tuple(out)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import Scenario, balances, checked_kernel, settle
 from .errors import ConfigError, EmptyInputError, InfeasibilityError, ParseError
-from .model import CyclicParams, StructuralShockConfig, StudySpec, compact_json
+from .model import CyclicParams, StructuralShockConfig, StudySpec, child, compact_json
 from .uncertainty import (
     RandomSource, ar1_step, check_persistence, draw_factor, perturbed, sampled_scores,
 )
@@ -70,9 +70,10 @@ class Pathway:
 
     @classmethod
     def from_doc(cls, doc: dict, path: str) -> Pathway:
-        """Read the to_doc form; a missing key or a non-list raises KeyError or
-        TypeError, and lists of different lengths raise ParseError naming path."""
-        periods, states = doc["periods"], doc["states"]
+        """Read the to_doc form of the JSON node at path; a missing node, one
+        of the wrong JSON type or lists of different lengths raise ParseError
+        naming it."""
+        periods, states = child(doc, "periods", [int], path), child(doc, "states", [[int]], path)
         if len(periods) != len(states):
             raise ParseError(path, f"{len(periods)} periods but {len(states)} state rows")
         return cls(tuple(zip(periods, map(tuple, states))))
@@ -387,8 +388,8 @@ ENSEMBLE_FORMAT = "cibpath-ensemble/2"
 
 #: Header fields and their JSON types (bool is not an int here).
 _HEADER_TYPES = {
-    "descriptors": int, "errors": list, "format": str, "master_seed": int, "run_count": int,
-    "spec_digest": str, "time_grid": list,
+    "descriptors": int, "errors": [list], "master_seed": int, "run_count": int,
+    "spec_digest": str, "time_grid": [int],
 }
 
 #: Run records that write_ensemble renders, and _parse_records decodes, at a
@@ -453,63 +454,72 @@ def load_ensemble(path: str) -> EnsembleResult:
     runs, lengths = values[:, 0], values[:, 1]
     states = values[:, 2:2 + periods * width].reshape(n, periods, width)
     converged, iterations = values[:, -2 * periods:-periods], values[:, -periods:]
-    errored = np.isin(np.arange(n), list(errors))
-    past = np.arange(periods) >= lengths[:, None]
-    for column, bad, reason in (
-        (runs, runs != np.arange(n), "run index {}, expected {run}"),
-        (lengths, (lengths < 1) | (lengths > periods),
-         f"{{}} periods recorded, but the time grid has {periods}"),
-        (lengths, errored & (lengths == periods), "ends in an error but records all {} periods"),
-        (lengths, ~errored & (lengths < periods),
-         f"{{}} of the time grid's {periods} periods recorded, but no error"),
-        (states, (states != 0) & past[:, :, None], "state {} past the recorded periods"),
-        (converged, (converged != 0) & past, "converged flag {} past the recorded periods"),
-        (iterations, (iterations != 0) & past, "iteration count {} past the recorded periods"),
-        (converged, (converged != 0) & (converged != 1), "converged flag {} is not 0 or 1"),
-        # _parse_records reads a number beyond int64 as its largest value
-        (iterations, (iterations < 0) | (iterations == _INT64.max),
-         "iteration count {} is not a non-negative 64-bit integer"),
-        (states, (states < 0) | (states > 127), "state {} is not a state index (0 to 127)"),
+    errored = np.zeros(n, bool)
+    errored[list(errors)] = True
+    full = lengths == periods
+    _refuse(path, runs, runs != np.arange(n), "run index {}, expected {run}")
+    _refuse(path, lengths, (lengths < 1) | (lengths > periods),
+            f"{{}} periods recorded, but the time grid has {periods}")
+    _refuse(path, lengths, errored & full, "ends in an error but records all {} periods")
+    _refuse(path, lengths, ~errored & ~full,
+            f"{{}} of the time grid's {periods} periods recorded, but no error")
+    # only the errored runs stop early, so only they have cells past their periods
+    early = np.flatnonzero(errored)
+    past = np.arange(periods) >= lengths[early, None]
+    for column, mask, name in (
+        (states, past[:, :, None], "state"), (converged, past, "converged flag"),
+        (iterations, past, "iteration count"),
     ):
-        if bad.any():
-            at = np.unravel_index(bad.argmax(), bad.shape)
-            raise ParseError(f"{path}: runs[{at[0]}]", reason.format(column[at], run=at[0]))
+        cut = column[early]
+        _refuse(path, cut, (cut != 0) & mask, name + " {} past the recorded periods", early)
+    _refuse(path, converged, converged.view(np.uint64) > 1, "converged flag {} is not 0 or 1")
+    # _parse_records reads a number beyond int64 as its largest value
+    _refuse(path, iterations, iterations.view(np.uint64) >= _INT64.max,
+            "iteration count {} is not a non-negative 64-bit integer")
+    cast = states.astype(np.int8)
+    _refuse(path, states, (cast < 0) | (cast != states), "state {} is not a state index (0 to 127)")
     return EnsembleResult(
-        header["spec_digest"], header["master_seed"], tuple(grid), states.astype(np.int8),
+        header["spec_digest"], header["master_seed"], tuple(grid), cast,
         converged.astype(bool), np.ascontiguousarray(iterations), lengths.copy(), errors,
     )
+
+
+def _refuse(path: str, column: np.ndarray, bad: np.ndarray, reason: str, runs=None) -> None:
+    """ParseError naming the first run that bad marks, if any, with reason
+    formatted by its value in column; runs, if given, are the runs of the
+    rows of column and bad."""
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), bad.shape)
+        run = at[0] if runs is None else runs[at[0]]
+        raise ParseError(f"{path}: runs[{run}]", reason.format(column[at], run=run))
 
 
 def _checked_header(header, node: str) -> dict:
     """The header, once its format, field types, time grid and error list
     are checked."""
-    if type(header) is not dict:
-        raise ParseError(node, "not a JSON object")
-    if header.get("format") != ENSEMBLE_FORMAT:
-        found = f"format {header['format']!r}" if "format" in header else "no format field"
+    found = child(header, "format", str, node, None)
+    if found != ENSEMBLE_FORMAT:
+        found = "no format field" if found is None else f"format {found!r}"
         raise ParseError(node, (
             f"{found}, but this cibpath reads {ENSEMBLE_FORMAT!r}; "
             "re-run `cibpath simulate` to write the ensemble again"
         ))
     for key, kind in _HEADER_TYPES.items():
-        if type(header.get(key)) is not kind:
-            raise ParseError(f"{node}.{key}", f"expected {kind.__name__}, got {header.get(key)!r}")
-    grid, n = header["time_grid"], header["run_count"]
-    if not grid or any(type(p) is not int for p in grid):
-        raise ParseError(f"{node}.time_grid", f"{grid!r} is not a list of integer periods")
+        child(header, key, kind, node)
+    if not header["time_grid"]:
+        raise ParseError(f"{node}.time_grid", "no periods")
+    n, last = header["run_count"], -1
     if header["descriptors"] < 1 or n < 0:
         raise ParseError(node, "descriptors must be >= 1 and run_count >= 0")
-    last = -1
     for i, entry in enumerate(header["errors"]):
-        if not (
-            type(entry) is list and len(entry) == 2 and type(entry[0]) is int
-            and last < entry[0] < n and type(entry[1]) is str
-        ):
-            raise ParseError(f"{node}.errors[{i}]", (
+        path = f"{node}.errors[{i}]"
+        run, _ = child(entry, 0, int, path), child(entry, 1, str, path)
+        if len(entry) != 2 or not last < run < n:
+            raise ParseError(path, (
                 f"{entry!r} is not a [run, text] pair with a run index above the "
                 "previous entry's and below run_count, and a text"
             ))
-        last = entry[0]
+        last = run
     return header
 
 

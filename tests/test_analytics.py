@@ -250,7 +250,7 @@ class TestScreening:
     @pytest.mark.parametrize("pair", [("B", 3), ("B", "s9"), ("Z", 0)])
     def test_endpoint_exclusion_outside_the_spec_is_refused(self, pair):
         cfg = ScreeningConfig(outcome_descriptor="A", endpoint_exclusions=((("A", 2), pair),))
-        with pytest.raises(SpecReferenceError, match=r"^endpoint_exclusions\[0\]\[1\]: "):
+        with pytest.raises(SpecReferenceError, match=r"^screening\.endpoint_exclusions\[0\]\[1\]: "):
             self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)], cfg)
 
     def test_late_rush(self):

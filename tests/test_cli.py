@@ -279,7 +279,7 @@ MALFORMED = {
     "converged_seven": (_set(CONVERGED + 2, 7), 5, "runs[5]"),
     "iterations_negative": (_set(ITERATIONS + 2, -5), 5, "runs[5]"),
     "iterations_beyond_int64": (_set(ITERATIONS + 2, 2 ** 64), 5, "runs[5]"),
-    "error_not_text": (_stop_after(3, 5), 5, "header.errors[0]"),
+    "error_not_text": (_stop_after(3, 5), 5, "header.errors[0][1]"),
     "run_count_text": (lambda header, record: header.update(run_count="200"), 5,
                        "header.run_count"),
 }
@@ -318,12 +318,31 @@ EXTREMES = {
                        "extremes.descriptor_stacks.adverse.PS"),
     "state7_extremes": ({"descriptor_stacks": {"adverse": {"PS": 7}}},
                         "extremes.descriptor_stacks.adverse.PS"),
-    "outcome_empty_extremes": ({"outcome": {}}, "extremes.outcome"),
-    "min_count_text_extremes": ({"frequency": {"min_count": "x"}}, "extremes.frequency"),
-    "min_count_float_extremes": ({"frequency": {"min_count": 2.7}}, "extremes.frequency"),
-    "min_count_bool_extremes": ({"frequency": {"min_count": True}}, "extremes.frequency"),
+    "outcome_empty_extremes": ({"outcome": {}}, "extremes.outcome.descriptor"),
+    "min_count_text_extremes": ({"frequency": {"min_count": "x"}},
+                                "extremes.frequency.min_count"),
+    "min_count_float_extremes": ({"frequency": {"min_count": 2.7}},
+                                 "extremes.frequency.min_count"),
+    "min_count_bool_extremes": ({"frequency": {"min_count": True}},
+                                "extremes.frequency.min_count"),
     "stacks_list_extremes": ({"descriptor_stacks": [{"PS": 0}]}, "extremes.descriptor_stacks"),
 }
+
+#: Malformed study specs: the edit of the mini study, by stem.
+SPECS = {
+    "shocks_number_spec": lambda doc: doc.update(shocks=5),
+    "text_scale_spec": lambda doc: doc["shocks"]["structural"].update(scale="abc"),
+    "empty_forbidden_pair_spec": lambda doc: doc["rules"].update(forbidden_pairs=[[]]),
+    "uncertainty_number_spec": lambda doc: doc.update(uncertainty=5),
+    "sigma_list_spec": lambda doc: doc.update(uncertainty={"confidence_sigma": [1, 0.8, 0.6]}),
+    "text_time_scale_spec": lambda doc: doc.update(
+        uncertainty={"time_scale": dict.fromkeys(map(str, doc["time_grid"]), "x")}
+    ),
+    "number_name_spec": lambda doc: doc["descriptors"][0].update(name=5),
+    "nan_scale_spec": lambda doc: doc["shocks"]["structural"].update(scale=float("nan")),
+}
+#: MCDA inputs whose scale is malformed, by stem.
+SCALES = {"number_scale_mcda": 5, "one_number_scale_mcda": [1], "text_scale_mcda": ["a", "b"]}
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +399,9 @@ def small_run(tmp_path_factory):
     translation = os.path.join(os.path.dirname(spec), "mini_translation.json")
     with open(translation) as fh:
         doc = json.load(fh)
-    for stem, ref, value in (("text", "Low", "abc"), ("state7", "7", 1.0), ("minus1", "-1", 1.0)):
+    for stem, ref, value in (
+        ("text", "Low", "abc"), ("state7", "7", 1.0), ("minus1", "-1", 1.0), ("huge", "Low", 10**400)
+    ):
         edited = json.loads(json.dumps(doc))
         edited["dimensions"][0]["values"][ref] = value
         (root / f"{stem}_translation.json").write_text(json.dumps(edited))
@@ -390,8 +411,11 @@ def small_run(tmp_path_factory):
     (root / "personas_list_mcda.json").write_text(
         json.dumps({**doc, "personas": list(doc["personas"].values())})
     )
+    for stem, scale in SCALES.items():
+        (root / f"{stem}.json").write_text(json.dumps({**doc, "scale": scale}))
     doc["scores"]["C2"]["ambition"] = "high"
     (root / "text_score_mcda.json").write_text(json.dumps(doc))
+    (root / "list_translation.json").write_text("[]")
     (root / "screening.json").write_text(json.dumps({"outcome_descriptor": "RD"}))
     for stem, best in (("top", "top"), ("seven", 7), ("high", "High"), ("two", 2)):
         (root / f"best_{stem}_screening.json").write_text(
@@ -408,6 +432,13 @@ def small_run(tmp_path_factory):
         (root / f"{stem}.json").write_text(json.dumps({"outcome_descriptor": "RD", **field}))
     with open(spec) as fh:
         doc = json.load(fh)
+    for stem, edit in SPECS.items():
+        edited = json.loads(json.dumps(doc))
+        edit(edited)
+        (root / f"{stem}.json").write_text(json.dumps(edited))
+    (root / "huge_scale_spec.json").write_text(
+        (root / "nan_scale_spec.json").read_text().replace("NaN", "1e400")
+    )
     spec_digest = parse_study_spec(doc).digest()
     doc["shocks"]["structural"]["enabled"] = "false"
     (root / "text_shock_spec.json").write_text(json.dumps(doc))
@@ -548,6 +579,8 @@ FAILURES = [
      lambda f: _quantify(f, "duplicate_id_candidate", "translation"), None, 3, "ParseError"),
     ("translation-value-not-number", lambda f: _quantify(f, "candidate", "text_translation"),
      None, 3, "ParseError"),
+    ("translation-value-huge", lambda f: _quantify(f, "candidate", "huge_translation"),
+     None, 3, "ParseError"),
     ("ranges-value-not-number",
      lambda f: _quantify(f, "candidate", "translation", "--ranges", "text_ranges"),
      None, 3, "ParseError"),
@@ -630,6 +663,15 @@ FAILURES = [
      "EmptyInputError"),
     ("extremes-no-successful-run", lambda f: _extremes(f, "outcome_extremes", "infeasible"),
      None, 2, "EmptyInputError"),
+    *((f"spec-{stem.removesuffix('_spec').replace('_', '-')}",
+       lambda f, stem=stem: ["validate", "--spec", f[stem]], None, 3, "ParseError")
+      for stem in SPECS),
+    *((f"mcda-{stem.removesuffix('_mcda').replace('_', '-')}",
+       lambda f, stem=stem: _mcda(f, stem), None, 3, "ParseError") for stem in SCALES),
+    ("translation-not-object", lambda f: _quantify(f, "candidate", "list_translation"), None, 3,
+     "ParseError"),
+    ("spec-huge-scale", lambda f: ["validate", "--spec", f["huge_scale_spec"]], None, 3,
+     "ParseError"),
 ]
 
 
@@ -645,6 +687,20 @@ NAMED_FIELDS = {
     "pipeline-worker-count-bool": "worker_count",
     "spec-shock-enabled-not-bool": "shocks.structural.enabled: ",
     "ensemble-time-grid-short": "short_grid.jsonl: header: ",
+    "spec-shocks-number": "shocks: ",
+    "spec-text-scale": "shocks.structural.scale: ",
+    "spec-empty-forbidden-pair": "rules.forbidden_pairs[0][0]: ",
+    "spec-uncertainty-number": "uncertainty: ",
+    "spec-sigma-list": "uncertainty.confidence_sigma: ",
+    "spec-text-time-scale": "uncertainty.time_scale.2025: ",
+    "spec-number-name": "descriptors[0].name: ",
+    "mcda-number-scale": "scale: ",
+    "mcda-one-number-scale": "scale: ",
+    "mcda-text-scale": "scale[0]: ",
+    "translation-not-object": "(root): ",
+    "spec-nan-scale": "nan_scale_spec.json: NaN is not a finite JSON number",
+    "spec-huge-scale": "huge_scale_spec.json: 1e400 is not a finite JSON number",
+    "translation-value-huge": "dimensions[0].values.Low: ",
 }
 
 
@@ -767,11 +823,11 @@ def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node
 
 
 @pytest.mark.parametrize("option, stem, node", [
-    ("--ranges", "text_ranges", "ranges.carbon_price"),
+    ("--ranges", "text_ranges", "ranges.carbon_price.relative"),
     ("--ranges", "number_ranges", "ranges.carbon_price"),
     ("--ranges", "unknown_key_ranges", "ranges.carbn_price"),
-    ("--identities", "terms_list_identities", "identities[0]"),
-    ("--identities", "text_coefficient_identities", "identities[0]"),
+    ("--identities", "terms_list_identities", "identities[0].terms"),
+    ("--identities", "text_coefficient_identities", "identities[0].terms.carbon_price"),
     ("--identities", "object_identities", "identities"),
 ])
 def test_quantify_side_file_error_names_the_node(small_run, option, stem, node):
@@ -790,7 +846,9 @@ def test_pipeline_extremes_error_names_the_node(small_run):
     result = invoke(CliRunner(), "pipeline", "--config", config)
     assert result.exit_code == 3, result.output
     report = json.loads(result.stderr)
-    assert report["error"] == "ParseError" and report["message"].startswith("extremes.outcome: ")
+    assert report["error"] == "ParseError" and report["message"].startswith(
+        "extremes.outcome.descriptor: "
+    )
 
 
 def test_pipeline_reads_the_extremes_config_before_any_stage(small_run, tmp_path):

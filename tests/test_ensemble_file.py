@@ -166,6 +166,90 @@ def test_body_without_final_newline_loads(saved, tmp_path, chunk):
     assert load_text(tmp_path, text[:-1]) == ensemble
 
 
+#: Where a mini-study record's converged flags start, and the record of
+#: the run that errored_prefix stops after three periods.
+CONVERGED = 2 + 30
+PAST = 3
+
+
+def errored_prefix(text: bytes, index=None, number=b"") -> bytes:
+    """text with run RUN stopped after PAST periods by an error, zero past
+    them, and then its number at index, if given, set to number."""
+    header, *lines = text.split(b"\n")
+    doc = json.loads(header)
+    doc["errors"] = [[RUN, "no feasible state for descriptor 'PS'"]]
+    numbers = lines[RUN][1:-1].split(b",")
+    numbers[1] = b"%d" % PAST
+    for start, size in ((2, 5), (CONVERGED, 1), (ITERATIONS, 1)):
+        numbers[start + PAST * size:start + 6 * size] = [b"0"] * ((6 - PAST) * size)
+    if index is not None:
+        numbers[index] = number
+    lines[RUN] = b"[" + b",".join(numbers) + b"]"
+    return b"\n".join([simulate.compact_json(doc).encode(), *lines])
+
+
+#: Each of load_ensemble's record checks, in the order it makes them: an
+#: edit of the saved text that only that check refuses, and its reason.
+RECORD_CHECKS = {
+    "run-index": (lambda t: edit_record(t, set_number(0, b"5")), "run index 5, expected 9"),
+    "no-period": (lambda t: edit_record(t, set_number(1, b"0")),
+                  "0 periods recorded, but the time grid has 6"),
+    "periods-beyond-grid": (lambda t: edit_record(t, set_number(1, b"7")),
+                            "7 periods recorded, but the time grid has 6"),
+    "error-on-a-full-run": (lambda t: errored_prefix(t, 1, b"6"),
+                            "ends in an error but records all 6 periods"),
+    "early-stop-without-error": (lambda t: edit_record(t, set_number(1, b"3")),
+                                 "3 of the time grid's 6 periods recorded, but no error"),
+    "state-past-the-stop": (lambda t: errored_prefix(t, 2 + 4 * 5 + 2, b"2"),
+                            "state 2 past the recorded periods"),
+    "flag-past-the-stop": (lambda t: errored_prefix(t, CONVERGED + 4, b"1"),
+                           "converged flag 1 past the recorded periods"),
+    "iterations-past-the-stop": (lambda t: errored_prefix(t, ITERATIONS + 5, b"4"),
+                                 "iteration count 4 past the recorded periods"),
+    "flag-seven": (lambda t: edit_record(t, set_number(CONVERGED + 2, b"7")),
+                   "converged flag 7 is not 0 or 1"),
+    "iterations-negative": (lambda t: edit_record(t, set_number(ITERATIONS + 2, b"-5")),
+                            "iteration count -5 is not a non-negative 64-bit integer"),
+    "state-300": (lambda t: edit_record(t, set_number(STATE, b"300")),
+                  "state 300 is not a state index (0 to 127)"),
+    "state-negative": (lambda t: edit_record(t, set_number(STATE, b"-1")),
+                       "state -1 is not a state index (0 to 127)"),
+}
+
+
+def test_an_errored_prefix_loads(saved, tmp_path):
+    loaded = load_text(tmp_path, errored_prefix(saved[1]))
+    assert loaded.lengths[RUN] == PAST and RUN in loaded.errors
+
+
+@pytest.mark.parametrize("check", RECORD_CHECKS)
+def test_each_record_check_names_the_run_and_its_reason(saved, tmp_path, check):
+    edit, reason = RECORD_CHECKS[check]
+    with pytest.raises(ParseError) as caught:
+        load_text(tmp_path, edit(saved[1]))
+    assert caught.value.path.endswith(f": runs[{RUN}]")
+    assert caught.value.reason == reason
+
+
+@pytest.mark.parametrize("early, late", [
+    ("run-index", "state-300"), ("no-period", "flag-seven"),
+    ("early-stop-without-error", "state-negative"), ("flag-seven", "iterations-negative"),
+    ("iterations-negative", "state-300"),
+])
+def test_an_earlier_check_on_a_later_run_comes_first(saved, tmp_path, early, late):
+    """A run failing a check is named before an earlier run failing a later
+    check."""
+    _, text = saved
+    line = text.split(b"\n")[1 + RUN]
+    moved = RECORD_CHECKS[late][0](text).split(b"\n")[1 + RUN]
+    lines = RECORD_CHECKS[early][0](text).split(b"\n")
+    lines[1 + 2] = moved.replace(line[:line.index(b",")], b"[2", 1)
+    with pytest.raises(ParseError) as caught:
+        load_text(tmp_path, b"\n".join(lines))
+    assert caught.value.path.endswith(f": runs[{RUN}]")
+    assert caught.value.reason == RECORD_CHECKS[early][1]
+
+
 @pytest.mark.parametrize("edit, found", [
     (lambda text: text + b"\n", 13),
     (lambda text: text.replace(b"]\n[", b"]\n\n[", 1), 13),

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cibpath.errors import ConfigError
+from cibpath.errors import ConfigError, ParseError
 from cibpath.mcda import (
     McdaInput,
     Persona,
@@ -159,6 +159,25 @@ class TestIo:
         inp = parse_mcda_input(doc)
         assert inp.criteria == ("c2", "c1")
         assert inp.scores[0] == (4.0, 2.0)
+
+    @pytest.mark.parametrize("edit, node", [
+        (lambda d: d["scores"]["p1"].update(c1="2"), "scores.p1.c1"),
+        (lambda d: d["personas"]["a"].update(c2=True), "personas.a.c2"),
+        (lambda d: d.update(pathways="p1"), "pathways"),
+        (lambda d: d.update(scale=["1", "5"]), "scale[0]"),
+        (lambda d: d.update(scale=[5, 1]), "scale"),
+    ])
+    def test_a_value_of_another_json_type_is_refused(self, edit, node):
+        doc = {
+            "criteria": ["c1", "c2"],
+            "pathways": ["p1", "p2"],
+            "scores": {"p1": {"c1": 2, "c2": 4}, "p2": {"c1": 5, "c2": 3}},
+            "personas": {"a": {"c1": 0.3, "c2": 0.7}},
+        }
+        edit(doc)
+        with pytest.raises(ParseError) as exc:
+            parse_mcda_input(doc)
+        assert exc.value.path == node
 
     def test_report_is_json_serialisable(self):
         inp = two_pathway_input()

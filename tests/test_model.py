@@ -56,6 +56,27 @@ class TestParse:
         with pytest.raises(ParseError, match=rf"^shocks\.{kind}\.enabled: "):
             parse_study_spec(doc)
 
+    @pytest.mark.parametrize("edit, node", [
+        (lambda d: d.update(shocks={"structural": {"scale": "0.3"}}), "shocks.structural.scale"),
+        (lambda d: d.update(shocks={"dynamic": {"persistence": True}}), "shocks.dynamic.persistence"),
+        (lambda d: d["cim"][0].update(score="2"), "cim[0].score"),
+        (lambda d: d.update(uncertainty={"confidence_sigma": dict.fromkeys("12345", "1")}),
+         "uncertainty.confidence_sigma.1"),
+        (lambda d: d["descriptors"][0].update(name=5), "descriptors[0].name"),
+        (lambda d: d["descriptors"][0].update(states=[{"label": 1}, "A2"]),
+         "descriptors[0].states[0].label"),
+        (lambda d: d.update(rules=None), "rules"),
+        (lambda d: d.update(rules={"forbidden_pairs": [["A", 0]]}), "rules.forbidden_pairs[0][0]"),
+    ])
+    def test_a_value_of_another_json_type_is_refused(self, edit, node):
+        """Text is no number, true is no number, and null is no object; each
+        is refused naming the node, where a cast once read them."""
+        doc = two_desc_document()
+        edit(doc)
+        with pytest.raises(ParseError) as exc:
+            parse_study_spec(doc)
+        assert exc.value.path == node
+
     def test_cyclic_drift_defaults_to_zero(self):
         doc = two_desc_document()
         doc["descriptors"][0]["kind"] = "cyclic"

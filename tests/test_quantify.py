@@ -214,7 +214,7 @@ class TestExtremes:
             build_extreme_scenarios(
                 self.ensemble(), (PRICE,), MATRIX, spec3(), {"frequency": {"min_count": min_count}},
             )
-        assert exc.value.path == "extremes.frequency"
+        assert exc.value.path == "extremes.frequency.min_count"
 
     def test_count_warning_outside_two_to_four(self):
         _, warnings = build_extreme_scenarios(
@@ -314,6 +314,31 @@ class TestFiles:
         with pytest.raises(SpecReferenceError) as exc:
             parse_translation_file(doc, spec3())
         assert exc.value.path == f"dimensions[0].values.{ref}"
+
+    @pytest.mark.parametrize("dim, node", [
+        ({"id": "price", "driver": "A", "values": {"Low": "50"}}, "dimensions[0].values.Low"),
+        ({"id": "price", "driver": "A", "values": {"Low": {"2030": True}}},
+         "dimensions[0].values.Low.2030"),
+        ({"id": "price", "driver": "A", "values": {"Low": {" 2030": 1.0}}},
+         "dimensions[0].values.Low. 2030"),
+        ({"id": 5, "driver": "A"}, "dimensions[0].id"),
+        ({"id": "price", "unit": None, "driver": "A"}, "dimensions[0].unit"),
+    ])
+    def test_a_value_of_another_json_type_is_refused(self, dim, node):
+        with pytest.raises(ParseError) as exc:
+            parse_translation_file({"dimensions": [dim]}, spec3())
+        assert exc.value.path == node
+
+    @pytest.mark.parametrize("rs, node", [
+        ({"relative": "0.2"}, "ranges.price.relative"),
+        ({"low_offset": True}, "ranges.price.low_offset"),
+        ({"low": 1, "high": "9"}, "ranges.price.high"),
+    ])
+    def test_a_range_that_is_no_number_is_refused(self, rs, node):
+        qp = quantify_pathway(pathway([(1, 0)] * 6), (PRICE,), MATRIX, spec3())
+        with pytest.raises(ParseError) as exc:
+            attach_uncertainty_ranges(qp, {"price": rs})
+        assert exc.value.path == node
 
     def test_dimension_given_twice_is_refused(self):
         dim = {"id": "price", "driver": "A", "values": {"Low": 50}}
