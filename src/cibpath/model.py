@@ -10,14 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from .errors import OutOfRangeError, ParseError, SpecReferenceError
+from .errors import OutOfRangeError, ParseError, SpecReferenceError, StructureError
 
 SCORE_MIN = -3.0
 SCORE_MAX = 3.0
@@ -73,12 +73,22 @@ class CrossImpactMatrix:
     Scores and confidences live in numpy arrays of shape
     (D, S_max, D, S_max); entries outside a descriptor's state range and on
     the source == target diagonal are structurally zero and masked out.
+    Any other layout raises StructureError on construction.
     """
 
     descriptor_ids: tuple[str, ...]
     state_counts: tuple[int, ...]
     scores: np.ndarray
     confidences: np.ndarray
+
+    def __post_init__(self) -> None:
+        d, s = len(self.descriptor_ids), max(self.state_counts, default=0)
+        if len(self.state_counts) != d or not self.scores.shape == self.confidences.shape == (d, s, d, s):
+            raise StructureError(
+                f"{d} descriptors, {len(self.state_counts)} state counts, scores of shape "
+                f"{self.scores.shape} and confidences of shape {self.confidences.shape}; "
+                f"expected {d} state counts and shape {(d, s, d, s)}"
+            )
 
     @classmethod
     def zeros(
@@ -672,14 +682,12 @@ def parse_study_spec(document: dict) -> StudySpec:
 
 
 def _default_time_scale(time_grid: tuple[int, ...]) -> list[float]:
-    """Linear factor 1.0 at the first period rising to 1.5 at the last."""
-    if len(time_grid) < 2:
-        return [1.0] * len(time_grid)
-    first, last = time_grid[0], time_grid[-1]
-    span = last - first
+    """Linear factor 1.0 at the first period rising to 1.5 at the last, or
+    1.0 throughout when the grid spans no time."""
+    span = time_grid[-1] - time_grid[0] if time_grid else 0
     if span == 0:
         return [1.0] * len(time_grid)
-    return [1.0 + 0.5 * (p - first) / span for p in time_grid]
+    return [1.0 + 0.5 * (p - time_grid[0]) / span for p in time_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +707,7 @@ def serialize_study_spec(spec: StudySpec) -> dict:
             ],
         }
         if d.cyclic_params is not None:
-            cp = d.cyclic_params
-            doc["cyclic"] = {
-                "stay": cp.stay,
-                "step": cp.step,
-                "step2": cp.step2,
-                "drift": cp.drift,
-            }
+            doc["cyclic"] = asdict(d.cyclic_params)
         descriptors.append(doc)
 
     cells = []
@@ -722,9 +724,6 @@ def serialize_study_spec(spec: StudySpec) -> dict:
             }
         )
 
-    def pair(p: tuple[str, int]) -> list:
-        return [p[0], p[1]]
-
     sh = spec.shocks
 
     def dist(d: Distribution) -> Any:
@@ -737,21 +736,15 @@ def serialize_study_spec(spec: StudySpec) -> dict:
         "cim": cells,
         "baseline": {d.id: s for d, s in zip(spec.descriptors, spec.baseline)},
         "rules": {
-            "forbidden_pairs": [[pair(a), pair(b)] for a, b in spec.rules.forbidden_pairs],
+            "forbidden_pairs": [[list(a), list(b)] for a, b in spec.rules.forbidden_pairs],
             "implications": [
-                {"if": pair(a), "then": pair(b)} for a, b in spec.rules.implications
+                {"if": list(a), "then": list(b)} for a, b in spec.rules.implications
             ],
         },
         "threshold_rules": [
             {
-                "conditions": [pair(c) for c in r.conditions],
-                "effect": {
-                    "source": r.effect.source,
-                    "source_state": r.effect.source_state,
-                    "target": r.effect.target,
-                    "target_state": r.effect.target_state,
-                    "delta": r.effect.delta,
-                },
+                "conditions": [list(c) for c in r.conditions],
+                "effect": asdict(r.effect),
             }
             for r in spec.threshold_rules
         ],
@@ -770,7 +763,7 @@ def serialize_study_spec(spec: StudySpec) -> dict:
         },
         "uncertainty": {
             "confidence_sigma": {
-                str(c): spec.uncertainty.confidence_sigma[c - 1] for c in range(1, 6)
+                str(c): s for c, s in enumerate(spec.uncertainty.confidence_sigma, 1)
             },
             "time_scale": {str(p): f for p, f in spec.uncertainty.time_scale},
             "sampling_distribution": dist(spec.uncertainty.sampling_distribution),
@@ -795,113 +788,67 @@ def save_study_spec(spec: StudySpec, path: str) -> None:
 
 
 def validate_study_spec(spec: StudySpec) -> list[Finding]:
-    """Check every semantic invariant; returns findings, never raises.
+    """Check every invariant; returns findings, never raises.
 
-    An empty error list means the spec satisfies all type invariants.
-    Warnings flag suspicious but legal content (e.g. all-zero CIM rows).
+    Structure is the parser's: a ParseError from
+    ``parse_study_spec(serialize_study_spec(spec))``, else the first
+    StudySpec field that this round trip changes (a value no spec file
+    holds, such as a nonzero cell outside valid_mask), is one error finding.
+    The other checks are semantic. Warnings flag suspicious but legal
+    content (e.g. all-zero CIM rows), read from the round trip's matrix.
     """
     findings: list[Finding] = []
 
     def err(path: str, msg: str) -> None:
         findings.append(Finding("error", path, msg))
 
-    def warn(path: str, msg: str) -> None:
-        findings.append(Finding("warning", path, msg))
+    try:
+        again = parse_study_spec(serialize_study_spec(spec))
+    except ParseError as e:
+        err(e.path, e.reason)
+    else:
+        changed = [f.name for f in fields(StudySpec)
+                   if f.compare and getattr(again, f.name) != getattr(spec, f.name)]
+        if changed:
+            err(changed[0], "changed by a serialize/parse round trip: the spec file cannot hold it")
+        # All-zero outgoing rows usually mean a pair was never elicited.
+        mask, scores = again.cim.valid_mask, again.cim.scores
+        for i, d in enumerate(again.descriptors):
+            for si in range(d.state_count):
+                row_mask = mask[i, si]
+                if row_mask.any() and not scores[i, si][row_mask].any():
+                    findings.append(Finding(
+                        "warning", f"cim[{d.id}:{si}]", f"all-zero impact row for {d.id!r} state {si}"
+                    ))
 
-    seen_ids: set[str] = set()
     for i, d in enumerate(spec.descriptors):
         path = f"descriptors[{i}]"
-        if d.id in seen_ids:
-            err(f"{path}.id", f"duplicate descriptor id {d.id!r}")
-        seen_ids.add(d.id)
         if not 2 <= d.state_count <= 5:
             err(f"{path}.states", f"{d.state_count} states; expected 2 to 5")
         labels = d.state_labels()
         if len(set(labels)) != len(labels):
             err(f"{path}.states", "duplicate state labels")
-        for k, s in enumerate(d.states):
-            if s.index != k:
-                err(f"{path}.states[{k}]", f"state index {s.index} != position {k}")
-        if d.kind not in DESCRIPTOR_KINDS:
-            err(f"{path}.kind", f"unknown kind {d.kind!r}")
-        if d.kind == "cyclic":
-            cp = d.cyclic_params
-            if cp is None:
-                err(f"{path}.cyclic", "cyclic descriptor without cyclic parameters")
-            else:
-                total = cp.stay + cp.step + cp.step2
-                if abs(total - 1.0) > 1e-9:
-                    err(
-                        f"{path}.cyclic",
-                        f"stay + step + step2 = {total:g}; probabilities must sum to 1.0",
-                    )
-                for name, p in (("stay", cp.stay), ("step", cp.step), ("step2", cp.step2)):
-                    if not 0.0 <= p <= 1.0:
-                        err(f"{path}.cyclic.{name}", f"probability {p:g} outside [0, 1]")
-                if not -1.0 <= cp.drift <= 1.0:
-                    err(f"{path}.cyclic.drift", f"drift {cp.drift:g} outside [-1, 1]")
-        elif d.cyclic_params is not None:
-            err(f"{path}.cyclic", "cyclic parameters on a non-cyclic descriptor")
-
-    cim = spec.cim
-    if cim.descriptor_ids != tuple(d.id for d in spec.descriptors) or cim.state_counts != spec.state_counts:
-        err("cim", "matrix structure does not match the descriptor list")
-    else:
-        mask = cim.valid_mask
-        scores = cim.scores
-        bad = mask & ~((scores >= SCORE_MIN) & (scores <= SCORE_MAX))
-        for i, si, j, tj in np.argwhere(bad):
-            err(
-                cim.cell_path(i, si, j, tj),
-                f"score {scores[i, si, j, tj]:g} outside [{SCORE_MIN:g}, {SCORE_MAX:g}]",
-            )
-        badc = mask & ~((cim.confidences >= 1) & (cim.confidences <= 5))
-        for i, si, j, tj in np.argwhere(badc):
-            err(
-                cim.cell_path(i, si, j, tj),
-                f"confidence {cim.confidences[i, si, j, tj]} outside 1..5",
-            )
-        # All-zero outgoing rows usually mean a pair was never elicited.
-        for i, d in enumerate(spec.descriptors):
-            for si in range(d.state_count):
-                row_mask = mask[i, si]
-                if row_mask.any() and not scores[i, si][row_mask].any():
-                    warn(
-                        f"cim[{d.id}:{si}]",
-                        f"all-zero impact row for {d.id!r} state {si}",
-                    )
-
-    def check_pair(p: tuple[str, int], path: str) -> bool:
-        did, state = p
-        if did not in seen_ids:
-            err(path, f"unknown descriptor {did!r}")
-            return False
-        d = spec.descriptor(did) if did in spec._index else None
-        if d is None or not 0 <= state < d.state_count:
-            err(path, f"invalid state {state} for descriptor {did!r}")
-            return False
-        return True
+        cp = d.cyclic_params
+        if cp is not None:
+            total = cp.stay + cp.step + cp.step2
+            if abs(total - 1.0) > 1e-9:
+                err(
+                    f"{path}.cyclic",
+                    f"stay + step + step2 = {total:g}; probabilities must sum to 1.0",
+                )
+            for name, p in (("stay", cp.stay), ("step", cp.step), ("step2", cp.step2)):
+                if not 0.0 <= p <= 1.0:
+                    err(f"{path}.cyclic.{name}", f"probability {p:g} outside [0, 1]")
+            if not -1.0 <= cp.drift <= 1.0:
+                err(f"{path}.cyclic.drift", f"drift {cp.drift:g} outside [-1, 1]")
 
     for i, (a, b) in enumerate(spec.rules.forbidden_pairs):
-        path = f"rules.forbidden_pairs[{i}]"
-        ok = check_pair(a, f"{path}[0]") & check_pair(b, f"{path}[1]")
-        if ok and a[0] == b[0]:
-            err(path, f"forbidden pair references descriptor {a[0]!r} twice")
-    for i, (a, b) in enumerate(spec.rules.implications):
-        check_pair(a, f"rules.implications[{i}].if")
-        check_pair(b, f"rules.implications[{i}].then")
-
+        if a[0] == b[0]:
+            err(f"rules.forbidden_pairs[{i}]",
+                f"forbidden pair references descriptor {a[0]!r} twice")
     for i, r in enumerate(spec.threshold_rules):
-        path = f"threshold_rules[{i}]"
-        for k, c in enumerate(r.conditions):
-            check_pair(c, f"{path}.conditions[{k}]")
-        e = r.effect
-        check_pair((e.source, e.source_state), f"{path}.effect.source")
-        check_pair((e.target, e.target_state), f"{path}.effect.target")
-        if e.source == e.target:
-            err(f"{path}.effect", "effect cell is a self-impact")
-        if not math.isfinite(e.delta):
-            err(f"{path}.effect.delta", "delta must be finite")
+        if r.effect.source == r.effect.target:
+            err(f"threshold_rules[{i}].effect", "effect cell is a self-impact")
 
     st = spec.shocks.structural
     if st.scale < 0:
@@ -914,46 +861,41 @@ def validate_study_spec(spec: StudySpec) -> list[Finding]:
             "shocks.dynamic.persistence",
             f"|rho| = {abs(dyn.persistence):g} must be < 1 for stationarity",
         )
-    if dyn.enabled and dyn.distribution.kind == "student_t" and (dyn.distribution.df or 0) <= 2:
-        err("shocks.dynamic.distribution", "student_t df must exceed 2 (finite variance)")
-
     unc = spec.uncertainty
-    for c in range(1, 5):
-        if unc.confidence_sigma[c - 1] < unc.confidence_sigma[c]:
+    # uncertainty.draw_factor scales every Student-t draw by sqrt((df-2)/df).
+    for path, dist, drawn in (
+        ("uncertainty.sampling_distribution", unc.sampling_distribution, True),
+        ("shocks.structural.distribution", st.distribution, st.enabled),
+        ("shocks.dynamic.distribution", dyn.distribution, dyn.enabled),
+    ):
+        if drawn and dist.kind == "student_t" and dist.df <= 2:
+            err(path, "student_t df must exceed 2 (finite variance)")
+
+    sigma = unc.confidence_sigma
+    for c, (high, low) in enumerate(zip(sigma, sigma[1:]), 1):
+        if high < low:
             err(
                 "uncertainty.confidence_sigma",
                 f"sigma must be non-increasing in confidence (code {c} < code {c + 1})",
             )
-    for c in range(1, 6):
-        if unc.confidence_sigma[c - 1] < 0:
+    for c, value in enumerate(sigma, 1):
+        if value < 0:
             err("uncertainty.confidence_sigma", f"negative sigma for code {c}")
-    covered = {p for p, _ in unc.time_scale}
-    for p in spec.time_grid:
-        if p not in covered:
-            err("uncertainty.time_scale", f"no factor for period {p}")
     for p, f in unc.time_scale:
         if f < 0:
             err("uncertainty.time_scale", f"negative factor {f:g} at period {p}")
-    if unc.resample not in ("per_run", "per_period"):
-        err("uncertainty.resample", f"unknown policy {unc.resample!r}")
 
     if len(spec.time_grid) < 2:
         err("time_grid", "time grid needs at least 2 periods")
     if any(b <= a for a, b in zip(spec.time_grid, spec.time_grid[1:])):
         err("time_grid", "time grid must be strictly increasing")
 
-    if len(spec.baseline) != len(spec.descriptors):
-        err("baseline", "baseline length does not match descriptor count")
-    else:
-        for d, s in zip(spec.descriptors, spec.baseline):
-            if not 0 <= s < d.state_count:
-                err(f"baseline.{d.id}", f"invalid state {s}")
-        base = {d.id: s for d, s in zip(spec.descriptors, spec.baseline)}
-        for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
-            if base.get(a_id) == a_s and base.get(b_id) == b_s:
-                err(
-                    "baseline",
-                    f"baseline violates forbidden pair ({a_id!r}, {a_s}) / ({b_id!r}, {b_s})",
-                )
+    base = {d.id: s for d, s in zip(spec.descriptors, spec.baseline)}
+    for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
+        if base.get(a_id) == a_s and base.get(b_id) == b_s:
+            err(
+                "baseline",
+                f"baseline violates forbidden pair ({a_id!r}, {a_s}) / ({b_id!r}, {b_s})",
+            )
 
     return findings

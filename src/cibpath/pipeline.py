@@ -9,7 +9,6 @@ reproduces byte-identical artifacts.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from .simulate import (
     DEFAULT_MAX_ITER,
     EnsembleResult,
     Pathway,
+    ensemble_digest,
     load_ensemble,
     save_ensemble,
     simulate_ensemble,
@@ -108,6 +108,8 @@ def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> Pipelin
         )
     except ParseError as e:
         raise ConfigError(f"pipeline config: {e}") from None
+    if not cfg.stages:
+        raise ConfigError("pipeline config: stages: must name at least one stage")
     for i, stage in enumerate(cfg.stages):
         if stage not in ALL_STAGES:
             raise ConfigError(f"pipeline config: stages[{i}]: unknown stage {stage!r}")
@@ -172,11 +174,9 @@ def _dump_csv(rows: list[dict], fieldnames: list[str], path: str) -> None:
 
 
 def _file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
+    # Both names stay: perfbench calls simulate.ensemble_digest, and its
+    # tracer patches this one and keys each stage's timing on it.
+    return ensemble_digest(path)
 
 
 def _artifact(out_dir: str, name: str) -> str:
@@ -237,7 +237,7 @@ def screening_config_from(doc: dict) -> ScreeningConfig:
     """The screening config doc, whose nodes are named screening.<key>; a
     missing node or one of the wrong JSON type raises ConfigError naming it."""
     try:
-        return ScreeningConfig(
+        config = ScreeningConfig(
             outcome_descriptor=child(doc, "outcome_descriptor", str, "screening"),
             endpoint_exclusions=tuple(
                 tuple(map(tuple, combo))
@@ -249,6 +249,10 @@ def screening_config_from(doc: dict) -> ScreeningConfig:
         )
     except ParseError as e:
         raise ConfigError(str(e)) from None
+    for key in ("late_rush_steps", "discontinuity_steps"):
+        if getattr(config, key) < 1:
+            raise ConfigError(f"screening.{key}: must be at least 1")
+    return config
 
 
 # ---------------------------------------------------------------------------

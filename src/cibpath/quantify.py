@@ -181,6 +181,8 @@ def read_extreme_axes(
     min_count = frequency if frequency is None else child(
         frequency, "min_count", int, "extremes.frequency", 1
     )
+    if min_count is not None and min_count < 1:
+        raise ParseError("extremes.frequency.min_count", "must be at least 1")
     return outcome, stacks, min_count
 
 

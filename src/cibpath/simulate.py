@@ -675,7 +675,7 @@ def _render_records(rows: np.ndarray) -> bytes:
 
 
 def ensemble_digest(path: str) -> str:
-    """Content hash of an ensemble file on disk."""
+    """Content hash of a file on disk: an ensemble or a manifest artifact."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):

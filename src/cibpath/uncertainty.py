@@ -155,7 +155,7 @@ class StreamBlock:
         (filler) from the start of the stream at flat index at[k]."""
         rng = self._rng
         fill, bit_generator = filler(rng, distribution), rng.bit_generator
-        for k, row in zip(at, rows):
+        for k, row in zip(_flat_indices(at), rows):
             self.set_state(bit_generator, k)
             fill(row)
 
@@ -164,7 +164,7 @@ class StreamBlock:
         flat indices at, as a (len(at), count) array: per draw one PCG64
         step, its XSL-RR output x and numpy's next_double, (x >> 11) * 2**-53.
         """
-        state_hi, state_lo, inc_hi, inc_lo = self._table[at].T
+        state_hi, state_lo, inc_hi, inc_lo = self._table[_flat_indices(at)].T
         out = np.empty((len(state_hi), count))
         for k in range(count):
             state_hi, state_lo = _mul_add(state_hi, state_lo, inc_hi, inc_lo)
@@ -173,6 +173,15 @@ class StreamBlock:
             mixed = (mixed >> turn) | (mixed << (-turn & _63))
             np.multiply(mixed >> _11, _DOUBLE_UNIT, out=out[:, k])
         return out
+
+
+def _flat_indices(at: Iterable[int]) -> np.ndarray:
+    """at as an index array; a negative flat index, which numpy would count
+    from the end of the table, raises IndexError."""
+    at = np.asarray(at)
+    if at.size and at.min() < 0:
+        raise IndexError(f"flat stream index {at.min()} is negative")
+    return at
 
 
 def _mul_add(x_hi, x_lo, a_hi, a_lo):

@@ -52,6 +52,26 @@ class TestValidate:
         report = json.loads(result.output[:end])
         assert report["errors"]
 
+    def test_student_t_df_two_stops_validate_and_simulate_alike(
+        self, runner, tmp_path, mini_spec_path
+    ):
+        """The simulator refuses a Student-t df <= 2 for every distribution
+        it scales; validate flags the sampling one, and so does simulate's
+        own validation, before any draw."""
+        with open(mini_spec_path) as fh:
+            doc = json.load(fh)
+        doc["uncertainty"] = {"sampling_distribution": {"kind": "student_t", "df": 2}}
+        bad = tmp_path / "df2.json"
+        bad.write_text(json.dumps(doc))
+        result = invoke(runner, "validate", "--spec", str(bad))
+        assert result.exit_code == 1
+        report = json.loads(result.stdout)
+        assert [e["path"] for e in report["errors"]] == ["uncertainty.sampling_distribution"]
+        result = invoke(runner, "simulate", "--spec", str(bad), "--out", str(tmp_path),
+                        "--runs", "10")
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "ValidationFailure"
+
     def test_malformed_file_exits_three(self, runner, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text('{"descriptors": []}')
@@ -290,6 +310,8 @@ SCREENINGS = {
     "text_steps_screening": {"late_rush_steps": "two"},
     "float_steps_screening": {"late_rush_steps": 1.7},
     "bool_steps_screening": {"discontinuity_steps": True},
+    "zero_steps_screening": {"late_rush_steps": 0},
+    "negative_steps_screening": {"discontinuity_steps": -1},
     "text_backsliding_screening": {"full_vector_backsliding": "no"},
     "label_exclusion_screening": {"endpoint_exclusions": [[["RD", "High"]]]},
     "index_exclusion_screening": {"endpoint_exclusions": [[["RD", 2]]]},
@@ -326,6 +348,9 @@ EXTREMES = {
     "min_count_bool_extremes": ({"frequency": {"min_count": True}},
                                 "extremes.frequency.min_count"),
     "stacks_list_extremes": ({"descriptor_stacks": [{"PS": 0}]}, "extremes.descriptor_stacks"),
+    "min_count_zero_extremes": ({"frequency": {"min_count": 0}}, "extremes.frequency.min_count"),
+    "min_count_negative_extremes": ({"frequency": {"min_count": -1}},
+                                    "extremes.frequency.min_count"),
 }
 
 #: Malformed study specs: the edit of the mini study, by stem.
@@ -465,7 +490,7 @@ def small_run(tmp_path_factory):
         "output_dir": str(root / "extremes_out"),
     }))
     for stem, field in (("bad_value", {"run_count": "many"}), ("float_runs", {"run_count": 1.5}),
-                        ("bool_workers", {"worker_count": True})):
+                        ("bool_workers", {"worker_count": True}), ("no_stages", {"stages": []})):
         (root / f"{stem}_pipeline.json").write_text(json.dumps({"spec": spec, **field}))
     (root / "level0_pipeline.json").write_text(json.dumps({
         "spec": spec, "run_count": 50, "confidence_level": 0,
@@ -634,6 +659,16 @@ FAILURES = [
      "ConfigError"),
     ("screening-backsliding-not-bool", lambda f: _screen(f, "4", "text_backsliding_screening"),
      None, 3, "ConfigError"),
+    ("screening-steps-zero", lambda f: _screen(f, "4", "zero_steps_screening"), None, 3,
+     "ConfigError"),
+    ("screening-steps-negative", lambda f: _screen(f, "4", "negative_steps_screening"), None, 3,
+     "ConfigError"),
+    ("extremes-min-count-zero", lambda f: _extremes(f, "min_count_zero_extremes"), None, 3,
+     "ParseError"),
+    ("extremes-min-count-negative", lambda f: _extremes(f, "min_count_negative_extremes"),
+     None, 3, "ParseError"),
+    ("pipeline-stages-empty", lambda f: ["pipeline", "--config", f["no_stages_pipeline"]],
+     None, 3, "ConfigError"),
     ("screen-exclusion-state-out-of-range",
      lambda f: _screen(f, "4", "state9_exclusion_screening"), None, 3, "SpecReferenceError"),
     ("screen-exclusion-state-unknown-label",
@@ -680,6 +715,11 @@ NAMED_FIELDS = {
     "screening-steps-float": "late_rush_steps",
     "screening-steps-bool": "discontinuity_steps",
     "screening-backsliding-not-bool": "full_vector_backsliding",
+    "screening-steps-zero": "screening.late_rush_steps: ",
+    "screening-steps-negative": "screening.discontinuity_steps: ",
+    "extremes-min-count-zero": "extremes.frequency.min_count: ",
+    "extremes-min-count-negative": "extremes.frequency.min_count: ",
+    "pipeline-stages-empty": "stages: ",
     "screen-exclusion-state-out-of-range": "endpoint_exclusions[0][1]: ",
     "screen-exclusion-state-unknown-label": "endpoint_exclusions[0][1]: ",
     "screen-exclusion-descriptor-unknown": "endpoint_exclusions[0][1]: ",

@@ -5,9 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from cibpath.errors import ParseError, SpecReferenceError
+from cibpath.errors import ParseError, SpecReferenceError, StructureError
 from cibpath.model import (
     DEFAULT_CONFIDENCE_SIGMA,
+    CrossImpactMatrix,
+    CyclicParams,
+    DomainRules,
+    StateDef,
+    ThresholdEffect,
+    ThresholdRule,
     parse_study_spec,
     serialize_study_spec,
     validate_study_spec,
@@ -249,3 +255,127 @@ class TestValidate:
         assert any(
             "stationarity" in f.message for f in errors_of(validate_study_spec(spec))
         )
+
+
+def _descriptor(spec, i, **changes):
+    """spec with descriptor i changed."""
+    descriptors = list(spec.descriptors)
+    descriptors[i] = dataclasses.replace(descriptors[i], **changes)
+    return dataclasses.replace(spec, descriptors=tuple(descriptors))
+
+
+def _cell(spec, at, scores=None, confidences=None):
+    """spec with the cim cell at (source, state, target, state) set."""
+    cim = spec.cim
+    arrays = {"scores": cim.scores.copy(), "confidences": cim.confidences.copy()}
+    for name, value in (("scores", scores), ("confidences", confidences)):
+        if value is not None:
+            arrays[name][at] = value
+    return dataclasses.replace(spec, cim=dataclasses.replace(cim, **arrays))
+
+
+def _effect(*effect, conditions=(("A", 0),)):
+    return (ThresholdRule(tuple(conditions), ThresholdEffect(*effect)),)
+
+
+#: Specs built in code, not parsed, that break an invariant the parser
+#: owns, and the node (or StudySpec field) their error finding names. The
+#: validator finds each through parse_study_spec(serialize_study_spec(spec)).
+PROGRAMMATIC = {
+    "duplicate-descriptor-id": (lambda s: _descriptor(s, 1, id="A"), "descriptors[1].id"),
+    "state-index-not-position": (lambda s: _descriptor(
+        s, 0, states=(StateDef(1, "A1"), StateDef(0, "A2"))), "descriptors"),
+    "unknown-kind": (lambda s: _descriptor(s, 0, kind="periodic"), "descriptors[0].kind"),
+    "cyclic-without-parameters": (lambda s: _descriptor(s, 0, kind="cyclic"),
+                                  "descriptors[0].cyclic"),
+    "parameters-on-endogenous": (lambda s: _descriptor(
+        s, 0, cyclic_params=CyclicParams(0.5, 0.3, 0.2)), "descriptors[0].cyclic"),
+    "cim-of-other-descriptors": (lambda s: dataclasses.replace(
+        s, cim=CrossImpactMatrix.zeros(("A", "C"), (2, 2))), "cim[0].target"),
+    "cim-of-other-state-counts": (lambda s: dataclasses.replace(
+        s, cim=CrossImpactMatrix.zeros(("A", "B"), (3, 2))), "cim[4].source_state"),
+    "score-above-range": (lambda s: _cell(s, (0, 0, 1, 0), scores=3.5), "cim[0].score"),
+    "score-not-a-number": (lambda s: _cell(s, (0, 0, 1, 1), scores=np.nan), "cim[1].score"),
+    "confidence-outside-codes": (lambda s: _cell(s, (1, 1, 0, 1), confidences=0),
+                                 "cim[7].confidence"),
+    "nonzero-masked-cell": (lambda s: _cell(s, (0, 0, 0, 1), scores=1.0), "cim"),
+    "forbidden-pair-unknown-descriptor": (lambda s: dataclasses.replace(
+        s, rules=DomainRules(forbidden_pairs=((("C", 0), ("B", 0)),))),
+        "rules.forbidden_pairs[0][0]"),
+    "implication-state-out-of-range": (lambda s: dataclasses.replace(
+        s, rules=DomainRules(implications=((("A", 0), ("B", 5)),))), "rules.implications[0].then"),
+    "threshold-condition-state-out-of-range": (lambda s: dataclasses.replace(
+        s, threshold_rules=_effect("A", 0, "B", 0, 1.0, conditions=(("A", 9),))),
+        "threshold_rules[0].conditions[0]"),
+    "threshold-effect-unknown-descriptor": (lambda s: dataclasses.replace(
+        s, threshold_rules=_effect("C", 0, "B", 0, 1.0)), "threshold_rules[0].effect.source"),
+    "threshold-delta-not-finite": (lambda s: dataclasses.replace(
+        s, threshold_rules=_effect("A", 0, "B", 0, float("inf"))),
+        "threshold_rules[0].effect.delta"),
+    "time-scale-without-last-period": (lambda s: dataclasses.replace(s, uncertainty=(
+        dataclasses.replace(s.uncertainty, time_scale=s.uncertainty.time_scale[:-1]))),
+        "uncertainty.time_scale.2035"),
+    "unknown-resample-policy": (lambda s: dataclasses.replace(s, uncertainty=(
+        dataclasses.replace(s.uncertainty, resample="per_step"))), "uncertainty.resample"),
+    "baseline-too-short": (lambda s: dataclasses.replace(s, baseline=(0,)), "baseline.B"),
+    "baseline-state-out-of-range": (lambda s: dataclasses.replace(s, baseline=(0, 2)),
+                                    "baseline.B"),
+    "baseline-too-long": (lambda s: dataclasses.replace(s, baseline=(0, 0, 1)), "baseline"),
+    "baseline-numpy-integers": (lambda s: dataclasses.replace(
+        s, baseline=tuple(np.array([0, 0]))), "baseline.A"),
+    "time-grid-numpy-integers": (lambda s: dataclasses.replace(
+        s, time_grid=tuple(np.array([2025, 2030, 2035]))), "time_grid[0]"),
+    "two-confidence-sigmas": (lambda s: dataclasses.replace(s, uncertainty=(
+        dataclasses.replace(s.uncertainty, confidence_sigma=(1.5, 0.2)))),
+        "uncertainty.confidence_sigma.3"),
+    "six-confidence-sigmas": (lambda s: dataclasses.replace(s, uncertainty=(
+        dataclasses.replace(s.uncertainty, confidence_sigma=DEFAULT_CONFIDENCE_SIGMA + (0.1,)))),
+        "uncertainty"),
+}
+
+
+class TestValidateProgrammaticSpecs:
+    """A spec built in code rather than parsed meets the parser's structural
+    checks through its serialized form; validation reports, never raises."""
+
+    def test_the_base_spec_is_valid(self, fixture_spec):
+        assert errors_of(validate_study_spec(fixture_spec)) == []
+
+    @pytest.mark.parametrize("case", PROGRAMMATIC)
+    def test_broken_structure_is_a_named_error(self, fixture_spec, case):
+        edit, node = PROGRAMMATIC[case]
+        paths = [f.path for f in errors_of(validate_study_spec(edit(fixture_spec)))]
+        assert node in paths, paths
+
+    @pytest.mark.parametrize("field, node", [
+        ("uncertainty", "uncertainty.sampling_distribution"),
+        ("structural", "shocks.structural.distribution"),
+        ("dynamic", "shocks.dynamic.distribution"),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_student_t_df_two_is_refused_where_it_is_drawn(self, field, node, enabled):
+        """draw_factor needs df > 2 for every distribution the simulator
+        scales: the sampling one always, a shock's when it is enabled."""
+        t2 = {"kind": "student_t", "df": 2}
+        if field == "uncertainty":
+            doc = two_desc_document({"uncertainty": {"sampling_distribution": t2}})
+        else:
+            sd = {"structural": "scale", "dynamic": "long_run_sd"}[field]
+            doc = two_desc_document(
+                {"shocks": {field: {"enabled": enabled, sd: 0.5, "distribution": t2}}}
+            )
+        paths = [f.path for f in errors_of(validate_study_spec(parse_study_spec(doc)))]
+        assert paths == ([node] if enabled or field == "uncertainty" else [])
+
+    @pytest.mark.parametrize("changes", [
+        {"state_counts": (2, 2, 2)},
+        {"descriptor_ids": ("A",)},
+        {"scores": np.zeros((2, 3, 2, 3))},
+        {"confidences": np.ones((2, 2, 2), dtype=np.int64)},
+    ])
+    def test_a_matrix_off_its_layout_cannot_be_built(self, fixture_spec, changes):
+        """Ids, state counts and both arrays must agree on the
+        (D, S_max, D, S_max) layout, so validation never meets a matrix
+        whose valid_mask cannot be formed."""
+        with pytest.raises(StructureError, match="expected"):
+            dataclasses.replace(fixture_spec.cim, **changes)

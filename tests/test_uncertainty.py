@@ -155,6 +155,15 @@ class TestStreamBlock:
         with pytest.raises(IndexError):
             block.uniforms(np.array([0, 16]), 2)
 
+    def test_negative_flat_index_is_refused(self):
+        """A negative index names no stream; numpy would count it from the
+        end of the table and draw run 3's stream."""
+        block = RandomSource(3).block(range(4), (2030,), PURPOSES)
+        with pytest.raises(IndexError, match="-1"):
+            block.fill([-1], GAUSSIAN, np.empty((1, 2)))
+        with pytest.raises(IndexError, match="-3"):
+            block.uniforms(np.array([0, -3]), 2)
+
     def test_rejects_float_parts(self):
         with pytest.raises(TypeError):
             RandomSource(1).block((1.5,))
