@@ -206,17 +206,6 @@ class CandidateTable(PathwayTable, Sequence):
     def __getitem__(self, i: int) -> Candidate:
         return Candidate(self.pathway(i), self.labels[i])
 
-    @classmethod
-    def of(cls, candidates: Sequence[Candidate]) -> CandidateTable:
-        """The table of candidates on one non-empty time grid."""
-        grid = candidates[0].pathway.periods
-        if any(c.pathway.periods != grid for c in candidates):
-            raise ValueError("candidates do not share one time grid")
-        return cls(
-            grid, np.array([c.pathway.scenarios for c in candidates], np.int8),
-            [c.terminal_frequency for c in candidates],
-        )
-
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -240,17 +229,24 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
+def endpoint_exclusions(config: ScreeningConfig, spec: StudySpec) -> list[list[tuple[str, int]]]:
+    """Each endpoint exclusion of config as (descriptor id, state index)
+    pairs; a reference outside the spec raises ParseError naming
+    screening.endpoint_exclusions[i][k]."""
+    return [
+        [spec.resolve_pair(pair, f"screening.endpoint_exclusions[{i}][{k}]")
+         for k, pair in enumerate(combo)]
+        for i, combo in enumerate(config.endpoint_exclusions)
+    ]
+
+
 def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np.ndarray:
     """The index in REASONS of the first rule each pathway in states
     (pathways, periods, descriptors) fails, or -1 where it passes."""
     j_out = spec.index_of(config.outcome_descriptor, "screening.outcome_descriptor")
     descriptors = range(len(spec.descriptors))
     backslide_targets = list(descriptors) if config.full_vector_backsliding else [j_out]
-    exclusions = [
-        [spec.resolve_pair(pair, f"screening.endpoint_exclusions[{i}][{k}]")
-         for k, pair in enumerate(combo)]
-        for i, combo in enumerate(config.endpoint_exclusions)
-    ]
+    exclusions = endpoint_exclusions(config, spec)
     cyclic_step2 = {
         i for i in spec.cyclic_indices if spec.descriptors[i].cyclic_params.step2 > 0
     }
@@ -325,25 +321,27 @@ def select_candidates(
     best_outcome: tuple[str, int],
     spec: StudySpec,
 ) -> CandidateSet:
-    """Pick k candidates: one medoid representative per terminal-scenario
-    group, groups ordered by frequency, with at least two candidates ending
-    in the best outcome state whenever the pool allows it."""
+    """Pick k candidates from screen_candidates' survivors: one medoid
+    representative per terminal-scenario group, groups ordered by frequency,
+    with at least two candidates ending in the best outcome state whenever
+    the pool allows it. Fewer than k groups raise
+    InsufficientCandidatesError."""
     if k < 2:
         raise ConfigError(f"candidate count must be >= 2 (got {k})")
     pool = screened.candidates
-    if len(pool) < k:
-        raise InsufficientCandidatesError(f"{len(pool)} surviving pathways, {k} requested")
-    if not isinstance(pool, CandidateTable):
-        pool = CandidateTable.of(pool)
     j_best = spec.index_of(best_outcome[0])
     best_state = best_outcome[1]
 
     # Groups come out of np.unique in terminal order; a stable sort by
     # falling frequency then gives the order (-frequency, terminal).
     terminals = pool.states[:, -1]
-    _, group = np.unique(row_keys(terminals), return_inverse=True)
+    keys, group = np.unique(row_keys(terminals), return_inverse=True)
+    if len(keys) < k:
+        raise InsufficientCandidatesError(
+            f"{len(keys)} terminal groups among {len(pool)} surviving pathways, {k} requested"
+        )
     group = group.ravel()
-    frequency = np.zeros(group.max() + 1)
+    frequency = np.zeros(len(keys))
     frequency[group] = pool.labels
     reps = _medoids(pool.states, group)[np.argsort(-frequency, kind="stable")].tolist()
     is_best = (terminals[:, j_best] == best_state).tolist()

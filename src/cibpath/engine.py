@@ -143,29 +143,6 @@ def check_consistency(
     return ConsistencyResult(not deficits.any(), tuple(deficits[0].tolist()))
 
 
-def effective_cim(
-    spec: StudySpec, cim: CrossImpactMatrix, scenario: Scenario
-) -> CrossImpactMatrix:
-    """Apply every threshold rule whose conditions hold in the scenario.
-
-    Deltas act on effective scores and may push cells outside the
-    elicitation range; no clipping happens here.
-    """
-    kernel = spec.kernel
-    _check_structure(kernel, cim)
-    applicable = [
-        effect
-        for conditions, effect in kernel.thresholds
-        if all(scenario[i] == s for i, s in conditions)
-    ]
-    if not applicable:
-        return cim
-    scores = cim.scores.copy()
-    for src, src_state, tgt, tgt_state, delta in applicable:
-        scores[src, src_state, tgt, tgt_state] += delta
-    return cim.with_scores(scores)
-
-
 def succession_step(
     spec: StudySpec,
     cim: CrossImpactMatrix,

@@ -22,6 +22,7 @@ from .analytics import (
     REASONS,
     ScreeningConfig,
     _wilson_z,
+    endpoint_exclusions,
     flat_rows,
     screen_candidates,
     select_candidates,
@@ -255,6 +256,23 @@ def screening_config_from(doc: dict) -> ScreeningConfig:
     return config
 
 
+def resolve_screening(doc: dict, spec: StudySpec) -> tuple[ScreeningConfig, tuple[str, int]]:
+    """The screening config doc, checked against spec, and its best outcome
+    (outcome descriptor id, state index). The best outcome state is a state
+    label or index of the outcome descriptor, its last state when doc gives
+    none. A bad node raises ConfigError or ParseError naming it."""
+    config = screening_config_from(doc)
+    outcome = spec.descriptor(config.outcome_descriptor, "screening.outcome_descriptor")
+    try:
+        last = outcome.state_count - 1
+        best = child(doc, "best_outcome_state", STATE_REF, "screening", last)
+        best_state = resolve_state(outcome, best, "screening.best_outcome_state")
+    except ParseError as e:
+        raise ConfigError(str(e)) from None
+    endpoint_exclusions(config, spec)
+    return config, (outcome.id, best_state)
+
+
 # ---------------------------------------------------------------------------
 # Stages. Each takes loaded inputs, writes its artifacts into out_dir and
 # returns their paths; run_pipeline and the CLI subcommands both call these.
@@ -315,19 +333,11 @@ def screen_stage(
     out_dir: str,
 ) -> tuple[list[str], dict[str, Pathway]]:
     """candidates.json, plus the selected pathways by candidate id for a
-    later stage to reuse. The best outcome state is a state label or index
-    of the outcome descriptor, its last state when the config gives none;
-    any other value raises ConfigError."""
-    scfg = screening_config_from(screening)
-    outcome = spec.descriptor(scfg.outcome_descriptor, "screening.outcome_descriptor")
-    try:
-        last = outcome.state_count - 1
-        best = child(screening, "best_outcome_state", STATE_REF, "screening", last)
-        best_state = resolve_state(outcome, best, "screening.best_outcome_state")
-    except ParseError as e:
-        raise ConfigError(str(e)) from None
+    later stage to reuse; the screening config is read by
+    resolve_screening."""
+    scfg, best = resolve_screening(screening, spec)
     screened = screen_candidates(ensemble, spec, scfg)
-    selected = select_candidates(screened, candidate_count, (outcome.id, best_state), spec)
+    selected = select_candidates(screened, candidate_count, best, spec)
     rejected = selected.rejected
     candidates = [
         {
@@ -452,10 +462,12 @@ def quantify_stage(
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the enabled stages in order; returns the manifest document.
 
-    A missing stage input or a confidence level outside (0, 1) raises
-    ConfigError, and a malformed extremes config ParseError, before any
-    stage runs; a spec with validation errors raises ValidationFailure
-    after findings.json has been written.
+    Before any stage runs, the config's stage inputs are read and checked:
+    a missing stage input, a confidence level outside (0, 1), a bad
+    screening config (resolve_screening), a malformed MCDA input file or a
+    malformed extremes config raises ConfigError or ParseError. A spec with
+    validation errors raises ValidationFailure after findings.json has been
+    written.
     """
     stages, out = config.stages, config.output_dir
     for stage, field in (
@@ -469,6 +481,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         _wilson_z(config.confidence_level)
 
     spec = load_study_spec(config.spec_path)
+    if "screen" in stages:
+        resolve_screening(config.screening, spec)
+    mcda_input = load_mcda_input(config.mcda_input_path) if "mcda" in stages else None
     if "quantify" in stages and config.extremes:
         read_extreme_axes(config.extremes, spec)
     manifest: dict = {
@@ -512,7 +527,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         record("screen", paths)
     selected_id = config.selected_pathway
     if "mcda" in stages:
-        paths, ranking = mcda_stage(load_mcda_input(config.mcda_input_path), out)
+        paths, ranking = mcda_stage(mcda_input, out)
         record("mcda", paths)
         if selected_id is None:
             selected_id = ranking.order[0]

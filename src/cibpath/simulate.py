@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import Scenario, balances, checked_kernel, settle
 from .errors import ConfigError, EmptyInputError, InfeasibilityError, ParseError
-from .model import CyclicParams, StructuralShockConfig, StudySpec, child, compact_json
+from .model import StructuralShockConfig, StudySpec, child, compact_json
 from .uncertainty import (
     RandomSource, ar1_step, check_persistence, draw_factor, perturbed, sampled_scores,
 )
@@ -153,29 +153,13 @@ class EnsembleResult:
         return states
 
 
-def transition_cyclic_state(
-    params: CyclicParams, current: int, state_count: int, rng: np.random.Generator
-) -> int:
-    """Stochastic ordinal move: stay, one step, or two steps, direction up
-    with probability (1 + drift) / 2. Moves blocked at the scale boundary
-    stay put."""
-    r = rng.random()
-    if r < params.stay:
-        return current
-    steps = 1 if r < params.stay + params.step else 2
-    up = rng.random() < (1.0 + params.drift) / 2.0
-    target = current + (steps if up else -steps)
-    if 0 <= target < state_count:
-        return target
-    return current
-
-
 def _cyclic_moves(moves, prior: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """transition_cyclic_state on every row of prior (runs, cyclic
-    descriptors) at once: descriptor j moves under moves[j], a (params,
-    state count) pair, in order, and each row takes its draws of random()
-    from its row of uniforms in order, as the function takes them from one
-    stream: one for a stay, two for a move."""
+    """The stochastic ordinal move of every cyclic descriptor in every row
+    of prior (runs, cyclic descriptors): descriptor j, in order, moves under
+    moves[j], a (params, state count) pair. It stays, or moves one or two
+    steps, up with probability (1 + drift) / 2; a move past the scale's
+    edge stays put. Each row takes its uniforms in order from its row of
+    uniforms: one for a stay, two for a move."""
     current = prior.astype(np.int64)
     rows = np.arange(len(current))
     drawn = np.zeros(len(current), np.int64)

@@ -5,9 +5,12 @@ with its block kernel, kept as the oracle the kernel must match exactly:
 per run and period it samples the period matrix, applies the structural
 shock, moves the cyclic descriptors, advances the AR(1) perturbation and
 iterates ``reference_succession_step`` with ``iterate_to_attractor``.
-Succession, the attractor loop and the float formulas of the draws are
-written out here rather than taken from ``cibpath.engine`` and
-``cibpath.uncertainty``, so a change there shows as a mismatch.
+Succession, the attractor loop, the cyclic move
+(``transition_cyclic_state``) and the float formulas of the draws are
+written out here rather than taken from ``cibpath.engine``,
+``cibpath.simulate`` and ``cibpath.uncertainty``: this module imports no
+law from ``cibpath``, only its data types, errors and score bounds, so a
+change to a law there shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from cibpath.errors import ConfigError, InfeasibilityError
 from cibpath.model import SCORE_MAX, SCORE_MIN
-from cibpath.simulate import Pathway, RunRecord, transition_cyclic_state
+from cibpath.simulate import Pathway, RunRecord
 
 
 def reference_succession_step(spec, cim, scenario, locked=frozenset(), perturbation=None):
@@ -68,6 +71,21 @@ def reference_succession_step(spec, cim, scenario, locked=frozenset(), perturbat
             if ci not in locked_idx:
                 new[ci] = c_s
     return tuple(new)
+
+
+def transition_cyclic_state(params, current, state_count, rng):
+    """Stochastic ordinal move: stay, one step, or two steps, direction up
+    with probability (1 + drift) / 2. Moves blocked at the scale boundary
+    stay put."""
+    r = rng.random()
+    if r < params.stay:
+        return current
+    steps = 1 if r < params.stay + params.step else 2
+    up = rng.random() < (1.0 + params.drift) / 2.0
+    target = current + (steps if up else -steps)
+    if 0 <= target < state_count:
+        return target
+    return current
 
 
 def iterate_to_attractor(step, start, max_steps):

@@ -42,11 +42,11 @@ from cibpath.quantify import (
 from cibpath.simulate import (
     Pathway,
     RandomSource,
+    _cyclic_moves,
     ensemble_digest,
     robustness_fraction,
     save_ensemble,
     simulate_ensemble,
-    transition_cyclic_state,
 )
 from cibpath.uncertainty import (
     advance_dynamic_shock,
@@ -203,11 +203,8 @@ def test_07_cyclic_frequencies():
     params = CyclicParams(stay=0.7, step=0.25, step2=0.05, drift=0.0)
     rng = np.random.default_rng(77)
     n = 10_000
-    counts = {"stay": 0, "step": 0, "step2": 0}
-    for _ in range(n):
-        nxt = transition_cyclic_state(params, 2, 5, rng)
-        moved = abs(nxt - 2)
-        counts["stay" if moved == 0 else "step" if moved == 1 else "step2"] += 1
+    moved = np.abs(_cyclic_moves([(params, 5)], np.full((n, 1), 2), rng.random((n, 2))) - 2)
+    counts = dict(zip(("stay", "step", "step2"), np.bincount(moved.ravel(), minlength=3).tolist()))
     ok = True
     details = []
     for kind, p in (("stay", 0.7), ("step", 0.25), ("step2", 0.05)):
@@ -217,8 +214,8 @@ def test_07_cyclic_frequencies():
         if not low <= p <= high:
             ok = False
     frozen = CyclicParams(stay=1.0, step=0.0, step2=0.0, drift=0.0)
-    ok = ok and all(
-        transition_cyclic_state(frozen, 2, 5, rng) == 2 for _ in range(1000)
+    ok = ok and bool(
+        (_cyclic_moves([(frozen, 5)], np.full((1000, 1), 2), rng.random((1000, 2))) == 2).all()
     )
     report("cyclic-frequencies", ok, ", ".join(details))
 

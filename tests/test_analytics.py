@@ -10,7 +10,6 @@ from scipy.stats import norm
 
 from cibpath.analytics import (
     Candidate,
-    CandidateSet,
     ScreeningConfig,
     _medoids,
     _ndtri,
@@ -419,18 +418,6 @@ class TestSelection:
         assert terms == [(1, 1), (0, 0), (1, 0)]
         assert result.candidates[0].rationale.startswith("frequency-rank-1")
 
-    def test_plain_candidate_sequence_selects_the_same(self, fixture_spec):
-        states = (
-            [[(0, 0), (0, 0), (1, 1)]] * 3 + [[(0, 0), (1, 1), (1, 1)]] * 2
-            + [[(0, 0), (0, 0), (0, 0)]] * 2 + [[(0, 0), (1, 0), (1, 0)]]
-        )
-        screened = self.screened(fixture_spec, states)
-        table = select_candidates(screened, 3, ("A", 1), fixture_spec)
-        plain = CandidateSet(tuple(screened.candidates), screened.rejected)
-        assert select_candidates(plain, 3, ("A", 1), fixture_spec) == table
-        again = select_candidates(table, 3, ("A", 1), fixture_spec).candidates
-        assert [c.pathway for c in again] == [c.pathway for c in table.candidates]
-
     def test_medoid_representative(self, fixture_spec):
         # two pathways share the (1, 1) terminal; medoid is nearest the
         # group mean, falling back on the lexicographically smaller one
@@ -483,3 +470,13 @@ class TestSelection:
             select_candidates(
                 self.screened(fixture_spec, states), 2, ("A", 1), fixture_spec
             )
+
+    def test_fewer_terminal_groups_than_k(self, fixture_spec):
+        # three survivors, all reaching A=1, share one terminal scenario
+        states = [[(0, 0), (0, 0), (1, 1)], [(0, 0), (1, 1), (1, 1)], [(0, 0), (0, 1), (1, 1)]]
+        screened = self.screened(fixture_spec, states)
+        assert len(screened.candidates) == 3
+        with pytest.raises(InsufficientCandidatesError, match=(
+            "^1 terminal groups among 3 surviving pathways, 2 requested$"
+        )):
+            select_candidates(screened, 2, ("A", 1), fixture_spec)

@@ -901,6 +901,48 @@ def test_pipeline_reads_the_extremes_config_before_any_stage(small_run, tmp_path
     assert not os.path.exists(tmp_path / "out" / "ensemble.jsonl")
 
 
+#: Pipeline config edits that are refused before any stage runs: the
+#: error and the start of its message, which names the node.
+BAD_STAGE_INPUTS = {
+    "exclusion-unknown-descriptor": (
+        {"screening": {"outcome_descriptor": "RD", "endpoint_exclusions": [[["XX", 0]]]}},
+        "SpecReferenceError", "screening.endpoint_exclusions[0][0]: ",
+    ),
+    "outcome-unknown-descriptor": (
+        {"screening": {"outcome_descriptor": "XX"}},
+        "SpecReferenceError", "screening.outcome_descriptor: ",
+    ),
+    "best-outcome-unknown-state": (
+        {"screening": {"outcome_descriptor": "RD", "best_outcome_state": "Nope"}},
+        "ConfigError", "screening.best_outcome_state: ",
+    ),
+    "late-rush-zero": (
+        {"screening": {"outcome_descriptor": "RD", "late_rush_steps": 0}},
+        "ConfigError", "screening.late_rush_steps: ",
+    ),
+    "mcda-criteria-number": ({"mcda_input": {"criteria": 5}}, "ParseError", "criteria: "),
+}
+
+
+@pytest.mark.parametrize("case", BAD_STAGE_INPUTS)
+def test_pipeline_checks_screening_and_mcda_inputs_before_any_stage(small_run, tmp_path, case):
+    edit, error, node = BAD_STAGE_INPUTS[case]
+    with open(small_run["outcome_empty_extremes_pipeline"]) as fh:
+        doc = json.load(fh)
+    del doc["extremes"]
+    if "mcda_input" in edit:
+        mcda = tmp_path / "mcda.json"
+        mcda.write_text(json.dumps(edit["mcda_input"]))
+        edit = {"mcda_input": str(mcda)}
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({**doc, **edit, "output_dir": str(tmp_path / "out")}))
+    result = invoke(CliRunner(), "pipeline", "--config", str(config))
+    assert result.exit_code == 3, result.output
+    report = json.loads(result.stderr)
+    assert report["error"] == error and report["message"].startswith(node), report
+    assert not os.path.exists(tmp_path / "out" / "ensemble.jsonl")
+
+
 def test_exclusion_state_label_equals_its_index(small_run, tmp_path):
     documents = []
     for stem in ("label_exclusion_screening", "index_exclusion_screening"):

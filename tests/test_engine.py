@@ -8,7 +8,6 @@ from cibpath.engine import (
     Attractor,
     NonConvergence,
     check_consistency,
-    effective_cim,
     enumerate_consistent,
     find_attractor,
     impact_balance,
@@ -91,27 +90,6 @@ class TestConsistency:
         res = check_consistency(fixture_spec, fixture_spec.cim, (0, 1))
         assert not res.consistent
         assert res.deficits == (2.0, 4.0)
-
-
-class TestEffectiveCim:
-    def test_no_rules_is_identity(self, fixture_spec):
-        out = effective_cim(fixture_spec, fixture_spec.cim, (0, 0))
-        assert out == fixture_spec.cim
-
-    def test_threshold_rule_applies_when_conditions_hold(self, mini_spec):
-        # PA High and PP Fast strengthen the Fast->Strong grid cell by +1
-        scenario = (1, 1, 1, 2, 2)  # PP=Fast, PA=High
-        out = effective_cim(mini_spec, mini_spec.cim, scenario)
-        pp, gd = mini_spec.index_of("PP"), mini_spec.index_of("GD")
-        diff = out.scores - mini_spec.cim.scores
-        assert diff[pp, 2, gd, 2] == 1.0
-        diff[pp, 2, gd, 2] = 0.0
-        assert not diff.any()
-
-    def test_unmet_condition_is_identity(self, mini_spec):
-        scenario = (1, 1, 1, 1, 2)  # PP=Moderate: condition unmet
-        out = effective_cim(mini_spec, mini_spec.cim, scenario)
-        assert np.array_equal(out.scores, mini_spec.cim.scores)
 
 
 class TestSuccession:
@@ -328,7 +306,7 @@ def random_rule_document(rng):
 class TestSuccessionOracle:
     def test_kernel_matches_reference_loop(self):
         rng = random.Random(2024)
-        seen = {"cases": 0, "infeasible": 0, "moved": 0, "ties": 0}
+        seen = {"cases": 0, "infeasible": 0, "moved": 0, "ties": 0, "thresholds": 0}
         while seen["cases"] < 600:
             spec = parse_study_spec(random_rule_document(rng))
             shape = (len(spec.descriptors), max(spec.state_counts))
@@ -355,5 +333,10 @@ class TestSuccessionOracle:
                     seen["moved"] += expected != z
                     rows = impact_balance(spec, spec.cim, z).scores
                     seen["ties"] += any(row.count(max(row)) > 1 for row in rows)
+                seen["thresholds"] += any(
+                    all(z[spec.index_of(did)] == s for did, s in r.conditions)
+                    for r in spec.threshold_rules
+                )
                 seen["cases"] += 1
         assert seen["infeasible"] >= 40 and seen["moved"] >= 200 and seen["ties"] >= 100, seen
+        assert seen["thresholds"] >= 100, seen

@@ -21,7 +21,6 @@ from cibpath.simulate import (
     robustness_fraction,
     save_ensemble,
     simulate_ensemble,
-    transition_cyclic_state,
     write_ensemble,
 )
 from cibpath.uncertainty import StreamBlock, apply_structural_shock
@@ -55,39 +54,41 @@ def degenerate_document(extra=None):
     return doc
 
 
+def cyclic_moves(params, current, state_count, rng, n):
+    """n moves of one cyclic descriptor from current under params, by the
+    simulator's law (_cyclic_moves), on uniforms from rng."""
+    prior = np.full((n, 1), current, np.int8)
+    return simulate._cyclic_moves([(params, state_count)], prior, rng.random((n, 2)))[:, 0]
+
+
 class TestCyclicTransition:
     def test_stay_probability(self):
         params = CyclicParams(stay=0.5, step=0.4, step2=0.1, drift=0.0)
         rng = np.random.default_rng(0)
-        stays = sum(
-            transition_cyclic_state(params, 2, 5, rng) == 2 for _ in range(20_000)
-        )
+        stays = np.count_nonzero(cyclic_moves(params, 2, 5, rng, 20_000) == 2)
         assert abs(stays / 20_000 - 0.5) < 0.02
 
     def test_drift_biases_direction(self):
         params = CyclicParams(stay=0.0, step=1.0, step2=0.0, drift=0.5)
         rng = np.random.default_rng(1)
-        ups = sum(
-            transition_cyclic_state(params, 1, 3, rng) == 2 for _ in range(20_000)
-        )
+        ups = np.count_nonzero(cyclic_moves(params, 1, 3, rng, 20_000) == 2)
         assert abs(ups / 20_000 - 0.75) < 0.02
 
     def test_boundary_block_stays(self):
         params = CyclicParams(stay=0.0, step=0.0, step2=1.0, drift=1.0)
         rng = np.random.default_rng(2)
         # from top state of a 3-state scale every +2 move is blocked
-        assert all(
-            transition_cyclic_state(params, 2, 3, rng) == 2 for _ in range(100)
-        )
+        assert (cyclic_moves(params, 2, 3, rng, 100) == 2).all()
 
     def test_step2_moves_two(self):
         params = CyclicParams(stay=0.0, step=0.0, step2=1.0, drift=1.0)
         rng = np.random.default_rng(3)
-        assert transition_cyclic_state(params, 0, 3, rng) == 2
+        assert cyclic_moves(params, 0, 3, rng, 1).tolist() == [2]
 
     def test_array_moves_equal_sequential_transitions(self):
-        """_cyclic_moves on StreamBlock.uniforms against transition_cyclic_state
-        called descriptor by descriptor on each run's own cyclic stream."""
+        """_cyclic_moves on StreamBlock.uniforms against the reference
+        transition_cyclic_state called descriptor by descriptor on each run's
+        own cyclic stream."""
         rng = random.Random(31)
         seen = {"stay": 0, "blocked": 0, "up": 0, "down": 0, "two": 0, "three_cyclic": 0}
         for case in range(300):
@@ -109,7 +110,7 @@ class TestCyclicTransition:
             for b, run in enumerate(runs):
                 stream = source.substream(run, 2030, "cyclic")
                 want = [
-                    transition_cyclic_state(params, int(state), count, stream)
+                    reference.transition_cyclic_state(params, int(state), count, stream)
                     for (params, count), state in zip(moves, prior[b])
                 ]
                 assert got[b].tolist() == want, (case, run)
