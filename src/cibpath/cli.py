@@ -21,15 +21,18 @@ from .analytics import DEFAULT_CONFIDENCE_LEVEL
 from .engine import DEFAULT_ENUMERATION_LIMIT, enumerate_consistent
 from .errors import CibError, ConfigError, ParseError, TractabilityError, ValidationFailure
 from .mcda import load_mcda_input
-from .model import load_study_spec, read_json, validate_study_spec
+from .model import load_study_spec, read_file, read_json, validate_study_spec
 from .pipeline import (
     PipelineConfig,
     findings_report,
     load_checked_ensemble,
     load_pipeline_config,
     mcda_stage,
+    parse_candidates,
     quantify_stage,
     raise_on_errors,
+    read_quantify_inputs,
+    resolve_screening,
     run_pipeline,
     screen_stage,
     simulate_stage,
@@ -176,7 +179,8 @@ def stats(spec_path, out_dir, level, ensemble_path):
 def screen(spec_path, out_dir, ensemble_path, config_path, k):
     """Screen pathways for plausibility and select the candidate set."""
     spec, ensemble = _spec_and_ensemble(spec_path, ensemble_path)
-    _echo(screen_stage(ensemble, spec, read_json(config_path), k, out_dir)[0])
+    screening = resolve_screening(read_json(config_path), spec)
+    _echo(screen_stage(ensemble, spec, screening, k, out_dir)[0])
 
 
 @main.command()
@@ -206,15 +210,18 @@ def mcda(out_dir, input_path):
 def quantify(spec_path, out_dir, candidates_path, pathway_id, matrix_path,
              ranges_path, identities_path, ensemble_path, extremes_path):
     """Translate a selected pathway into a model-ready input table."""
+    if extremes_path and not ensemble_path:
+        raise ConfigError("--extremes needs the ensemble to draw from (--ensemble)")
     # The ensemble is read only to draw extreme scenarios from.
     spec, ensemble = _spec_and_ensemble(spec_path, extremes_path and ensemble_path)
-    _echo(quantify_stage(
-        spec, candidates_path, pathway_id, matrix_path, out_dir,
-        ranges=read_json(ranges_path) if ranges_path else None,
-        identities_path=identities_path,
-        extremes=read_json(extremes_path) if extremes_path else None,
-        ensemble=ensemble,
-    ))
+    pathways = read_file(candidates_path, parse_candidates, spec)
+    if pathway_id not in pathways:
+        raise ConfigError(f"pathway {pathway_id!r} not in {candidates_path}")
+    inputs = read_quantify_inputs(
+        spec, matrix_path, read_json(ranges_path) if ranges_path else None, identities_path,
+        read_json(extremes_path) if extremes_path else None,
+    )
+    _echo(quantify_stage(spec, pathway_id, pathways[pathway_id], inputs, out_dir, ensemble))
 
 
 @main.command()

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParseError
-from .model import Finding, child, read_json
+from .errors import ParseError
+from .model import child, read_file
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,50 @@ class Persona:
 
 @dataclass(frozen=True)
 class McdaInput:
+    """An input that breaks a rule of __post_init__ raises ParseError
+    naming its node (scale, scores.<p>.<c>, personas.<id>, ...)."""
+
     pathways: tuple[str, ...]
     criteria: tuple[str, ...]
     scores: tuple[tuple[float, ...], ...]  # [pathway][criterion]
     personas: tuple[Persona, ...]
     scale: tuple[float, float] = (1.0, 5.0)
+
+    def __post_init__(self) -> None:
+        scale = list(self.scale)
+        if len(scale) != 2 or not scale[0] < scale[1]:
+            raise ParseError("scale", f"expected two numbers, low below high, got {scale}")
+        if len(self.pathways) < 2:
+            raise ParseError("pathways", f"need at least 2 pathways (got {len(self.pathways)})")
+        if len(set(self.pathways)) != len(self.pathways):
+            raise ParseError("pathways", "duplicate pathway ids")
+        if not self.criteria:
+            raise ParseError("criteria", "need at least 1 criterion")
+        if not self.personas:
+            raise ParseError("personas", "need at least 1 persona")
+        lo, hi = scale
+        if len(self.scores) != len(self.pathways):
+            raise ParseError("scores", "one score row per pathway required")
+        for p, row in zip(self.pathways, self.scores):
+            if len(row) != len(self.criteria):
+                raise ParseError(f"scores.{p}", "one score per criterion required")
+            for c, s in zip(self.criteria, row):
+                if not lo <= s <= hi:
+                    raise ParseError(f"scores.{p}.{c}",
+                                     f"score {s:g} outside scale [{lo:g}, {hi:g}]")
+        for persona in self.personas:
+            path = f"personas.{persona.id}"
+            names = tuple(c for c, _ in persona.weights)
+            if names != self.criteria:
+                missing = [c for c in self.criteria if c not in names]
+                raise ParseError(path, f"missing weight for criteria {missing}" if missing
+                                 else "weights must follow the criteria order")
+            for c, w in persona.weights:
+                if w < 0:
+                    raise ParseError(f"{path}.{c}", f"negative weight {w:g}")
+            total = sum(persona.weight_vector())
+            if abs(total - 1.0) > 1e-9:
+                raise ParseError(path, f"weights sum to {total:g}, expected 1.0")
 
 
 @dataclass(frozen=True)
@@ -44,52 +83,6 @@ class McdaRanking:
         return dict(self.values)[pathway]
 
 
-def validate_mcda_input(inp: McdaInput) -> list[Finding]:
-    findings: list[Finding] = []
-
-    def err(path: str, msg: str) -> None:
-        findings.append(Finding("error", path, msg))
-
-    if len(inp.pathways) < 2:
-        err("pathways", f"need at least 2 pathways (got {len(inp.pathways)})")
-    if len(set(inp.pathways)) != len(inp.pathways):
-        err("pathways", "duplicate pathway ids")
-    if not inp.criteria:
-        err("criteria", "need at least 1 criterion")
-    if not inp.personas:
-        err("personas", "need at least 1 persona")
-
-    lo, hi = inp.scale
-    if len(inp.scores) != len(inp.pathways):
-        err("scores", "one score row per pathway required")
-    for p, row in zip(inp.pathways, inp.scores):
-        if len(row) != len(inp.criteria):
-            err(f"scores.{p}", "one score per criterion required")
-            continue
-        for c, s in zip(inp.criteria, row):
-            if not lo <= s <= hi:
-                err(f"scores.{p}.{c}", f"score {s:g} outside scale [{lo:g}, {hi:g}]")
-
-    for persona in inp.personas:
-        path = f"personas.{persona.id}"
-        names = tuple(c for c, _ in persona.weights)
-        if names != inp.criteria:
-            missing = [c for c in inp.criteria if c not in names]
-            if missing:
-                err(path, f"missing weight for criteria {missing}")
-            else:
-                err(path, "weights must follow the criteria order")
-            continue
-        total = 0.0
-        for c, w in persona.weights:
-            if w < 0:
-                err(f"{path}.{c}", f"negative weight {w:g}")
-            total += w
-        if abs(total - 1.0) > 1e-9:
-            err(path, f"weights sum to {total:g}, expected 1.0")
-    return findings
-
-
 def rank_pathways(inp: McdaInput) -> McdaRanking:
     """Aggregate value per pathway: per-persona weighted score totals
     averaged across distinct persona weight vectors.
@@ -98,11 +91,6 @@ def rank_pathways(inp: McdaInput) -> McdaRanking:
     so duplicating a persona never moves a value; every persona's own
     total is still reported for audit.
     """
-    findings = [f for f in validate_mcda_input(inp) if f.severity == "error"]
-    if findings:
-        first = findings[0]
-        raise ConfigError(f"invalid MCDA input: {first.path}: {first.message}")
-
     per_persona = []
     distinct: dict[tuple[float, ...], tuple[float, ...]] = {}
     for persona in inp.personas:
@@ -137,8 +125,8 @@ def rank_pathways(inp: McdaInput) -> McdaRanking:
 
 def parse_mcda_input(doc: dict) -> McdaInput:
     """Read an MCDA input document; a missing node, one of the wrong JSON
-    type, or a scale that is not two numbers, low below high, raises
-    ParseError naming the node."""
+    type, or an input that McdaInput refuses raises ParseError naming the
+    node."""
     criteria = tuple(child(doc, "criteria", [str]))
     pathways = tuple(child(doc, "pathways", [str]))
     raw_scores, raw_personas = child(doc, "scores", dict), child(doc, "personas", dict)
@@ -153,13 +141,11 @@ def parse_mcda_input(doc: dict) -> McdaInput:
             (c, child(weights, c, float, f"personas.{pid}")) for c in criteria
         )))
     scale = tuple(child(doc, "scale", [float], "", McdaInput.scale))
-    if len(scale) != 2 or not scale[0] < scale[1]:
-        raise ParseError("scale", f"expected two numbers, low below high, got {list(scale)}")
     return McdaInput(pathways, criteria, tuple(scores), tuple(personas), scale)
 
 
 def load_mcda_input(path: str) -> McdaInput:
-    return parse_mcda_input(read_json(path))
+    return read_file(path, parse_mcda_input)
 
 
 def ranking_report(inp: McdaInput, ranking: McdaRanking) -> dict:

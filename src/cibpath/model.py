@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import chain
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -372,6 +372,16 @@ def read_json(path: str) -> Any:
 
     with open(path, encoding="utf-8") as fh:
         return json.load(fh, parse_constant=refuse, parse_float=number)
+
+
+def read_file(path: str, parse: Callable, *args: Any) -> Any:
+    """parse(the JSON document at path, *args); a ParseError it raises
+    names its node as <path>: <node>, in the same class."""
+    doc = read_json(path)
+    try:
+        return parse(doc, *args)
+    except ParseError as e:
+        raise type(e)(f"{path}: {e.path}", e.reason) from None
 
 
 def compact_json(doc: Any) -> str:
@@ -774,7 +784,7 @@ def serialize_study_spec(spec: StudySpec) -> dict:
 
 
 def load_study_spec(path: str) -> StudySpec:
-    return parse_study_spec(read_json(path))
+    return read_file(path, parse_study_spec)
 
 
 def save_study_spec(spec: StudySpec, path: str) -> None:

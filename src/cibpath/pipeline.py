@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -31,10 +32,11 @@ from .analytics import (
 from .errors import ConfigError, ParseError, ValidationFailure
 from .mcda import McdaInput, McdaRanking, load_mcda_input, rank_pathways, ranking_report
 from .model import (
-    STATE_REF, Finding, StudySpec, child, compact_json, load_study_spec, read_json,
+    STATE_REF, Finding, StudySpec, child, compact_json, load_study_spec, read_file, read_json,
     resolve_state, validate_study_spec,
 )
 from .quantify import (
+    QuantifyInputs,
     attach_uncertainty_ranges,
     build_extreme_scenarios,
     enforce_identities,
@@ -43,6 +45,7 @@ from .quantify import (
     quantified_table_rows,
     quantify_pathway,
     read_extreme_axes,
+    read_ranges,
 )
 from .simulate import (
     DEFAULT_MAX_ITER,
@@ -329,13 +332,13 @@ def stats_stage(
 
 
 def screen_stage(
-    ensemble: EnsembleResult, spec: StudySpec, screening: dict, candidate_count: int,
-    out_dir: str,
+    ensemble: EnsembleResult, spec: StudySpec,
+    screening: tuple[ScreeningConfig, tuple[str, int]], candidate_count: int, out_dir: str,
 ) -> tuple[list[str], dict[str, Pathway]]:
-    """candidates.json, plus the selected pathways by candidate id for a
-    later stage to reuse; the screening config is read by
-    resolve_screening."""
-    scfg, best = resolve_screening(screening, spec)
+    """candidates.json, plus the selected pathways by candidate id (C1..Ck)
+    for a later stage to reuse; screening is resolve_screening's config and
+    best outcome."""
+    scfg, best = screening
     screened = screen_candidates(ensemble, spec, scfg)
     selected = select_candidates(screened, candidate_count, best, spec)
     rejected = selected.rejected
@@ -364,13 +367,13 @@ def screen_stage(
     return [path], {f"C{i + 1}": c.pathway for i, c in enumerate(selected.candidates)}
 
 
-def read_candidates(path: str, spec: StudySpec) -> dict[str, Pathway]:
-    """The candidate pathways of a candidates.json, by id. Each must have
-    an id no earlier one has, and cover the spec's time grid with one state
-    of each descriptor per period; one that does not raises ParseError
-    naming candidates[i]."""
+def parse_candidates(doc: dict, spec: StudySpec) -> dict[str, Pathway]:
+    """The candidate pathways of a candidates.json document, by id. Each
+    must have an id no earlier one has, and cover the spec's time grid with
+    one state of each descriptor per period; one that does not raises
+    ParseError naming candidates[i]."""
     pathways = {}
-    entries = child(read_json(path), "candidates", [dict])
+    entries = child(doc, "candidates", [dict])
     for i, c in enumerate(entries):
         node = f"candidates[{i}]"
         pathway = Pathway.from_doc(c, node)
@@ -407,30 +410,35 @@ def mcda_stage(inp: McdaInput, out_dir: str) -> tuple[list[str], McdaRanking]:
     return [path], ranking
 
 
-def quantify_stage(
-    spec: StudySpec, candidates_path: str, pathway_id: str, translation_path: str,
-    out_dir: str, ranges: Optional[dict] = None, identities_path: Optional[str] = None,
-    extremes: Optional[dict] = None, ensemble: Optional[EnsembleResult] = None,
-    pathways: Optional[dict[str, Pathway]] = None,
-) -> list[str]:
-    """quantified.csv and quantified.json for one candidate pathway, taken
-    from pathways (screen_stage's) when given, else read from
-    candidates_path; extreme scenarios are drawn from the ensemble."""
-    if pathways is None:
-        pathways = read_candidates(candidates_path, spec)
-    if pathway_id not in pathways:
-        raise ConfigError(f"pathway {pathway_id!r} not in {candidates_path}")
+def read_quantify_inputs(
+    spec: StudySpec, translation_path: str, ranges: Optional[dict],
+    identities_path: Optional[str], extremes: Optional[dict],
+) -> QuantifyInputs:
+    """The translation file at translation_path, with the range spec, the
+    identities file and the extremes config over it, each optional (None);
+    a bad node raises ParseError naming it, after its file's path for a
+    file."""
     dims, matrix = load_translation_file(translation_path, spec)
-    qp = quantify_pathway(pathways[pathway_id], dims, matrix, spec)
-    if ranges:
-        qp = attach_uncertainty_ranges(qp, ranges)
-    if identities_path:
-        qp = enforce_identities(qp, parse_identities(read_json(identities_path)))
+    return QuantifyInputs(
+        dims, matrix, read_ranges({} if ranges is None else ranges, dims),
+        read_file(identities_path, parse_identities, dims) if identities_path else (),
+        None if extremes is None else read_extreme_axes(extremes, spec),
+    )
+
+
+def quantify_stage(
+    spec: StudySpec, pathway_id: str, pathway: Pathway, inputs: QuantifyInputs, out_dir: str,
+    ensemble: Optional[EnsembleResult],
+) -> list[str]:
+    """quantified.csv and quantified.json for the candidate pathway_id,
+    whose pathway is pathway; extreme scenarios, when inputs has axes, are
+    drawn from the ensemble (None when it has none)."""
+    dims, matrix = inputs.dimensions, inputs.matrix
+    qp = quantify_pathway(pathway, dims, matrix, spec)
+    qp = enforce_identities(attach_uncertainty_ranges(qp, inputs.ranges), inputs.identities)
     scenarios, warnings = (), ()
-    if extremes:
-        if ensemble is None:
-            raise ConfigError("extreme scenarios need the ensemble")
-        scenarios, warnings = build_extreme_scenarios(ensemble, dims, matrix, spec, extremes)
+    if inputs.extremes is not None:
+        scenarios, warnings = build_extreme_scenarios(ensemble, dims, matrix, spec, inputs.extremes)
 
     rows = quantified_table_rows(qp)
     csv_path = _artifact(out_dir, "quantified.csv")
@@ -459,15 +467,24 @@ def quantify_stage(
     return [csv_path, json_path]
 
 
+def _screened_id(pid: str, k: int) -> bool:
+    """Whether pid is one of screen_stage's candidate ids C1..Ck."""
+    n = re.fullmatch(r"C([1-9][0-9]*)", pid)
+    return n is not None and len(n[1]) <= len(str(k)) and int(n[1]) <= k
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the enabled stages in order; returns the manifest document.
 
-    Before any stage runs, the config's stage inputs are read and checked:
-    a missing stage input, a confidence level outside (0, 1), a bad
-    screening config (resolve_screening), a malformed MCDA input file or a
-    malformed extremes config raises ConfigError or ParseError. A spec with
-    validation errors raises ValidationFailure after findings.json has been
-    written.
+    Before any stage runs, each input of the enabled stages is read and
+    checked once: the confidence level, the spec, the screening config, the
+    MCDA input, the quantify inputs (read_quantify_inputs), candidates.json
+    if quantify runs without screen, and ensemble.jsonl if stats, screen or
+    extremes need it and simulate does not run; the MCDA pathways and
+    selected_pathway must be candidates (C1..Ck if screen runs). A bad one
+    raises ConfigError or ParseError naming its node, after its file's path
+    for a file. A spec with validation errors raises ValidationFailure after
+    findings.json is written.
     """
     stages, out = config.stages, config.output_dir
     for stage, field in (
@@ -481,11 +498,24 @@ def run_pipeline(config: PipelineConfig) -> dict:
         _wilson_z(config.confidence_level)
 
     spec = load_study_spec(config.spec_path)
-    if "screen" in stages:
-        resolve_screening(config.screening, spec)
+    screening = resolve_screening(config.screening, spec) if "screen" in stages else None
     mcda_input = load_mcda_input(config.mcda_input_path) if "mcda" in stages else None
-    if "quantify" in stages and config.extremes:
-        read_extreme_axes(config.extremes, spec)
+    quantify_inputs: Optional[QuantifyInputs] = None
+    pathways: Optional[dict[str, Pathway]] = None  # the candidates by id, once known
+    candidates = os.path.join(out, "candidates.json")
+    if "quantify" in stages:
+        quantify_inputs = read_quantify_inputs(
+            spec, config.translation_path, config.ranges, config.identities_path, config.extremes
+        )
+        if "screen" not in stages:
+            pathways = read_file(candidates, parse_candidates, spec)
+    if screening or pathways is not None:
+        k, ranked = config.candidate_count, mcda_input.pathways if mcda_input else ()
+        refs = [(f"{config.mcda_input_path}: pathways[{i}]", p) for i, p in enumerate(ranked)]
+        for node, pid in [("selected_pathway", config.selected_pathway), *refs]:
+            if pid is not None and not (_screened_id(pid, k) if screening else pid in pathways):
+                among = f"C1..C{k}, candidate_count" if screening else candidates
+                raise ConfigError(f"{node}: pathway {pid!r} is not a candidate ({among})")
     manifest: dict = {
         "spec_digest": spec.digest(),
         "master_seed": config.master_seed,
@@ -493,21 +523,19 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "version": __version__,
         "stages": {},
     }
+    ensemble: Optional[EnsembleResult] = None
+    if "simulate" not in stages and (
+        "stats" in stages or "screen" in stages
+        or quantify_inputs is not None and quantify_inputs.extremes is not None
+    ):
+        ensemble = load_checked_ensemble(
+            os.path.join(out, "ensemble.jsonl"), spec, manifest["spec_digest"]
+        )
 
     def record(stage: str, paths: list[str]) -> None:
         manifest["stages"][stage] = {
             os.path.basename(p): _file_digest(p) for p in paths
         }
-
-    ensemble: Optional[EnsembleResult] = None
-
-    def need_ensemble() -> EnsembleResult:
-        nonlocal ensemble
-        if ensemble is None:
-            ensemble = load_checked_ensemble(
-                os.path.join(out, "ensemble.jsonl"), spec, manifest["spec_digest"]
-            )
-        return ensemble
 
     if "validate" in stages:
         record("validate", validate_stage(spec, out))
@@ -518,12 +546,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         )
         record("simulate", paths)
     if "stats" in stages:
-        record("stats", stats_stage(need_ensemble(), spec, config.confidence_level, out))
-    pathways: Optional[dict[str, Pathway]] = None  # the candidates, when screened here
+        record("stats", stats_stage(ensemble, spec, config.confidence_level, out))
     if "screen" in stages:
-        paths, pathways = screen_stage(
-            need_ensemble(), spec, config.screening, config.candidate_count, out
-        )
+        paths, pathways = screen_stage(ensemble, spec, screening, config.candidate_count, out)
         record("screen", paths)
     selected_id = config.selected_pathway
     if "mcda" in stages:
@@ -533,9 +558,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             selected_id = ranking.order[0]
     if "quantify" in stages:
         record("quantify", quantify_stage(
-            spec, os.path.join(out, "candidates.json"), selected_id,
-            config.translation_path, out, config.ranges, config.identities_path,
-            config.extremes, need_ensemble() if config.extremes else None, pathways,
+            spec, selected_id, pathways[selected_id], quantify_inputs, out, ensemble
         ))
 
     _dump_json(manifest, _artifact(out, "manifest.json"))

@@ -16,7 +16,7 @@ import numpy as np
 from .analytics import row_keys
 from .engine import Scenario
 from .errors import ConfigError, CoverageError, OutOfRangeError, ParseError
-from .model import STATE_REF, StudySpec, child, read_json, resolve_state
+from .model import STATE_REF, StudySpec, child, read_file, resolve_state
 from .simulate import EnsembleResult, Pathway
 
 IDENTITY_TOL = 1e-9
@@ -105,37 +105,42 @@ def quantify_pathway(
     return QuantifiedPathway(dimensions, pathway.periods, values, {}, provenance)
 
 
-def _range_rule(ranges: dict, d: str) -> Callable[[float], tuple[float, float]]:
-    """Dimension d's range in ranges as the map from a central value to its
-    (low, high) band."""
-    rs, path = child(ranges, d, dict, "ranges"), f"ranges.{d}"
-    if "relative" in rs:
-        f = child(rs, "relative", float, path)
-        return lambda central: tuple(sorted((central * (1 - f), central * (1 + f))))
-    if "low_offset" in rs or "high_offset" in rs:
-        low, high = (child(rs, key, float, path, 0.0) for key in ("low_offset", "high_offset"))
-        return lambda central: (central + low, central + high)
-    low, high = child(rs, "low", float, path), child(rs, "high", float, path)
-    return lambda central: (low, high)
+#: The map from a central value to its (low, high) band.
+RangeRule = Callable[[float], tuple[float, float]]
 
 
-def attach_uncertainty_ranges(qp: QuantifiedPathway, range_spec: dict) -> QuantifiedPathway:
-    """Fill per-cell (low, high) bands from a per-dimension range spec.
-
-    Per dimension either {"relative": f} (central * (1 -/+ f)),
-    {"low_offset": a, "high_offset": b}, or absolute {"low": x, "high": y}.
-    A range that is not such an object, or a key that is not one of qp's
-    dimensions, raises ParseError naming ranges.<key>, and a value that is
-    not a number ranges.<key>.<field>.
-    """
-    if type(range_spec) is not dict:
+def read_ranges(doc: dict, dimensions: tuple[Dimension, ...]) -> dict[str, RangeRule]:
+    """The rule of each dimension in a range spec: {"relative": f} (central
+    * (1 -/+ f)), {"low_offset": a, "high_offset": b} or absolute {"low":
+    x, "high": y}. A range that is not such an object, or a key that is not
+    one of dimensions, raises ParseError naming ranges.<key>, and a value
+    that is not a number ranges.<key>.<field>."""
+    if type(doc) is not dict:
         raise ParseError("ranges", "not an object of dimension -> range")
-    known = {d.id for d in qp.dimensions}
-    rules = {}
-    for d in range_spec:
+    known = {d.id for d in dimensions}
+    rules: dict[str, RangeRule] = {}
+    for d in doc:
+        path = f"ranges.{d}"
         if d not in known:
-            raise ParseError(f"ranges.{d}", f"{d!r} is not a dimension of the translation file")
-        rules[d] = _range_rule(range_spec, d)
+            raise ParseError(path, f"{d!r} is not a dimension of the translation file")
+        rs = child(doc, d, dict, "ranges")
+        if "relative" in rs:
+            f = child(rs, "relative", float, path)
+            rules[d] = lambda central, f=f: tuple(sorted((central * (1 - f), central * (1 + f))))
+        elif "low_offset" in rs or "high_offset" in rs:
+            low, high = (child(rs, key, float, path, 0.0) for key in ("low_offset", "high_offset"))
+            rules[d] = lambda central, low=low, high=high: (central + low, central + high)
+        else:
+            low, high = child(rs, "low", float, path), child(rs, "high", float, path)
+            rules[d] = lambda central, low=low, high=high: (low, high)
+    return rules
+
+
+def attach_uncertainty_ranges(
+    qp: QuantifiedPathway, rules: dict[str, RangeRule]
+) -> QuantifiedPathway:
+    """Fill per-cell (low, high) bands from read_ranges' rules; an inverted
+    band or a central value outside its band raises OutOfRangeError."""
     ranges = {}
     for (d, p), central in qp.values.items():
         if d not in rules:
@@ -191,16 +196,13 @@ def build_extreme_scenarios(
     dimensions: tuple[Dimension, ...],
     matrix: TranslationMatrix,
     spec: StudySpec,
-    axes_config: dict,
+    axes: tuple,
 ) -> tuple[tuple[ExtremeScenario, ...], tuple[str, ...]]:
-    """Terminal-period bounding cases along the configured axes.
-
-    axes_config keys, read by read_extreme_axes: "outcome" ({"descriptor":
-    id}), "descriptor_stacks" ({label: {descriptor: state}}), "frequency"
-    ({"min_count": n}, an integer). Returns (scenarios, warnings); an axis
-    with no matching ensemble scenario is skipped with a warning.
+    """Terminal-period bounding cases along the axes that read_extreme_axes
+    returns. Returns (scenarios, warnings); an axis with no matching
+    ensemble scenario is skipped with a warning.
     """
-    outcome, stacks, min_count = read_extreme_axes(axes_config, spec)
+    outcome, stacks, min_count = axes
     terminals = ensemble.ok_states[:, -1]
     terminal_period = ensemble.time_grid[-1]
     _, first, sizes = np.unique(row_keys(terminals), return_index=True, return_counts=True)
@@ -268,26 +270,29 @@ class Identity:
     rhs_dimension: Optional[str] = None
 
 
+@dataclass(frozen=True)
+class QuantifyInputs:
+    """The quantify stage's checked inputs."""
+
+    dimensions: tuple[Dimension, ...]
+    matrix: TranslationMatrix
+    ranges: dict[str, RangeRule]  # read_ranges'
+    identities: tuple[Identity, ...]  # parse_identities'
+    extremes: Optional[tuple]  # read_extreme_axes', None for no extreme scenarios
+
+
 def enforce_identities(
     qp: QuantifiedPathway, identities: tuple[Identity, ...]
 ) -> QuantifiedPathway:
     """Repair violated identities per period by proportionally rescaling the
     adjustable dimensions onto the constraint; satisfied identities leave
-    values untouched and repairs land in provenance."""
+    values untouched and repairs land in provenance. The identities are
+    parse_identities' over qp's dimensions; one whose adjustable terms sum
+    to zero where it is violated raises ConfigError."""
     values = dict(qp.values)
     prov = dict(qp.provenance)
     for k, ident in enumerate(identities):
         node, name = f"identities[{k}]", ident.name
-        if not ident.adjustable:
-            raise ConfigError(f"{node}.adjustable: identity {name!r} has no adjustable dimension")
-        term_dims = {d for d, _ in ident.terms}
-        for d in ident.adjustable:
-            if d not in term_dims:
-                raise ConfigError(f"{node}.adjustable: {d!r} is not a term of identity {name!r}")
-        named = term_dims if ident.rhs_dimension is None else term_dims | {ident.rhs_dimension}
-        unknown = sorted(named - {d.id for d in qp.dimensions})
-        if unknown:
-            raise ConfigError(f"{node}: identity {name!r} names unknown dimensions {unknown}")
         for period in qp.periods:
             if ident.rhs_dimension is not None:
                 rhs = values[ident.rhs_dimension, period]
@@ -365,23 +370,36 @@ def _integer(text: str) -> int | str:
 
 
 def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, ...], TranslationMatrix]:
-    return parse_translation_file(read_json(path), spec)
+    return read_file(path, parse_translation_file, spec)
 
 
-def parse_identities(doc: dict) -> tuple[Identity, ...]:
-    """Identities file; a missing node or one of the wrong JSON type raises
+def parse_identities(doc: dict, dimensions: tuple[Dimension, ...]) -> tuple[Identity, ...]:
+    """Identities file over the given dimensions; a missing node, one of the
+    wrong JSON type, an identity with no adjustable dimension or one that
+    is not a term of it, or one naming a dimension not in dimensions raises
     ParseError naming it."""
     out = []
+    known = {d.id for d in dimensions}
     for i, raw in enumerate(child(doc, "identities", [dict], "", [])):
         path = f"identities[{i}]"
         terms = child(raw, "terms", dict, path)
-        out.append(Identity(
+        ident = Identity(
             name=child(raw, "name", str, path, f"identity-{i}"),
             terms=tuple((d, child(terms, d, float, f"{path}.terms")) for d in terms),
             adjustable=tuple(child(raw, "adjustable", [str], path)),
             rhs_value=child(raw, "equals", float, path, None),
             rhs_dimension=child(raw, "equals_dimension", str, path, None),
-        ))
+        )
+        name = ident.name
+        if not ident.adjustable:
+            raise ParseError(f"{path}.adjustable", f"identity {name!r} has no adjustable dimension")
+        for d in ident.adjustable:
+            if d not in terms:
+                raise ParseError(f"{path}.adjustable", f"{d!r} is not a term of identity {name!r}")
+        unknown = sorted({*terms, ident.rhs_dimension} - known - {None})
+        if unknown:
+            raise ParseError(path, f"identity {name!r} names unknown dimensions {unknown}")
+        out.append(ident)
     return tuple(out)
 
 

@@ -82,7 +82,8 @@ def json_dumps_document(selected) -> bytes:
 
 
 def assert_screen_stage_writes_json_dumps(ensemble, spec, screening, best, k, out_dir):
-    (path,), _ = pipeline.screen_stage(ensemble, spec, screening, k, str(out_dir))
+    resolved = pipeline.resolve_screening(screening, spec)
+    (path,), _ = pipeline.screen_stage(ensemble, spec, resolved, k, str(out_dir))
     screened = screen_candidates(ensemble, spec, pipeline.screening_config_from(screening))
     selected = select_candidates(screened, k, best, spec)
     with open(path, "rb") as fh:

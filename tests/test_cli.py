@@ -325,6 +325,7 @@ RANGES = {
     "text_ranges": {"carbon_price": {"relative": "abc"}},
     "number_ranges": {"carbon_price": 0.2},
     "unknown_key_ranges": {"carbon_price": {"relative": 0.2}, "carbn_price": {"relative": 0.2}},
+    "list_ranges": [],
 }
 IDENTITIES = {
     "terms_list_identities": {"identities": [{"terms": ["carbon_price"], "adjustable": []}]},
@@ -348,6 +349,7 @@ EXTREMES = {
     "min_count_bool_extremes": ({"frequency": {"min_count": True}},
                                 "extremes.frequency.min_count"),
     "stacks_list_extremes": ({"descriptor_stacks": [{"PS": 0}]}, "extremes.descriptor_stacks"),
+    "list_extremes": ([], "extremes"),
     "min_count_zero_extremes": ({"frequency": {"min_count": 0}}, "extremes.frequency.min_count"),
     "min_count_negative_extremes": ({"frequency": {"min_count": -1}},
                                     "extremes.frequency.min_count"),
@@ -866,13 +868,17 @@ def test_quantify_input_error_names_the_node(small_run, candidates, matrix, node
     ("--ranges", "text_ranges", "ranges.carbon_price.relative"),
     ("--ranges", "number_ranges", "ranges.carbon_price"),
     ("--ranges", "unknown_key_ranges", "ranges.carbn_price"),
+    ("--ranges", "list_ranges", "ranges"),
     ("--identities", "terms_list_identities", "identities[0].terms"),
     ("--identities", "text_coefficient_identities", "identities[0].terms.carbon_price"),
     ("--identities", "object_identities", "identities"),
 ])
 def test_quantify_side_file_error_names_the_node(small_run, option, stem, node):
+    """An identities file's node follows the file's path; a range is named
+    as in a pipeline config."""
     result = invoke(CliRunner(), *_quantify(small_run, "candidate", "translation", option, stem))
-    assert json.loads(result.stderr)["message"].startswith(f"{node}: ")
+    file = f"{small_run[stem]}: " if option == "--identities" else ""
+    assert json.loads(result.stderr)["message"].startswith(f"{file}{node}: ")
 
 
 @pytest.mark.parametrize("stem", EXTREMES)
@@ -902,7 +908,9 @@ def test_pipeline_reads_the_extremes_config_before_any_stage(small_run, tmp_path
 
 
 #: Pipeline config edits that are refused before any stage runs: the
-#: error and the start of its message, which names the node.
+#: error and the start of its message, which names the node. An edit of
+#: mcda_input, translation or identities gives the file's document, and the
+#: message names the file before the node.
 BAD_STAGE_INPUTS = {
     "exclusion-unknown-descriptor": (
         {"screening": {"outcome_descriptor": "RD", "endpoint_exclusions": [[["XX", 0]]]}},
@@ -924,23 +932,122 @@ BAD_STAGE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", BAD_STAGE_INPUTS)
-def test_pipeline_checks_screening_and_mcda_inputs_before_any_stage(small_run, tmp_path, case):
-    edit, error, node = BAD_STAGE_INPUTS[case]
+def _mcda_fixture(edit):
+    """The mini study's MCDA input, edited in place by edit."""
+    with open(importlib.resources.files("cibpath") / "fixtures" / "mini_mcda.json") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return doc
+
+
+def _renamed(old, new):
+    """An edit of an MCDA input that renames its pathway old to new."""
+    def edit(doc):
+        doc["pathways"] = [new if p == old else p for p in doc["pathways"]]
+        doc["scores"][new] = doc["scores"].pop(old)
+    return edit
+
+
+#: Edits of the quantify inputs and of the pathway ids, in the same form as
+#: BAD_STAGE_INPUTS. The mini MCDA input ranks C3 first and C2 second, and
+#: the screen selects C1..C4. A "candidates" document is written as the
+#: output directory's candidates.json.
+BAD_QUANTIFY_INPUTS = {
+    "translation-list": ({"translation": []}, "ParseError", "(root): "),
+    "identities-list": ({"identities": []}, "ParseError", "(root): "),
+    "identity-without-adjustable": (
+        {"identities": {"identities": [
+            {"terms": {"carbon_price": 1.0}, "adjustable": [], "equals": 1.0}
+        ]}},
+        "ParseError", "identities[0].adjustable: ",
+    ),
+    "identity-unknown-dimension": (
+        {"identities": {"identities": [
+            {"terms": {"carbon_price": 1.0, "carbn_price": 1.0}, "adjustable": ["carbon_price"]}
+        ]}},
+        "ParseError", "identities[0]: ",
+    ),
+    "range-not-a-number": (
+        {"ranges": {"carbon_price": {"relative": "abc"}}},
+        "ParseError", "ranges.carbon_price.relative: ",
+    ),
+    "range-unknown-dimension": (
+        {"ranges": {"carbn_price": {"relative": 0.2}}}, "ParseError", "ranges.carbn_price: ",
+    ),
+    "mcda-weights-sum-1.5": (
+        {"mcda_input": _mcda_fixture(lambda d: d["personas"]["policy"].update(feasibility=0.8))},
+        "ParseError", "personas.policy: ",
+    ),
+    "mcda-score-off-scale": (
+        {"mcda_input": _mcda_fixture(lambda d: d["scores"]["C1"].update(feasibility=9))},
+        "ParseError", "scores.C1.feasibility: ",
+    ),
+    "mcda-no-personas": (
+        {"mcda_input": _mcda_fixture(lambda d: d.update(personas={}))},
+        "ParseError", "personas: ",
+    ),
+    "mcda-duplicate-pathways": (
+        {"mcda_input": _mcda_fixture(lambda d: d.update(pathways=["C1", "C2", "C3", "C3"]))},
+        "ParseError", "pathways: ",
+    ),
+    "mcda-top-pathway-not-screened": (
+        {"mcda_input": _mcda_fixture(_renamed("C3", "C7"))}, "ConfigError", "pathways[2]: ",
+    ),
+    "mcda-second-pathway-not-screened": (
+        {"mcda_input": _mcda_fixture(_renamed("C2", "C7"))}, "ConfigError", "pathways[1]: ",
+    ),
+    "selected-pathway-not-screened": (
+        {"selected_pathway": "C9"}, "ConfigError", "selected_pathway: ",
+    ),
+    "mcda-pathway-not-in-candidates-file": (
+        {"stages": ["simulate", "mcda", "quantify"], "mcda_input": _mcda_fixture(lambda d: None),
+         "candidates": {"candidates": [
+            {"id": "C1", "periods": [2025, 2030, 2035, 2040, 2045, 2050], "states": [[0] * 5] * 6}
+        ]}},
+        "ConfigError", "pathways[1]: ",
+    ),
+}
+
+
+def _refusal(small_run, tmp_path, case, edit):
+    """The pipeline's stderr report on the mini pipeline config of 300 runs,
+    without extremes and edited by edit, and the prefix that names the file
+    an edit writes ("" for none). The pipeline must exit 3 with no
+    ensemble.jsonl written."""
     with open(small_run["outcome_empty_extremes_pipeline"]) as fh:
         doc = json.load(fh)
     del doc["extremes"]
-    if "mcda_input" in edit:
-        mcda = tmp_path / "mcda.json"
-        mcda.write_text(json.dumps(edit["mcda_input"]))
-        edit = {"mcda_input": str(mcda)}
+    out, file, edit = tmp_path / "out", "", dict(edit)
+    if "candidates" in edit:
+        out.mkdir()
+        (out / "candidates.json").write_text(json.dumps(edit.pop("candidates")))
+    for key in ("mcda_input", "translation", "identities"):
+        if key in edit:
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(edit[key]))
+            edit[key], file = str(path), f"{path}: "
     config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({**doc, **edit, "output_dir": str(tmp_path / "out")}))
+    config.write_text(json.dumps({**doc, **edit, "output_dir": str(out)}))
     result = invoke(CliRunner(), "pipeline", "--config", str(config))
-    assert result.exit_code == 3, result.output
-    report = json.loads(result.stderr)
-    assert report["error"] == error and report["message"].startswith(node), report
-    assert not os.path.exists(tmp_path / "out" / "ensemble.jsonl")
+    assert result.exit_code == 3, (case, result.output)
+    assert not os.path.exists(out / "ensemble.jsonl")
+    return json.loads(result.stderr), file
+
+
+@pytest.mark.parametrize("case", BAD_STAGE_INPUTS)
+def test_pipeline_checks_screening_and_mcda_inputs_before_any_stage(small_run, tmp_path, case):
+    edit, error, node = BAD_STAGE_INPUTS[case]
+    report, file = _refusal(small_run, tmp_path, case, edit)
+    assert report["error"] == error and report["message"].startswith(file + node), report
+
+
+@pytest.mark.parametrize("case", BAD_QUANTIFY_INPUTS)
+def test_pipeline_checks_quantify_inputs_and_pathway_ids_before_any_stage(
+    small_run, tmp_path, case
+):
+    edit, error, node = BAD_QUANTIFY_INPUTS[case]
+    report, file = _refusal(small_run, tmp_path, case, edit)
+    assert report["error"] == error and report["message"].startswith(file + node), report
 
 
 def test_exclusion_state_label_equals_its_index(small_run, tmp_path):

@@ -9,12 +9,13 @@ document goes through the readers and stages that take it, in process,
 under the CLI's exit-code mapping. Every case must end in exit 0, 1, 2 or
 3, never in a traceback, and an exit-3 message must name the mutated node
 (in its dotted path, or in words: "confidence level" for confidence_level)
-or, below the top level, its parent. A mutated name or list item that other
-nodes refer to (a descriptor, a state, a pathway, a criterion, a dimension
-or a stage) may instead be refused where it is referred to; a top-level
-node that refers to a file or a pathway, when set to "x", by naming 'x' or
-the file .../x; and a root emptied to {} for the first node it lacks, or
-where that node is referred to.
+or, below the top level, its parent; the path of the file that holds the
+node, which the message gives first, is not read for it. A mutated name or
+list item that other nodes refer to (a descriptor, a state, a pathway, a
+criterion, a dimension or a stage) may instead be refused where it is
+referred to; a top-level node that refers to a file or a pathway, when
+set to "x", by naming 'x' or the file .../x; and a root emptied to {} for
+the first node it lacks, or where that node is referred to.
 """
 
 import copy
@@ -153,6 +154,8 @@ def check(name, doc, run, capsys, optional=()):
             code, message = 0, ""
         except SystemExit as e:
             code, message = e.code, json.loads(capsys.readouterr().err)["message"]
+            # the path of the file that holds the node, which names no node
+            message = re.sub(r"^/[^:]*\.json: ", "", message)
         except Exception as e:  # a traceback from the CLI
             code, message = "traceback", repr(e)
         counts[code] = counts.get(code, 0) + 1
@@ -223,14 +226,15 @@ def test_translation_and_identities_mutations(fixtures, tmp_path, capsys):
     fixture's ranges and extremes, from each translation or identities file."""
     spec = load_study_spec(str(FIXTURES / "mini_study.json"))
     ensemble = simulate_ensemble(spec, 40, 1)
-    pathways = {"C1": Pathway(tuple(zip(GRID, map(tuple, ensemble.states[0].tolist()))))}
+    pathway = Pathway(tuple(zip(GRID, map(tuple, ensemble.states[0].tolist()))))
     config = fixtures["pipeline"]
 
     def quantify(translation, identities=None):
-        pipeline.quantify_stage(
-            spec, "candidates.json", "C1", write(translation, tmp_path / "translation.json"),
-            str(tmp_path), config["ranges"], identities, config["extremes"], ensemble, pathways,
+        inputs = pipeline.read_quantify_inputs(
+            spec, write(translation, tmp_path / "translation.json"), config["ranges"], identities,
+            config["extremes"],
         )
+        pipeline.quantify_stage(spec, "C1", pathway, inputs, str(tmp_path), ensemble)
 
     counts = check("translation", fixtures["translation"], quantify, capsys)
     assert counts[3] > counts[0] > 0

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cibpath.errors import ConfigError, ParseError
+from cibpath.errors import ParseError
 from cibpath.mcda import (
     McdaInput,
     Persona,
@@ -11,7 +11,6 @@ from cibpath.mcda import (
     parse_mcda_input,
     rank_pathways,
     ranking_report,
-    validate_mcda_input,
 )
 
 
@@ -33,49 +32,55 @@ def two_pathway_input():
 
 
 class TestValidation:
+    """McdaInput refuses a bad input on construction, naming its node."""
+
     def test_valid_input(self):
-        assert validate_mcda_input(two_pathway_input()) == []
+        two_pathway_input()
 
     def test_weight_sum(self):
-        inp = McdaInput(
-            ("p1", "p2"), ("c1", "c2"), ((2.0, 4.0), (5.0, 3.0)),
-            (persona("a", 0.5, 0.6),),
-        )
-        findings = validate_mcda_input(inp)
-        assert any("sum" in f.message for f in findings)
+        with pytest.raises(ParseError) as exc:
+            McdaInput(
+                ("p1", "p2"), ("c1", "c2"), ((2.0, 4.0), (5.0, 3.0)),
+                (persona("a", 0.5, 0.6),),
+            )
+        assert "sum" in exc.value.reason and exc.value.path == "personas.a"
 
     def test_negative_weight(self):
-        inp = McdaInput(
-            ("p1", "p2"), ("c1", "c2"), ((2.0, 4.0), (5.0, 3.0)),
-            (persona("a", 1.2, -0.2),),
-        )
-        assert any("negative" in f.message for f in validate_mcda_input(inp))
+        with pytest.raises(ParseError) as exc:
+            McdaInput(
+                ("p1", "p2"), ("c1", "c2"), ((2.0, 4.0), (5.0, 3.0)),
+                (persona("a", 1.2, -0.2),),
+            )
+        assert "negative" in exc.value.reason and exc.value.path == "personas.a.c2"
 
     def test_score_outside_scale(self):
-        inp = McdaInput(
-            ("p1", "p2"), ("c1", "c2"), ((2.0, 6.0), (5.0, 3.0)),
-            (persona("a", 0.5, 0.5),),
-        )
-        assert any("outside scale" in f.message for f in validate_mcda_input(inp))
+        with pytest.raises(ParseError) as exc:
+            McdaInput(
+                ("p1", "p2"), ("c1", "c2"), ((2.0, 6.0), (5.0, 3.0)),
+                (persona("a", 0.5, 0.5),),
+            )
+        assert "outside scale" in exc.value.reason and exc.value.path == "scores.p1.c2"
 
     def test_missing_criterion_weight(self):
-        inp = McdaInput(
-            ("p1", "p2"), ("c1", "c2"), ((2.0, 4.0), (5.0, 3.0)),
-            (Persona("a", (("c1", 1.0),)),),
-        )
-        assert any("missing weight" in f.message for f in validate_mcda_input(inp))
+        with pytest.raises(ParseError) as exc:
+            McdaInput(
+                ("p1", "p2"), ("c1", "c2"), ((2.0, 4.0), (5.0, 3.0)),
+                (Persona("a", (("c1", 1.0),)),),
+            )
+        assert "missing weight" in exc.value.reason and exc.value.path == "personas.a"
 
     def test_single_pathway_rejected(self):
-        inp = McdaInput(("p1",), ("c1",), ((3.0,),), (Persona("a", (("c1", 1.0),)),))
-        assert validate_mcda_input(inp)
+        with pytest.raises(ParseError) as exc:
+            McdaInput(("p1",), ("c1",), ((3.0,),), (Persona("a", (("c1", 1.0),)),))
+        assert exc.value.path == "pathways"
 
     def test_rank_raises_on_invalid(self):
-        inp = McdaInput(
-            ("p1", "p2"), ("c1", "c2"), ((2.0, 4.0), (5.0, 3.0)),
-            (persona("a", 0.5, 0.6),),
-        )
-        with pytest.raises(ConfigError):
-            rank_pathways(inp)
+        """No invalid input reaches rank_pathways: it cannot be built."""
+        with pytest.raises(ParseError):
+            McdaInput(
+                ("p1", "p2"), ("c1", "c2"), ((2.0, 4.0), (5.0, 3.0)),
+                (persona("a", 0.5, 0.6),),
+            )
 
 
 class TestRanking:
@@ -141,9 +146,8 @@ class TestIo:
         import importlib.resources
 
         path = importlib.resources.files("cibpath") / "fixtures" / "mini_mcda.json"
-        inp = load_mcda_input(str(path))
+        inp = load_mcda_input(str(path))  # refused if invalid
         assert len(inp.pathways) == 4
-        assert validate_mcda_input(inp) == []
         ranking = rank_pathways(inp)
         report = ranking_report(inp, ranking)
         assert set(report["values"]) == set(inp.pathways)

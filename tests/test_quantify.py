@@ -19,6 +19,8 @@ from cibpath.quantify import (
     parse_translation_file,
     quantified_table_rows,
     quantify_pathway,
+    read_extreme_axes,
+    read_ranges,
 )
 from cibpath.simulate import Pathway
 
@@ -127,42 +129,42 @@ class TestRanges:
     def test_relative(self):
         pw = pathway([(1, 0)] * 6)
         qp = quantify_pathway(pw, (PRICE,), MATRIX, spec3())
-        qp = attach_uncertainty_ranges(qp, {"price": {"relative": 0.2}})
+        qp = attach_uncertainty_ranges(qp, read_ranges({"price": {"relative": 0.2}}, (PRICE,)))
         assert qp.ranges["price", 2030] == (pytest.approx(80.0), pytest.approx(120.0))
 
     def test_offsets(self):
         pw = pathway([(1, 0)] * 6)
         qp = quantify_pathway(pw, (PRICE,), MATRIX, spec3())
         qp = attach_uncertainty_ranges(
-            qp, {"price": {"low_offset": -15.0, "high_offset": 30.0}}
+            qp, read_ranges({"price": {"low_offset": -15.0, "high_offset": 30.0}}, (PRICE,))
         )
         assert qp.ranges["price", 2030] == (85.0, 130.0)
 
     def test_absolute_and_missing_dimension(self):
         pw = pathway([(1, 1)] * 6)
         qp = quantify_pathway(pw, (PRICE, CAP), MATRIX, spec3())
-        qp = attach_uncertainty_ranges(qp, {"price": {"low": 90.0, "high": 150.0}})
+        rules = read_ranges({"price": {"low": 90.0, "high": 150.0}}, (PRICE, CAP))
+        qp = attach_uncertainty_ranges(qp, rules)
         assert qp.ranges["price", 2030] == (90.0, 150.0)
         assert qp.ranges.get(("capacity", 2030)) is None
 
     def test_central_outside_absolute_range(self):
         pw = pathway([(1, 0)] * 6)
         qp = quantify_pathway(pw, (PRICE,), MATRIX, spec3())
+        rules = read_ranges({"price": {"low": 150.0, "high": 250.0}}, (PRICE,))
         with pytest.raises(OutOfRangeError):
-            attach_uncertainty_ranges(qp, {"price": {"low": 150.0, "high": 250.0}})
+            attach_uncertainty_ranges(qp, rules)
 
     def test_inverted_offsets(self):
         pw = pathway([(1, 0)] * 6)
         qp = quantify_pathway(pw, (PRICE,), MATRIX, spec3())
+        rules = read_ranges({"price": {"low_offset": 30.0, "high_offset": -15.0}}, (PRICE,))
         with pytest.raises(OutOfRangeError):
-            attach_uncertainty_ranges(
-                qp, {"price": {"low_offset": 30.0, "high_offset": -15.0}}
-            )
+            attach_uncertainty_ranges(qp, rules)
 
     def test_key_that_is_no_dimension_is_refused(self):
-        qp = quantify_pathway(pathway([(1, 0)] * 6), (PRICE,), MATRIX, spec3())
         with pytest.raises(ParseError) as exc:
-            attach_uncertainty_ranges(qp, {"price": {"relative": 0.2}, "prise": {"relative": 0.2}})
+            read_ranges({"price": {"relative": 0.2}, "prise": {"relative": 0.2}}, (PRICE,))
         assert exc.value.path == "ranges.prise"
 
 
@@ -177,11 +179,14 @@ class TestExtremes:
         )
         return make_ensemble(runs, periods=self.periods)
 
-    def test_outcome_axis(self):
-        scenarios, warnings = build_extreme_scenarios(
-            self.ensemble(), (PRICE, CAP), MATRIX, spec3(),
-            {"outcome": {"descriptor": "A"}},
+    def extremes(self, dimensions, axes):
+        spec = spec3()
+        return build_extreme_scenarios(
+            self.ensemble(), dimensions, MATRIX, spec, read_extreme_axes(axes, spec)
         )
+
+    def test_outcome_axis(self):
+        scenarios, warnings = self.extremes((PRICE, CAP), {"outcome": {"descriptor": "A"}})
         assert [s.label for s in scenarios] == ["outcome-low", "outcome-high"]
         assert all(s.period == 2050 for s in scenarios)
         low = dict(scenarios[0].values)
@@ -191,19 +196,16 @@ class TestExtremes:
         assert not warnings
 
     def test_descriptor_stack_fills_from_modal_terminal(self):
-        scenarios, _ = build_extreme_scenarios(
-            self.ensemble(), (PRICE, CAP), MATRIX, spec3(),
-            {"descriptor_stacks": {"ambitious": {"A": "High"}},
-             "frequency": {"min_count": 1}},
-        )
+        scenarios, _ = self.extremes((PRICE, CAP), {
+            "descriptor_stacks": {"ambitious": {"A": "High"}}, "frequency": {"min_count": 1},
+        })
         stacked = dict(next(s for s in scenarios if s.label == "stack-ambitious").values)
         # modal terminal is (2, 2); A restated High keeps B at its modal state
         assert stacked == {"price": 200.0, "capacity": 70.0}
 
     def test_frequency_axis_picks_rarest(self):
-        scenarios, _ = build_extreme_scenarios(
-            self.ensemble(), (PRICE, CAP), MATRIX, spec3(),
-            {"outcome": {"descriptor": "A"}, "frequency": {"min_count": 1}},
+        scenarios, _ = self.extremes(
+            (PRICE, CAP), {"outcome": {"descriptor": "A"}, "frequency": {"min_count": 1}}
         )
         tail = dict(next(s for s in scenarios if s.label == "tail-outcome").values)
         assert tail == {"price": 50.0, "capacity": 10.0}
@@ -211,16 +213,11 @@ class TestExtremes:
     @pytest.mark.parametrize("min_count", [2.7, True, "2"])
     def test_min_count_must_be_an_integer(self, min_count):
         with pytest.raises(ParseError) as exc:
-            build_extreme_scenarios(
-                self.ensemble(), (PRICE,), MATRIX, spec3(), {"frequency": {"min_count": min_count}},
-            )
+            read_extreme_axes({"frequency": {"min_count": min_count}}, spec3())
         assert exc.value.path == "extremes.frequency.min_count"
 
     def test_count_warning_outside_two_to_four(self):
-        _, warnings = build_extreme_scenarios(
-            self.ensemble(), (PRICE,), MATRIX, spec3(),
-            {"frequency": {"min_count": 1}},
-        )
+        _, warnings = self.extremes((PRICE,), {"frequency": {"min_count": 1}})
         assert any("expected" in w for w in warnings)
 
 
@@ -268,14 +265,16 @@ class TestIdentities:
 
     def test_config_errors(self):
         qp = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0)})
-        with pytest.raises(ConfigError):
-            enforce_identities(qp, (Identity("x", (("a", 1.0),), (), rhs_value=1.0),))
-        with pytest.raises(ConfigError):
-            enforce_identities(qp, (Identity("x", (("a", 1.0),), ("b",), rhs_value=1.0),))
-        with pytest.raises(ConfigError):
-            enforce_identities(qp, (Identity("x", (("a", 1.0), ("c", 1.0)), ("a",), rhs_value=1.0),))
-        with pytest.raises(ConfigError):
-            enforce_identities(qp, (Identity("x", (("a", 1.0),), ("a",), rhs_dimension="total"),))
+        for identity, node in (
+            ({"terms": {"a": 1.0}, "adjustable": [], "equals": 1.0}, "identities[0].adjustable"),
+            ({"terms": {"a": 1.0}, "adjustable": ["b"], "equals": 1.0}, "identities[0].adjustable"),
+            ({"terms": {"a": 1.0, "c": 1.0}, "adjustable": ["a"], "equals": 1.0}, "identities[0]"),
+            ({"terms": {"a": 1.0}, "adjustable": ["a"], "equals_dimension": "total"},
+             "identities[0]"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_identities({"identities": [identity]}, qp.dimensions)
+            assert exc.value.path == node
         zero = self.qp({"a": (0.0, 0.0), "b": (50.0, 50.0)})
         with pytest.raises(ConfigError):
             enforce_identities(
@@ -335,9 +334,8 @@ class TestFiles:
         ({"low": 1, "high": "9"}, "ranges.price.high"),
     ])
     def test_a_range_that_is_no_number_is_refused(self, rs, node):
-        qp = quantify_pathway(pathway([(1, 0)] * 6), (PRICE,), MATRIX, spec3())
         with pytest.raises(ParseError) as exc:
-            attach_uncertainty_ranges(qp, {"price": rs})
+            read_ranges({"price": rs}, (PRICE,))
         assert exc.value.path == node
 
     def test_dimension_given_twice_is_refused(self):
@@ -353,14 +351,15 @@ class TestFiles:
                  "equals_dimension": "total"}
             ]
         }
-        (ident,) = parse_identities(doc)
+        dims = tuple(Dimension(d, "", "A") for d in ("a", "b", "total"))
+        (ident,) = parse_identities(doc, dims)
         assert ident.terms == (("a", 1.0), ("b", 1.0))
         assert ident.rhs_dimension == "total"
 
     def test_table_rows_cover_every_cell(self):
         pw = pathway([(1, 1)] * 6)
         qp = quantify_pathway(pw, (PRICE, CAP), MATRIX, spec3())
-        qp = attach_uncertainty_ranges(qp, {"price": {"relative": 0.1}})
+        qp = attach_uncertainty_ranges(qp, read_ranges({"price": {"relative": 0.1}}, (PRICE,)))
         rows = quantified_table_rows(qp)
         assert len(rows) == 12
         price_row = next(r for r in rows if r["dimension"] == "price" and r["period"] == 2030)
