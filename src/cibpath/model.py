@@ -361,8 +361,8 @@ class Finding:
 
 
 def read_json(path: str) -> Any:
-    """The JSON document in the UTF-8 file at path; NaN, Infinity and 1e400,
-    which Python's json would read as non-finite numbers, raise ParseError."""
+    """The JSON document in the UTF-8 file at path; NaN, Infinity, 1e400 (not
+    finite) and an integer too long for int() raise ParseError."""
     def refuse(text: str):
         raise ParseError(path, f"{text} is not a finite JSON number")
 
@@ -371,7 +371,17 @@ def read_json(path: str) -> Any:
         return value if math.isfinite(value) else refuse(text)
 
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=refuse, parse_float=number)
+        return json.load(fh, parse_constant=refuse, parse_float=number, parse_int=json_int(path))
+
+
+def json_int(node: str) -> Callable[[str], int]:
+    """json's parse_int: an integer longer than int() reads raises ParseError naming node."""
+    def read(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(node, f"an integer of {len(text)} characters is too long") from None
+    return read
 
 
 def read_file(path: str, parse: Callable, *args: Any) -> Any:
@@ -387,6 +397,57 @@ def read_file(path: str, parse: Callable, *args: Any) -> Any:
 def compact_json(doc: Any) -> str:
     """The canonical text of a JSON document: sorted keys, no spaces."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+#: 10**1 .. 10**19, the least magnitudes of 2 to 20 decimal digits.
+_TENS = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def json_rows(values: np.ndarray, heads: list[bytes], head_of: Any, tail: bytes) -> bytes:
+    """Each row r of values, a (rows, width) integer array, as the bytes of
+    heads[head_of[r]] + ",".join(map(str, row)) + tail; head_of is an index
+    array, or one index for every row.
+
+    Every row is laid out alike, in NUL-padded cells: the widest head, then
+    per column its widest number (with a place for a sign if the column
+    holds a negative number) and the ",", then the tail. The rows are one
+    uint8 array, written a column or a decimal place at a time, from which
+    one mask drops the padding (JSON text holds no NUL byte); no Python int
+    or list is made per number.
+    """
+    by_column = np.ascontiguousarray(values.T)  # numpy reduces a contiguous row much faster
+    low, high = by_column.min(1, initial=0), by_column.max(1, initial=0)
+    signed = low < 0
+    widest = np.maximum(-low.astype(np.uint64), high.astype(np.uint64))  # int64's least too
+    digits = 1 + np.searchsorted(_TENS, widest, side="right")
+    h = max(map(len, heads))
+    ends = np.cumsum(digits + signed + 1) + (h - 1)  # where each number's separator goes
+    template = np.zeros(ends[-1] + len(tail), np.uint8)
+    template[ends[:-1]] = ord(",")
+    template[ends[-1]:] = np.frombuffer(tail, np.uint8)
+    text = np.tile(template, (len(values), 1))
+    table = np.frombuffer(b"".join(head.rjust(h, b"\0") for head in heads), (np.void, h))
+    text[:, :h].view(table.dtype)[:, 0] = table[head_of]  # a head is gathered as one item
+    short = ~signed & (digits == 1)
+    # a run of adjacent one-digit columns has its digits 2 bytes apart
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], short, [False]))))
+    for a, b in zip(edges[::2], edges[1::2]):
+        np.add(values[:, a:b], ord("0"), out=text[:, ends[a] - 1:ends[b - 1]:2], casting="unsafe")
+    # the other columns a decimal place at a time, widest first, units first
+    order = np.flatnonzero(~short)[np.argsort(-digits[~short], kind="stable")]
+    rest = values[:, order].astype(np.int64, copy=False).view(np.uint64)
+    negative = rest.view(np.int64) < 0
+    np.negative(rest, out=rest, where=negative)  # the magnitudes; int64's least value too
+    rows, columns = np.nonzero(negative)
+    minus = ends[order[columns]] - 2 - np.searchsorted(_TENS, rest[rows, columns], side="right")
+    for place in range(digits[order[0]] if order.size else 0):
+        have = rest[:, :np.count_nonzero(digits[order] > place)]
+        higher, figures = np.divmod(have, 10)
+        figures = np.where(have > 0, figures + ord("0"), 0 if place else ord("0"))
+        text[:, ends[order[:have.shape[1]]] - 1 - place] = figures
+        have[:] = higher
+    text[rows, minus] = ord("-")
+    return text[text != 0].tobytes()
 
 
 _KIND_NAMES = {

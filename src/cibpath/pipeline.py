@@ -13,7 +13,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .analytics import (
 from .errors import ConfigError, ParseError, ValidationFailure
 from .mcda import McdaInput, McdaRanking, load_mcda_input, rank_pathways, ranking_report
 from .model import (
-    STATE_REF, Finding, StudySpec, child, compact_json, load_study_spec, read_file, read_json,
-    resolve_state, validate_study_spec,
+    STATE_REF, Finding, StudySpec, child, compact_json, json_rows, load_study_spec, read_file,
+    read_json, resolve_state, validate_study_spec,
 )
 from .quantify import (
     QuantifyInputs,
@@ -127,47 +127,8 @@ def _dump_json(doc, path: str) -> None:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-#: Rows that _json_rows renders, and screen_stage writes, at a time.
+#: Rejected rows that screen_stage renders and writes at a time.
 ROW_CHUNK = 4096
-
-
-def _cells(texts: list[str]) -> np.ndarray:
-    """Each text right-aligned in NUL-padded cells of one common width, a
-    multiple of 4 bytes, as one row of uint32 words per text."""
-    width = -(-max(map(len, texts), default=0) // 4)
-    padded = b"".join(text.encode().rjust(4 * width, b"\0") for text in texts)
-    return np.frombuffer(padded, np.uint32).reshape(len(texts), width)
-
-
-#: "<state>," for each int8 state 0..127 in one word, and the word "]"
-_STATE_CELLS = _cells([f"{s}," for s in range(128)]).ravel()
-_ROW_END = _cells(["]"])[0, 0]
-
-
-def _json_rows(labels: list, states: np.ndarray) -> Iterator[bytes]:
-    """The [label, flat states] pairs of labels and states (states 0..127),
-    comma-separated as compact_json writes them, ROW_CHUNK rows at a time.
-
-    A row is laid out in NUL-padded words: its label's head, one
-    _STATE_CELLS word per state, then _ROW_END. A chunk is thus one uint32
-    array built by indexing, whose padding one bytes.translate deletes (json
-    text holds no NUL byte); no Python list is made per row.
-    """
-    flat = flat_rows(states)
-    n, width = flat.shape
-    index = {name: i for i, name in enumerate(dict.fromkeys(labels))}
-    heads = _cells([f",[{json.dumps(name)},[" for name in index])
-    codes = np.fromiter(map(index.__getitem__, labels), np.intp, n)
-    h = heads.shape[1]
-    for start in range(0, n, ROW_CHUNK):
-        stop = min(start + ROW_CHUNK, n)
-        words = np.empty((stop - start, h + width + 1), np.uint32)
-        words[:, :h] = heads[codes[start:stop]]
-        words[:, h:-1] = _STATE_CELLS.take(flat[start:stop])
-        words[:, -1] = _ROW_END
-        words.view(np.uint8)[:, 4 * (h + width) - 1] = ord("]")  # the last state's comma
-        text = words.tobytes().translate(None, b"\0")
-        yield text[1:] if start == 0 else text  # no comma before the first row
 
 
 def _dump_csv(rows: list[dict], fieldnames: list[str], path: str) -> None:
@@ -359,10 +320,17 @@ def screen_stage(
         '{"candidates":' + compact_json(candidates) + ',"rejected":{"counts":'
         + compact_json(counts) + ',"periods":' + compact_json(list(rejected.periods)) + ',"rows":['
     )
+    rows = flat_rows(rejected.states)
+    index = {reason: i for i, reason in enumerate(REASONS)}
+    heads = [f",[{json.dumps(reason)},[".encode() for reason in REASONS]
+    head_of = np.fromiter(map(index.__getitem__, rejected.labels), np.intp, len(rows))
     path = _artifact(out_dir, "candidates.json")
     with open(path, "wb") as fh:
         fh.write(head.encode())
-        fh.writelines(_json_rows(rejected.labels, rejected.states))
+        for start in range(0, len(rows), ROW_CHUNK):
+            chunk = slice(start, start + ROW_CHUNK)
+            text = json_rows(rows[chunk], heads, head_of[chunk], b"]]")
+            fh.write(text[1:] if start == 0 else text)  # no comma before the first row
         fh.write((']},"warnings":' + compact_json(list(selected.warnings)) + "}\n").encode())
     return [path], {f"C{i + 1}": c.pathway for i, c in enumerate(selected.candidates)}
 
@@ -477,14 +445,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the enabled stages in order; returns the manifest document.
 
     Before any stage runs, each input of the enabled stages is read and
-    checked once: the confidence level, the spec, the screening config, the
-    MCDA input, the quantify inputs (read_quantify_inputs), candidates.json
-    if quantify runs without screen, and ensemble.jsonl if stats, screen or
-    extremes need it and simulate does not run; the MCDA pathways and
-    selected_pathway must be candidates (C1..Ck if screen runs). A bad one
-    raises ConfigError or ParseError naming its node, after its file's path
-    for a file. A spec with validation errors raises ValidationFailure after
-    findings.json is written.
+    checked once: the counts, the confidence level, the spec, the screening
+    config, the MCDA input, the quantify inputs (read_quantify_inputs),
+    candidates.json if quantify runs without screen, and ensemble.jsonl if
+    stats, screen or extremes need it and simulate does not run; the MCDA
+    pathways and selected_pathway must be candidates (C1..Ck if screen
+    runs). A bad one raises ConfigError or ParseError naming its node, after
+    its file's path for a file. A spec with validation errors raises
+    ValidationFailure after findings.json is written.
     """
     stages, out = config.stages, config.output_dir
     for stage, field in (
@@ -494,6 +462,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
             raise ConfigError(f"stages: {stage} stage enabled but {field} is not set")
     if "quantify" in stages and "mcda" not in stages and config.selected_pathway is None:
         raise ConfigError("stages: quantify needs a selected pathway (an mcda stage or override)")
+    for stage, field, least in (("screen", "candidate_count", 2), ("simulate", "worker_count", 1),
+                                ("simulate", "max_iter", 1)):
+        if stage in stages and getattr(config, field) < least:
+            raise ConfigError(f"{field}: must be >= {least} (got {getattr(config, field)})")
     if "stats" in stages:
         _wilson_z(config.confidence_level)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import Scenario, balances, checked_kernel, settle
 from .errors import ConfigError, EmptyInputError, InfeasibilityError, ParseError
-from .model import StructuralShockConfig, StudySpec, child, compact_json
+from .model import StructuralShockConfig, StudySpec, child, compact_json, json_int, json_rows
 from .uncertainty import (
     RandomSource, ar1_step, check_persistence, draw_factor, perturbed, sampled_scores,
 )
@@ -388,7 +388,7 @@ _INT64 = np.iinfo(np.int64)
 def write_ensemble(ensemble: EnsembleResult, fh: TextIO) -> None:
     """Write the header line, then one record line per run. The records
     are rendered RECORD_CHUNK runs at a time from the ensemble's arrays, by
-    _render_records, with the bytes json.dumps gives each row."""
+    json_rows, with the bytes json.dumps gives each row."""
     n, _, width = ensemble.states.shape
     header = {
         "descriptors": width,
@@ -407,7 +407,7 @@ def write_ensemble(ensemble: EnsembleResult, fh: TextIO) -> None:
             np.arange(start, start + len(states))[:, None], ensemble.lengths[chunk, None],
             states.reshape(len(states), -1), ensemble.converged[chunk], ensemble.iterations[chunk],
         ], axis=1, dtype=np.int64)
-        fh.write(_render_records(rows).decode("ascii"))
+        fh.write(json_rows(rows, [b"["], 0, b"]\n").decode("ascii"))
 
 
 def save_ensemble(ensemble: EnsembleResult, path: str) -> None:
@@ -430,8 +430,9 @@ def load_ensemble(path: str) -> EnsembleResult:
         head, body = fh.readline(), fh.read()
     if b"\r" in head or b"\r" in body:  # CRLF line ends, as an editor may leave them, read as LF
         head, body = head.replace(b"\r\n", b"\n"), body.replace(b"\r\n", b"\n")
-    header = json.loads(head.removesuffix(b"\n").decode("utf-8"))
-    header = _checked_header(header, f"{path}: header")
+    node = f"{path}: header"
+    header = json.loads(head.removesuffix(b"\n").decode("utf-8"), parse_int=json_int(node))
+    header = _checked_header(header, node)
     grid, width, n = header["time_grid"], header["descriptors"], header["run_count"]
     errors, periods = dict(header["errors"]), len(grid)
     values = _parse_records(body, n, 2 + periods * (width + 2), path)
@@ -606,7 +607,8 @@ def _read_numbers(text: np.ndarray, begin: np.ndarray, stops: np.ndarray, negati
     """The numbers text[begin:stops], '-' first where negative, as int64; a
     number beyond int64 reads as int64's largest value. Numbers of up to 18
     digits are read a decimal place at a time on arrays, longer ones (which
-    may overflow) one at a time."""
+    may overflow) one at a time; past its leading zeros, one of 20 digits or
+    more is beyond int64 and is not given to int(), which refuses thousands."""
     start = begin + negative
     count = stops - start
     kept = np.where(count <= 18, count, 0)
@@ -616,46 +618,10 @@ def _read_numbers(text: np.ndarray, begin: np.ndarray, stops: np.ndarray, negati
         values[on] = values[on] * 10 + (text[start[on] + place] - _ZERO)
     np.negative(values, out=values, where=negative)
     for i in np.flatnonzero(count > 18):
-        number = int(text[begin[i]:stops[i]].tobytes())
+        figures = text[start[i]:stops[i]].tobytes().lstrip(b"0") or b"0"
+        number = int(text[begin[i]:start[i]].tobytes() + figures) if len(figures) < 20 else 10 ** 19
         values[i] = number if _INT64.min <= number <= _INT64.max else _INT64.max
     return values
-
-
-def _render_records(rows: np.ndarray) -> bytes:
-    """rows, a (records, width) int64 array, as compact JSON arrays one a
-    line: json.dumps(row, separators=(",", ":")) + "\\n" for each row.
-
-    Each number's digits are worked out on arrays, units first, and placed
-    with its separators in one uint8 buffer, so that no Python int or list
-    is made per number.
-    """
-    m, width = rows.shape
-    numbers = rows.ravel()
-    negative = numbers < 0
-    rest = numbers.astype(np.uint64)
-    np.negative(rest, out=rest, where=negative)  # the magnitude; int64's least value too
-    places = []  # per decimal place, units first: the numbers that have it and its digits
-    index = np.arange(len(numbers))
-    while index.size:
-        higher = rest // 10
-        places.append((index, (rest - higher * 10).astype(np.uint8)))
-        more = np.flatnonzero(rest >= 10)
-        index, rest = index[more], higher[more]
-    digits = np.ones(len(numbers), np.int64)
-    for have, _ in places[1:]:
-        digits[have] += 1
-    # a number takes its sign, its digits and the ',' or ']' after it; a line also '[' and '\n'
-    stops = np.cumsum(digits + negative + 1).reshape(m, width) + 2 * np.arange(m)[:, None]
-    text = np.full(stops[-1, -1] + 2 if m else 0, _COMMA, np.uint8)
-    text[stops[:, -1]] = _CLOSE
-    text[stops[:, -1] + 1] = _NEWLINE
-    text[0:1] = _OPEN
-    text[stops[:-1, -1] + 2] = _OPEN
-    stops = stops.ravel()
-    for place, (have, figures) in enumerate(places):
-        text[stops[have] - 1 - place] = figures + _ZERO
-    text[stops[negative] - digits[negative] - 1] = _MINUS
-    return text.tobytes()
 
 
 def ensemble_digest(path: str) -> str:

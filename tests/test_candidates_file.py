@@ -1,5 +1,6 @@
 """candidates.json renders its rejected rows straight from the int8 state
-array; its bytes must stay those of json.dumps over the whole document."""
+array, by model.json_rows; its bytes must stay those of json.dumps over the
+whole document."""
 
 import json
 
@@ -8,9 +9,11 @@ import pytest
 
 from cibpath import pipeline
 from cibpath.analytics import REASONS, flat_rows, screen_candidates, select_candidates
-from cibpath.model import load_study_spec, parse_study_spec
+from cibpath.model import json_rows, load_study_spec, parse_study_spec
 from cibpath.simulate import DEFAULT_MAX_ITER, simulate_ensemble
 from conftest import make_ensemble, two_desc_document
+
+INT64 = np.iinfo(np.int64)
 
 
 def json_dumps_rows(labels, states):
@@ -20,7 +23,18 @@ def json_dumps_rows(labels, states):
 
 
 def rendered_rows(labels, states):
-    return b"[" + b"".join(pipeline._json_rows(labels, states)) + b"]"
+    """The [label, flat states] pairs as one JSON list, rendered by
+    json_rows ROW_CHUNK rows at a time with a head per label, as screen_stage
+    renders them."""
+    names = list(dict.fromkeys(labels))
+    heads = [b",[" + json.dumps(name).encode() + b",[" for name in names]
+    head_of = np.array([names.index(label) for label in labels], np.intp)
+    rows, step = flat_rows(states), pipeline.ROW_CHUNK
+    text = b"".join(
+        json_rows(rows[a:a + step], heads, head_of[a:a + step], b"]]")
+        for a in range(0, len(rows), step)
+    )
+    return b"[" + text[1:] + b"]"
 
 
 def random_table(rng, rows, periods, descriptors, top=128):
@@ -56,6 +70,22 @@ def test_every_int8_state_renders():
     assert rendered_rows(labels, states) == json_dumps_rows(labels, states)
     wide = np.arange(128, dtype=np.int8)[::-1].reshape(4, 1, 32)
     assert rendered_rows(labels[:4], wide) == json_dumps_rows(labels[:4], wide)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_labelled_multi_digit_and_negative_rows_equal_json_dumps(seed, monkeypatch):
+    """Numbers of 1 to 19 digits of either sign, int64's least and largest
+    value, and labels of any length, also across chunk edges."""
+    rng = np.random.default_rng(seed)
+    rows, width = int(rng.integers(1, 60)), int(rng.integers(1, 30))
+    table = rng.integers(INT64.min, INT64.max, (rows, width), endpoint=True)
+    table //= 10 ** rng.integers(0, 19, (rows, width))
+    table[rng.random((rows, width)) < 0.1] = INT64.min
+    table[rng.random((rows, width)) < 0.1] = INT64.max
+    names = ["", "a", "\u00e9\"quoted\"", *REASONS]
+    labels = [names[i] for i in rng.integers(0, len(names), rows)]
+    monkeypatch.setattr(pipeline, "ROW_CHUNK", int(rng.integers(1, 20)))
+    assert rendered_rows(labels, table) == json_dumps_rows(labels, table)
 
 
 def json_dumps_document(selected) -> bytes:

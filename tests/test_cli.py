@@ -355,6 +355,9 @@ EXTREMES = {
                                     "extremes.frequency.min_count"),
 }
 
+#: A JSON integer of more digits than Python's int() reads (4 300).
+HUGE = "1" * 5000
+
 #: Malformed study specs: the edit of the mini study, by stem.
 SPECS = {
     "shocks_number_spec": lambda doc: doc.update(shocks=5),
@@ -401,6 +404,15 @@ def small_run(tmp_path_factory):
     with open(root / "parent_format.jsonl", "w") as fh:
         legacy_format.write_ensemble(load_ensemble(str(ensemble)), fh)
     (root / "not_utf8.json").write_bytes(b"\xff\xfe{}")
+    # integers of more digits than int() reads, written as text: json.dumps refuses them
+    (root / "huge_seed.jsonl").write_text("\n".join(
+        [first.replace('"master_seed":42,', f'"master_seed":{HUGE},', 1), *lines]
+    ) + "\n")
+    numbers = lines[5][1:-1].split(",")
+    numbers[ITERATIONS + 2] = HUGE
+    (root / "huge_iterations.jsonl").write_text("\n".join(
+        [first, *lines[:5], f"[{','.join(numbers)}]", *lines[6:]]
+    ) + "\n")
     (root / "periodless.json").write_text(json.dumps({"candidates": [{"id": "C1"}]}))
     (root / "broken.json").write_text('{"descriptors": [')
     grid = [2025, 2030, 2035, 2040, 2045, 2050]
@@ -463,6 +475,9 @@ def small_run(tmp_path_factory):
         edited = json.loads(json.dumps(doc))
         edit(edited)
         (root / f"{stem}.json").write_text(json.dumps(edited))
+    (root / "huge_int_spec.json").write_text(
+        json.dumps(doc).replace('"time_grid": [2025,', f'"time_grid": [{HUGE},', 1)
+    )
     (root / "huge_scale_spec.json").write_text(
         (root / "nan_scale_spec.json").read_text().replace("NaN", "1e400")
     )
@@ -494,6 +509,9 @@ def small_run(tmp_path_factory):
     for stem, field in (("bad_value", {"run_count": "many"}), ("float_runs", {"run_count": 1.5}),
                         ("bool_workers", {"worker_count": True}), ("no_stages", {"stages": []})):
         (root / f"{stem}_pipeline.json").write_text(json.dumps({"spec": spec, **field}))
+    (root / "huge_runs_pipeline.json").write_text(
+        json.dumps({"spec": spec, "run_count": 1}).replace(": 1}", f": {HUGE}}}")
+    )
     (root / "level0_pipeline.json").write_text(json.dumps({
         "spec": spec, "run_count": 50, "confidence_level": 0,
         "stages": ["validate", "simulate", "stats"], "output_dir": str(root / "level0_out"),
@@ -709,6 +727,14 @@ FAILURES = [
      "ParseError"),
     ("spec-huge-scale", lambda f: ["validate", "--spec", f["huge_scale_spec"]], None, 3,
      "ParseError"),
+    ("spec-integer-5000-digits", lambda f: ["validate", "--spec", f["huge_int_spec"]], None, 3,
+     "ParseError"),
+    ("pipeline-run-count-5000-digits",
+     lambda f: ["pipeline", "--config", f["huge_runs_pipeline"]], None, 3, "ParseError"),
+    ("ensemble-header-5000-digits", lambda f: _stats(f, "spec", "huge_seed"), None, 3,
+     "ParseError"),
+    ("ensemble-record-5000-digits", lambda f: _stats(f, "spec", "huge_iterations"), None, 3,
+     "ParseError"),
 ]
 
 
@@ -743,6 +769,11 @@ NAMED_FIELDS = {
     "spec-nan-scale": "nan_scale_spec.json: NaN is not a finite JSON number",
     "spec-huge-scale": "huge_scale_spec.json: 1e400 is not a finite JSON number",
     "translation-value-huge": "dimensions[0].values.Low: ",
+    "pipeline-candidate-count-1": "candidate_count: ",
+    "spec-integer-5000-digits": "huge_int_spec.json: an integer of 5000 characters",
+    "pipeline-run-count-5000-digits": "huge_runs_pipeline.json: an integer of 5000 characters",
+    "ensemble-header-5000-digits": "huge_seed.jsonl: header: an integer of 5000 characters",
+    "ensemble-record-5000-digits": "huge_iterations.jsonl: runs[5]: iteration count",
 }
 
 
@@ -929,6 +960,13 @@ BAD_STAGE_INPUTS = {
         "ConfigError", "screening.late_rush_steps: ",
     ),
     "mcda-criteria-number": ({"mcda_input": {"criteria": 5}}, "ParseError", "criteria: "),
+    "candidate-count-1": ({"candidate_count": 1}, "ConfigError", "candidate_count: "),
+    "candidate-count-1-without-mcda": (
+        {"candidate_count": 1, "stages": ["simulate", "screen"]},
+        "ConfigError", "candidate_count: ",
+    ),
+    "worker-count-0": ({"worker_count": 0}, "ConfigError", "worker_count: "),
+    "max-iter-0": ({"max_iter": 0}, "ConfigError", "max_iter: "),
 }
 
 
@@ -1012,13 +1050,14 @@ BAD_QUANTIFY_INPUTS = {
 def _refusal(small_run, tmp_path, case, edit):
     """The pipeline's stderr report on the mini pipeline config of 300 runs,
     without extremes and edited by edit, and the prefix that names the file
-    an edit writes ("" for none). The pipeline must exit 3 with no
-    ensemble.jsonl written."""
+    an edit writes ("" for none). The pipeline must exit 3 with no stage
+    output written."""
     with open(small_run["outcome_empty_extremes_pipeline"]) as fh:
         doc = json.load(fh)
     del doc["extremes"]
-    out, file, edit = tmp_path / "out", "", dict(edit)
+    out, file, edit, given = tmp_path / "out", "", dict(edit), []
     if "candidates" in edit:
+        given.append("candidates.json")
         out.mkdir()
         (out / "candidates.json").write_text(json.dumps(edit.pop("candidates")))
     for key in ("mcda_input", "translation", "identities"):
@@ -1030,7 +1069,7 @@ def _refusal(small_run, tmp_path, case, edit):
     config.write_text(json.dumps({**doc, **edit, "output_dir": str(out)}))
     result = invoke(CliRunner(), "pipeline", "--config", str(config))
     assert result.exit_code == 3, (case, result.output)
-    assert not os.path.exists(out / "ensemble.jsonl")
+    assert not os.path.exists(out) or os.listdir(out) == given
     return json.loads(result.stderr), file
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from cibpath import simulate
 from cibpath.errors import ParseError
-from cibpath.model import load_study_spec
+from cibpath.model import json_rows, load_study_spec
 from cibpath.simulate import EnsembleResult, load_ensemble, simulate_ensemble, write_ensemble
 
 #: The record that the edits change, and where its iteration counts and
@@ -88,6 +88,8 @@ def test_19_digit_iteration_count_inside_int64_loads_exactly(saved, tmp_path):
     (b"-9223372036854775808", -INT64_MAX - 1),
     (b"9999999999999999999", INT64_MAX),
     (b"-9223372036854775809", INT64_MAX),
+    pytest.param(b"9" * 5000, INT64_MAX, id="5000-digits"),
+    pytest.param(b"-" + b"1" * 5000, INT64_MAX, id="minus-5000-digits"),
 ])
 def test_iteration_count_beyond_int64_is_refused(saved, tmp_path, number, read):
     """A number beyond int64, on either side, reads as int64's largest value."""
@@ -158,6 +160,25 @@ def test_minus_zero_and_leading_zeros_load_as_their_value(saved, tmp_path, chunk
     loaded = load_text(tmp_path, edited)
     assert loaded.states[RUN, 2, 1] == 7 and loaded.states[RUN, 0, 0] == 0
     assert loaded.iterations.tolist() == ensemble.iterations.tolist()
+
+
+def test_thousands_of_leading_zeros_load_as_the_value(saved, tmp_path, chunk):
+    _, text = saved
+    edited = edit_record(text, set_number(ITERATIONS + 2, b"0" * 4999 + b"7"))
+    edited = edit_record(edited, set_number(STATE, b"-" + b"0" * 5000))
+    loaded = load_text(tmp_path, edited)
+    assert loaded.iterations[RUN, 2] == 7 and loaded.states[RUN, 2, 1] == 0
+
+
+def test_header_integer_of_thousands_of_digits_names_the_header(saved, tmp_path):
+    """Python's int() refuses 5 000 digits with ValueError; the header's
+    reader refuses them with ParseError."""
+    _, text = saved
+    head, body = text.split(b"\n", 1)
+    head = re.sub(rb'"master_seed":[0-9]+', b'"master_seed":' + b"1" * 5000, head)
+    with pytest.raises(ParseError) as caught:
+        load_text(tmp_path, head + b"\n" + body)
+    assert caught.value.path.endswith("ensemble.jsonl: header"), caught.value.path
 
 
 def test_body_without_final_newline_loads(saved, tmp_path, chunk):
@@ -289,11 +310,16 @@ def json_lines(table) -> bytes:
     return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows).encode()
 
 
+def records(table) -> bytes:
+    """The rows of table as json_rows renders them into run records."""
+    return json_rows(table, [b"["], 0, b"]\n")
+
+
 def rendered(table) -> bytes:
     """The table rendered a chunk at a time, as write_ensemble does."""
     step = simulate.RECORD_CHUNK
     chunks = (table[a:a + step] for a in range(0, len(table), step))
-    return b"".join(map(simulate._render_records, chunks))
+    return b"".join(map(records, chunks))
 
 
 def table_shapes(seed):
@@ -306,7 +332,7 @@ def test_rendered_table_equals_json_dumps_and_decodes_back(seed, chunk):
     rng, rows, width = table_shapes(seed)
     table = random_table(rng, rows, width)
     text = rendered(table)
-    assert text == json_lines(table) == simulate._render_records(table)
+    assert text == json_lines(table) == records(table)
     assert np.array_equal(simulate._parse_records(text, rows, width, "t"), table)
 
 
@@ -434,3 +460,24 @@ def test_decoding_peak_memory_is_a_chunk_of_scratch_space(tmp_path):
     assert 0 < scratch <= 8 * 40_000 + 48 * simulate.RECORD_CHUNK * width
     fewer, _ = decoding_scratch(tmp_path, 10_000)
     assert scratch - fewer <= 8 * 30_000 + 64 * 1024, (scratch, fewer)
+
+
+def test_rendering_a_chunk_takes_at_most_32_bytes_of_scratch_a_number():
+    """The tracemalloc peak of rendering one RECORD_CHUNK chunk of
+    mini-study records (run index, periods recorded, 30 states, 6 converged
+    flags and 6 iteration counts), its output included: about 16 bytes a
+    number."""
+    rng = np.random.default_rng(3)
+    n = simulate.RECORD_CHUNK
+    rows = np.concatenate([
+        np.arange(n)[:, None], np.full((n, 1), 6), rng.integers(0, 3, (n, 30)),
+        rng.random((n, 6)) < 0.9, rng.integers(0, 101, (n, 6)),
+    ], axis=1, dtype=np.int64)
+    assert records(rows) == json_lines(rows)
+    tracemalloc.start()
+    try:
+        records(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= 32 * rows.size, peak / rows.size

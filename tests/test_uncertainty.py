@@ -168,6 +168,26 @@ class TestStreamBlock:
         with pytest.raises(TypeError):
             RandomSource(1).block((1.5,))
 
+    def test_numpy_draws_from_a_fixed_state_are_pinned(self):
+        """numpy's first standard_normal, standard_t(5) and random() draws
+        from one PCG64 state, as literals: a numpy release that moves them
+        fails here by name, not only as a moved golden digest."""
+        block = RandomSource(2026).block(("pin",))
+        rng = np.random.Generator(np.random.PCG64(0))
+        block.set_state(rng.bit_generator, 0)
+        assert rng.bit_generator.state["state"] == {
+            "state": 262823731008923097843675688636699274015,
+            "inc": 133743883309780405594265679411851314921,
+        }
+        for draw, pinned in (
+            (rng.standard_normal, [-0.9929964988769413, 0.024338451793951735, -1.0659057176341917]),
+            (lambda n: rng.standard_t(5, n),
+             [-1.0578913345393486, -2.3823064592712666, -0.9497276315443756]),
+            (rng.random, [0.060427478248366806, 0.3768408386672071, 0.34202235572778594]),
+        ):
+            block.set_state(rng.bit_generator, 0)
+            assert draw(3).tolist() == pinned
+
 
 def draw_scaled(rng, distribution, sd, shape):
     """Zero-mean draws whose standard deviation is sd, made as
