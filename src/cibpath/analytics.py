@@ -190,7 +190,7 @@ class PathwayTable:
 
     periods: tuple[int, ...]
     states: np.ndarray
-    labels: list
+    labels: list | np.ndarray
 
     def __len__(self) -> int:
         return len(self.states)
@@ -211,7 +211,7 @@ class CandidateTable(PathwayTable, Sequence):
 class CandidateSet:
     #: screen_candidates gives a CandidateTable, select_candidates a tuple
     candidates: Sequence[Candidate]
-    #: labelled by the first rule each pathway fails
+    #: labelled by the index in REASONS of the first rule each pathway fails
     rejected: PathwayTable
     warnings: tuple[str, ...] = ()
 
@@ -286,7 +286,7 @@ def screen_candidates(
     grid = ensemble.time_grid
     return CandidateSet(
         CandidateTable(grid, distinct[passed], frequencies[passed].tolist()),
-        PathwayTable(grid, distinct[~passed], [REASONS[r] for r in reasons[~passed].tolist()]),
+        PathwayTable(grid, distinct[~passed], reasons[~passed]),
     )
 
 

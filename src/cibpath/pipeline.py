@@ -200,7 +200,8 @@ def load_checked_ensemble(path: str, spec: StudySpec, spec_digest: str) -> Ensem
 
 def screening_config_from(doc: dict) -> ScreeningConfig:
     """The screening config doc, whose nodes are named screening.<key>; a
-    missing node or one of the wrong JSON type raises ConfigError naming it."""
+    missing node, one of the wrong JSON type, a step count below 1 or an
+    empty endpoint exclusion raises ConfigError naming it."""
     try:
         config = ScreeningConfig(
             outcome_descriptor=child(doc, "outcome_descriptor", str, "screening"),
@@ -217,6 +218,9 @@ def screening_config_from(doc: dict) -> ScreeningConfig:
     for key in ("late_rush_steps", "discontinuity_steps"):
         if getattr(config, key) < 1:
             raise ConfigError(f"screening.{key}: must be at least 1")
+    if () in config.endpoint_exclusions:
+        i = config.endpoint_exclusions.index(())
+        raise ConfigError(f"screening.endpoint_exclusions[{i}]: empty: it excludes every pathway")
     return config
 
 
@@ -312,7 +316,7 @@ def screen_stage(
         }
         for i, c in enumerate(selected.candidates)
     ]
-    counts = {reason: rejected.labels.count(reason) for reason in REASONS}
+    counts = dict(zip(REASONS, np.bincount(rejected.labels, minlength=len(REASONS)).tolist()))
     # compact_json of {"candidates", "rejected": {"counts", "periods", "rows"},
     # "warnings"}; rows holds one [reason, flat states] pair per rejected
     # pathway, thousands of them, rendered from the array
@@ -321,15 +325,13 @@ def screen_stage(
         + compact_json(counts) + ',"periods":' + compact_json(list(rejected.periods)) + ',"rows":['
     )
     rows = flat_rows(rejected.states)
-    index = {reason: i for i, reason in enumerate(REASONS)}
     heads = [f",[{json.dumps(reason)},[".encode() for reason in REASONS]
-    head_of = np.fromiter(map(index.__getitem__, rejected.labels), np.intp, len(rows))
     path = _artifact(out_dir, "candidates.json")
     with open(path, "wb") as fh:
         fh.write(head.encode())
         for start in range(0, len(rows), ROW_CHUNK):
             chunk = slice(start, start + ROW_CHUNK)
-            text = json_rows(rows[chunk], heads, head_of[chunk], b"]]")
+            text = json_rows(rows[chunk], heads, rejected.labels[chunk], b"]]")
             fh.write(text[1:] if start == 0 else text)  # no comma before the first row
         fh.write((']},"warnings":' + compact_json(list(selected.warnings)) + "}\n").encode())
     return [path], {f"C{i + 1}": c.pathway for i, c in enumerate(selected.candidates)}

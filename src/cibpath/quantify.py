@@ -114,7 +114,8 @@ def read_ranges(doc: dict, dimensions: tuple[Dimension, ...]) -> dict[str, Range
     * (1 -/+ f)), {"low_offset": a, "high_offset": b} or absolute {"low":
     x, "high": y}. A range that is not such an object, or a key that is not
     one of dimensions, raises ParseError naming ranges.<key>, and a value
-    that is not a number ranges.<key>.<field>."""
+    that is not a number, a low_offset above 0, a high_offset below 0 or a
+    low above high ranges.<key>.<field>."""
     if type(doc) is not dict:
         raise ParseError("ranges", "not an object of dimension -> range")
     known = {d.id for d in dimensions}
@@ -129,9 +130,17 @@ def read_ranges(doc: dict, dimensions: tuple[Dimension, ...]) -> dict[str, Range
             rules[d] = lambda central, f=f: tuple(sorted((central * (1 - f), central * (1 + f))))
         elif "low_offset" in rs or "high_offset" in rs:
             low, high = (child(rs, key, float, path, 0.0) for key in ("low_offset", "high_offset"))
+            if low > 0 or high < 0:
+                key = "low_offset" if low > 0 else "high_offset"
+                raise ParseError(f"{path}.{key}", (
+                    f"{rs[key]:g} leaves the central value outside its band "
+                    "(low_offset <= 0 <= high_offset)"
+                ))
             rules[d] = lambda central, low=low, high=high: (central + low, central + high)
         else:
             low, high = child(rs, "low", float, path), child(rs, "high", float, path)
+            if low > high:
+                raise ParseError(f"{path}.low", f"{low:g} is above high ({high:g})")
             rules[d] = lambda central, low=low, high=high: (low, high)
     return rules
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import eq
 from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
@@ -123,22 +125,14 @@ class EnsembleResult:
     def run_count(self) -> int:
         return len(self.states)
 
-    @cached_property
-    def runs(self) -> tuple[RunRecord, ...]:
-        """One RunRecord per run, built on first use."""
-        n = self.run_count
-        errors = [self.errors.get(r) for r in range(n)]
-        blocks = (  # a block at a time, so the lists tolist() makes stay small
-            BlockResult(
-                range(a, min(a + BLOCK_RUNS, n)), *(x[a:a + BLOCK_RUNS] for x in self._arrays()),
-                errors[a:a + BLOCK_RUNS],
-            )
-            for a in range(0, n, BLOCK_RUNS)
-        )
-        return tuple(record for block in blocks for record in _records(block, self.time_grid))
+    @property
+    def runs(self) -> RunView:
+        """Every run's RunRecord, in run order."""
+        return RunView(self, np.arange(self.run_count))
 
-    def ok_runs(self) -> tuple[RunRecord, ...]:
-        return tuple(r for r in self.runs if r.error is None)
+    def ok_runs(self) -> RunView:
+        """The RunRecords of the runs without an error, in run order."""
+        return RunView(self, np.setdiff1d(np.arange(self.run_count), list(self.errors)))
 
     @cached_property
     def ok_states(self) -> np.ndarray:
@@ -151,6 +145,38 @@ class EnsembleResult:
         states = self.states if ok.all() else self.states[ok]
         states.flags.writeable = False
         return states
+
+
+class RunView(Sequence):
+    """The RunRecords of an ensemble's runs at run_indices, in that order.
+    They are built from the ensemble's arrays by _records a BLOCK_RUNS
+    block at a time as they are read, and none is kept. A slice is a view
+    too, and a view equals any sequence of the same records."""
+
+    def __init__(self, ensemble: EnsembleResult, run_indices: np.ndarray):
+        self.ensemble, self.run_indices = ensemble, run_indices
+
+    def __len__(self) -> int:
+        return len(self.run_indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RunView(self.ensemble, self.run_indices[i])
+        return self._block([int(self.run_indices[i])])[0]
+
+    def __iter__(self):
+        for a in range(0, len(self), BLOCK_RUNS):
+            yield from self._block(self.run_indices[a:a + BLOCK_RUNS].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def _block(self, runs: list[int]) -> list[RunRecord]:
+        ens = self.ensemble
+        block = BlockResult(runs, *(x[runs] for x in ens._arrays()), list(map(ens.errors.get, runs)))
+        return _records(block, ens.time_grid)
 
 
 def _cyclic_moves(moves, prior: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -176,10 +202,10 @@ def _cyclic_moves(moves, prior: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 class BlockResult(NamedTuple):
-    """A block's runs as arrays, in run order. Run b recorded the first
-    lengths[b] periods; errors[b] is its InfeasibilityError text or None."""
+    """A block's runs as arrays, in the order of runs. Run b recorded the
+    first lengths[b] periods; errors[b] is its InfeasibilityError text or None."""
 
-    runs: range
+    runs: Sequence[int]
     states: np.ndarray  # (runs, periods, descriptors) int8; zero past a run's length
     converged: np.ndarray  # (runs, periods) bool; False past a run's length
     iterations: np.ndarray  # (runs, periods) int64; zero past a run's length

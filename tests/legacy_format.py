@@ -8,6 +8,8 @@ for the old layout, which shows that the new files hold the same content.
 
 import json
 
+from cibpath.analytics import REASONS
+
 
 def write_ensemble(ensemble, fh):
     """One JSON header line, then one JSON record per run."""
@@ -43,8 +45,8 @@ def write_candidates(selected, fh):
             for i, c in enumerate(selected.candidates)
         ],
         "rejected": [
-            {**rejected.pathway(i).to_doc(), "reason": reason}
-            for i, reason in enumerate(rejected.labels)
+            {**rejected.pathway(i).to_doc(), "reason": REASONS[r]}
+            for i, r in enumerate(rejected.labels)
         ],
         "warnings": list(selected.warnings),
     }

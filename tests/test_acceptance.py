@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from cibpath.analytics import (
+    REASONS,
     ScreeningConfig,
     screen_candidates,
     select_candidates,
@@ -378,7 +379,7 @@ def test_13_screening():
     def reason_of(states):
         ens = make_ensemble([[(s, 0) for s in states]], periods=periods)
         result = screen_candidates(ens, spec, config)
-        return result.rejected.labels[0] if result.rejected else None
+        return REASONS[result.rejected.labels[0]] if result.rejected else None
 
     reasons_ok = (
         reason_of((0, 1, 1, 2, 2, 1)) == "backsliding"

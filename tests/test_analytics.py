@@ -9,6 +9,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from cibpath.analytics import (
+    REASONS,
     Candidate,
     ScreeningConfig,
     _medoids,
@@ -216,7 +217,7 @@ class TestScreening:
         result = screen_candidates(ens, spec, config or self.config)
         if result.candidates:
             return None
-        return result.rejected.labels[0]
+        return REASONS[result.rejected.labels[0]]
 
     def test_steady_progress_passes(self):
         assert self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)]) is None

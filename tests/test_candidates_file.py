@@ -91,6 +91,7 @@ def test_labelled_multi_digit_and_negative_rows_equal_json_dumps(seed, monkeypat
 def json_dumps_document(selected) -> bytes:
     """candidates.json as json.dumps wrote the whole document."""
     rejected = selected.rejected
+    reasons = [REASONS[r] for r in rejected.labels]
     doc = {
         "candidates": [
             {
@@ -102,9 +103,9 @@ def json_dumps_document(selected) -> bytes:
             for i, c in enumerate(selected.candidates)
         ],
         "rejected": {
-            "counts": {reason: rejected.labels.count(reason) for reason in REASONS},
+            "counts": {reason: reasons.count(reason) for reason in REASONS},
             "periods": list(rejected.periods),
-            "rows": list(zip(rejected.labels, flat_rows(rejected.states).tolist())),
+            "rows": list(zip(reasons, flat_rows(rejected.states).tolist())),
         },
         "warnings": list(selected.warnings),
     }

@@ -967,6 +967,18 @@ BAD_STAGE_INPUTS = {
     ),
     "worker-count-0": ({"worker_count": 0}, "ConfigError", "worker_count: "),
     "max-iter-0": ({"max_iter": 0}, "ConfigError", "max_iter: "),
+    "exclusion-empty": (
+        {"screening": {"outcome_descriptor": "RD", "endpoint_exclusions": [[]]}},
+        "ConfigError", "screening.endpoint_exclusions[0]: ",
+    ),
+    "range-low-offset-above-0": (
+        {"ranges": {"renewables_capacity": {"low_offset": 5, "high_offset": 80}}},
+        "ParseError", "ranges.renewables_capacity.low_offset: ",
+    ),
+    "range-low-above-high": (
+        {"ranges": {"carbon_price": {"low": 10, "high": 5}}},
+        "ParseError", "ranges.carbon_price.low: ",
+    ),
 }
 
 

@@ -156,11 +156,30 @@ class TestRanges:
             attach_uncertainty_ranges(qp, rules)
 
     def test_inverted_offsets(self):
+        """read_ranges refuses them; a rule built in code meets the band check."""
         pw = pathway([(1, 0)] * 6)
         qp = quantify_pathway(pw, (PRICE,), MATRIX, spec3())
-        rules = read_ranges({"price": {"low_offset": 30.0, "high_offset": -15.0}}, (PRICE,))
+        with pytest.raises(ParseError) as exc:
+            read_ranges({"price": {"low_offset": 30.0, "high_offset": -15.0}}, (PRICE,))
+        assert exc.value.path == "ranges.price.low_offset"
         with pytest.raises(OutOfRangeError):
-            attach_uncertainty_ranges(qp, rules)
+            attach_uncertainty_ranges(qp, {"price": lambda central: (central + 30, central - 15)})
+
+    @pytest.mark.parametrize("rs, node", [
+        ({"low_offset": 5, "high_offset": 80}, "ranges.price.low_offset"),
+        ({"low_offset": 0.5}, "ranges.price.low_offset"),
+        ({"high_offset": -0.5}, "ranges.price.high_offset"),
+        ({"low": 10, "high": 5}, "ranges.price.low"),
+    ])
+    def test_a_band_that_cannot_hold_its_central_value_is_refused(self, rs, node):
+        with pytest.raises(ParseError) as exc:
+            read_ranges({"price": rs}, (PRICE,))
+        assert exc.value.path == node
+
+    def test_a_band_of_one_value_is_read(self):
+        rules = read_ranges({"price": {"low_offset": 0, "high_offset": 0}, "capacity": {
+            "low": 7, "high": 7}}, (PRICE, CAP))
+        assert rules["price"](4.0) == (4.0, 4.0) and rules["capacity"](7.0) == (7, 7)
 
     def test_key_that_is_no_dimension_is_refused(self):
         with pytest.raises(ParseError) as exc:

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import io
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -427,6 +429,61 @@ class TestBlockBoundaries:
                 ensemble = simulate_ensemble(spec, count, 11, worker_count=workers)
                 assert ensemble.run_count == count
                 assert ensemble.runs == full.runs[:count], (count, workers)
+
+
+class TestRunView:
+    def test_reads_like_the_records_of_the_whole_ensemble(self, mini_spec_path, monkeypatch):
+        spec = blocked_study(mini_spec_path, INFEASIBLE_WHEN_PA_LOW)
+        ens = simulate_ensemble(spec, BLOCK_RUNS + 5, 11)
+        n, failed = ens.run_count, sorted(ens.errors)
+        assert failed
+        whole = simulate.BlockResult(range(n), *ens._arrays(), [ens.errors.get(r) for r in range(n)])
+        want = simulate._records(whole, ens.time_grid)
+        runs = ens.runs
+        assert len(runs) == n and runs == want and want == runs and runs == tuple(want)
+        assert runs != want[:-1] and runs != want[::-1]
+        assert [r.run_index for r in runs] == list(range(n))
+        for i in (0, BLOCK_RUNS - 1, BLOCK_RUNS, n - 1, -1, -n, failed[0]):
+            assert runs[i] == want[i], i
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                runs[i]
+        part = runs[BLOCK_RUNS - 2:BLOCK_RUNS + 2]
+        assert isinstance(part, simulate.RunView) and len(part) == 4
+        assert part == want[BLOCK_RUNS - 2:BLOCK_RUNS + 2] and part[-1] == want[BLOCK_RUNS + 1]
+        assert runs[::-3] == want[::-3]
+        monkeypatch.setattr(simulate, "_records", None)  # len builds no record
+        ok = ens.ok_runs()
+        assert len(ok) == n - len(failed)
+        monkeypatch.undo()
+        assert ok == [r for r in want if r.error is None]
+        assert [r.run_index for r in ok] == [r for r in range(n) if r not in ens.errors]
+
+    def test_iterating_holds_one_block_of_records(self, mini_spec):
+        """Reading every record of 8 blocks peaks at about what one block's
+        records take, plus the freed tuples that CPython's free lists keep
+        (tracemalloc counts them as held; up to some 450 KB here). Records
+        kept for every run would take 8 times one block's."""
+        def peak(call):
+            gc.collect()  # empties the free lists
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = simulate_ensemble(mini_spec, BLOCK_RUNS, 5)
+        eight = simulate_ensemble(mini_spec, 8 * BLOCK_RUNS, 5)
+        one_block = peak(lambda: list(one.runs))
+        every_run = peak(lambda: sum(1 for _ in eight.runs))
+        assert every_run < 3 * one_block, (one_block, every_run)
+
+    def test_reading_the_records_keeps_none(self, mini_spec):
+        ens = simulate_ensemble(mini_spec, BLOCK_RUNS + 1, 5)
+        size = len(pickle.dumps(ens))
+        list(ens.runs), list(ens.ok_runs()), ens.runs[3]
+        assert len(pickle.dumps(ens)) == size
 
 
 class TestEnsemble:
