@@ -199,9 +199,13 @@ class PathwayTable:
         return Pathway(tuple(zip(self.periods, map(tuple, self.states[i].tolist()))))
 
 
+@dataclass(frozen=True, eq=False)
 class CandidateTable(PathwayTable, Sequence):
-    """Pathways labelled by their terminal frequency. Item i is its
-    Candidate, built only when it is read."""
+    """Pathways labelled by their terminal frequency, with their terminal and
+    rank from pathway_index. Item i is its Candidate, built only when read."""
+
+    terminal: np.ndarray
+    rank: np.ndarray
 
     def __getitem__(self, i: int) -> Candidate:
         return Candidate(self.pathway(i), self.labels[i])
@@ -219,14 +223,6 @@ class CandidateSet:
 def flat_rows(a: np.ndarray) -> np.ndarray:
     """a with each item's values in one row, also when a is empty."""
     return a.reshape(len(a), math.prod(a.shape[1:]))
-
-
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a non-negative int8 array as one void scalar. np.unique
-    orders these by their bytes, unsigned, which for non-negative int8 is
-    the lexicographic order of the rows."""
-    rows = np.ascontiguousarray(flat_rows(rows))
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 def endpoint_exclusions(config: ScreeningConfig, spec: StudySpec) -> list[list[tuple[str, int]]]:
@@ -252,16 +248,19 @@ def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np
     }
     discontinuity_targets = [j for j in descriptors if j not in cyclic_step2]
 
-    steps = np.diff(states.astype(np.int16), axis=1)  # (pathways, periods - 1, descriptors)
-    moves = steps[:, :, backslide_targets]
-    # a fall after an earlier rise of the same descriptor
-    backslide = ((moves < 0) & np.logical_or.accumulate(moves > 0, axis=1)).any((1, 2))
+    backslide, late_rush, jumps = (np.zeros(len(states), bool) for _ in range(3))
+    rose = np.zeros((len(states), len(backslide_targets)), bool)
+    for t in range(1, states.shape[1]):
+        step = states[:, t].astype(np.int16) - states[:, t - 1]
+        moves = step[:, backslide_targets]
+        backslide |= (rose & (moves < 0)).any(1)  # a fall after an earlier rise
+        rose |= moves > 0
+        jumps |= (np.abs(step[:, discontinuity_targets]) >= config.discontinuity_steps).any(1)
+        late_rush = step[:, j_out] >= config.late_rush_steps  # kept for the last step only
     endpoint = np.zeros(len(states), bool)
     for combo in exclusions:
         endpoint |= np.logical_and.reduce([states[:, -1, spec.index_of(d)] == s for d, s in combo])
-    late_rush = (steps[:, -1:, j_out] >= config.late_rush_steps).any(1)  # none with one period
-    jumps = np.abs(steps[:, :, discontinuity_targets]) >= config.discontinuity_steps
-    return np.select([backslide, endpoint, late_rush, jumps.any((1, 2))], range(len(REASONS)), -1)
+    return np.select([backslide, endpoint, late_rush, jumps], range(len(REASONS)), -1)
 
 
 def screen_candidates(
@@ -273,19 +272,15 @@ def screen_candidates(
     the full ensemble. Order-independent: permuting runs never changes a
     pathway's status.
     """
-    states = ensemble.ok_states
-    _, first = np.unique(row_keys(states), return_index=True)
-    first.sort()
-    _, terminal_of, terminal_counts = np.unique(
-        row_keys(states[:, -1]), return_inverse=True, return_counts=True
-    )
-    frequencies = terminal_counts[terminal_of.ravel()[first]] / len(states)
-    distinct = states[first]
+    states, index = ensemble.ok_states, ensemble.pathway_index
+    distinct = states[index.first]
     reasons = _reasons(distinct, spec, config)
     passed = reasons < 0
+    terminal = index.terminal[passed]
+    frequencies = index.terminal_counts[terminal] / len(states)
     grid = ensemble.time_grid
     return CandidateSet(
-        CandidateTable(grid, distinct[passed], frequencies[passed].tolist()),
+        CandidateTable(grid, distinct[passed], frequencies.tolist(), terminal, index.rank[passed]),
         PathwayTable(grid, distinct[~passed], reasons[~passed]),
     )
 
@@ -294,23 +289,24 @@ def screen_candidates(
 # Selection
 
 
-def _medoids(states: np.ndarray, group: np.ndarray) -> np.ndarray:
+def _medoids(states: np.ndarray, group: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """For each group g in 0..max(group), the index of its medoid among the
     pathways in states whose group is g: the member with the smallest
     integer total Hamming distance to the group, over every period and
-    descriptor; ties go to the lexicographically smallest scenario sequence.
+    descriptor; ties go to the smallest rank, where rank orders each
+    group's members by their scenario sequences, lexicographically.
 
     Hamming distance splits by position, so a member's total is, summed
     over positions, the number of members holding another state there.
     """
-    flat = flat_rows(states).astype(np.int64)
+    flat = flat_rows(states)
     base = group * (int(flat.max()) + 1)
     agreeing = np.zeros(len(flat), np.int64)  # members holding the same state, summed
-    for column in flat.T:
+    for column in flat.T:  # by column: all (n, positions) codes at once took 10x the memory
         codes = base + column
         agreeing += np.bincount(codes)[codes]
     totals = np.bincount(group)[group] * flat.shape[1] - agreeing
-    order = np.lexsort((*flat.T[::-1], totals, group))
+    order = np.lexsort((rank, totals, group))
     ordered = group[order]
     return order[np.r_[True, ordered[1:] != ordered[:-1]]]
 
@@ -335,15 +331,14 @@ def select_candidates(
     # Groups come out of np.unique in terminal order; a stable sort by
     # falling frequency then gives the order (-frequency, terminal).
     terminals = pool.states[:, -1]
-    keys, group = np.unique(row_keys(terminals), return_inverse=True)
+    keys, group = np.unique(pool.terminal, return_inverse=True)
     if len(keys) < k:
         raise InsufficientCandidatesError(
             f"{len(keys)} terminal groups among {len(pool)} surviving pathways, {k} requested"
         )
-    group = group.ravel()
     frequency = np.zeros(len(keys))
     frequency[group] = pool.labels
-    reps = _medoids(pool.states, group)[np.argsort(-frequency, kind="stable")].tolist()
+    reps = _medoids(pool.states, group, pool.rank)[np.argsort(-frequency, kind="stable")].tolist()
     is_best = (terminals[:, j_best] == best_state).tolist()
 
     selected = [(rep, f"frequency-rank-{rank}") for rank, rep in enumerate(reps[:k], start=1)]

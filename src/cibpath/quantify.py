@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-import numpy as np
-
-from .analytics import row_keys
 from .engine import Scenario
 from .errors import ConfigError, CoverageError, OutOfRangeError, ParseError
 from .model import STATE_REF, StudySpec, child, read_file, resolve_state
@@ -212,10 +209,9 @@ def build_extreme_scenarios(
     ensemble scenario is skipped with a warning.
     """
     outcome, stacks, min_count = axes
-    terminals = ensemble.ok_states[:, -1]
-    terminal_period = ensemble.time_grid[-1]
-    _, first, sizes = np.unique(row_keys(terminals), return_index=True, return_counts=True)
-    counts = dict(zip(map(tuple, terminals[first].tolist()), sizes.tolist()))
+    index, terminal_period = ensemble.pathway_index, ensemble.time_grid[-1]
+    terminals = ensemble.ok_states[index.terminal_runs, -1].tolist()
+    counts = dict(zip(map(tuple, terminals), index.terminal_counts.tolist()))
     out: list[ExtremeScenario] = []
     warnings: list[str] = []
 

@@ -90,6 +90,17 @@ class RunRecord:
     error: Optional[str] = None
 
 
+class PathwayIndex(NamedTuple):
+    """The distinct pathways of the rows of an ensemble's ok_states, in
+    first-occurrence order, and their terminal groups; runs are rows."""
+
+    first: np.ndarray  # each pathway's first run, ascending
+    terminal: np.ndarray  # its terminal group; groups in lexicographic terminal order
+    rank: np.ndarray  # its place in the order of terminal scenario, then periods 0..P-2
+    terminal_counts: np.ndarray  # the runs of each terminal group
+    terminal_runs: np.ndarray  # one run of each terminal group
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """A simulated ensemble as arrays, in run order; the arrays are
@@ -146,6 +157,24 @@ class EnsembleResult:
         states.flags.writeable = False
         return states
 
+    @cached_property
+    def pathway_index(self) -> PathwayIndex:
+        """One stable lexsort of ok_states' rows, the terminal period's
+        columns leading. Adjacent sorted rows that differ start a pathway
+        group, and those that differ at the terminal period a terminal
+        group; being stable, the sort puts each group's first run first."""
+        flat = self.ok_states.reshape(len(self.ok_states), -1)
+        tail = flat.shape[1] - self.states.shape[2]  # the terminal period's first column
+        columns = [*range(tail, flat.shape[1]), *range(tail)]  # leading key first
+        order = np.lexsort([flat[:, c] for c in reversed(columns)])
+        ordered = flat[order]
+        differs = ordered[1:] != ordered[:-1]
+        term_starts = np.r_[True, differs[:, tail:].any(1)]
+        starts = term_starts | np.r_[True, differs[:, :tail].any(1)]
+        rank, term_at = np.argsort(order[starts]), np.flatnonzero(term_starts)
+        terminal = (np.cumsum(term_starts) - 1)[starts]
+        return PathwayIndex(order[starts][rank], terminal[rank], rank,
+                            np.diff(np.r_[term_at, len(flat)]), order[term_at])
 
 class RunView(Sequence):
     """The RunRecords of an ensemble's runs at run_indices, in that order.
@@ -487,10 +516,9 @@ def load_ensemble(path: str) -> EnsembleResult:
     # _parse_records reads a number beyond int64 as its largest value
     _refuse(path, iterations, iterations.view(np.uint64) >= _INT64.max,
             "iteration count {} is not a non-negative 64-bit integer")
-    cast = states.astype(np.int8)
-    _refuse(path, states, (cast < 0) | (cast != states), "state {} is not a state index (0 to 127)")
+    _refuse(path, states, states.view(np.uint64) > 127, "state {} is not a state index (0 to 127)")
     return EnsembleResult(
-        header["spec_digest"], header["master_seed"], tuple(grid), cast,
+        header["spec_digest"], header["master_seed"], tuple(grid), states.astype(np.int8),
         converged.astype(bool), np.ascontiguousarray(iterations), lengths.copy(), errors,
     )
 

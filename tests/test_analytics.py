@@ -315,6 +315,96 @@ class TestScreening:
             }
 
 
+
+def rules_spec():
+    """Four descriptors of four states: A (the outcome), B, C cyclic with a
+    two-step move (exempt from discontinuity) and D cyclic without one."""
+    cyclic = {
+        "C": {"stay": 0.6, "step": 0.3, "step2": 0.1, "drift": 0.0},
+        "D": {"stay": 0.7, "step": 0.3, "step2": 0.0, "drift": 0.0},
+    }
+    ids = ["A", "B", "C", "D"]
+    doc = two_desc_document()
+    doc["descriptors"] = [
+        {"id": i, "states": [f"{i}{k}" for k in range(4)],
+         **({"kind": "cyclic", "cyclic": cyclic[i]} if i in cyclic else {})}
+        for i in ids
+    ]
+    doc["cim"] = [
+        {"source": a, "source_state": si, "target": b, "target_state": ti,
+         "score": 0, "confidence": 3}
+        for a in ids for b in ids if a != b for si in range(4) for ti in range(4)
+    ]
+    doc["baseline"] = {i: 0 for i in ids}
+    return parse_study_spec(doc)
+
+
+def brute_force_reason(sequence, spec, config):
+    """The first rule in REASONS that one pathway (a list of state tuples,
+    one per period) fails, or None, checked value by value."""
+    ids = [d.id for d in spec.descriptors]
+    out = ids.index(config.outcome_descriptor)
+    series = [[z[j] for z in sequence] for j in range(len(ids))]
+    exempt = [d.kind == "cyclic" and d.cyclic_params.step2 > 0 for d in spec.descriptors]
+    targets = range(len(ids)) if config.full_vector_backsliding else [out]
+    steps = range(1, len(sequence))
+    failed = {
+        "backsliding": any(
+            series[j][t] < series[j][t - 1]
+            and any(series[j][u] > series[j][u - 1] for u in range(1, t))
+            for j in targets for t in steps
+        ),
+        "endpoint_inconsistency": any(
+            all(sequence[-1][ids.index(d)] == s for d, s in combo)
+            for combo in config.endpoint_exclusions
+        ),
+        "late_rush": len(sequence) > 1
+        and series[out][-1] - series[out][-2] >= config.late_rush_steps,
+        "discontinuity": any(
+            abs(series[j][t] - series[j][t - 1]) >= config.discontinuity_steps
+            for j in range(len(ids)) if not exempt[j] for t in steps
+        ),
+    }
+    return next((reason for reason in REASONS if failed[reason]), None)
+
+
+class TestScreeningOracle:
+    """screen_candidates against brute_force_reason on random ensembles."""
+
+    @pytest.mark.parametrize("periods", [1, 2, 3, 6])
+    @pytest.mark.parametrize("full_vector", [False, True])
+    @pytest.mark.parametrize("late_rush_steps", [1, 2])
+    def test_every_pathway_gets_the_brute_force_reason(self, periods, full_vector, late_rush_steps):
+        spec = rules_spec()
+        rng = random.Random(periods * 4 + full_vector * 2 + late_rush_steps)
+        for trial in range(6):
+            config = ScreeningConfig(
+                outcome_descriptor=rng.choice("ABCD"), late_rush_steps=late_rush_steps,
+                discontinuity_steps=rng.choice([1, 2, 3]), full_vector_backsliding=full_vector,
+                endpoint_exclusions=((("A", 3), ("B", rng.randrange(4))),) if trial % 2 else (),
+            )
+            # small moves, so that some pathways pass every rule
+            runs = []
+            for _ in range(120):
+                z = [rng.randrange(4) for _ in range(4)]
+                seq = [tuple(z)]
+                for _ in range(periods - 1):
+                    z = [min(3, max(0, x + rng.choice([-1, 0, 0, 1, 1, 2]))) for x in z]
+                    seq.append(tuple(z))
+                runs.append(seq)
+            ens = make_ensemble(runs, periods=tuple(range(2025, 2025 + periods)))
+            result = screen_candidates(ens, spec, config)
+            distinct = list(dict.fromkeys(tuple(seq) for seq in runs))
+            want = {seq: brute_force_reason(seq, spec, config) for seq in distinct}
+            passed = [seq for seq in distinct if want[seq] is None]
+            assert [c.pathway.scenarios for c in result.candidates] == passed
+            rejected = result.rejected
+            got = [
+                (rejected.pathway(i).scenarios, REASONS[rejected.labels[i]])
+                for i in range(len(rejected))
+            ]
+            assert got == [(seq, want[seq]) for seq in distinct if want[seq] is not None]
+
 def _candidates(groups, periods):
     return [Candidate(Pathway(tuple(zip(periods, g))), 0.5) for g in groups]
 
@@ -332,10 +422,19 @@ def _brute_force_medoid(members):
     return min(members, key=key)
 
 
+def _sequence_ranks(members) -> np.ndarray:
+    """Each member's place when members are sorted by their scenario
+    sequences (Python's sort, so equal sequences keep member order)."""
+    order = sorted(range(len(members)), key=lambda i: members[i].pathway.scenarios)
+    rank = np.empty(len(members), np.intp)
+    rank[order] = np.arange(len(members))
+    return rank
+
+
 def _medoid(members):
     """The member _medoids picks for members taken as one group."""
     states = np.array([c.pathway.scenarios for c in members], np.int8)
-    (index,) = _medoids(states, np.zeros(len(members), np.intp))
+    (index,) = _medoids(states, np.zeros(len(members), np.intp), _sequence_ranks(members))
     return members[index]
 
 
@@ -368,7 +467,7 @@ class TestMedoid:
             group = np.unique([g for g, _ in rows], return_inverse=True)[1].ravel()
             states = np.array([seq for _, seq in rows], np.int8)
             members = _candidates([seq for _, seq in rows], range(2025, 2025 + n_periods))
-            for g, index in enumerate(_medoids(states, group)):
+            for g, index in enumerate(_medoids(states, group, _sequence_ranks(members))):
                 assert group[index] == g
                 assert members[index] is _brute_force_medoid(
                     [m for m, h in zip(members, group) if h == g]
