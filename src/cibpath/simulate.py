@@ -431,8 +431,8 @@ _HEADER_TYPES = {
     "spec_digest": str, "time_grid": [int],
 }
 
-#: Run records that write_ensemble renders, and _parse_records decodes, at a
-#: time; decoding a chunk takes some 30 to 40 bytes of scratch space per number.
+#: Run records that write_ensemble renders, and _parse_records decodes into one
+#: reused int64 buffer, at a time; a chunk's decoding takes some 33 bytes a number.
 RECORD_CHUNK = 512
 
 #: The byte values of the record syntax.
@@ -472,65 +472,76 @@ def save_ensemble(ensemble: EnsembleResult, path: str) -> None:
 
 def load_ensemble(path: str) -> EnsembleResult:
     """Read an ensemble file, checking it once, here: the header's fields and
-    their types, one record per run of the header's width, run indices 0 to
-    n - 1 in order, 0/1 flags, non-negative iteration counts, states that
-    fit int8, zeros past a run's recorded periods, and an error text for
-    exactly the runs that stop before the end of the time grid. A failure
-    raises ParseError naming the node (``header`` or ``runs[i]``); a header
-    that is not UTF-8 or not JSON raises UnicodeDecodeError or
-    JSONDecodeError. CRLF line ends read as LF; only a file that holds a
-    carriage return is copied to replace them. The records are decoded
-    from the bytes by _parse_records."""
+    their types, one record per run of the header's width, then (0) run
+    indices 0 to n - 1 in order, (1-3) an error text for exactly the runs
+    that stop before the end of the time grid, (4-6) zeros past a run's
+    recorded periods, (7) 0/1 flags, (8) non-negative iteration counts and
+    (9) states that fit int8, as _parse_records decodes each chunk. A
+    failure raises ParseError naming ``header`` or ``runs[i]``: a record
+    that is not such an array, else the first run failing the first check
+    that fails. A header that is not UTF-8 or not JSON raises
+    UnicodeDecodeError or JSONDecodeError. CRLF line ends read as LF; only
+    a file that holds a carriage return is copied to replace them."""
     with open(path, "rb") as fh:
-        head, body = fh.readline(), fh.read()
-    if b"\r" in head or b"\r" in body:  # CRLF line ends, as an editor may leave them, read as LF
-        head, body = head.replace(b"\r\n", b"\n"), body.replace(b"\r\n", b"\n")
-    node = f"{path}: header"
-    header = json.loads(head.removesuffix(b"\n").decode("utf-8"), parse_int=json_int(node))
+        text = fh.read()  # in one piece: a read after a readline copies what it reads
+    if b"\r" in text:  # CRLF line ends, as an editor may leave them, read as LF
+        text = text.replace(b"\r\n", b"\n")
+    node, start = f"{path}: header", text.find(b"\n") + 1 or len(text)  # where records begin
+    header = json.loads(text[:start].removesuffix(b"\n").decode("utf-8"), parse_int=json_int(node))
     header = _checked_header(header, node)
     grid, width, n = header["time_grid"], header["descriptors"], header["run_count"]
-    errors, periods = dict(header["errors"]), len(grid)
-    values = _parse_records(body, n, 2 + periods * (width + 2), path)
-    runs, lengths = values[:, 0], values[:, 1]
-    states = values[:, 2:2 + periods * width].reshape(n, periods, width)
-    converged, iterations = values[:, -2 * periods:-periods], values[:, -periods:]
-    errored = np.zeros(n, bool)
-    errored[list(errors)] = True
-    full = lengths == periods
-    _refuse(path, runs, runs != np.arange(n), "run index {}, expected {run}")
-    _refuse(path, lengths, (lengths < 1) | (lengths > periods),
-            f"{{}} periods recorded, but the time grid has {periods}")
-    _refuse(path, lengths, errored & full, "ends in an error but records all {} periods")
-    _refuse(path, lengths, ~errored & ~full,
-            f"{{}} of the time grid's {periods} periods recorded, but no error")
-    # only the errored runs stop early, so only they have cells past their periods
-    early = np.flatnonzero(errored)
-    past = np.arange(periods) >= lengths[early, None]
-    for column, mask, name in (
-        (states, past[:, :, None], "state"), (converged, past, "converged flag"),
-        (iterations, past, "iteration count"),
+    errors, periods, cells = dict(header["errors"]), len(grid), len(grid) * width
+    chunks = _parse_records(memoryview(text)[start:], n, 2 + cells + 2 * periods, path)
+    states, converged = np.empty((n, periods, width), np.int8), np.empty((n, periods), bool)
+    iterations, lengths = np.empty((n, periods), np.int64), np.empty(n, np.int64)
+    errored, failures = np.array(list(errors), np.int64), {}  # check -> its first failure
+    for at, values in chunks:
+        runs, rows = values[:, 0], np.arange(at.start, at.stop)
+        chunk = values[:, 2:2 + cells], values[:, 2 + cells:-periods], values[:, -periods:]
+        if 0 not in failures and not np.array_equal(runs, rows):
+            failures[0] = _refusal(path, runs, runs != rows, "run index {}, expected {run}", rows)
+        lo, hi = np.searchsorted(errored, (at.start, at.stop))
+        if lo < hi:  # only the errored runs stop early, so only they have cells past their periods
+            early, names = errored[lo:hi] - at.start, ("state", "converged flag", "iteration count")
+            past = (np.arange(periods) >= values[early, 1, None])[:, :, None]
+            for check, column, name in zip((4, 5, 6), chunk, names):
+                cut = column[early].reshape(len(early), periods, -1)
+                if check not in failures and ((cut != 0) & past).any():
+                    reason = name + " {} past the recorded periods"
+                    failures[check] = _refusal(path, cut, (cut != 0) & past, reason, rows[early])
+        for check, column, top, reason in (  # read before their cast to bool and int8
+            (7, chunk[1], 1, "converged flag {} is not 0 or 1"),
+            (9, chunk[0], 127, "state {} is not a state index (0 to 127)"),
+        ):
+            if check not in failures and column.view(np.uint64).max() > top:
+                failures[check] = _refusal(path, column, column.view(np.uint64) > top, reason, rows)
+        lengths[at], converged[at], iterations[at] = values[:, 1], chunk[1], chunk[2]
+        states.reshape(n, cells)[at] = chunk[0]
+    in_error, full = np.zeros(n, bool), lengths == periods
+    in_error[errored] = True
+    for check, column, bad, reason in (
+        (1, lengths, (lengths < 1) | (lengths > periods),
+         f"{{}} periods recorded, but the time grid has {periods}"),
+        (2, lengths, in_error & full, "ends in an error but records all {} periods"),
+        (3, lengths, ~in_error & ~full,
+         f"{{}} of the time grid's {periods} periods recorded, but no error"),
+        (8, iterations, iterations.view(np.uint64) >= _INT64.max,
+         "iteration count {} is not a non-negative 64-bit integer"),
     ):
-        cut = column[early]
-        _refuse(path, cut, (cut != 0) & mask, name + " {} past the recorded periods", early)
-    _refuse(path, converged, converged.view(np.uint64) > 1, "converged flag {} is not 0 or 1")
-    # _parse_records reads a number beyond int64 as its largest value
-    _refuse(path, iterations, iterations.view(np.uint64) >= _INT64.max,
-            "iteration count {} is not a non-negative 64-bit integer")
-    _refuse(path, states, states.view(np.uint64) > 127, "state {} is not a state index (0 to 127)")
-    return EnsembleResult(
-        header["spec_digest"], header["master_seed"], tuple(grid), states.astype(np.int8),
-        converged.astype(bool), np.ascontiguousarray(iterations), lengths.copy(), errors,
-    )
+        if bad.any():
+            failures[check] = _refusal(path, column, bad, reason, range(n))
+    if failures:
+        raise failures[min(failures)]
+    return EnsembleResult(header["spec_digest"], header["master_seed"], tuple(grid), states,
+                          converged, iterations, lengths, errors)
 
 
-def _refuse(path: str, column: np.ndarray, bad: np.ndarray, reason: str, runs=None) -> None:
-    """ParseError naming the first run that bad marks, if any, with reason
-    formatted by its value in column; runs, if given, are the runs of the
-    rows of column and bad."""
-    if bad.any():
-        at = np.unravel_index(bad.argmax(), bad.shape)
-        run = at[0] if runs is None else runs[at[0]]
-        raise ParseError(f"{path}: runs[{run}]", reason.format(column[at], run=run))
+def _refusal(path: str, column: np.ndarray, bad: np.ndarray, reason: str, runs) -> ParseError:
+    """The ParseError naming the first run that bad marks, with reason
+    formatted by its value in column; runs are the runs of bad's rows."""
+    at = np.unravel_index(bad.argmax(), bad.shape)
+    run = runs[at[0]]
+    return ParseError(f"{path}: runs[{run}]", reason.format(column[at], run=run))
 
 
 def _checked_header(header, node: str) -> dict:
@@ -562,34 +573,37 @@ def _checked_header(header, node: str) -> dict:
     return header
 
 
-def _parse_records(body: bytes, run_count: int, width: int, path: str) -> np.ndarray:
-    """The run records as a (run_count, width) int64 array: one line per
-    run, each a compact JSON array of width integers.
+def _parse_records(body, run_count: int, width: int, path: str):
+    """The run records, one line per run, each a compact JSON array of
+    width integers: an iterator of (slice of runs, (runs, width) int64
+    array) for each RECORD_CHUNK runs in turn, the array one reused buffer.
 
-    The body is viewed as a uint8 array and its line ends indexed once;
-    _decode_records then checks and decodes RECORD_CHUNK lines at a time.
-    A number beyond int64, on either side, reads as int64's largest value,
-    which load_ensemble's range checks refuse. A chunk holding a line that
-    is not such an array is halved, by the same check, until its first
-    such line is found; that line is named as runs[i].
-    """
-    if body and not body.endswith(b"\n"):
-        body += b"\n"
+    The bytes of body are viewed as a uint8 array and their line ends
+    indexed and counted on the call, before load_ensemble allocates its
+    arrays; _decode_records decodes each chunk as it is read. A number
+    beyond int64, on either side, reads as int64's largest value, which
+    load_ensemble's range checks refuse. A chunk holding a line that is not
+    such an array is halved, by the same check, until its first such line
+    is found; that line is named as runs[i]."""
     data = np.frombuffer(body, np.uint8)
+    if len(data) and data[-1] != _NEWLINE:
+        data = np.append(data, np.uint8(_NEWLINE))
     ends = np.flatnonzero(data == _NEWLINE)
     if len(ends) != run_count:
         raise ParseError(path, f"{len(ends)} run records, but the header says {run_count}")
-    values = np.empty((run_count, width), np.int64)
-    for first in range(0, run_count, RECORD_CHUNK):
-        stop = min(first + RECORD_CHUNK, run_count)
-        lines = _lines(data, ends, first, stop)
-        if not _decode_records(*lines, values[first:stop]):
-            bad = first + _first_bad_line(*lines, values[first:stop])
-            raise ParseError(f"{path}: runs[{bad}]", (
-                f"not a compact JSON array of {width} integers (run index, periods recorded, "
-                "states, converged flags, iterations)"
-            ))
-    return values
+    def chunks():
+        values = np.empty((min(RECORD_CHUNK, run_count), width), np.int64)
+        for first in range(0, run_count, RECORD_CHUNK):
+            stop = min(first + RECORD_CHUNK, run_count)
+            lines, out = _lines(data, ends, first, stop), values[:stop - first]
+            if not _decode_records(*lines, out):
+                bad = first + _first_bad_line(*lines, out)
+                raise ParseError(f"{path}: runs[{bad}]", (
+                    f"not a compact JSON array of {width} integers (run index, periods "
+                    "recorded, states, converged flags, iterations)"
+                ))
+            yield slice(first, stop), out
+    return chunks()
 
 
 def _lines(data: np.ndarray, ends: np.ndarray, first: int, stop: int):
@@ -642,16 +656,15 @@ def _decode_records(text: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool
     begin = np.empty_like(stops)
     begin[1:] = stops[:-1] + 1
     begin[::width] = starts + 1
-    lengths = stops - begin
     lead = text[begin]
     negative = lead == _MINUS
-    if not (lengths > 0).all() or np.count_nonzero(negative) != minus or (
-        minus and not (lengths[negative] > 1).all()
+    if not (stops > begin).all() or np.count_nonzero(negative) != minus or (
+        minus and not (stops[negative] > begin[negative] + 1).all()
     ):
         return False
     values = out.reshape(-1)
     np.subtract(lead, _ZERO, out=values, casting="unsafe")
-    longer = np.flatnonzero(lengths > 1)
+    longer = np.flatnonzero(stops > begin + 1)
     if longer.size:
         values[longer] = _read_numbers(text, begin[longer], stops[longer], negative[longer])
     return True

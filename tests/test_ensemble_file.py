@@ -38,12 +38,23 @@ def saved():
     return ensemble, buf.getvalue().encode()
 
 
-@pytest.fixture(params=[1, 7, None], ids=["chunk1", "chunk7", "chunk-default"])
+#: The RECORD_CHUNK values the loader is tested at: 1, 7 and its default.
+CHUNKS = (1, 7, simulate.RECORD_CHUNK)
+
+
+@pytest.fixture(params=CHUNKS, ids=["chunk1", "chunk7", "chunk-default"])
 def chunk(request, monkeypatch):
     """RECORD_CHUNK at 1, 7 and its default."""
-    if request.param:
-        monkeypatch.setattr(simulate, "RECORD_CHUNK", request.param)
+    monkeypatch.setattr(simulate, "RECORD_CHUNK", request.param)
     return simulate.RECORD_CHUNK
+
+
+def at_each_chunk_size(monkeypatch):
+    """RECORD_CHUNK set to each of CHUNKS in turn, for a test whose ids
+    predate the chunk fixture."""
+    for size in CHUNKS:
+        monkeypatch.setattr(simulate, "RECORD_CHUNK", size)
+        yield size
 
 
 def load_text(tmp_path, text: bytes):
@@ -223,6 +234,9 @@ RECORD_CHECKS = {
                                  "3 of the time grid's 6 periods recorded, but no error"),
     "state-past-the-stop": (lambda t: errored_prefix(t, 2 + 4 * 5 + 2, b"2"),
                             "state 2 past the recorded periods"),
+    # read before the int8 cast, and refused here, before the state range check
+    "state-300-past-the-stop": (lambda t: errored_prefix(t, 2 + 4 * 5 + 2, b"300"),
+                                "state 300 past the recorded periods"),
     "flag-past-the-stop": (lambda t: errored_prefix(t, CONVERGED + 4, b"1"),
                            "converged flag 1 past the recorded periods"),
     "iterations-past-the-stop": (lambda t: errored_prefix(t, ITERATIONS + 5, b"4"),
@@ -243,13 +257,22 @@ def test_an_errored_prefix_loads(saved, tmp_path):
     assert loaded.lengths[RUN] == PAST and RUN in loaded.errors
 
 
+def test_an_empty_ensemble_loads(saved, tmp_path, chunk):
+    header = json.loads(saved[1].split(b"\n", 1)[0])
+    header["run_count"] = 0
+    loaded = load_text(tmp_path, simulate.compact_json(header).encode() + b"\n")
+    assert loaded.run_count == 0 and not loaded.errors
+    assert loaded.states.shape == (0, 6, 5) and loaded.iterations.shape == (0, 6)
+
+
 @pytest.mark.parametrize("check", RECORD_CHECKS)
-def test_each_record_check_names_the_run_and_its_reason(saved, tmp_path, check):
+def test_each_record_check_names_the_run_and_its_reason(saved, tmp_path, monkeypatch, check):
     edit, reason = RECORD_CHECKS[check]
-    with pytest.raises(ParseError) as caught:
-        load_text(tmp_path, edit(saved[1]))
-    assert caught.value.path.endswith(f": runs[{RUN}]")
-    assert caught.value.reason == reason
+    for size in at_each_chunk_size(monkeypatch):
+        with pytest.raises(ParseError) as caught:
+            load_text(tmp_path, edit(saved[1]))
+        assert caught.value.path.endswith(f": runs[{RUN}]"), size
+        assert caught.value.reason == reason, size
 
 
 @pytest.mark.parametrize("early, late", [
@@ -257,18 +280,19 @@ def test_each_record_check_names_the_run_and_its_reason(saved, tmp_path, check):
     ("early-stop-without-error", "state-negative"), ("flag-seven", "iterations-negative"),
     ("iterations-negative", "state-300"),
 ])
-def test_an_earlier_check_on_a_later_run_comes_first(saved, tmp_path, early, late):
+def test_an_earlier_check_on_a_later_run_comes_first(saved, tmp_path, monkeypatch, early, late):
     """A run failing a check is named before an earlier run failing a later
-    check."""
+    check, also when the two runs are in different chunks."""
     _, text = saved
     line = text.split(b"\n")[1 + RUN]
     moved = RECORD_CHECKS[late][0](text).split(b"\n")[1 + RUN]
     lines = RECORD_CHECKS[early][0](text).split(b"\n")
     lines[1 + 2] = moved.replace(line[:line.index(b",")], b"[2", 1)
-    with pytest.raises(ParseError) as caught:
-        load_text(tmp_path, b"\n".join(lines))
-    assert caught.value.path.endswith(f": runs[{RUN}]")
-    assert caught.value.reason == RECORD_CHECKS[early][1]
+    for size in at_each_chunk_size(monkeypatch):
+        with pytest.raises(ParseError) as caught:
+            load_text(tmp_path, b"\n".join(lines))
+        assert caught.value.path.endswith(f": runs[{RUN}]"), size
+        assert caught.value.reason == RECORD_CHECKS[early][1], size
 
 
 @pytest.mark.parametrize("edit, found", [
@@ -282,6 +306,16 @@ def test_line_count_differs_from_the_header(saved, tmp_path, edit, found):
     reason = f"{found} run records, but the header says 12"
     with pytest.raises(ParseError, match=re.escape(reason)):
         load_text(tmp_path, edit(text))
+
+
+def test_a_run_count_no_memory_holds_is_refused_by_the_record_count(saved, tmp_path):
+    """The records are counted before the ensemble's arrays are allocated."""
+    head, body = saved[1].split(b"\n", 1)
+    header = json.loads(head)
+    header["run_count"] = 10 ** 15
+    reason = f"12 run records, but the header says {10 ** 15}"
+    with pytest.raises(ParseError, match=re.escape(reason)):
+        load_text(tmp_path, simulate.compact_json(header).encode() + b"\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +356,19 @@ def rendered(table) -> bytes:
     return b"".join(map(records, chunks))
 
 
+def decoded(text: bytes, rows: int, width: int) -> np.ndarray:
+    """The (rows, width) table that _parse_records decodes from text, its
+    chunks joined; each chunk must start where the one before it ended."""
+    table = np.empty((rows, width), np.int64)
+    done = 0
+    for at, values in simulate._parse_records(text, rows, width, "t"):
+        assert at == slice(done, min(done + simulate.RECORD_CHUNK, rows))
+        table[at] = values
+        done = at.stop
+    assert done == rows
+    return table
+
+
 def table_shapes(seed):
     rng = np.random.default_rng(seed)
     return rng, int(rng.integers(0, 40)), int(rng.integers(1, 61))
@@ -333,7 +380,7 @@ def test_rendered_table_equals_json_dumps_and_decodes_back(seed, chunk):
     table = random_table(rng, rows, width)
     text = rendered(table)
     assert text == json_lines(table) == records(table)
-    assert np.array_equal(simulate._parse_records(text, rows, width, "t"), table)
+    assert np.array_equal(decoded(text, rows, width), table)
 
 
 @pytest.mark.parametrize("shape", [(0, 1), (0, 44), (1, 1), (1, 60), (3, 1), (50, 60)])
@@ -341,7 +388,7 @@ def test_codec_at_the_edges(shape, chunk):
     table = random_table(np.random.default_rng(sum(shape)), *shape)
     text = rendered(table)
     assert text == json_lines(table)
-    assert np.array_equal(simulate._parse_records(text, *shape, "t"), table)
+    assert np.array_equal(decoded(text, *shape), table)
 
 
 def test_every_digit_count_and_sign_round_trips(chunk):
@@ -350,7 +397,7 @@ def test_every_digit_count_and_sign_round_trips(chunk):
     table = np.array([[m, -m] for m in magnitudes] + [[-INT64_MAX - 1, 0]], np.int64)
     text = rendered(table)
     assert text == json_lines(table)
-    assert np.array_equal(simulate._parse_records(text, *table.shape, "t"), table)
+    assert np.array_equal(decoded(text, *table.shape), table)
 
 
 def test_write_ensemble_equals_json_dumps_across_chunk_edges(chunk):
@@ -394,7 +441,7 @@ def record_oracle(text: bytes, rows: int, width: int):
 
 def loaded(text: bytes, rows: int, width: int):
     try:
-        return "values", simulate._parse_records(text, rows, width, "t").tolist()
+        return "values", decoded(text, rows, width).tolist()
     except ParseError as e:
         if e.path == "t":
             return "count", int(e.reason.split()[0])
@@ -426,10 +473,10 @@ def test_corrupted_tables_are_read_as_the_regular_expression_says(seed, monkeypa
     assert loaded(text, rows, width) == record_oracle(text, rows, width), text
 
 
-def decoding_scratch(tmp_path, runs, periods=6, descriptors=5):
-    """The tracemalloc peak of decoding the records of a mini-study-shaped
-    ensemble of runs runs, less the int64 table it returns; and the table's
-    width."""
+def loading_scratch(tmp_path, runs, periods=6, descriptors=5):
+    """The tracemalloc peak of loading a mini-study-shaped ensemble of runs
+    runs, less the bytes of the ensemble's arrays; the file's bytes; and
+    a record's width."""
     rng = np.random.default_rng(runs)
     ensemble = EnsembleResult(
         "d" * 64, 1, tuple(range(2025, 2025 + 5 * periods, 5)),
@@ -439,27 +486,28 @@ def decoding_scratch(tmp_path, runs, periods=6, descriptors=5):
     )
     path = tmp_path / f"ensemble{runs}.jsonl"
     simulate.save_ensemble(ensemble, str(path))
-    assert load_ensemble(str(path)) == ensemble
-    body = path.read_bytes().split(b"\n", 1)[1]
-    width = 2 + periods * (descriptors + 2)
     tracemalloc.start()
     try:
-        values = simulate._parse_records(body, runs, width, str(path))
+        loaded = load_ensemble(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - values.nbytes, width
+    assert loaded == ensemble
+    result = sum(array.nbytes for array in loaded._arrays())
+    return peak - result, path.stat().st_size, 2 + periods * (descriptors + 2)
 
 
-def test_decoding_peak_memory_is_a_chunk_of_scratch_space(tmp_path):
-    """Decoding 40 000 runs takes, besides the int64 table it returns, 8
-    bytes a run to index the line ends and one chunk's scratch space (about
-    41 bytes per number on this table); 10 000 runs take the same but for
-    the index."""
-    scratch, width = decoding_scratch(tmp_path, 40_000)
-    assert 0 < scratch <= 8 * 40_000 + 48 * simulate.RECORD_CHUNK * width
-    fewer, _ = decoding_scratch(tmp_path, 10_000)
-    assert scratch - fewer <= 8 * 30_000 + 64 * 1024, (scratch, fewer)
+def test_loading_peak_memory_is_the_file_and_a_chunk_of_scratch_space(tmp_path):
+    """Loading 40 000 runs takes, besides the ensemble's arrays, the file's
+    bytes, 8 bytes a run to index the line ends and one chunk's scratch
+    space (a reused int64 buffer and the decoder's temporaries, about 41
+    bytes per number on this table); 10 000 runs take the same but for the
+    file and the index. An int64 table of the whole file, at 8 bytes a
+    number, does not fit."""
+    scratch, size, width = loading_scratch(tmp_path, 40_000)
+    assert 0 < scratch <= size + 8 * 40_000 + 48 * simulate.RECORD_CHUNK * width
+    fewer, fewer_size, _ = loading_scratch(tmp_path, 10_000)
+    assert scratch - fewer <= size - fewer_size + 8 * 30_000 + 64 * 1024, (scratch, fewer)
 
 
 def test_rendering_a_chunk_takes_at_most_32_bytes_of_scratch_a_number():
