@@ -117,8 +117,6 @@ def load_pipeline_config(path: str, output_dir: Optional[str] = None) -> Pipelin
     for i, stage in enumerate(cfg.stages):
         if stage not in ALL_STAGES:
             raise ConfigError(f"pipeline config: stages[{i}]: unknown stage {stage!r}")
-    if cfg.run_count < 1:
-        raise ConfigError("run_count must be >= 1")
     return cfg
 
 
@@ -464,9 +462,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
             raise ConfigError(f"stages: {stage} stage enabled but {field} is not set")
     if "quantify" in stages and "mcda" not in stages and config.selected_pathway is None:
         raise ConfigError("stages: quantify needs a selected pathway (an mcda stage or override)")
-    for stage, field, least in (("screen", "candidate_count", 2), ("simulate", "worker_count", 1),
-                                ("simulate", "max_iter", 1)):
-        if stage in stages and getattr(config, field) < least:
+    for needed, field, least in (
+        (True, "run_count", 1), ("screen" in stages, "candidate_count", 2),
+        ("simulate" in stages, "worker_count", 1), ("simulate" in stages, "max_iter", 1),
+    ):
+        if needed and getattr(config, field) < least:
             raise ConfigError(f"{field}: must be >= {least} (got {getattr(config, field)})")
     if "stats" in stages:
         _wilson_z(config.confidence_level)

@@ -579,7 +579,8 @@ def _parse_records(body, run_count: int, width: int, path: str):
     array) for each RECORD_CHUNK runs in turn, the array one reused buffer.
 
     The bytes of body are viewed as a uint8 array and their line ends
-    indexed and counted on the call, before load_ensemble allocates its
+    indexed and counted, and run_count records of width numbers checked to
+    fit in body's bytes, on the call, before load_ensemble allocates its
     arrays; _decode_records decodes each chunk as it is read. A number
     beyond int64, on either side, reads as int64's largest value, which
     load_ensemble's range checks refuse. A chunk holding a line that is not
@@ -591,6 +592,9 @@ def _parse_records(body, run_count: int, width: int, path: str):
     ends = np.flatnonzero(data == _NEWLINE)
     if len(ends) != run_count:
         raise ParseError(path, f"{len(ends)} run records, but the header says {run_count}")
+    if run_count * width > len(data):  # a record takes 2 * width + 1 bytes or more
+        raise ParseError(f"{path}: header", f"descriptors and time_grid give records of "
+                         f"{width} numbers, more than {run_count} in {len(data)} bytes hold")
     def chunks():
         values = np.empty((min(RECORD_CHUNK, run_count), width), np.int64)
         for first in range(0, run_count, RECORD_CHUNK):

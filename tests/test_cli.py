@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cibpath
 import legacy_format
 from cibpath.cli import main
 from cibpath.model import parse_study_spec
@@ -28,6 +29,14 @@ def fixture_dir(mini_spec_path):
 
 def invoke(runner, *args, env=None):
     return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+
+
+def child_env(env=None):
+    """os.environ and env, with PYTHONPATH led by the directory of the
+    cibpath that the tests imported, so that a child interpreter imports it."""
+    src = os.path.dirname(os.path.dirname(cibpath.__file__))
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(path)}
 
 
 class TestValidate:
@@ -386,6 +395,9 @@ def small_run(tmp_path_factory):
     ensemble = root / "ensemble.jsonl"
     first, *lines = ensemble.read_text().splitlines()
     (root / "truncated.jsonl").write_text("\n".join([first, *lines[:49]]) + "\n")
+    (root / "huge_descriptors.jsonl").write_text("\n".join(
+        [first.replace('"descriptors":5,', f'"descriptors":{10 ** 12},', 1), *lines]
+    ) + "\n")
 
     def write_edited(stem, edit, run=5):
         header, records = json.loads(first), [json.loads(line) for line in lines]
@@ -481,6 +493,9 @@ def small_run(tmp_path_factory):
     (root / "huge_scale_spec.json").write_text(
         (root / "nan_scale_spec.json").read_text().replace("NaN", "1e400")
     )
+    (root / "df2_spec.json").write_text(json.dumps(
+        {**doc, "uncertainty": {"sampling_distribution": {"kind": "student_t", "df": 2}}}
+    ))
     spec_digest = parse_study_spec(doc).digest()
     doc["shocks"]["structural"]["enabled"] = "false"
     (root / "text_shock_spec.json").write_text(json.dumps(doc))
@@ -502,6 +517,9 @@ def small_run(tmp_path_factory):
         doc = json.load(fh)
     for key in ("spec", "mcda_input", "translation"):
         doc[key] = os.path.join(os.path.dirname(spec), doc[key])
+    (root / "runs_pipeline.json").write_text(
+        json.dumps({**doc, "output_dir": str(root / "runs_out")})
+    )
     (root / "outcome_empty_extremes_pipeline.json").write_text(json.dumps({
         **doc, "run_count": 300, "extremes": {"outcome": {}},
         "output_dir": str(root / "extremes_out"),
@@ -735,6 +753,12 @@ FAILURES = [
      "ParseError"),
     ("ensemble-record-5000-digits", lambda f: _stats(f, "spec", "huge_iterations"), None, 3,
      "ParseError"),
+    ("ensemble-header-descriptors-huge", lambda f: _stats(f, "spec", "huge_descriptors"), None, 3,
+     "ParseError"),
+    ("pipeline-runs-0", lambda f: ["pipeline", "--config", f["runs_pipeline"], "--runs", "0"],
+     None, 3, "ConfigError"),
+    ("spec-student-t-df-2", lambda f: ["validate", "--spec", f["df2_spec"]], None, 1,
+     "ValidationFailure"),
 ]
 
 
@@ -774,6 +798,9 @@ NAMED_FIELDS = {
     "pipeline-run-count-5000-digits": "huge_runs_pipeline.json: an integer of 5000 characters",
     "ensemble-header-5000-digits": "huge_seed.jsonl: header: an integer of 5000 characters",
     "ensemble-record-5000-digits": "huge_iterations.jsonl: runs[5]: iteration count",
+    "ensemble-header-descriptors-huge": "huge_descriptors.jsonl: header: descriptors",
+    "ensemble-state-beyond-int8": "state300.jsonl: runs[5]: state 300 is not a state index",
+    "pipeline-runs-0": "run_count: ",
 }
 
 
@@ -795,25 +822,30 @@ def test_refusal_names_the_field(small_run, case):
     assert NAMED_FIELDS[case] in json.loads(result.stderr)["message"]
 
 
-def test_bad_confidence_level_stops_the_pipeline_before_any_stage(small_run):
-    config = small_run["level0_pipeline"]
-    result = invoke(CliRunner(), "pipeline", "--config", config)
+#: Pipeline refusals of FAILURES that come before any stage, and the
+#: output directory that each one's config names.
+BEFORE_ANY_STAGE = {"pipeline-confidence-level-zero": "level0_out", "pipeline-runs-0": "runs_out"}
+
+
+@pytest.mark.parametrize("case", BEFORE_ANY_STAGE)
+def test_pipeline_refusal_before_any_stage_leaves_no_output_directory(small_run, case):
+    """A bad config value, or a --runs override applied after the config is
+    read, is refused before the validate stage writes findings.json."""
+    (argv,) = [c[1] for c in FAILURES if c[0] == case]
+    result = invoke(CliRunner(), *argv(small_run))
     assert result.exit_code == 3, result.output
-    assert not os.path.exists(os.path.join(os.path.dirname(config), "level0_out"))
+    out = os.path.join(os.path.dirname(small_run["out"]), BEFORE_ANY_STAGE[case])
+    assert not os.path.exists(out)
 
 
 def test_import_leaves_scipy_unloaded():
     """scipy is a test-only dependency: start-up must not import it."""
-    import cibpath
-
-    src = os.path.dirname(os.path.dirname(cibpath.__file__))
-    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     code = (
         "import sys, cibpath, cibpath.cli, cibpath.pipeline\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        [sys.executable, "-c", code], env=child_env(),
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert done.stdout.strip() == "[]"
@@ -1059,11 +1091,11 @@ BAD_QUANTIFY_INPUTS = {
 }
 
 
-def _refusal(small_run, tmp_path, case, edit):
-    """The pipeline's stderr report on the mini pipeline config of 300 runs,
-    without extremes and edited by edit, and the prefix that names the file
-    an edit writes ("" for none). The pipeline must exit 3 with no stage
-    output written."""
+def _stage_input_config(small_run, tmp_path, edit):
+    """The argv of a pipeline over the mini pipeline config of 300 runs,
+    without extremes and edited by edit, written under tmp_path; a check
+    that the pipeline wrote no stage output; and the prefix that names the
+    file an edit writes ("" for none)."""
     with open(small_run["outcome_empty_extremes_pipeline"]) as fh:
         doc = json.load(fh)
     del doc["extremes"]
@@ -1079,9 +1111,18 @@ def _refusal(small_run, tmp_path, case, edit):
             edit[key], file = str(path), f"{path}: "
     config = tmp_path / "pipeline.json"
     config.write_text(json.dumps({**doc, **edit, "output_dir": str(out)}))
-    result = invoke(CliRunner(), "pipeline", "--config", str(config))
+    return (["pipeline", "--config", str(config)],
+            lambda: not os.path.exists(out) or os.listdir(out) == given, file)
+
+
+def _refusal(small_run, tmp_path, case, edit):
+    """The pipeline's stderr report on _stage_input_config's config, and the
+    prefix that names the file an edit writes. The pipeline must exit 3 with
+    no stage output written."""
+    argv, no_output, file = _stage_input_config(small_run, tmp_path, edit)
+    result = invoke(CliRunner(), *argv)
     assert result.exit_code == 3, (case, result.output)
-    assert not os.path.exists(out) or os.listdir(out) == given
+    assert no_output()
     return json.loads(result.stderr), file
 
 
@@ -1099,6 +1140,44 @@ def test_pipeline_checks_quantify_inputs_and_pathway_ids_before_any_stage(
     edit, error, node = BAD_QUANTIFY_INPUTS[case]
     report, file = _refusal(small_run, tmp_path, case, edit)
     assert report["error"] == error and report["message"].startswith(file + node), report
+
+
+#: The refusals that are also run through the interpreter, as the console
+#: script runs them: case ids of FAILURES, BAD_STAGE_INPUTS and
+#: BAD_QUANTIFY_INPUTS.
+CONSOLE_CASES = [
+    "ensemble-state-beyond-int8", "spec-shocks-number", "spec-integer-5000-digits",
+    "spec-student-t-df-2", "outcome-unknown-descriptor", "candidate-count-1-without-mcda",
+    "range-low-offset-above-0", "translation-list",
+]
+
+
+@pytest.mark.parametrize("case", CONSOLE_CASES)
+def test_console_refusal_exits_with_one_json_line(small_run, tmp_path, case):
+    """The case run by `python -m cibpath.cli` on the cibpath that the tests
+    imported: the interpreter's exit status and its stderr, which CliRunner
+    does not see, hold the case's exit code and one JSON line with its error
+    and the node it names, with no traceback; a pipeline writes no stage
+    output."""
+    failures = {c[0]: c[1:] for c in FAILURES}
+    if case in failures:
+        build, env, code, error = failures[case]
+        argv, no_output, named = build(small_run), lambda: True, NAMED_FIELDS.get(case, "")
+    else:
+        edit, error, node = {**BAD_STAGE_INPUTS, **BAD_QUANTIFY_INPUTS}[case]
+        env, code = None, 3
+        argv, no_output, file = _stage_input_config(small_run, tmp_path, edit)
+        named = file + node
+    done = subprocess.run(
+        [sys.executable, "-m", "cibpath.cli", *argv], env=child_env(env),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    (line,) = done.stderr.splitlines()
+    report = json.loads(line)
+    assert report["error"] == error and named in report["message"], report
+    assert "Traceback" not in done.stdout + done.stderr
+    assert no_output()
 
 
 def test_exclusion_state_label_equals_its_index(small_run, tmp_path):

@@ -318,6 +318,29 @@ def test_a_run_count_no_memory_holds_is_refused_by_the_record_count(saved, tmp_p
         load_text(tmp_path, simulate.compact_json(header).encode() + b"\n" + body)
 
 
+def test_a_descriptor_count_no_memory_holds_is_refused_by_the_record_bytes(saved, tmp_path):
+    """A header whose run_count records of its width cannot fit in the
+    records' bytes is refused before the ensemble's arrays, of that width,
+    are allocated, also when the first record has that width; one near the
+    records' width names the first record."""
+    head, body = saved[1].split(b"\n", 1)
+    header = json.loads(head)
+    # run 0 of 200 descriptors' width, 6 * 200 + 14 numbers; the other runs empty
+    wide = b"[" + b",".join([b"0"] * 1214) + b"]\n" + b"[]\n" * 11
+    for descriptors, records, node, reason in (
+        (10 ** 12, body, "header", "descriptors and time_grid give records of "
+         f"{6 * 10 ** 12 + 14} numbers, more than 12 in {len(body)} bytes hold"),
+        (200, wide, "header", "descriptors and time_grid give records of 1214 numbers, "
+         f"more than 12 in {len(wide)} bytes hold"),
+        (6, body, "runs[0]", "not a compact JSON array of 50 integers"),
+    ):
+        header["descriptors"] = descriptors
+        with pytest.raises(ParseError) as caught:
+            load_text(tmp_path, simulate.compact_json(header).encode() + b"\n" + records)
+        assert caught.value.path.endswith(f"ensemble.jsonl: {node}"), caught.value.path
+        assert caught.value.reason.startswith(reason), caught.value.reason
+
+
 # ---------------------------------------------------------------------------
 # The record codec on random int64 tables
 
