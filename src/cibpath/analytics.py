@@ -320,17 +320,15 @@ def select_candidates(
     """Pick k candidates from screen_candidates' survivors: one medoid
     representative per terminal-scenario group, groups ordered by frequency,
     with at least two candidates ending in the best outcome state whenever
-    the pool allows it. Fewer than k groups raise
+    two survivors do. Fewer than k groups raise
     InsufficientCandidatesError."""
     if k < 2:
         raise ConfigError(f"candidate count must be >= 2 (got {k})")
     pool = screened.candidates
-    j_best = spec.index_of(best_outcome[0])
-    best_state = best_outcome[1]
+    is_best = pool.states[:, -1, spec.index_of(best_outcome[0])] == best_outcome[1]
 
     # Groups come out of np.unique in terminal order; a stable sort by
     # falling frequency then gives the order (-frequency, terminal).
-    terminals = pool.states[:, -1]
     keys, group = np.unique(pool.terminal, return_inverse=True)
     if len(keys) < k:
         raise InsufficientCandidatesError(
@@ -339,39 +337,26 @@ def select_candidates(
     frequency = np.zeros(len(keys))
     frequency[group] = pool.labels
     reps = _medoids(pool.states, group, pool.rank)[np.argsort(-frequency, kind="stable")].tolist()
-    is_best = (terminals[:, j_best] == best_state).tolist()
 
     selected = [(rep, f"frequency-rank-{rank}") for rank, rep in enumerate(reps[:k], start=1)]
     warnings: list[str] = []
-    have = sum(is_best[rep] for rep, _ in selected)
-    if have < 2:
-        if sum(is_best) < 2:
-            warnings.append(
-                "fewer than 2 surviving pathways reach the best outcome state; "
-                "quota relaxed"
-            )
-        else:
-            # Swap lowest-ranked non-best selections for best-outcome
-            # representatives: unseen best groups first, then extra members
-            # of already-selected best groups.
-            chosen = {rep for rep, _ in selected}
-            extras = [rep for rep in reps[k:] if is_best[rep]]
-            by_scenarios = np.lexsort(flat_rows(pool.states).T[::-1]).tolist()
-            extras += [
-                i for i in by_scenarios if is_best[i] and i not in chosen and i not in extras
-            ]
-            need = 2 - have
-            for rep in extras[:need]:
-                for pos in range(len(selected) - 1, -1, -1):
-                    if not is_best[selected[pos][0]]:
-                        selected[pos] = (rep, "best-outcome-guarantee")
-                        break
-            have = sum(is_best[rep] for rep, _ in selected)
-            if have < 2:
-                warnings.append(
-                    "could not satisfy the best-outcome quota without duplicates; "
-                    "quota relaxed"
-                )
+    need = 2 - int(is_best[reps[:k]].sum())
+    if need > 0 and is_best.sum() < 2:
+        warnings.append(
+            "fewer than 2 surviving pathways reach the best outcome state; quota relaxed"
+        )
+    elif need > 0:
+        # The lowest-ranked selections that miss the best state give way to
+        # the medoids of unselected best groups, in frequency order, then to
+        # the other best survivors, in scenario-sequence order. As k >= 2
+        # and two survivors are best, need selections miss and need best
+        # survivors are unselected, so the quota is met.
+        picks = [rep for rep in reps[k:] if is_best[rep]][:need]
+        rest = np.setdiff1d(np.flatnonzero(is_best), reps[:k] + picks).tolist()
+        picks += sorted(rest, key=lambda i: pool.states[i].tolist())[:need - len(picks)]
+        misses = [pos for pos, (rep, _) in enumerate(selected) if not is_best[rep]]
+        for pos, rep in zip(reversed(misses), picks):
+            selected[pos] = (rep, "best-outcome-guarantee")
 
     out = [
         replace(pool[rep], rationale=f"{tag};diversity-group-{i}")

@@ -253,9 +253,9 @@ def succession_batch(kernel, scores, eta, runs, current, locked):
     theta += eta[runs]
     if kernel.padded is not None:
         theta[:, kernel.padded] = -np.inf
-    for j, forbidden in enumerate(kernel.blocks):
-        for state, other, other_state in forbidden:
-            theta[current[:, other] == other_state, j, state] = -np.inf
+    for a, a_state, b, b_state in kernel.forbidden:  # each state of a pair blocks the other
+        theta[current[:, b] == b_state, a, a_state] = -np.inf
+        theta[current[:, a] == a_state, b, b_state] = -np.inf
     # theta.max(2) and theta.argmax(2), the first state at the maximum, as
     # one elementwise pass per state: a reduction over a short last axis
     # costs more.

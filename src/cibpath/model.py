@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import chain
 from typing import Any, Callable, Iterator, Optional
@@ -233,9 +233,6 @@ class SpecKernel:
     #: The (descriptor, state) slots of a score array past each descriptor's
     #: states, as a (D, max state count) mask, or None when there are none.
     padded: Optional[np.ndarray]
-    #: Per descriptor: (blocked state, other position, other state) for every
-    #: forbidden pair naming the descriptor.
-    blocks: tuple[tuple[tuple[int, int, int], ...], ...]
     #: (position, state, position, state) per forbidden pair.
     forbidden: tuple[tuple[int, int, int, int], ...]
     #: (antecedent position, state, consequent position, state).
@@ -253,11 +250,6 @@ class SpecKernel:
         def pair(p: tuple[str, int]) -> tuple[int, int]:
             return at(p[0]), p[1]
 
-        forbidden = tuple(pair(a) + pair(b) for a, b in spec.rules.forbidden_pairs)
-        blocks: list[list[tuple[int, int, int]]] = [[] for _ in spec.descriptors]
-        for ai, a_s, bi, b_s in forbidden:
-            blocks[ai].append((a_s, bi, b_s))
-            blocks[bi].append((b_s, ai, a_s))
         counts = spec.state_counts
         padded = np.arange(max(counts, default=0)) >= np.array(counts)[:, None]
         return cls(
@@ -265,8 +257,7 @@ class SpecKernel:
             state_counts=counts,
             sources=np.arange(len(spec.descriptors)),
             padded=padded if padded.any() else None,
-            blocks=tuple(tuple(b) for b in blocks),
-            forbidden=forbidden,
+            forbidden=tuple(pair(a) + pair(b) for a, b in spec.rules.forbidden_pairs),
             implications=tuple(pair(a) + pair(c) for a, c in spec.rules.implications),
             thresholds=tuple(
                 (
@@ -291,12 +282,10 @@ class StudySpec:
     shocks: ShockConfig = ShockConfig()
     uncertainty: UncertaintyConfig = UncertaintyConfig()
     time_grid: tuple[int, ...] = ()
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {d.id: i for i, d in enumerate(self.descriptors)}
-        )
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {d.id: i for i, d in enumerate(self.descriptors)}
 
     def index_of(self, descriptor_id: str, path: str = "descriptors") -> int:
         """The descriptor's position, else SpecReferenceError naming path."""
@@ -878,8 +867,7 @@ def validate_study_spec(spec: StudySpec) -> list[Finding]:
     except ParseError as e:
         err(e.path, e.reason)
     else:
-        changed = [f.name for f in fields(StudySpec)
-                   if f.compare and getattr(again, f.name) != getattr(spec, f.name)]
+        changed = [f.name for f in fields(StudySpec) if getattr(again, f.name) != getattr(spec, f.name)]
         if changed:
             err(changed[0], "changed by a serialize/parse round trip: the spec file cannot hold it")
         # All-zero outgoing rows usually mean a pair was never elicited.

@@ -584,8 +584,9 @@ def _parse_records(body, run_count: int, width: int, path: str):
     arrays; _decode_records decodes each chunk as it is read. A number
     beyond int64, on either side, reads as int64's largest value, which
     load_ensemble's range checks refuse. A chunk holding a line that is not
-    such an array is halved, by the same check, until its first such line
-    is found; that line is named as runs[i]."""
+    such an array has its lines checked one at a time, by the same check,
+    and the first that fails is named as runs[i]: a chunk fails exactly
+    when one of its lines does, since every check adds up per-line counts."""
     data = np.frombuffer(body, np.uint8)
     if len(data) and data[-1] != _NEWLINE:
         data = np.append(data, np.uint8(_NEWLINE))
@@ -601,7 +602,8 @@ def _parse_records(body, run_count: int, width: int, path: str):
             stop = min(first + RECORD_CHUNK, run_count)
             lines, out = _lines(data, ends, first, stop), values[:stop - first]
             if not _decode_records(*lines, out):
-                bad = first + _first_bad_line(*lines, out)
+                bad = next(i for i in range(first, stop)
+                           if not _decode_records(*_lines(data, ends, i, i + 1), out[:1]))
                 raise ParseError(f"{path}: runs[{bad}]", (
                     f"not a compact JSON array of {width} integers (run index, periods "
                     "recorded, states, converged flags, iterations)"
@@ -615,19 +617,6 @@ def _lines(data: np.ndarray, ends: np.ndarray, first: int, stop: int):
     bytes, and the ends within them."""
     start = ends[first - 1] + 1 if first else 0
     return data[start:ends[stop - 1] + 1], ends[first:stop] - start
-
-
-def _first_bad_line(text: np.ndarray, ends: np.ndarray, out: np.ndarray) -> int:
-    """The index of the first line of text that _decode_records refuses;
-    there must be one. It overwrites out."""
-    good, bad = 0, len(ends)  # lines [0, good) are records; [0, bad) holds one that is not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _decode_records(*_lines(text, ends, good, mid), out[good:mid]):
-            good = mid
-        else:
-            bad = mid
-    return good
 
 
 def _decode_records(text: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
