@@ -45,7 +45,7 @@ class TractabilityError(CibError):
 
 
 class ValidationFailure(CibError):
-    """A study spec or MCDA input failed validation with errors."""
+    """A study spec failed validation with errors (a bad MCDA input is a ParseError)."""
 
 
 class ConfigError(CibError):

@@ -10,9 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from itertools import chain
 from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
@@ -500,8 +499,10 @@ def _position(index: dict, descriptor_id: Any, path: str) -> int:
         raise SpecReferenceError(path, f"unknown descriptor {descriptor_id!r}") from None
 
 
-def _parse_distribution(parent: dict, key: str, path: str) -> Distribution:
-    value = child(parent, key, (str, dict), path, "gaussian")
+def _parse_distribution(parent: dict, key: str, path: str, default: Distribution) -> Distribution:
+    value = child(parent, key, (str, dict), path, default)
+    if value is default:
+        return default
     path = f"{path}.{key}"
     if value == "gaussian":
         return GAUSSIAN
@@ -516,6 +517,21 @@ def _parse_distribution(parent: dict, key: str, path: str) -> Distribution:
     if df < 1:
         raise ParseError(f"{path}.df", "df must be a positive integer")
     return Distribution("student_t", df)
+
+
+def _parse_record(cls: type, doc: dict, path: str) -> Any:
+    """A cls (a shock config or CyclicParams) from the object doc at path,
+    field by field: a Distribution by _parse_distribution, any other field
+    as the JSON type its annotation names, and an absent field as its class
+    default if it has one."""
+    values = {}
+    for f in fields(cls):
+        default = _REQUIRED if f.default is MISSING else f.default
+        if f.type == "Distribution":
+            values[f.name] = _parse_distribution(doc, f.name, path, default)
+        else:
+            values[f.name] = child(doc, f.name, bool if f.type == "bool" else float, path, default)
+    return cls(**values)
 
 
 def resolve_state(desc: Descriptor, ref: Any, path: str) -> int:
@@ -536,7 +552,7 @@ def _parse_descriptor(doc: dict, path: str) -> Descriptor:
     did = child(doc, "id", str, path)
     if not did:
         raise ParseError(f"{path}.id", "id must be a non-empty string")
-    kind = child(doc, "kind", str, path, "endogenous")
+    kind = child(doc, "kind", str, path, Descriptor.kind)
     if kind not in DESCRIPTOR_KINDS:
         raise ParseError(f"{path}.kind", f"kind must be one of {DESCRIPTOR_KINDS}")
     raw_states = child(doc, "states", [(str, dict)], path)
@@ -549,14 +565,10 @@ def _parse_descriptor(doc: dict, path: str) -> Descriptor:
             states.append(StateDef(i, s))
         else:
             label = child(s, "label", str, spath)
-            states.append(StateDef(i, label, child(s, "definition", str, spath, "")))
+            states.append(StateDef(i, label, child(s, "definition", str, spath, StateDef.definition)))
     cyclic = None
     if kind == "cyclic":
-        raw, cpath = child(doc, "cyclic", dict, path), f"{path}.cyclic"
-        cyclic = CyclicParams(
-            *(child(raw, key, float, cpath) for key in ("stay", "step", "step2")),
-            drift=child(raw, "drift", float, cpath, 0.0),
-        )
+        cyclic = _parse_record(CyclicParams, child(doc, "cyclic", dict, path), f"{path}.cyclic")
     elif "cyclic" in doc:
         raise ParseError(f"{path}.cyclic", "cyclic parameters on a non-cyclic descriptor")
     return Descriptor(did, child(doc, "name", str, path, did), tuple(states), kind, cyclic)
@@ -566,8 +578,8 @@ def _parse_cim(
     records: list, descriptors: tuple[Descriptor, ...], index: dict
 ) -> CrossImpactMatrix:
     ids = tuple(d.id for d in descriptors)
-    counts = tuple(d.state_count for d in descriptors)
-    cells: dict[tuple[int, int, int, int], tuple[float, int]] = {}
+    cim = CrossImpactMatrix.zeros(ids, tuple(d.state_count for d in descriptors))
+    seen = np.zeros_like(cim.valid_mask)
     for pos in range(len(records)):
         rec, path = child(records, pos, dict, "cim"), f"cim[{pos}]"
         i = _position(index, child(rec, "source", str, path), f"{path}.source")
@@ -586,15 +598,10 @@ def _parse_cim(
         conf = child(rec, "confidence", int, path)
         if not 1 <= conf <= 5:
             raise ParseError(f"{path}.confidence", "confidence must be an integer in 1..5")
-        if (i, si, j, tj) in cells:
+        at = i, si, j, tj
+        if seen[at]:
             raise ParseError(path, "duplicate cell")
-        cells[i, si, j, tj] = score, conf
-    cim = CrossImpactMatrix.zeros(ids, counts)
-    seen = np.zeros_like(cim.valid_mask)
-    at = tuple(np.fromiter(chain.from_iterable(cells), np.intp, 4 * len(cells)).reshape(-1, 4).T)
-    seen[at] = True
-    values = np.fromiter(chain.from_iterable(cells.values()), float, 2 * len(cells))
-    cim.scores[at], cim.confidences[at] = values.reshape(-1, 2).T
+        seen[at], cim.scores[at], cim.confidences[at] = True, score, conf
     missing = cim.valid_mask & ~seen
     if missing.any():
         i, si, j, tj = (int(x) for x in np.argwhere(missing)[0])
@@ -685,22 +692,10 @@ def parse_study_spec(document: dict) -> StudySpec:
         threshold_rules.append(ThresholdRule(conditions, effect))
 
     raw_shocks = child(document, "shocks", dict, "", {})
-    raw_struct = child(raw_shocks, "structural", dict, "shocks", {})
-    raw_dyn = child(raw_shocks, "dynamic", dict, "shocks", {})
-    spath, dpath = "shocks.structural", "shocks.dynamic"
-    shocks = ShockConfig(
-        structural=StructuralShockConfig(
-            enabled=child(raw_struct, "enabled", bool, spath, False),
-            scale=child(raw_struct, "scale", float, spath, 0.0),
-            distribution=_parse_distribution(raw_struct, "distribution", spath),
-        ),
-        dynamic=DynamicShockConfig(
-            enabled=child(raw_dyn, "enabled", bool, dpath, False),
-            long_run_sd=child(raw_dyn, "long_run_sd", float, dpath, 0.0),
-            persistence=child(raw_dyn, "persistence", float, dpath, 0.0),
-            distribution=_parse_distribution(raw_dyn, "distribution", dpath),
-        ),
-    )
+    shocks = ShockConfig(*(
+        _parse_record(cls, child(raw_shocks, key, dict, "shocks", {}), f"shocks.{key}")
+        for key, cls in (("structural", StructuralShockConfig), ("dynamic", DynamicShockConfig))
+    ))
 
     time_grid = tuple(child(document, "time_grid", [int]))
 
@@ -725,7 +720,9 @@ def parse_study_spec(document: dict) -> StudySpec:
     uncertainty = UncertaintyConfig(
         confidence_sigma=confidence_sigma,
         time_scale=time_scale,
-        sampling_distribution=_parse_distribution(raw_unc, "sampling_distribution", "uncertainty"),
+        sampling_distribution=_parse_distribution(
+            raw_unc, "sampling_distribution", "uncertainty", UncertaintyConfig.sampling_distribution
+        ),
         resample=resample,
     )
 
@@ -754,6 +751,19 @@ def _default_time_scale(time_grid: tuple[int, ...]) -> list[float]:
 # Serialization
 
 
+def _record_doc(record: Any) -> dict:
+    """A spec record's JSON object: its fields by name, a distribution as
+    "gaussian" or {"kind": "student_t", "df": df}."""
+    return {
+        name: _distribution_doc(value) if type(value) is Distribution else value
+        for name, value in vars(record).items()
+    }
+
+
+def _distribution_doc(d: Distribution) -> Any:
+    return "gaussian" if d.kind == "gaussian" else dict(vars(d))
+
+
 def serialize_study_spec(spec: StudySpec) -> dict:
     """Emit the JSON document form; parse(serialize(spec)) == spec."""
     descriptors = []
@@ -762,35 +772,22 @@ def serialize_study_spec(spec: StudySpec) -> dict:
             "id": d.id,
             "name": d.name,
             "kind": d.kind,
-            "states": [
-                {"label": s.label, "definition": s.definition} for s in d.states
-            ],
+            "states": [{"label": s.label, "definition": s.definition} for s in d.states],
         }
         if d.cyclic_params is not None:
-            doc["cyclic"] = asdict(d.cyclic_params)
+            doc["cyclic"] = _record_doc(d.cyclic_params)
         descriptors.append(doc)
 
-    cells = []
-    ids = spec.cim.descriptor_ids
-    for i, si, j, tj in spec.cim.iter_cells():
-        cells.append(
-            {
-                "source": ids[i],
-                "source_state": si,
-                "target": ids[j],
-                "target_state": tj,
-                "score": float(spec.cim.scores[i, si, j, tj]),
-                "confidence": int(spec.cim.confidences[i, si, j, tj]),
-            }
-        )
-
-    sh = spec.shocks
-
-    def dist(d: Distribution) -> Any:
-        if d.kind == "gaussian":
-            return "gaussian"
-        return {"kind": "student_t", "df": d.df}
-
+    cim, ids = spec.cim, spec.cim.descriptor_ids
+    cells = [
+        {
+            "source": ids[i], "source_state": si, "target": ids[j], "target_state": tj,
+            "score": float(cim.scores[i, si, j, tj]),
+            "confidence": int(cim.confidences[i, si, j, tj]),
+        }
+        for i, si, j, tj in cim.iter_cells()
+    ]
+    unc = spec.uncertainty
     return {
         "descriptors": descriptors,
         "cim": cells,
@@ -802,32 +799,15 @@ def serialize_study_spec(spec: StudySpec) -> dict:
             ],
         },
         "threshold_rules": [
-            {
-                "conditions": [list(c) for c in r.conditions],
-                "effect": asdict(r.effect),
-            }
+            {"conditions": [list(c) for c in r.conditions], "effect": _record_doc(r.effect)}
             for r in spec.threshold_rules
         ],
-        "shocks": {
-            "structural": {
-                "enabled": sh.structural.enabled,
-                "scale": sh.structural.scale,
-                "distribution": dist(sh.structural.distribution),
-            },
-            "dynamic": {
-                "enabled": sh.dynamic.enabled,
-                "long_run_sd": sh.dynamic.long_run_sd,
-                "persistence": sh.dynamic.persistence,
-                "distribution": dist(sh.dynamic.distribution),
-            },
-        },
+        "shocks": {name: _record_doc(config) for name, config in vars(spec.shocks).items()},
         "uncertainty": {
-            "confidence_sigma": {
-                str(c): s for c, s in enumerate(spec.uncertainty.confidence_sigma, 1)
-            },
-            "time_scale": {str(p): f for p, f in spec.uncertainty.time_scale},
-            "sampling_distribution": dist(spec.uncertainty.sampling_distribution),
-            "resample": spec.uncertainty.resample,
+            "confidence_sigma": {str(c): s for c, s in enumerate(unc.confidence_sigma, 1)},
+            "time_scale": {str(p): f for p, f in unc.time_scale},
+            "sampling_distribution": _distribution_doc(unc.sampling_distribution),
+            "resample": unc.resample,
         },
         "time_grid": list(spec.time_grid),
     }

@@ -150,16 +150,10 @@ def _artifact(out_dir: str, name: str) -> str:
 
 def findings_report(findings: list[Finding]) -> dict:
     return {
-        "errors": [
-            {"path": f.path, "message": f.message}
-            for f in findings
-            if f.severity == "error"
-        ],
-        "warnings": [
-            {"path": f.path, "message": f.message}
-            for f in findings
-            if f.severity == "warning"
-        ],
+        f"{severity}s": [
+            {"path": f.path, "message": f.message} for f in findings if f.severity == severity
+        ]
+        for severity in ("error", "warning")
     }
 
 
@@ -275,13 +269,7 @@ def stats_stage(
         per_desc = []
         for period, cells in series.cells:
             for state, cell in enumerate(cells):
-                point = {
-                    "period": period,
-                    "state": state,
-                    "share": cell.share,
-                    "low": cell.low,
-                    "high": cell.high,
-                }
+                point = {"period": period, "state": state, **vars(cell)}
                 per_desc.append(point)
                 rows.append({"descriptor": d.id, "label": d.states[state].label, **point})
         series_doc[d.id] = per_desc
@@ -415,19 +403,9 @@ def quantify_stage(
     )
     bundle = {
         "selected_pathway": pathway_id,
-        "dimensions": [
-            {"id": d.id, "unit": d.unit, "driver": d.driver} for d in qp.dimensions
-        ],
+        "dimensions": [vars(d) for d in qp.dimensions],
         "table": rows,
-        "extreme_scenarios": [
-            {
-                "label": e.label,
-                "axis": e.axis,
-                "period": e.period,
-                "values": e.values,
-            }
-            for e in scenarios
-        ],
+        "extreme_scenarios": [vars(e) for e in scenarios],
         "warnings": list(warnings),
     }
     json_path = os.path.join(out_dir, "quantified.json")
@@ -452,7 +430,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     pathways and selected_pathway must be candidates (C1..Ck if screen
     runs). A bad one raises ConfigError or ParseError naming its node, after
     its file's path for a file. A spec with validation errors raises
-    ValidationFailure after findings.json is written.
+    ValidationFailure: after the validate stage writes findings.json, or
+    before any stage when simulate runs without it.
     """
     stages, out = config.stages, config.output_dir
     for stage, field in (
@@ -472,6 +451,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         _wilson_z(config.confidence_level)
 
     spec = load_study_spec(config.spec_path)
+    if "simulate" in stages and "validate" not in stages:
+        raise_on_errors(validate_study_spec(spec), "run `cibpath validate`")
     screening = resolve_screening(config.screening, spec) if "screen" in stages else None
     mcda_input = load_mcda_input(config.mcda_input_path) if "mcda" in stages else None
     quantify_inputs: Optional[QuantifyInputs] = None

@@ -401,6 +401,8 @@ def parse_identities(doc: dict, dimensions: tuple[Dimension, ...]) -> tuple[Iden
         for d in ident.adjustable:
             if d not in terms:
                 raise ParseError(f"{path}.adjustable", f"{d!r} is not a term of identity {name!r}")
+        if not any(c for d, c in ident.terms if d in ident.adjustable):
+            raise ParseError(f"{path}.adjustable", f"identity {name!r} has only zero adjustable terms")
         unknown = sorted({*terms, ident.rhs_dimension} - known - {None})
         if unknown:
             raise ParseError(path, f"identity {name!r} names unknown dimensions {unknown}")

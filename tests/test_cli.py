@@ -496,6 +496,15 @@ def small_run(tmp_path_factory):
     (root / "df2_spec.json").write_text(json.dumps(
         {**doc, "uncertainty": {"sampling_distribution": {"kind": "student_t", "df": 2}}}
     ))
+    # cyclic probabilities summing to 0.35: a validation error, not a parse error
+    invalid = json.loads(json.dumps(doc))
+    next(d for d in invalid["descriptors"] if "cyclic" in d)["cyclic"]["stay"] = 0.1
+    (root / "stay_spec.json").write_text(json.dumps(invalid))
+    for stem, stages in (("simulate", ["simulate"]), ("validate", ["validate", "simulate"])):
+        (root / f"invalid_{stem}_pipeline.json").write_text(json.dumps({
+            "spec": str(root / "stay_spec.json"), "run_count": 50, "stages": stages,
+            "output_dir": str(root / f"invalid_{stem}_out"),
+        }))
     spec_digest = parse_study_spec(doc).digest()
     doc["shocks"]["structural"]["enabled"] = "false"
     (root / "text_shock_spec.json").write_text(json.dumps(doc))
@@ -759,6 +768,9 @@ FAILURES = [
      None, 3, "ConfigError"),
     ("spec-student-t-df-2", lambda f: ["validate", "--spec", f["df2_spec"]], None, 1,
      "ValidationFailure"),
+    ("pipeline-simulate-invalid-spec",
+     lambda f: ["pipeline", "--config", f["invalid_simulate_pipeline"]], None, 1,
+     "ValidationFailure"),
 ]
 
 
@@ -836,6 +848,18 @@ def test_pipeline_refusal_before_any_stage_leaves_no_output_directory(small_run,
     assert result.exit_code == 3, result.output
     out = os.path.join(os.path.dirname(small_run["out"]), BEFORE_ANY_STAGE[case])
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("stem, written", [("simulate", None), ("validate", ["findings.json"])])
+def test_pipeline_refuses_an_invalid_spec_before_simulating(small_run, stem, written):
+    """A spec with validation errors stops the pipeline before simulate
+    writes: with a validate stage, after findings.json; without one, before
+    any stage, as `cibpath simulate` refuses it."""
+    result = invoke(CliRunner(), "pipeline", "--config", small_run[f"invalid_{stem}_pipeline"])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.stderr)["error"] == "ValidationFailure"
+    out = os.path.join(os.path.dirname(small_run["out"]), f"invalid_{stem}_out")
+    assert (sorted(os.listdir(out)) if os.path.exists(out) else None) == written
 
 
 def test_import_leaves_scipy_unloaded():

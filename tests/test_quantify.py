@@ -300,6 +300,17 @@ class TestIdentities:
                 zero, (Identity("x", (("a", 1.0),), ("a",), rhs_value=10.0),)
             )
 
+    def test_zero_adjustable_coefficients_refused_on_read(self):
+        """Adjustable terms whose coefficients are all 0 can repair nothing,
+        whatever the values: the reader refuses them, before any stage."""
+        dims = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0)}).dimensions
+        doc = {"identities": [{"terms": {"a": 0.0, "b": 1.0}, "adjustable": ["a"], "equals": 1.0}]}
+        with pytest.raises(ParseError) as exc:
+            parse_identities(doc, dims)
+        assert exc.value.path == "identities[0].adjustable"
+        doc["identities"][0]["adjustable"] = ["a", "b"]
+        assert parse_identities(doc, dims)[0].adjustable == ("a", "b")
+
 
 class TestFiles:
     def test_parse_translation_with_labels_and_periods(self):
