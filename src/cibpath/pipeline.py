@@ -387,11 +387,12 @@ def quantify_stage(
     ensemble: Optional[EnsembleResult],
 ) -> list[str]:
     """quantified.csv and quantified.json for the candidate pathway_id,
-    whose pathway is pathway; extreme scenarios, when inputs has axes, are
-    drawn from the ensemble (None when it has none)."""
+    whose pathway is pathway: each cell is looked up, repaired by the
+    identities and then given its band. Extreme scenarios, when inputs has
+    axes, are drawn from the ensemble (None when it has none)."""
     dims, matrix = inputs.dimensions, inputs.matrix
     qp = quantify_pathway(pathway, dims, matrix, spec)
-    qp = enforce_identities(attach_uncertainty_ranges(qp, inputs.ranges), inputs.identities)
+    qp = attach_uncertainty_ranges(enforce_identities(qp, inputs.identities), inputs.ranges)
     scenarios, warnings = (), ()
     if inputs.extremes is not None:
         scenarios, warnings = build_extreme_scenarios(ensemble, dims, matrix, spec, inputs.extremes)

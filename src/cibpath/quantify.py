@@ -1,9 +1,10 @@
 """Translation of a selected pathway into model-ready input tables.
 
-State-to-value lookups per dimension (optionally time-dependent), panel
-overrides with provenance, expert uncertainty ranges, terminal-period
-extreme scenarios, and optional linear identity enforcement by
-proportional rescaling of designated adjustable dimensions.
+Each cell is the lookup of its dimension's driver state in the period
+(optionally time-dependent); optional linear identities then repair the
+cells of designated adjustable dimensions by proportional rescaling; and
+expert uncertainty bands are attached last, around the repaired values.
+Terminal-period extreme scenarios are looked up the same way.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .engine import Scenario
-from .errors import ConfigError, CoverageError, OutOfRangeError, ParseError
+from .errors import CoverageError, OutOfRangeError, ParseError
 from .model import STATE_REF, StudySpec, child, read_file, resolve_state
 from .simulate import EnsembleResult, Pathway
 
@@ -45,13 +46,6 @@ class TranslationMatrix:
 
 
 @dataclass(frozen=True)
-class CellProvenance:
-    origin: str  # "lookup" | "override" | "repair"
-    state: Optional[int] = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class QuantifiedPathway:
     """Cell tables keyed by (dimension id, period), in table row order:
     dimension by dimension, and by period within a dimension."""
@@ -60,7 +54,8 @@ class QuantifiedPathway:
     periods: tuple[int, ...]
     values: dict[tuple[str, int], float]
     ranges: dict[tuple[str, int], tuple[float, float]] = field(default_factory=dict)
-    provenance: dict[tuple[str, int], CellProvenance] = field(default_factory=dict)
+    # the provenance text of each repaired cell; every other cell is a lookup
+    provenance: dict[tuple[str, int], str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -76,30 +71,14 @@ def quantify_pathway(
     dimensions: tuple[Dimension, ...],
     matrix: TranslationMatrix,
     spec: StudySpec,
-    overrides: tuple[tuple[str, int, float, str], ...] = (),
 ) -> QuantifiedPathway:
-    """Pure lookup of each dimension's driver state per period; overrides
-    replace looked-up values and are recorded in provenance."""
-    known = {d.id for d in dimensions}
-    over = {}
-    for did, period, value, note in overrides:
-        if did not in known:
-            raise ConfigError(f"override references unknown dimension {did!r}")
-        if period not in pathway.periods:
-            raise ConfigError(f"override references unknown period {period}")
-        over[did, period] = (value, note)
-    values, provenance = {}, {}
+    """Pure lookup of each dimension's driver state per period."""
+    values = {}
     for dim in dimensions:
         j = spec.index_of(dim.driver)
         for period, scenario in pathway.entries:
-            cell, state = (dim.id, period), scenario[j]
-            if cell in over:
-                values[cell], note = over[cell]
-                provenance[cell] = CellProvenance("override", state, note)
-            else:
-                values[cell] = matrix.value(dim.id, state, period)
-                provenance[cell] = CellProvenance("lookup", state)
-    return QuantifiedPathway(dimensions, pathway.periods, values, {}, provenance)
+            values[dim.id, period] = matrix.value(dim.id, scenario[j], period)
+    return QuantifiedPathway(dimensions, pathway.periods, values)
 
 
 #: The map from a central value to its (low, high) band.
@@ -291,9 +270,10 @@ def enforce_identities(
 ) -> QuantifiedPathway:
     """Repair violated identities per period by proportionally rescaling the
     adjustable dimensions onto the constraint; satisfied identities leave
-    values untouched and repairs land in provenance. The identities are
-    parse_identities' over qp's dimensions; one whose adjustable terms sum
-    to zero where it is violated raises ConfigError."""
+    values untouched and each repaired cell gets its provenance text. The
+    identities are parse_identities' over qp's dimensions; one whose
+    adjustable terms sum to zero where it is violated raises
+    OutOfRangeError."""
     values = dict(qp.values)
     prov = dict(qp.provenance)
     for k, ident in enumerate(identities):
@@ -314,18 +294,14 @@ def enforce_identities(
             current = lhs - fixed
             target = rhs - fixed
             if current == 0.0:
-                raise ConfigError(
+                raise OutOfRangeError(
                     f"{node}: identity {name!r} unrepairable at period {period}: "
                     "adjustable contribution is zero"
                 )
             scale = target / current
             for d in ident.adjustable:
                 values[d, period] *= scale
-                prov[d, period] = CellProvenance(
-                    "repair",
-                    prov[d, period].state,
-                    f"identity {ident.name!r}: scaled by {scale:.6g}",
-                )
+                prov[d, period] = f"repair:identity {name!r}: scaled by {scale:.6g}"
     return replace(qp, values=values, provenance=prov)
 
 
@@ -381,8 +357,9 @@ def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, 
 def parse_identities(doc: dict, dimensions: tuple[Dimension, ...]) -> tuple[Identity, ...]:
     """Identities file over the given dimensions; a missing node, one of the
     wrong JSON type, an identity with no adjustable dimension or one that
-    is not a term of it, or one naming a dimension not in dimensions raises
-    ParseError naming it."""
+    is not a term of it, an equals_dimension that is one of its adjustable
+    terms, or one naming a dimension not in dimensions raises ParseError
+    naming it."""
     out = []
     known = {d.id for d in dimensions}
     for i, raw in enumerate(child(doc, "identities", [dict], "", [])):
@@ -403,6 +380,8 @@ def parse_identities(doc: dict, dimensions: tuple[Dimension, ...]) -> tuple[Iden
                 raise ParseError(f"{path}.adjustable", f"{d!r} is not a term of identity {name!r}")
         if not any(c for d, c in ident.terms if d in ident.adjustable):
             raise ParseError(f"{path}.adjustable", f"identity {name!r} has only zero adjustable terms")
+        if ident.rhs_dimension in ident.adjustable:
+            raise ParseError(f"{path}.equals_dimension", f"identity {name!r} equals its adjustable term")
         unknown = sorted({*terms, ident.rhs_dimension} - known - {None})
         if unknown:
             raise ParseError(path, f"identity {name!r} names unknown dimensions {unknown}")
@@ -416,8 +395,6 @@ def quantified_table_rows(qp: QuantifiedPathway) -> list[dict]:
     rows = []
     for (d, p), v in qp.values.items():
         low, high = qp.ranges.get((d, p), ("", ""))
-        prov = qp.provenance[d, p]
-        origin = f"{prov.origin}:{prov.note}" if prov.note else prov.origin
-        rows.append({"dimension": d, "unit": units[d], "period": p, "central": v,
-                     "low": low, "high": high, "provenance": origin})
+        rows.append({"dimension": d, "unit": units[d], "period": p, "central": v, "low": low,
+                     "high": high, "provenance": qp.provenance.get((d, p), "lookup")})
     return rows

@@ -1067,6 +1067,13 @@ BAD_QUANTIFY_INPUTS = {
         ]}},
         "ParseError", "identities[0].adjustable: ",
     ),
+    "identity-equals-its-adjustable-term": (
+        {"identities": {"identities": [{
+            "terms": {"carbon_price": 1.0, "renewables_capacity": 1.0},
+            "adjustable": ["carbon_price"], "equals_dimension": "carbon_price",
+        }]}},
+        "ParseError", "identities[0].equals_dimension: ",
+    ),
     "identity-unknown-dimension": (
         {"identities": {"identities": [
             {"terms": {"carbon_price": 1.0, "carbn_price": 1.0}, "adjustable": ["carbon_price"]}
@@ -1260,3 +1267,55 @@ def test_quantify_extremes_check_the_ensemble_spec(small_run, fixture_dir, tmp_p
     )
     assert result.exit_code == 3
     assert json.loads(result.stderr)["error"] == "ConfigError"
+
+
+def _identity_pipeline(fixture_dir, tmp_path, equals, ranges=None):
+    """The argv of the mini pipeline at 200 runs, seed 42, with the identity
+    renewables_capacity + carbon_price = equals, adjustable on
+    renewables_capacity, and the config's ranges updated by ranges; and its
+    output directory. The pathway it quantifies takes renewables_capacity
+    250 from 2025 to 2040 and 150 after, and carbon_price 100 and 50."""
+    with open(os.path.join(fixture_dir, "mini_pipeline.json")) as fh:
+        doc = json.load(fh)
+    for key in ("spec", "mcda_input", "translation"):
+        doc[key] = os.path.join(fixture_dir, doc[key])
+    identities = tmp_path / "identities.json"
+    identities.write_text(json.dumps({"identities": [{
+        "name": "capacity", "terms": {"renewables_capacity": 1, "carbon_price": 1},
+        "adjustable": ["renewables_capacity"], "equals": equals,
+    }]}))
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({
+        **doc, "run_count": 200, "master_seed": 42, "identities": str(identities),
+        "ranges": {**doc["ranges"], **(ranges or {})}, "output_dir": str(tmp_path / "out"),
+    }))
+    return ["pipeline", "--config", str(config)], tmp_path / "out"
+
+
+def test_bands_are_drawn_around_the_repaired_values(fixture_dir, tmp_path):
+    """The identity moves renewables_capacity from 150 to 250 in 2045 and
+    2050, above the band (100, 230) that the offsets give the looked-up
+    value: each band is drawn around the repaired central value."""
+    argv, out = _identity_pipeline(fixture_dir, tmp_path, 300)
+    result = invoke(CliRunner(), *argv)
+    assert result.exit_code == 0, result.output
+    with open(out / "quantified.json") as fh:
+        rows = json.load(fh)["table"]
+    repaired = [r for r in rows if r["provenance"].startswith("repair:identity 'capacity': ")]
+    assert [r["central"] for r in repaired] == [200.0] * 4 + [250.0] * 2
+    banded = [r for r in rows if r["low"] != ""]
+    assert len(banded) == 12
+    for row in banded:
+        assert row["low"] <= row["central"] <= row["high"], row
+
+
+def test_repaired_value_outside_an_absolute_band_exits_two(fixture_dir, tmp_path):
+    """The looked-up 250 and 150 lie in (100, 300); the repaired 320 does not."""
+    argv, _ = _identity_pipeline(
+        fixture_dir, tmp_path, 420, {"renewables_capacity": {"low": 100, "high": 300}}
+    )
+    result = invoke(CliRunner(), *argv)
+    assert result.exit_code == 2, result.output
+    report = json.loads(result.stderr)
+    assert report["error"] == "OutOfRangeError"
+    assert "central value 320 " in report["message"] and "'renewables_capacity'" in report["message"]

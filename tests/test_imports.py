@@ -1,5 +1,5 @@
-"""Every module-level import of cibpath's modules is used, or marked as a
-re-export with ``# noqa: F401`` on its line."""
+"""Every module-level import of cibpath's modules and of the test modules
+is used, or marked as a re-export with ``# noqa: F401`` on its line."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 import cibpath
 
 MODULES = sorted(p for p in Path(cibpath.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +31,10 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES],
+)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -14,7 +14,9 @@ from cibpath.model import (
     StateDef,
     ThresholdEffect,
     ThresholdRule,
+    load_study_spec,
     parse_study_spec,
+    save_study_spec,
     serialize_study_spec,
     validate_study_spec,
 )
@@ -161,6 +163,35 @@ class TestRoundTrip:
 
     def test_serialized_form_is_json_compatible(self, mini_spec):
         json.dumps(serialize_study_spec(mini_spec))
+
+    def test_saved_spec_reloads_equal(self, mini_spec_path, tmp_path):
+        """load_study_spec reads what save_study_spec writes back to the
+        same spec and digest: the mini spec (cyclic PA, Student-t shocks,
+        one threshold rule), and a variant with a second cyclic descriptor,
+        Student-t sampling and a second threshold rule."""
+        with open(mini_spec_path) as fh:
+            doc = json.load(fh)
+        variant = json.loads(json.dumps(doc))
+        variant["descriptors"][0].update(
+            kind="cyclic", cyclic={"stay": 0.5, "step": 0.3, "step2": 0.2, "drift": -0.4}
+        )
+        variant["uncertainty"] = {
+            "sampling_distribution": {"kind": "student_t", "df": 3}, "resample": "per_run",
+        }
+        variant["threshold_rules"].append({
+            "conditions": [["PS", "Low"], ["RD", "Low"]],
+            "effect": {"source": "PS", "source_state": "Low", "target": "GD",
+                       "target_state": "Weak", "delta": -0.5},
+        })
+        for i, spec in enumerate((parse_study_spec(doc), parse_study_spec(variant))):
+            path = str(tmp_path / f"spec{i}.json")
+            save_study_spec(spec, path)
+            again = load_study_spec(path)
+            assert again == spec
+            assert again.digest() == spec.digest()
+        assert spec.descriptors[0].cyclic_params == CyclicParams(0.5, 0.3, 0.2, -0.4)
+        assert spec.uncertainty.sampling_distribution.kind == "student_t"
+        assert len(spec.threshold_rules) == 2
 
 
 class TestValidate:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cibpath.analytics import wilson_interval
 from cibpath.mcda import McdaInput, Persona, rank_pathways
 from cibpath.quantify import (
-    CellProvenance,
     Dimension,
     Identity,
     QuantifiedPathway,
@@ -60,8 +59,7 @@ def test_identity_repair_lands_within_tolerance(a, b, total):
     periods = (2025,)
     dims = (Dimension("a", "", "A"), Dimension("b", "", "A"))
     values = {("a", 2025): a, ("b", 2025): b}
-    prov = {cell: CellProvenance("lookup", 0) for cell in values}
-    qp = QuantifiedPathway(dims, periods, values, {}, prov)
+    qp = QuantifiedPathway(dims, periods, values)
     ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a", "b"), rhs_value=total)
     out = enforce_identities(qp, (ident,))
     assert abs(out.values["a", 2025] + out.values["b", 2025] - total) <= 1e-9

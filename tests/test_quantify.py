@@ -3,11 +3,10 @@ import itertools
 import pytest
 
 from cibpath.errors import (
-    ConfigError, CoverageError, OutOfRangeError, ParseError, SpecReferenceError,
+    CoverageError, OutOfRangeError, ParseError, SpecReferenceError,
 )
 from cibpath.model import parse_study_spec
 from cibpath.quantify import (
-    CellProvenance,
     Dimension,
     QuantifiedPathway,
     Identity,
@@ -86,26 +85,6 @@ class TestQuantify:
             qp = quantify_pathway(pw, perm, MATRIX, spec3())
             assert qp.values["price", 2030] == 100.0
             assert qp.values["capacity", 2045] == 70.0
-
-    def test_override_replaces_and_records(self):
-        pw = pathway([(1, 0)] * 6)
-        qp = quantify_pathway(
-            pw, (PRICE,), MATRIX, spec3(),
-            overrides=(("price", 2040, 120.0, "panel adjustment"),),
-        )
-        assert qp.values["price", 2040] == 120.0
-        assert qp.values["price", 2035] == 100.0
-        prov = qp.provenance["price", 2040]
-        assert prov.origin == "override"
-        assert prov.note == "panel adjustment"
-        assert qp.provenance["price", 2035].origin == "lookup"
-
-    def test_override_errors(self):
-        pw = pathway([(1, 0)] * 6)
-        with pytest.raises(ConfigError):
-            quantify_pathway(pw, (PRICE,), MATRIX, spec3(), overrides=(("nope", 2040, 1.0, ""),))
-        with pytest.raises(ConfigError):
-            quantify_pathway(pw, (PRICE,), MATRIX, spec3(), overrides=(("price", 1999, 1.0, ""),))
 
     def test_missing_entry_names_cell(self):
         sparse = TranslationMatrix(entries={("price", 0): 50.0, ("price", 1): 100.0})
@@ -249,15 +228,14 @@ class TestIdentities:
             for d, series in values_by_dim.items()
             for p, v in zip(periods, series)
         }
-        prov = {cell: CellProvenance("lookup", 0) for cell in values}
-        return QuantifiedPathway(dims, periods, values, {}, prov)
+        return QuantifiedPathway(dims, periods, values)
 
     def test_satisfied_identity_untouched(self):
         qp = self.qp({"a": (30.0, 40.0), "b": (70.0, 60.0), "total": (100.0, 100.0)})
         ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a", "b"), rhs_dimension="total")
         out = enforce_identities(qp, (ident,))
         assert out.values == qp.values
-        assert all(pr.origin == "lookup" for pr in out.provenance.values())
+        assert out.provenance == {}
 
     def test_proportional_repair(self):
         qp = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0), "total": (100.0, 100.0)})
@@ -266,7 +244,7 @@ class TestIdentities:
         assert out.values["a", 2025] == pytest.approx(37.5)
         assert out.values["b", 2025] == pytest.approx(62.5)
         assert out.values["a", 2025] + out.values["b", 2025] == pytest.approx(100.0, abs=1e-9)
-        assert out.provenance["a", 2025].origin == "repair"
+        assert out.provenance["a", 2025] == "repair:identity 'sum': scaled by 1.25"
         assert out.values["total", 2025] == 100.0
 
     def test_only_adjustable_moves(self):
@@ -290,12 +268,15 @@ class TestIdentities:
             ({"terms": {"a": 1.0, "c": 1.0}, "adjustable": ["a"], "equals": 1.0}, "identities[0]"),
             ({"terms": {"a": 1.0}, "adjustable": ["a"], "equals_dimension": "total"},
              "identities[0]"),
+            # rescaling a moves the target a itself: the repair would not hold
+            ({"terms": {"a": 1.0, "b": 1.0}, "adjustable": ["a"], "equals_dimension": "a"},
+             "identities[0].equals_dimension"),
         ):
             with pytest.raises(ParseError) as exc:
                 parse_identities({"identities": [identity]}, qp.dimensions)
             assert exc.value.path == node
         zero = self.qp({"a": (0.0, 0.0), "b": (50.0, 50.0)})
-        with pytest.raises(ConfigError):
+        with pytest.raises(OutOfRangeError, match=r"^identities\[0\]: .* at period 2025: "):
             enforce_identities(
                 zero, (Identity("x", (("a", 1.0),), ("a",), rhs_value=10.0),)
             )
