@@ -225,9 +225,9 @@ def flat_rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), math.prod(a.shape[1:]))
 
 
-def endpoint_exclusions(config: ScreeningConfig, spec: StudySpec) -> list[list[tuple[str, int]]]:
-    """Each endpoint exclusion of config as (descriptor id, state index)
-    pairs; a reference outside the spec raises ParseError naming
+def endpoint_exclusions(config: ScreeningConfig, spec: StudySpec) -> list[list[tuple[int, int]]]:
+    """Each endpoint exclusion of config as (descriptor position, state
+    index) pairs; a reference outside the spec raises ParseError naming
     screening.endpoint_exclusions[i][k]."""
     return [
         [spec.resolve_pair(pair, f"screening.endpoint_exclusions[{i}][{k}]")
@@ -259,7 +259,7 @@ def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np
         late_rush = step[:, j_out] >= config.late_rush_steps  # kept for the last step only
     endpoint = np.zeros(len(states), bool)
     for combo in exclusions:
-        endpoint |= np.logical_and.reduce([states[:, -1, spec.index_of(d)] == s for d, s in combo])
+        endpoint |= np.logical_and.reduce([states[:, -1, j] == s for j, s in combo])
     return np.select([backslide, endpoint, late_rush, jumps], range(len(REASONS)), -1)
 
 

@@ -21,7 +21,7 @@ from typing import FrozenSet, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import InfeasibilityError, StructureError, TractabilityError
-from .model import CrossImpactMatrix, SpecKernel, StudySpec
+from .model import CrossImpactMatrix, StudySpec
 
 #: One state index per descriptor, in spec order.
 Scenario = tuple[int, ...]
@@ -60,36 +60,35 @@ class NonConvergence:
     last: Scenario
 
 
-def _check_structure(kernel: SpecKernel, cim: CrossImpactMatrix) -> None:
-    if cim.descriptor_ids != kernel.ids:
+def check_arguments(
+    spec: StudySpec, cim: CrossImpactMatrix, scenario: Optional[Scenario] = None
+) -> None:
+    """Raise StructureError unless cim has the spec's descriptors and state
+    counts, each rule names a state of the spec (a spec built in code may
+    not) and scenario, if given, holds a state of each descriptor."""
+    counts = spec.state_counts
+    if cim.descriptor_ids != tuple(d.id for d in spec.descriptors):
         raise StructureError("matrix descriptor ids do not match the spec")
-    if cim.state_counts != kernel.state_counts:
+    if cim.state_counts != counts:
         raise StructureError("matrix state counts do not match the spec")
-
-
-def _check_scenario(kernel: SpecKernel, scenario: Scenario) -> None:
-    if len(scenario) != len(kernel.ids):
-        raise StructureError(
-            f"scenario length {len(scenario)} != descriptor count {len(kernel.ids)}"
-        )
-    for did, n, s in zip(kernel.ids, kernel.state_counts, scenario):
-        if not 0 <= s < n:
-            raise StructureError(f"state {s} invalid for descriptor {did!r}")
-
-
-def checked_kernel(
-    spec: StudySpec, cim: CrossImpactMatrix, scenario: Scenario
-) -> SpecKernel:
-    """The spec's kernel, once the matrix and scenario fit its structure;
-    raises StructureError otherwise."""
-    kernel = spec.kernel
-    _check_structure(kernel, cim)
-    _check_scenario(kernel, scenario)
-    return kernel
+    refs = [ref for pair in spec.rules.forbidden_pairs + spec.rules.implications for ref in pair]
+    for r in spec.threshold_rules:
+        e = r.effect
+        refs += [*r.conditions, (e.source, e.source_state), (e.target, e.target_state)]
+    for i, s in refs:
+        if not (0 <= i < len(counts) and 0 <= s < counts[i]):
+            raise StructureError(f"a rule names state {s} of position {i}, outside the spec")
+    if scenario is None:
+        return
+    if len(scenario) != len(counts):
+        raise StructureError(f"scenario length {len(scenario)} != descriptor count {len(counts)}")
+    for d, s in zip(spec.descriptors, scenario):
+        if not 0 <= s < d.state_count:
+            raise StructureError(f"state {s} invalid for descriptor {d.id!r}")
 
 
 def balances(
-    kernel: SpecKernel, scores: np.ndarray, states: np.ndarray
+    spec: StudySpec, scores: np.ndarray, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Impact balances and consistency deficits of each row of states, an
     (n, D) array of scenarios, under scores: one (D, S, D, S) matrix, or a
@@ -107,16 +106,16 @@ def balances(
     theta = stack[rows, 0, states[:, 0]]
     for i in range(1, states.shape[1]):
         theta += stack[rows, i, states[:, i]]
-    if kernel.padded is not None:
-        theta[:, kernel.padded] = -np.inf
+    if spec.padded is not None:
+        theta[:, spec.padded] = -np.inf
     chosen = np.take_along_axis(theta, states[:, :, None], 2)[:, :, 0]
     return theta, theta.max(2) - chosen
 
 
-def _violations(kernel: SpecKernel, states: np.ndarray) -> np.ndarray:
+def _violations(spec: StudySpec, states: np.ndarray) -> np.ndarray:
     """Per row of states, (n, D), whether a forbidden pair co-occurs in it."""
     hit = np.zeros(len(states), bool)
-    for a, a_state, b, b_state in kernel.forbidden:
+    for (a, a_state), (b, b_state) in spec.rules.forbidden_pairs:
         hit |= (states[:, a] == a_state) & (states[:, b] == b_state)
     return hit
 
@@ -126,10 +125,10 @@ def impact_balance(
 ) -> ImpactBalance:
     """Summed influence every state of every descriptor receives from the
     other descriptors' scenario states."""
-    kernel = checked_kernel(spec, cim, scenario)
-    theta, _ = balances(kernel, cim.scores, np.array([scenario]))
+    check_arguments(spec, cim, scenario)
+    theta, _ = balances(spec, cim.scores, np.array([scenario]))
     return ImpactBalance(
-        tuple(tuple(row[:n]) for row, n in zip(theta[0].tolist(), kernel.state_counts))
+        tuple(tuple(row[:n]) for row, n in zip(theta[0].tolist(), spec.state_counts))
     )
 
 
@@ -138,8 +137,8 @@ def check_consistency(
 ) -> ConsistencyResult:
     """A scenario is consistent when every chosen state attains the maximal
     impact score of its descriptor (ties allowed)."""
-    kernel = checked_kernel(spec, cim, scenario)
-    _, deficits = balances(kernel, cim.scores, np.array([scenario]))
+    check_arguments(spec, cim, scenario)
+    _, deficits = balances(spec, cim.scores, np.array([scenario]))
     return ConsistencyResult(not deficits.any(), tuple(deficits[0].tolist()))
 
 
@@ -161,15 +160,15 @@ def succession_step(
     raises InfeasibilityError for the first unlocked descriptor left
     without a feasible state.
     """
-    kernel = checked_kernel(spec, cim, scenario)
-    held = np.zeros(len(kernel.ids), bool)
+    check_arguments(spec, cim, scenario)
+    held = np.zeros(len(spec.descriptors), bool)
     held[[spec.index_of(did) for did in locked]] = True
     eta = np.zeros(cim.scores.shape[:2]) if perturbation is None else perturbation
     nxt, failed = succession_batch(
-        kernel, cim.scores[None], eta[None], np.zeros(1, np.intp), np.array([scenario]), held
+        spec, cim.scores[None], eta[None], np.zeros(1, np.intp), np.array([scenario]), held
     )
     if failed is not None:
-        raise InfeasibilityError(kernel.ids[failed[0]])
+        raise InfeasibilityError(spec.descriptors[failed[0]].id)
     return tuple(nxt[0].tolist())
 
 
@@ -191,7 +190,7 @@ class Settled(NamedTuple):
     stuck: np.ndarray
 
 
-def settle(kernel, scores, eta, start, runs, locked, max_steps) -> Settled:
+def settle(spec, scores, eta, start, runs, locked, max_steps) -> Settled:
     """Apply succession_batch from start[r], for every r in runs at once,
     until a scenario recurs or max_steps steps pass; run r scores under
     scores[r] plus eta[r], and the descriptors in the locked mask are held.
@@ -204,7 +203,7 @@ def settle(kernel, scores, eta, start, runs, locked, max_steps) -> Settled:
     history = np.zeros((n, min(max_steps, 8) + 1, current.shape[1]), current.dtype)
     history[:, 0] = current
     for t in range(1, max_steps + 1):
-        nxt, failed = succession_batch(kernel, scores, eta, runs[at], current, locked)
+        nxt, failed = succession_batch(spec, scores, eta, runs[at], current, locked)
         seen = (history[at, :t] == nxt[:, None]).all(2)
         ends = seen.any(1)
         going = ~ends
@@ -226,7 +225,7 @@ def settle(kernel, scores, eta, start, runs, locked, max_steps) -> Settled:
     return Settled(history, first, length, stuck)
 
 
-def succession_batch(kernel, scores, eta, runs, current, locked):
+def succession_batch(spec, scores, eta, runs, current, locked):
     """succession_step on each row of current, scored under scores[runs]
     plus eta[runs], with the descriptors in the locked mask held; returns
     the next states and, when some row has an unlocked descriptor without a
@@ -241,19 +240,21 @@ def succession_batch(kernel, scores, eta, runs, current, locked):
     are the same floats. Scores are finite, so a blocked state scored -inf
     never wins.
     """
-    rows = scores[runs[:, None], kernel.sources, current]
-    for conditions, (src, src_state, tgt, tgt_state, delta) in kernel.thresholds:
-        hit = current[:, src] == src_state
-        for i, state in conditions:
+    sources = np.arange(current.shape[1])
+    rows = scores[runs[:, None], sources, current]
+    for rule in spec.threshold_rules:
+        e = rule.effect
+        hit = current[:, e.source] == e.source_state
+        for i, state in rule.conditions:
             hit &= current[:, i] == state
-        rows[hit, src, tgt, tgt_state] += delta
+        rows[hit, e.source, e.target, e.target_state] += e.delta
     theta = rows[:, 0].copy()
     for i in range(1, rows.shape[1]):
         theta += rows[:, i]
     theta += eta[runs]
-    if kernel.padded is not None:
-        theta[:, kernel.padded] = -np.inf
-    for a, a_state, b, b_state in kernel.forbidden:  # each state of a pair blocks the other
+    if spec.padded is not None:
+        theta[:, spec.padded] = -np.inf
+    for (a, a_state), (b, b_state) in spec.rules.forbidden_pairs:  # each blocks the other
         theta[current[:, b] == b_state, a, a_state] = -np.inf
         theta[current[:, a] == a_state, b, b_state] = -np.inf
     # theta.max(2) and theta.argmax(2), the first state at the maximum, as
@@ -264,9 +265,9 @@ def succession_batch(kernel, scores, eta, runs, current, locked):
         column = theta[..., state]
         np.copyto(chosen, state, where=column > best)
         np.maximum(best, column, out=best)
-    keep = theta[np.arange(len(current))[:, None], kernel.sources, current] == best
+    keep = theta[np.arange(len(current))[:, None], sources, current] == best
     nxt = np.where(keep | locked, current, chosen)
-    for a, a_state, c, c_state in kernel.implications:
+    for (a, a_state), (c, c_state) in spec.rules.implications:
         if not locked[c]:
             nxt[nxt[:, a] == a_state, c] = c_state
     dead = best == -np.inf
@@ -292,13 +293,13 @@ def find_attractor(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    kernel = checked_kernel(spec, cim, start)
+    check_arguments(spec, cim, start)
     settled = settle(
-        kernel, cim.scores[None], np.zeros((1,) + cim.scores.shape[:2]), np.array([start]),
-        np.zeros(1, np.intp), np.zeros(len(kernel.ids), bool), max_steps,
+        spec, cim.scores[None], np.zeros((1,) + cim.scores.shape[:2]), np.array([start]),
+        np.zeros(1, np.intp), np.zeros(len(spec.descriptors), bool), max_steps,
     )
     if settled.stuck[0] >= 0:
-        raise InfeasibilityError(kernel.ids[settled.stuck[0]])
+        raise InfeasibilityError(spec.descriptors[settled.stuck[0]].id)
     sequence = list(map(tuple, settled.sequence[0].tolist()))
     first, length = int(settled.first[0]), int(settled.length[0])
     if not length:
@@ -309,7 +310,8 @@ def find_attractor(
 
 def violates_forbidden(spec: StudySpec, scenario: Scenario) -> bool:
     """True when any forbidden pair co-occurs in the scenario."""
-    return bool(_violations(spec.kernel, np.array([scenario]))[0])
+    check_arguments(spec, spec.cim, scenario)
+    return bool(_violations(spec, np.array([scenario]))[0])
 
 
 def enumerate_consistent(
@@ -323,17 +325,16 @@ def enumerate_consistent(
     Feasible only for small spaces; raises TractabilityError when the
     product of state counts exceeds the caller's limit.
     """
-    kernel = spec.kernel
-    _check_structure(kernel, cim)
-    space = math.prod(kernel.state_counts)
+    check_arguments(spec, cim)
+    counts = spec.state_counts
+    space = math.prod(counts)
     if space > limit:
         raise TractabilityError(space, limit)
-    counts = np.array(kernel.state_counts)
-    place = np.cumprod((kernel.state_counts + (1,))[:0:-1])[::-1]
+    place = np.cumprod((counts + (1,))[:0:-1])[::-1]
     found: list[Scenario] = []
     for first in range(0, space, ENUMERATION_CHUNK):
         states = np.arange(first, min(first + ENUMERATION_CHUNK, space))[:, None] // place % counts
-        _, deficits = balances(kernel, cim.scores, states)
-        keep = ~deficits.any(1) & ~_violations(kernel, states)
+        _, deficits = balances(spec, cim.scores, states)
+        keep = ~deficits.any(1) & ~_violations(spec, states)
         found += map(tuple, states[keep].tolist())
     return found

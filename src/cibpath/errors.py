@@ -24,7 +24,7 @@ class SpecReferenceError(ParseError):
 
 
 class StructureError(CibError):
-    """A cross-impact matrix does not match the spec's descriptor/state layout."""
+    """A matrix, scenario or rule does not fit the spec's descriptor/state layout."""
 
 
 class InfeasibilityError(CibError):

@@ -145,26 +145,26 @@ class CrossImpactMatrix:
 
 @dataclass(frozen=True)
 class DomainRules:
-    #: ((descriptor id, state index), (descriptor id, state index)) pairs that
-    #: may never co-occur in a realised scenario.
-    forbidden_pairs: tuple[tuple[tuple[str, int], tuple[str, int]], ...] = ()
+    #: ((descriptor position, state index), (position, state)) pairs that may
+    #: never co-occur in a realised scenario; a spec file names the ids.
+    forbidden_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
     #: (antecedent, consequent) pairs: when the antecedent state holds, the
     #: consequent descriptor is forced to its consequent state.
-    implications: tuple[tuple[tuple[str, int], tuple[str, int]], ...] = ()
+    implications: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
 
 
 @dataclass(frozen=True)
 class ThresholdEffect:
-    source: str
+    source: int  # descriptor position
     source_state: int
-    target: str
+    target: int  # descriptor position
     target_state: int
     delta: float
 
 
 @dataclass(frozen=True)
 class ThresholdRule:
-    conditions: tuple[tuple[str, int], ...]
+    conditions: tuple[tuple[int, int], ...]  # (descriptor position, state index)
     effect: ThresholdEffect
 
 
@@ -217,61 +217,6 @@ class UncertaintyConfig:
 
 
 @dataclass(frozen=True)
-class SpecKernel:
-    """A spec's structure and rules as index tuples, compiled once per spec
-    for the succession and consistency loops.
-
-    Descriptor ids are resolved to positions; every tuple follows the
-    order of the spec's own lists, so rule application order is unchanged.
-    """
-
-    ids: tuple[str, ...]
-    state_counts: tuple[int, ...]
-    #: Source positions 0..D-1, the first index of the impact-score gather.
-    sources: np.ndarray
-    #: The (descriptor, state) slots of a score array past each descriptor's
-    #: states, as a (D, max state count) mask, or None when there are none.
-    padded: Optional[np.ndarray]
-    #: (position, state, position, state) per forbidden pair.
-    forbidden: tuple[tuple[int, int, int, int], ...]
-    #: (antecedent position, state, consequent position, state).
-    implications: tuple[tuple[int, int, int, int], ...]
-    #: (conditions as (position, state) pairs,
-    #:  (source, source state, target, target state, delta)).
-    thresholds: tuple[
-        tuple[tuple[tuple[int, int], ...], tuple[int, int, int, int, float]], ...
-    ]
-
-    @classmethod
-    def compile(cls, spec: "StudySpec") -> "SpecKernel":
-        at = spec.index_of
-
-        def pair(p: tuple[str, int]) -> tuple[int, int]:
-            return at(p[0]), p[1]
-
-        counts = spec.state_counts
-        padded = np.arange(max(counts, default=0)) >= np.array(counts)[:, None]
-        return cls(
-            ids=tuple(d.id for d in spec.descriptors),
-            state_counts=counts,
-            sources=np.arange(len(spec.descriptors)),
-            padded=padded if padded.any() else None,
-            forbidden=tuple(pair(a) + pair(b) for a, b in spec.rules.forbidden_pairs),
-            implications=tuple(pair(a) + pair(c) for a, c in spec.rules.implications),
-            thresholds=tuple(
-                (
-                    tuple(pair(c) for c in r.conditions),
-                    (
-                        at(r.effect.source), r.effect.source_state,
-                        at(r.effect.target), r.effect.target_state, r.effect.delta,
-                    ),
-                )
-                for r in spec.threshold_rules
-            ),
-        )
-
-
-@dataclass(frozen=True)
 class StudySpec:
     descriptors: tuple[Descriptor, ...]
     cim: CrossImpactMatrix
@@ -294,10 +239,12 @@ class StudySpec:
         return self.descriptors[self.index_of(descriptor_id, path)]
 
     @cached_property
-    def kernel(self) -> SpecKernel:
-        """The compiled index form, built on first use; an unknown
-        descriptor id in a rule raises SpecReferenceError then."""
-        return SpecKernel.compile(self)
+    def padded(self) -> Optional[np.ndarray]:
+        """The (D, max state count) mask of the score slots past each
+        descriptor's states, or None when there are none."""
+        counts = self.state_counts
+        padded = np.arange(max(counts, default=0)) >= np.array(counts)[:, None]
+        return padded if padded.any() else None
 
     @cached_property
     def sigma_tables(self) -> dict[int, np.ndarray]:
@@ -327,9 +274,9 @@ class StudySpec:
     def cyclic_indices(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.descriptors) if d.kind == "cyclic")
 
-    def resolve_pair(self, raw: Any, path: str) -> tuple[str, int]:
-        """A [descriptor id, state label or index] pair as (id, state index),
-        or ParseError / SpecReferenceError naming path."""
+    def resolve_pair(self, raw: Any, path: str) -> tuple[int, int]:
+        """A [descriptor id, state label or index] pair as (position, state
+        index), or ParseError / SpecReferenceError naming path."""
         return _parse_pair(raw, self._index, self.descriptors, path)
 
     def digest(self) -> str:
@@ -612,12 +559,13 @@ def _parse_cim(
     return cim
 
 
-def _parse_pair(raw: Any, index: dict, descriptors: tuple[Descriptor, ...], path: str) -> tuple[str, int]:
-    """A [descriptor id, state label or index] pair as (id, state index)."""
+def _parse_pair(raw: Any, index: dict, descriptors: tuple[Descriptor, ...], path: str) -> tuple[int, int]:
+    """A [descriptor id, state label or index] pair as (position, state index)."""
     did = child(raw, 0, str, path)
     if len(raw) != 2:
         raise ParseError(path, f"expected a [descriptor, state] pair, got {len(raw)} items")
-    return did, resolve_state(descriptors[_position(index, did, path)], raw[1], path)
+    at = _position(index, did, path)
+    return at, resolve_state(descriptors[at], raw[1], path)
 
 
 def parse_study_spec(document: dict) -> StudySpec:
@@ -642,7 +590,7 @@ def parse_study_spec(document: dict) -> StudySpec:
             raise ParseError(f"descriptors[{i}].id", f"duplicate descriptor id {d.id!r}")
         index[d.id] = i
 
-    def pair(parent: Any, key: Any, path: str) -> tuple[str, int]:
+    def pair(parent: Any, key: Any, path: str) -> tuple[int, int]:
         return _parse_pair(child(parent, key, list, path), index, descriptors, _join(path, key))
 
     cim = _parse_cim(child(document, "cim", list), descriptors, index)
@@ -677,19 +625,15 @@ def parse_study_spec(document: dict) -> StudySpec:
             pair(raw_conditions, k, f"{path}.conditions") for k in range(len(raw_conditions))
         )
         raw_eff, epath = child(r, "effect", dict, path), f"{path}.effect"
-        src, tgt = (child(raw_eff, key, str, epath) for key in ("source", "target"))
+        cell = []  # source, source state, target, target state
+        for key in ("source", "target"):
+            at = _position(index, child(raw_eff, key, str, epath), f"{epath}.{key}")
+            state = child(raw_eff, f"{key}_state", STATE_REF, epath)
+            cell += [at, resolve_state(descriptors[at], state, f"{epath}.{key}_state")]
         delta = child(raw_eff, "delta", float, epath)
         if not math.isfinite(delta):
             raise ParseError(f"{epath}.delta", "delta must be finite")
-        source_state, target_state = (
-            resolve_state(
-                descriptors[_position(index, did, f"{epath}.{key}")],
-                child(raw_eff, f"{key}_state", STATE_REF, epath), f"{epath}.{key}_state",
-            )
-            for did, key in ((src, "source"), (tgt, "target"))
-        )
-        effect = ThresholdEffect(src, source_state, tgt, target_state, delta)
-        threshold_rules.append(ThresholdRule(conditions, effect))
+        threshold_rules.append(ThresholdRule(conditions, ThresholdEffect(*cell, delta)))
 
     raw_shocks = child(document, "shocks", dict, "", {})
     shocks = ShockConfig(*(
@@ -779,6 +723,13 @@ def serialize_study_spec(spec: StudySpec) -> dict:
         descriptors.append(doc)
 
     cim, ids = spec.cim, spec.cim.descriptor_ids
+    id_at = dict(enumerate(d.id for d in spec.descriptors))
+
+    def ref(pair: tuple) -> list:
+        """A rule's [descriptor id, state]; a position that no descriptor
+        has stays a bare int, which the parser refuses."""
+        return [id_at.get(pair[0], pair[0]), *pair[1:]]
+
     cells = [
         {
             "source": ids[i], "source_state": si, "target": ids[j], "target_state": tj,
@@ -793,13 +744,20 @@ def serialize_study_spec(spec: StudySpec) -> dict:
         "cim": cells,
         "baseline": {d.id: s for d, s in zip(spec.descriptors, spec.baseline)},
         "rules": {
-            "forbidden_pairs": [[list(a), list(b)] for a, b in spec.rules.forbidden_pairs],
+            "forbidden_pairs": [[ref(a), ref(b)] for a, b in spec.rules.forbidden_pairs],
             "implications": [
-                {"if": list(a), "then": list(b)} for a, b in spec.rules.implications
+                {"if": ref(a), "then": ref(b)} for a, b in spec.rules.implications
             ],
         },
         "threshold_rules": [
-            {"conditions": [list(c) for c in r.conditions], "effect": _record_doc(r.effect)}
+            {
+                "conditions": [ref(c) for c in r.conditions],
+                "effect": {
+                    **_record_doc(r.effect),
+                    "source": id_at.get(r.effect.source, r.effect.source),
+                    "target": id_at.get(r.effect.target, r.effect.target),
+                },
+            }
             for r in spec.threshold_rules
         ],
         "shocks": {name: _record_doc(config) for name, config in vars(spec.shocks).items()},
@@ -836,6 +794,8 @@ def validate_study_spec(spec: StudySpec) -> list[Finding]:
     holds, such as a nonzero cell outside valid_mask), is one error finding.
     The other checks are semantic. Warnings flag suspicious but legal
     content (e.g. all-zero CIM rows), read from the round trip's matrix.
+    The rule checks read the round trip's rules, whose positions all name a
+    descriptor; with no round trip there are none to check.
     """
     findings: list[Finding] = []
 
@@ -846,6 +806,7 @@ def validate_study_spec(spec: StudySpec) -> list[Finding]:
         again = parse_study_spec(serialize_study_spec(spec))
     except ParseError as e:
         err(e.path, e.reason)
+        again = None
     else:
         changed = [f.name for f in fields(StudySpec) if getattr(again, f.name) != getattr(spec, f.name)]
         if changed:
@@ -881,11 +842,12 @@ def validate_study_spec(spec: StudySpec) -> list[Finding]:
             if not -1.0 <= cp.drift <= 1.0:
                 err(f"{path}.cyclic.drift", f"drift {cp.drift:g} outside [-1, 1]")
 
-    for i, (a, b) in enumerate(spec.rules.forbidden_pairs):
-        if a[0] == b[0]:
+    rules = again.rules if again else DomainRules()
+    for i, ((a, _), (b, _)) in enumerate(rules.forbidden_pairs):
+        if a == b:
             err(f"rules.forbidden_pairs[{i}]",
-                f"forbidden pair references descriptor {a[0]!r} twice")
-    for i, r in enumerate(spec.threshold_rules):
+                f"forbidden pair references descriptor {again.descriptors[a].id!r} twice")
+    for i, r in enumerate(again.threshold_rules if again else ()):
         if r.effect.source == r.effect.target:
             err(f"threshold_rules[{i}].effect", "effect cell is a self-impact")
 
@@ -929,12 +891,9 @@ def validate_study_spec(spec: StudySpec) -> list[Finding]:
     if any(b <= a for a, b in zip(spec.time_grid, spec.time_grid[1:])):
         err("time_grid", "time grid must be strictly increasing")
 
-    base = {d.id: s for d, s in zip(spec.descriptors, spec.baseline)}
-    for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
-        if base.get(a_id) == a_s and base.get(b_id) == b_s:
-            err(
-                "baseline",
-                f"baseline violates forbidden pair ({a_id!r}, {a_s}) / ({b_id!r}, {b_s})",
-            )
+    for (a, a_s), (b, b_s) in rules.forbidden_pairs:
+        if again.baseline[a] == a_s and again.baseline[b] == b_s:
+            a_id, b_id = again.descriptors[a].id, again.descriptors[b].id
+            err("baseline", f"baseline violates forbidden pair ({a_id!r}, {a_s}) / ({b_id!r}, {b_s})")
 
     return findings

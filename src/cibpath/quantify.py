@@ -243,8 +243,8 @@ def build_extreme_scenarios(
 class Identity:
     """Linear relation sum(coeff_d * x_d) = rhs per period.
 
-    rhs is a constant or the value of a designated total dimension.
-    Only dimensions flagged adjustable may be rescaled during repair.
+    rhs is exactly one of a constant (rhs_value) and the value of a total
+    dimension (rhs_dimension). Only adjustable dimensions are rescaled.
     """
 
     name: str
@@ -279,10 +279,7 @@ def enforce_identities(
     for k, ident in enumerate(identities):
         node, name = f"identities[{k}]", ident.name
         for period in qp.periods:
-            if ident.rhs_dimension is not None:
-                rhs = values[ident.rhs_dimension, period]
-            else:
-                rhs = float(ident.rhs_value or 0.0)
+            rhs = ident.rhs_value if ident.rhs_dimension is None else values[ident.rhs_dimension, period]
             lhs = sum(c * values[d, period] for d, c in ident.terms)
             if abs(lhs - rhs) <= IDENTITY_TOL:
                 continue
@@ -356,10 +353,10 @@ def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, 
 
 def parse_identities(doc: dict, dimensions: tuple[Dimension, ...]) -> tuple[Identity, ...]:
     """Identities file over the given dimensions; a missing node, one of the
-    wrong JSON type, an identity with no adjustable dimension or one that
-    is not a term of it, an equals_dimension that is one of its adjustable
-    terms, or one naming a dimension not in dimensions raises ParseError
-    naming it."""
+    wrong JSON type, an identity without exactly one of equals and
+    equals_dimension, with no adjustable dimension or one that is not a term
+    of it, an equals_dimension that is one of its adjustable terms, or one
+    naming a dimension not in dimensions raises ParseError naming it."""
     out = []
     known = {d.id for d in dimensions}
     for i, raw in enumerate(child(doc, "identities", [dict], "", [])):
@@ -385,6 +382,8 @@ def parse_identities(doc: dict, dimensions: tuple[Dimension, ...]) -> tuple[Iden
         unknown = sorted({*terms, ident.rhs_dimension} - known - {None})
         if unknown:
             raise ParseError(path, f"identity {name!r} names unknown dimensions {unknown}")
+        if (ident.rhs_value is None) == (ident.rhs_dimension is None):
+            raise ParseError(path, f"identity {name!r} needs exactly one of equals and equals_dimension")
         out.append(ident)
     return tuple(out)
 

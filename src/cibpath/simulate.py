@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
-from .engine import Scenario, balances, checked_kernel, settle
+from .engine import Scenario, balances, check_arguments, settle
 from .errors import ConfigError, EmptyInputError, InfeasibilityError, ParseError
 from .model import StructuralShockConfig, StudySpec, child, compact_json, json_int, json_rows
 from .uncertainty import (
@@ -247,7 +247,7 @@ def _check_invariants(spec: StudySpec, max_iter: int) -> None:
     (A Student-t df <= 2 raises when the block scales its draws.)"""
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1 (got {max_iter})")
-    checked_kernel(spec, spec.cim, spec.baseline)
+    check_arguments(spec, spec.cim, spec.baseline)
     if spec.shocks.dynamic.enabled:
         check_persistence(spec.shocks.dynamic.persistence)
 
@@ -267,14 +267,14 @@ def _simulate_block(
     matrices and the AR(1) update are elementwise, so doing them once per
     block and period gives the same floats.
     """
-    grid, kernel, cim = spec.time_grid, spec.kernel, spec.cim
+    grid, cim = spec.time_grid, spec.cim
     sampling = spec.uncertainty.sampling_distribution
     per_run = spec.uncertainty.resample == "per_run"
     structural, dynamic = spec.shocks.structural, spec.shocks.dynamic
     streams = source.block(runs, grid, PURPOSES)
     run_stride, period_stride, _ = streams.strides
     n, periods = len(runs), len(grid)
-    states = np.zeros((n, periods, len(kernel.ids)), np.int8)
+    states = np.zeros((n, periods, len(spec.descriptors)), np.int8)
     states[:, 0] = spec.baseline
     converged = np.zeros((n, periods), bool)
     converged[:, 0] = True
@@ -293,7 +293,7 @@ def _simulate_block(
         draws.append((PURPOSES.index("dynamic"), dynamic.distribution, innovation))
     cyclic = list(spec.cyclic_indices)
     moves = [(spec.descriptors[j].cyclic_params, spec.state_counts[j]) for j in cyclic]
-    locked = np.zeros(len(kernel.ids), bool)
+    locked = np.zeros(len(spec.descriptors), bool)
     locked[cyclic] = True
     if per_run:
         streams.fill(np.arange(n) * run_stride + PURPOSES.index("cim"), sampling, noise)
@@ -317,10 +317,10 @@ def _simulate_block(
             scores = perturbed(cim, scores, shock)
         if dynamic.enabled:
             eta = ar1_step(eta, innovation, dynamic)
-        settled = settle(kernel, scores, eta, start, alive, locked, max_iter)
+        settled = settle(spec, scores, eta, start, alive, locked, max_iter)
         ok = settled.stuck < 0
         for b, j in zip(alive[~ok].tolist(), settled.stuck[~ok].tolist()):
-            errors[b] = str(InfeasibilityError(kernel.ids[j]))
+            errors[b] = str(InfeasibilityError(spec.descriptors[j].id))
             lengths[b] = p
         innovation[alive[~ok]] = 0.0  # no longer drawn into; unclipped, it must not grow
         alive, kept = alive[ok], np.flatnonzero(ok)
@@ -399,7 +399,7 @@ def robustness_fraction(
     under every matrix of the stack with one call to balances."""
     if sample_count < 1:
         raise ConfigError(f"sample_count must be >= 1 (got {sample_count})")
-    kernel = checked_kernel(spec, spec.cim, scenario)
+    check_arguments(spec, spec.cim, scenario)
     factor = draw_factor(shock_config.distribution, shock_config.scale)
     source, hits = RandomSource(master_seed), 0
     buffer = np.empty((min(ROBUSTNESS_CHUNK, sample_count),) + spec.cim.scores.shape)
@@ -411,7 +411,7 @@ def robustness_fraction(
         noise *= factor
         shocked = perturbed(spec.cim, spec.cim.scores, noise)
         states = np.broadcast_to(np.array(scenario), (len(samples), len(scenario)))
-        _, deficits = balances(kernel, shocked, states)
+        _, deficits = balances(spec, shocked, states)
         hits += int(np.count_nonzero(~deficits.any(1)))
     return hits / sample_count
 

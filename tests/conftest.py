@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from cibpath.model import parse_study_spec
+from cibpath.model import DomainRules, ThresholdEffect, ThresholdRule, parse_study_spec
 from cibpath.simulate import EnsembleResult
 
 
@@ -32,6 +32,22 @@ def two_desc_document(extra=None):
     if extra:
         doc.update(extra)
     return doc
+
+
+#: Rules built in code that name a descriptor position or a state that the
+#: 2x2 fixture spec lacks, as dataclasses.replace changes by case; a
+#: negative position would index from the end.
+BAD_RULE_REFS = {
+    "forbidden-pair-beyond": {"rules": DomainRules(forbidden_pairs=(((0, 1), (2, 0)),))},
+    "implication-negative": {"rules": DomainRules(implications=(((-1, 0), (1, 0)),))},
+    "implication-state-beyond": {"rules": DomainRules(implications=(((0, 0), (1, 2)),))},
+    "threshold-condition-negative": {
+        "threshold_rules": (ThresholdRule(((-2, 0),), ThresholdEffect(0, 0, 1, 0, 1.0)),)
+    },
+    "threshold-effect-beyond": {
+        "threshold_rules": (ThresholdRule(((0, 0),), ThresholdEffect(0, 0, 2, 0, 1.0)),)
+    },
+}
 
 
 @pytest.fixture

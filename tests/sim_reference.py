@@ -25,19 +25,17 @@ from cibpath.simulate import Pathway, RunRecord
 
 
 def reference_succession_step(spec, cim, scenario, locked=frozenset(), perturbation=None):
-    """Oracle for succession_step, written without the compiled kernel: the
-    full threshold-adjusted matrix, feasible states rebuilt from the
+    """Oracle for succession_step, written without the engine's batch code:
+    the full threshold-adjusted matrix, feasible states rebuilt from the
     forbidden pairs for every descriptor, and a running argmax."""
     applicable = [
         r.effect
         for r in spec.threshold_rules
-        if all(scenario[spec.index_of(did)] == s for did, s in r.conditions)
+        if all(scenario[i] == s for i, s in r.conditions)
     ]
     scores = cim.scores.copy()
     for e in applicable:
-        scores[
-            spec.index_of(e.source), e.source_state, spec.index_of(e.target), e.target_state
-        ] += e.delta
+        scores[e.source, e.source_state, e.target, e.target_state] += e.delta
     theta = scores[np.arange(len(scenario)), list(scenario)].sum(axis=0)
     if perturbation is not None:
         theta = theta + perturbation
@@ -47,8 +45,7 @@ def reference_succession_step(spec, cim, scenario, locked=frozenset(), perturbat
         if j in locked_idx:
             continue
         blocked = set()
-        for (a_id, a_s), (b_id, b_s) in spec.rules.forbidden_pairs:
-            ai, bi = spec.index_of(a_id), spec.index_of(b_id)
+        for (ai, a_s), (bi, b_s) in spec.rules.forbidden_pairs:
             if ai == j and scenario[bi] == b_s:
                 blocked.add(a_s)
             elif bi == j and scenario[ai] == a_s:
@@ -65,11 +62,9 @@ def reference_succession_step(spec, cim, scenario, locked=frozenset(), perturbat
         if best_state < 0:
             raise InfeasibilityError(d.id)
         new[j] = scenario[j] if current_is_max else best_state
-    for (a_id, a_s), (c_id, c_s) in spec.rules.implications:
-        if new[spec.index_of(a_id)] == a_s:
-            ci = spec.index_of(c_id)
-            if ci not in locked_idx:
-                new[ci] = c_s
+    for (ai, a_s), (ci, c_s) in spec.rules.implications:
+        if new[ai] == a_s and ci not in locked_idx:
+            new[ci] = c_s
     return tuple(new)
 
 

@@ -1074,6 +1074,19 @@ BAD_QUANTIFY_INPUTS = {
         }]}},
         "ParseError", "identities[0].equals_dimension: ",
     ),
+    "identity-equals-and-equals-dimension": (
+        {"identities": {"identities": [{
+            "terms": {"carbon_price": 1.0, "renewables_capacity": 1.0},
+            "adjustable": ["carbon_price"], "equals": 150.0, "equals_dimension": "renewables_capacity",
+        }]}},
+        "ParseError", "identities[0]: ",
+    ),
+    "identity-without-right-hand-side": (
+        {"identities": {"identities": [{
+            "terms": {"carbon_price": 1.0, "renewables_capacity": 1.0}, "adjustable": ["carbon_price"],
+        }]}},
+        "ParseError", "identities[0]: ",
+    ),
     "identity-unknown-dimension": (
         {"identities": {"identities": [
             {"terms": {"carbon_price": 1.0, "carbn_price": 1.0}, "adjustable": ["carbon_price"]}

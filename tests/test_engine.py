@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -16,7 +17,9 @@ from cibpath.engine import (
 from cibpath.errors import InfeasibilityError, StructureError, TractabilityError
 from cibpath.model import CrossImpactMatrix, parse_study_spec
 
-from conftest import brute_force_consistent, random_spec_document, two_desc_document
+from conftest import (
+    BAD_RULE_REFS, brute_force_consistent, random_spec_document, two_desc_document,
+)
 from sim_reference import iterate_to_attractor, reference_succession_step
 
 
@@ -73,6 +76,28 @@ class TestImpactBalance:
     def test_structure_mismatch(self, fixture_spec, mini_spec):
         with pytest.raises(StructureError):
             impact_balance(fixture_spec, mini_spec.cim, (0, 0))
+
+
+class TestRulesBuiltInCode:
+    """A rule of a spec built in code, not parsed, may name a descriptor
+    position or a state that the spec lacks; each call refuses it before
+    any step."""
+
+    CALLS = {
+        "impact_balance": lambda s: impact_balance(s, s.cim, (0, 0)),
+        "check_consistency": lambda s: check_consistency(s, s.cim, (0, 0)),
+        "succession_step": lambda s: succession_step(s, s.cim, (0, 0)),
+        "find_attractor": lambda s: find_attractor(s, s.cim, (0, 0)),
+        "enumerate_consistent": lambda s: enumerate_consistent(s, s.cim),
+        "violates_forbidden": lambda s: engine.violates_forbidden(s, (0, 0)),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("case", BAD_RULE_REFS)
+    def test_a_rule_reference_outside_the_spec_raises(self, fixture_spec, case, call):
+        spec = dataclasses.replace(fixture_spec, **BAD_RULE_REFS[case])
+        with pytest.raises(StructureError, match="a rule names state"):
+            self.CALLS[call](spec)
 
 
 class TestConsistency:
@@ -334,7 +359,7 @@ class TestSuccessionOracle:
                     rows = impact_balance(spec, spec.cim, z).scores
                     seen["ties"] += any(row.count(max(row)) > 1 for row in rows)
                 seen["thresholds"] += any(
-                    all(z[spec.index_of(did)] == s for did, s in r.conditions)
+                    all(z[i] == s for i, s in r.conditions)
                     for r in spec.threshold_rules
                 )
                 seen["cases"] += 1

@@ -68,7 +68,59 @@ OPTIONAL = {
     ],
     "mcda": [(("scale",), [1, 5])],
     "translation": [(("dimensions", 0, "values", "High"), {"2045": 180.0, "2050": 220.0})],
-    "identities": [(("identities", 0, "equals_dimension"), "grid_investment_index")],
+    # equals_dimension in place of equals: an identity gives exactly one
+    "identities": [(("identities", 0), {
+        **{k: v for k, v in IDENTITIES["identities"][0].items() if k != "equals"},
+        "equals_dimension": "grid_investment_index",
+    })],
+}
+
+#: The cyclic descriptor's drift in the mini study.
+DRIFT = ("descriptors", 4, "cyclic", "drift")
+
+
+def _time_factor(doc, factor):
+    """doc with a time scale of 1.0, but factor at the last period."""
+    return mutated(doc, ("uncertainty", "time_scale"), {**{str(p): 1.0 for p in GRID}, str(GRID[-1]): factor})
+
+
+def _states(doc, k):
+    """doc with descriptor PS given k states: the first k of its three, then
+    new ones whose cells, in either role, are zero; without the rules, which
+    name its states."""
+    doc = {key: value for key, value in doc.items() if key not in ("rules", "threshold_rules")}
+    ps, *others = doc["descriptors"]
+    cells = [
+        c for c in doc["cim"]
+        if (c["source"] != "PS" or c["source_state"] < k) and (c["target"] != "PS" or c["target_state"] < k)
+    ]
+    zero = {"score": 0.0, "confidence": 3}
+    for s in range(3, k):
+        for d in others:
+            for t in range(len(d["states"])):
+                cells.append({"source": "PS", "source_state": s, "target": d["id"], "target_state": t, **zero})
+                cells.append({"source": d["id"], "source_state": t, "target": "PS", "target_state": s, **zero})
+    states = [*ps["states"][:k], *(f"S{s}" for s in range(3, k))]
+    return {
+        **doc, "descriptors": [{**ps, "states": states}, *others], "cim": cells,
+        "baseline": {**doc["baseline"], "PS": 0},
+    }
+
+
+#: Each numeric bound of the study spec's validation, met and missed: the
+#: case's edit of the mini study, the exit code that reading and validating
+#: it gets, and the node of its one error finding.
+BOUNDS = {
+    "cyclic-drift-1": (lambda d: mutated(d, DRIFT, 1.0), 0, None),
+    "cyclic-drift-minus-1": (lambda d: mutated(d, DRIFT, -1.0), 0, None),
+    "cyclic-drift-1.01": (lambda d: mutated(d, DRIFT, 1.01), 1, "descriptors[4].cyclic.drift"),
+    "cyclic-drift-minus-1.01": (lambda d: mutated(d, DRIFT, -1.01), 1, "descriptors[4].cyclic.drift"),
+    "time-scale-factor-0": (lambda d: _time_factor(d, 0.0), 0, None),
+    "time-scale-factor-minus-0.01": (lambda d: _time_factor(d, -0.01), 1, "uncertainty.time_scale"),
+    "2-states": (lambda d: _states(d, 2), 0, None),
+    "5-states": (lambda d: _states(d, 5), 0, None),
+    "1-state": (lambda d: _states(d, 1), 1, "descriptors[0].states"),
+    "6-states": (lambda d: _states(d, 6), 1, "descriptors[0].states"),
 }
 
 #: The nodes that hold a name or a list item that other nodes refer to.
@@ -178,14 +230,29 @@ def fixtures():
     }
 
 
-def test_study_spec_mutations(fixtures, capsys):
-    def run(doc):
-        spec = parse_study_spec(doc)
-        pipeline.raise_on_errors(validate_study_spec(spec), "")
-        spec.kernel, spec.sigma_tables  # compiled on first use
+def read_spec(doc):
+    """Read and validate a study spec document, as the validate stage does."""
+    spec = parse_study_spec(doc)
+    pipeline.raise_on_errors(validate_study_spec(spec), "")
+    spec.sigma_tables  # built on first use
 
-    counts = check("spec", fixtures["study"], run, capsys)
+
+def test_study_spec_mutations(fixtures, capsys):
+    counts = check("spec", fixtures["study"], read_spec, capsys)
     assert counts[3] > counts[0] > 0 and counts[1] > 0
+
+
+@pytest.mark.parametrize("case", BOUNDS)
+def test_each_validation_bound_from_both_sides(fixtures, case):
+    edit, code, node = BOUNDS[case]
+    doc = edit(fixtures["study"])
+    outcome = 0
+    try:
+        _guarded(lambda: read_spec(doc))()
+    except SystemExit as e:
+        outcome = e.code
+    errors = [f.path for f in validate_study_spec(parse_study_spec(doc)) if f.severity == "error"]
+    assert (outcome, errors) == (code, [node] if node else [])
 
 
 def test_pipeline_config_mutations(fixtures, tmp_path, capsys, monkeypatch):

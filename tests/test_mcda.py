@@ -131,6 +131,15 @@ class TestRanking:
         assert ranking.ties == (("pa", "pb"),)
         assert ranking.order == ("pa", "pb")
 
+    def test_tied_pathways_are_ordered_by_id_not_by_input(self):
+        inp = McdaInput(
+            ("pc", "pb", "pa"), ("c1",), ((3.0,), (4.0,), (4.0,)),
+            (Persona("a", (("c1", 1.0),)),),
+        )
+        ranking = rank_pathways(inp)
+        assert ranking.order == ("pa", "pb", "pc")
+        assert ranking.ties == (("pa", "pb"),)
+
     def test_single_criterion_recovers_raw_scores(self):
         inp = McdaInput(
             ("p1", "p2"), ("c1",), ((2.0,), (5.0,)),

@@ -305,7 +305,7 @@ def _cell(spec, at, scores=None, confidences=None):
     return dataclasses.replace(spec, cim=dataclasses.replace(cim, **arrays))
 
 
-def _effect(*effect, conditions=(("A", 0),)):
+def _effect(*effect, conditions=((0, 0),)):
     return (ThresholdRule(tuple(conditions), ThresholdEffect(*effect)),)
 
 
@@ -331,17 +331,27 @@ PROGRAMMATIC = {
                                  "cim[7].confidence"),
     "nonzero-masked-cell": (lambda s: _cell(s, (0, 0, 0, 1), scores=1.0), "cim"),
     "forbidden-pair-unknown-descriptor": (lambda s: dataclasses.replace(
-        s, rules=DomainRules(forbidden_pairs=((("C", 0), ("B", 0)),))),
-        "rules.forbidden_pairs[0][0]"),
+        s, rules=DomainRules(forbidden_pairs=(((2, 0), (1, 0)),))),
+        "rules.forbidden_pairs[0][0][0]"),
+    "forbidden-pair-negative-position": (lambda s: dataclasses.replace(
+        s, rules=DomainRules(forbidden_pairs=(((0, 0), (-1, 0)),))),
+        "rules.forbidden_pairs[0][1][0]"),
     "implication-state-out-of-range": (lambda s: dataclasses.replace(
-        s, rules=DomainRules(implications=((("A", 0), ("B", 5)),))), "rules.implications[0].then"),
+        s, rules=DomainRules(implications=(((0, 0), (1, 5)),))), "rules.implications[0].then"),
+    "implication-unknown-descriptor": (lambda s: dataclasses.replace(
+        s, rules=DomainRules(implications=(((0, 0), (7, 0)),))), "rules.implications[0].then[0]"),
     "threshold-condition-state-out-of-range": (lambda s: dataclasses.replace(
-        s, threshold_rules=_effect("A", 0, "B", 0, 1.0, conditions=(("A", 9),))),
+        s, threshold_rules=_effect(0, 0, 1, 0, 1.0, conditions=((0, 9),))),
         "threshold_rules[0].conditions[0]"),
+    "threshold-condition-negative-position": (lambda s: dataclasses.replace(
+        s, threshold_rules=_effect(0, 0, 1, 0, 1.0, conditions=((-2, 0),))),
+        "threshold_rules[0].conditions[0][0]"),
     "threshold-effect-unknown-descriptor": (lambda s: dataclasses.replace(
-        s, threshold_rules=_effect("C", 0, "B", 0, 1.0)), "threshold_rules[0].effect.source"),
+        s, threshold_rules=_effect(2, 0, 1, 0, 1.0)), "threshold_rules[0].effect.source"),
+    "threshold-effect-negative-target": (lambda s: dataclasses.replace(
+        s, threshold_rules=_effect(0, 0, -1, 0, 1.0)), "threshold_rules[0].effect.target"),
     "threshold-delta-not-finite": (lambda s: dataclasses.replace(
-        s, threshold_rules=_effect("A", 0, "B", 0, float("inf"))),
+        s, threshold_rules=_effect(0, 0, 1, 0, float("inf"))),
         "threshold_rules[0].effect.delta"),
     "time-scale-without-last-period": (lambda s: dataclasses.replace(s, uncertainty=(
         dataclasses.replace(s.uncertainty, time_scale=s.uncertainty.time_scale[:-1]))),

@@ -247,6 +247,13 @@ class TestIdentities:
         assert out.provenance["a", 2025] == "repair:identity 'sum': scaled by 1.25"
         assert out.values["total", 2025] == 100.0
 
+    def test_an_identity_off_by_a_millionth_is_repaired(self):
+        qp = self.qp({"a": (30.0, 30.0), "b": (70.000001, 70.0), "total": (100.0, 100.0)})
+        ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a",), rhs_dimension="total")
+        out = enforce_identities(qp, (ident,))
+        assert out.values["a", 2025] + out.values["b", 2025] == pytest.approx(100.0, rel=0, abs=1e-9)
+        assert list(out.provenance) == [("a", 2025)]
+
     def test_only_adjustable_moves(self):
         qp = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0), "total": (100.0, 100.0)})
         ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a",), rhs_dimension="total")

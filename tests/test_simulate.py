@@ -12,7 +12,7 @@ import pytest
 import sim_reference as reference
 from cibpath import simulate
 from cibpath.engine import check_consistency
-from cibpath.errors import ConfigError, ParseError
+from cibpath.errors import ConfigError, ParseError, StructureError
 from cibpath.model import CyclicParams, StructuralShockConfig, Distribution, parse_study_spec
 from cibpath.simulate import (
     BLOCK_RUNS,
@@ -27,7 +27,7 @@ from cibpath.simulate import (
 )
 from cibpath.uncertainty import StreamBlock, apply_structural_shock
 
-from conftest import random_spec_document, two_desc_document
+from conftest import BAD_RULE_REFS, random_spec_document, two_desc_document
 from sim_reference import iterate_to_attractor
 
 
@@ -528,6 +528,17 @@ class TestEnsemble:
         ens = simulate_ensemble(spec, 50, 123)
         pathways = {r.pathway for r in ens.runs}
         assert len(pathways) == 1
+
+
+@pytest.mark.parametrize("case", BAD_RULE_REFS)
+def test_a_rule_reference_outside_the_spec_raises_before_any_run(fixture_spec, case):
+    """A rule of a spec built in code that names a descriptor position or a
+    state the spec lacks is refused once per call, by the engine's check."""
+    spec = dataclasses.replace(fixture_spec, **BAD_RULE_REFS[case])
+    with pytest.raises(StructureError, match="a rule names state"):
+        simulate_ensemble(spec, 4, 1)
+    with pytest.raises(StructureError, match="a rule names state"):
+        robustness_fraction(spec, (0, 0), StructuralShockConfig(True, 0.5), 10, 1)
 
 
 class TestRobustness:
