@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
+from .engine import check_refs
 from .errors import ConfigError, EmptyInputError, InsufficientCandidatesError
 from .model import StudySpec
 from .simulate import EnsembleResult, Pathway
@@ -159,16 +161,19 @@ def state_share_series(
 
 @dataclass(frozen=True)
 class ScreeningConfig:
-    """Plausibility rules applied to each distinct pathway."""
+    """Plausibility rules applied to each distinct pathway, by descriptor
+    position; pipeline.resolve_screening reads one from a document."""
 
-    outcome_descriptor: str
+    #: the outcome descriptor's position, and its best state.
+    outcome: int
+    best_state: int
     late_rush_steps: int = 2
     discontinuity_steps: int = 2
     #: evaluate backsliding on every descriptor instead of the outcome only.
     full_vector_backsliding: bool = False
-    #: terminal state combinations ((descriptor id, state label or index),
-    #: ...) that are jointly implausible; never inferred, always supplied.
-    endpoint_exclusions: tuple[tuple[tuple[str, int], ...], ...] = ()
+    #: terminal state combinations ((position, state), ...) that are
+    #: jointly implausible; never inferred, always supplied.
+    endpoint_exclusions: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
 #: The screening rules in the order they are applied; a rejected pathway
@@ -225,24 +230,11 @@ def flat_rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), math.prod(a.shape[1:]))
 
 
-def endpoint_exclusions(config: ScreeningConfig, spec: StudySpec) -> list[list[tuple[int, int]]]:
-    """Each endpoint exclusion of config as (descriptor position, state
-    index) pairs; a reference outside the spec raises ParseError naming
-    screening.endpoint_exclusions[i][k]."""
-    return [
-        [spec.resolve_pair(pair, f"screening.endpoint_exclusions[{i}][{k}]")
-         for k, pair in enumerate(combo)]
-        for i, combo in enumerate(config.endpoint_exclusions)
-    ]
-
-
 def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np.ndarray:
     """The index in REASONS of the first rule each pathway in states
     (pathways, periods, descriptors) fails, or -1 where it passes."""
-    j_out = spec.index_of(config.outcome_descriptor, "screening.outcome_descriptor")
     descriptors = range(len(spec.descriptors))
-    backslide_targets = list(descriptors) if config.full_vector_backsliding else [j_out]
-    exclusions = endpoint_exclusions(config, spec)
+    backslide_targets = list(descriptors) if config.full_vector_backsliding else [config.outcome]
     cyclic_step2 = {
         i for i in spec.cyclic_indices if spec.descriptors[i].cyclic_params.step2 > 0
     }
@@ -256,9 +248,9 @@ def _reasons(states: np.ndarray, spec: StudySpec, config: ScreeningConfig) -> np
         backslide |= (rose & (moves < 0)).any(1)  # a fall after an earlier rise
         rose |= moves > 0
         jumps |= (np.abs(step[:, discontinuity_targets]) >= config.discontinuity_steps).any(1)
-        late_rush = step[:, j_out] >= config.late_rush_steps  # kept for the last step only
+        late_rush = step[:, config.outcome] >= config.late_rush_steps  # kept for the last step only
     endpoint = np.zeros(len(states), bool)
-    for combo in exclusions:
+    for combo in config.endpoint_exclusions:
         endpoint |= np.logical_and.reduce([states[:, -1, j] == s for j, s in combo])
     return np.select([backslide, endpoint, late_rush, jumps], range(len(REASONS)), -1)
 
@@ -270,8 +262,11 @@ def screen_candidates(
 
     Surviving pathways carry the frequency of their terminal scenario over
     the full ensemble. Order-independent: permuting runs never changes a
-    pathway's status.
+    pathway's status. A config whose outcome, best state or exclusions name
+    no state of spec raises StructureError.
     """
+    refs = [(config.outcome, config.best_state), *chain(*config.endpoint_exclusions)]
+    check_refs(spec.state_counts, refs, "the screening config")
     states, index = ensemble.ok_states, ensemble.pathway_index
     distinct = states[index.first]
     reasons = _reasons(distinct, spec, config)
@@ -311,21 +306,16 @@ def _medoids(states: np.ndarray, group: np.ndarray, rank: np.ndarray) -> np.ndar
     return order[np.r_[True, ordered[1:] != ordered[:-1]]]
 
 
-def select_candidates(
-    screened: CandidateSet,
-    k: int,
-    best_outcome: tuple[str, int],
-    spec: StudySpec,
-) -> CandidateSet:
+def select_candidates(screened: CandidateSet, k: int, config: ScreeningConfig) -> CandidateSet:
     """Pick k candidates from screen_candidates' survivors: one medoid
     representative per terminal-scenario group, groups ordered by frequency,
-    with at least two candidates ending in the best outcome state whenever
-    two survivors do. Fewer than k groups raise
+    with at least two candidates ending in config's best outcome state
+    whenever two survivors do. Fewer than k groups raise
     InsufficientCandidatesError."""
     if k < 2:
         raise ConfigError(f"candidate count must be >= 2 (got {k})")
     pool = screened.candidates
-    is_best = pool.states[:, -1, spec.index_of(best_outcome[0])] == best_outcome[1]
+    is_best = pool.states[:, -1, config.outcome] == config.best_state
 
     # Groups come out of np.unique in terminal order; a stable sort by
     # falling frequency then gives the order (-frequency, terminal).

@@ -60,12 +60,23 @@ class NonConvergence:
     last: Scenario
 
 
+def check_refs(counts: tuple[int, ...], refs, what: str) -> None:
+    """Raise StructureError, naming what, unless each of refs is a pair of
+    ints (no bool), a descriptor position and one of its states, under the
+    state counts counts."""
+    for ref in refs:
+        i, s = ref if type(ref) in (tuple, list) and len(ref) == 2 else (None, None)
+        if not (type(i) is type(s) is int and 0 <= i < len(counts) and 0 <= s < counts[i]):
+            raise StructureError(f"{what} names state {ref!r}, not a (position, state) of the spec")
+
+
 def check_arguments(
     spec: StudySpec, cim: CrossImpactMatrix, scenario: Optional[Scenario] = None
 ) -> None:
     """Raise StructureError unless cim has the spec's descriptors and state
-    counts, each rule names a state of the spec (a spec built in code may
-    not) and scenario, if given, holds a state of each descriptor."""
+    counts, each rule reference passes check_refs (a spec built in code may
+    hold any value there) and scenario, if given, holds a state of each
+    descriptor."""
     counts = spec.state_counts
     if cim.descriptor_ids != tuple(d.id for d in spec.descriptors):
         raise StructureError("matrix descriptor ids do not match the spec")
@@ -75,9 +86,7 @@ def check_arguments(
     for r in spec.threshold_rules:
         e = r.effect
         refs += [*r.conditions, (e.source, e.source_state), (e.target, e.target_state)]
-    for i, s in refs:
-        if not (0 <= i < len(counts) and 0 <= s < counts[i]):
-            raise StructureError(f"a rule names state {s} of position {i}, outside the spec")
+    check_refs(counts, refs, "a rule")
     if scenario is None:
         return
     if len(scenario) != len(counts):

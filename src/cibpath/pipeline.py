@@ -23,7 +23,6 @@ from .analytics import (
     REASONS,
     ScreeningConfig,
     _wilson_z,
-    endpoint_exclusions,
     flat_rows,
     screen_candidates,
     select_candidates,
@@ -190,47 +189,37 @@ def load_checked_ensemble(path: str, spec: StudySpec, spec_digest: str) -> Ensem
     return ensemble
 
 
-def screening_config_from(doc: dict) -> ScreeningConfig:
-    """The screening config doc, whose nodes are named screening.<key>; a
-    missing node, one of the wrong JSON type, a step count below 1 or an
-    empty endpoint exclusion raises ConfigError naming it."""
+def resolve_screening(doc: dict, spec: StudySpec) -> ScreeningConfig:
+    """The screening config doc, whose nodes are named screening.<key>, by
+    position in spec; its best outcome state is the outcome descriptor's last
+    when doc gives none. A missing node, one of the wrong JSON type, a step
+    count below 1, an empty endpoint exclusion or a bad best outcome state
+    raises ConfigError naming it; an unknown outcome descriptor,
+    SpecReferenceError, and a bad exclusion pair, resolve_pair's error."""
     try:
-        config = ScreeningConfig(
-            outcome_descriptor=child(doc, "outcome_descriptor", str, "screening"),
-            endpoint_exclusions=tuple(
-                tuple(map(tuple, combo))
-                for combo in child(doc, "endpoint_exclusions", [[list]], "screening", ())
-            ),
-            **{key: child(doc, key, kind, "screening", getattr(ScreeningConfig, key))
-               for key, kind in (("late_rush_steps", int), ("discontinuity_steps", int),
-                                 ("full_vector_backsliding", bool))},
-        )
+        outcome_id = child(doc, "outcome_descriptor", str, "screening")
+        combos = child(doc, "endpoint_exclusions", [[list]], "screening", ())
+        rules = {key: child(doc, key, kind, "screening", getattr(ScreeningConfig, key))
+                 for key, kind in (("late_rush_steps", int), ("discontinuity_steps", int),
+                                   ("full_vector_backsliding", bool))}
     except ParseError as e:
         raise ConfigError(str(e)) from None
     for key in ("late_rush_steps", "discontinuity_steps"):
-        if getattr(config, key) < 1:
+        if rules[key] < 1:
             raise ConfigError(f"screening.{key}: must be at least 1")
-    if () in config.endpoint_exclusions:
-        i = config.endpoint_exclusions.index(())
-        raise ConfigError(f"screening.endpoint_exclusions[{i}]: empty: it excludes every pathway")
-    return config
-
-
-def resolve_screening(doc: dict, spec: StudySpec) -> tuple[ScreeningConfig, tuple[str, int]]:
-    """The screening config doc, checked against spec, and its best outcome
-    (outcome descriptor id, state index). The best outcome state is a state
-    label or index of the outcome descriptor, its last state when doc gives
-    none. A bad node raises ConfigError or ParseError naming it."""
-    config = screening_config_from(doc)
-    outcome = spec.descriptor(config.outcome_descriptor, "screening.outcome_descriptor")
+    if [] in combos:
+        raise ConfigError(f"screening.endpoint_exclusions[{combos.index([])}]: empty: "
+                          "it excludes every pathway")
+    outcome = spec.index_of(outcome_id, "screening.outcome_descriptor")
+    desc = spec.descriptors[outcome]
     try:
-        last = outcome.state_count - 1
-        best = child(doc, "best_outcome_state", STATE_REF, "screening", last)
-        best_state = resolve_state(outcome, best, "screening.best_outcome_state")
+        best = child(doc, "best_outcome_state", STATE_REF, "screening", desc.state_count - 1)
+        best_state = resolve_state(desc, best, "screening.best_outcome_state")
     except ParseError as e:
         raise ConfigError(str(e)) from None
-    endpoint_exclusions(config, spec)
-    return config, (outcome.id, best_state)
+    exclusions = tuple(tuple(spec.resolve_pair(pair, f"screening.endpoint_exclusions[{i}][{k}]")
+                             for k, pair in enumerate(combo)) for i, combo in enumerate(combos))
+    return ScreeningConfig(outcome, best_state, endpoint_exclusions=exclusions, **rules)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +272,13 @@ def stats_stage(
 
 
 def screen_stage(
-    ensemble: EnsembleResult, spec: StudySpec,
-    screening: tuple[ScreeningConfig, tuple[str, int]], candidate_count: int, out_dir: str,
+    ensemble: EnsembleResult, spec: StudySpec, screening: ScreeningConfig, candidate_count: int,
+    out_dir: str,
 ) -> tuple[list[str], dict[str, Pathway]]:
     """candidates.json, plus the selected pathways by candidate id (C1..Ck)
-    for a later stage to reuse; screening is resolve_screening's config and
-    best outcome."""
-    scfg, best = screening
-    screened = screen_candidates(ensemble, spec, scfg)
-    selected = select_candidates(screened, candidate_count, best, spec)
+    for a later stage to reuse."""
+    screened = screen_candidates(ensemble, spec, screening)
+    selected = select_candidates(screened, candidate_count, screening)
     rejected = selected.rejected
     candidates = [
         {

@@ -265,40 +265,48 @@ class QuantifyInputs:
     extremes: Optional[tuple]  # read_extreme_axes', None for no extreme scenarios
 
 
+def _sides(ident: Identity, values: dict, period: int) -> tuple[float, float]:
+    """The left- and right-hand sides of ident in period, under values."""
+    rhs = ident.rhs_value if ident.rhs_dimension is None else values[ident.rhs_dimension, period]
+    return sum(c * values[d, period] for d, c in ident.terms), rhs
+
+
 def enforce_identities(
     qp: QuantifiedPathway, identities: tuple[Identity, ...]
 ) -> QuantifiedPathway:
     """Repair violated identities per period by proportionally rescaling the
     adjustable dimensions onto the constraint; satisfied identities leave
     values untouched and each repaired cell gets its provenance text. The
-    identities are parse_identities' over qp's dimensions; one whose
-    adjustable terms sum to zero where it is violated raises
-    OutOfRangeError."""
-    values = dict(qp.values)
-    prov = dict(qp.provenance)
+    identities are parse_identities' over qp's dimensions. OutOfRangeError
+    is raised where a repair would scale by zero or less, its adjustable
+    terms summing to zero included, and where an identity no longer holds
+    after the last repair, within IDENTITY_TOL of its largest term (at
+    least 1)."""
+    values, prov = dict(qp.values), dict(qp.provenance)
     for k, ident in enumerate(identities):
         node, name = f"identities[{k}]", ident.name
         for period in qp.periods:
-            rhs = ident.rhs_value if ident.rhs_dimension is None else values[ident.rhs_dimension, period]
-            lhs = sum(c * values[d, period] for d, c in ident.terms)
+            lhs, rhs = _sides(ident, values, period)
             if abs(lhs - rhs) <= IDENTITY_TOL:
                 continue
-            fixed = sum(
-                c * values[d, period]
-                for d, c in ident.terms
-                if d not in ident.adjustable
-            )
+            fixed = sum(c * values[d, period] for d, c in ident.terms if d not in ident.adjustable)
             current = lhs - fixed
-            target = rhs - fixed
-            if current == 0.0:
+            scale = (rhs - fixed) / current if current else 0.0
+            if scale <= 0.0:
                 raise OutOfRangeError(
-                    f"{node}: identity {name!r} unrepairable at period {period}: "
-                    "adjustable contribution is zero"
+                    f"{node}: identity {name!r} unrepairable at period {period}: its adjustable "
+                    f"terms sum to {current:.6g} and would need {rhs - fixed:.6g}"
                 )
-            scale = target / current
             for d in ident.adjustable:
                 values[d, period] *= scale
                 prov[d, period] = f"repair:identity {name!r}: scaled by {scale:.6g}"
+    for k, ident in enumerate(identities):
+        for period in qp.periods:
+            lhs, rhs = _sides(ident, values, period)
+            size = max(1.0, abs(rhs), *(abs(c * values[d, period]) for d, c in ident.terms))
+            if abs(lhs - rhs) > IDENTITY_TOL * size:
+                raise OutOfRangeError(f"identities[{k}]: identity {ident.name!r} broken at period "
+                                      f"{period} by a later repair: {lhs:.6g} != {rhs:.6g}")
     return replace(qp, values=values, provenance=prov)
 
 
@@ -354,10 +362,11 @@ def load_translation_file(path: str, spec: StudySpec) -> tuple[tuple[Dimension, 
 def parse_identities(doc: dict, dimensions: tuple[Dimension, ...]) -> tuple[Identity, ...]:
     """Identities file over the given dimensions; a missing node, one of the
     wrong JSON type, an identity without exactly one of equals and
-    equals_dimension, with no adjustable dimension or one that is not a term
-    of it, an equals_dimension that is one of its adjustable terms, or one
-    naming a dimension not in dimensions raises ParseError naming it."""
-    out = []
+    equals_dimension, with no adjustable dimension, one that is not a term
+    of it or one that an earlier identity adjusts, an equals_dimension that
+    is one of its adjustable terms, or one naming a dimension not in
+    dimensions raises ParseError naming it."""
+    out, adjusted = [], {}
     known = {d.id for d in dimensions}
     for i, raw in enumerate(child(doc, "identities", [dict], "", [])):
         path = f"identities[{i}]"
@@ -375,6 +384,9 @@ def parse_identities(doc: dict, dimensions: tuple[Dimension, ...]) -> tuple[Iden
         for d in ident.adjustable:
             if d not in terms:
                 raise ParseError(f"{path}.adjustable", f"{d!r} is not a term of identity {name!r}")
+            if d in adjusted:
+                raise ParseError(f"{path}.adjustable", f"{d!r} is adjusted by {adjusted[d]} already")
+            adjusted[d] = path
         if not any(c for d, c in ident.terms if d in ident.adjustable):
             raise ParseError(f"{path}.adjustable", f"identity {name!r} has only zero adjustable terms")
         if ident.rhs_dimension in ident.adjustable:

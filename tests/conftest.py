@@ -35,8 +35,9 @@ def two_desc_document(extra=None):
 
 
 #: Rules built in code that name a descriptor position or a state that the
-#: 2x2 fixture spec lacks, as dataclasses.replace changes by case; a
-#: negative position would index from the end.
+#: 2x2 fixture spec lacks, or a reference that is no pair of ints, as
+#: dataclasses.replace changes by case; a negative position would index
+#: from the end.
 BAD_RULE_REFS = {
     "forbidden-pair-beyond": {"rules": DomainRules(forbidden_pairs=(((0, 1), (2, 0)),))},
     "implication-negative": {"rules": DomainRules(implications=(((-1, 0), (1, 0)),))},
@@ -47,6 +48,10 @@ BAD_RULE_REFS = {
     "threshold-effect-beyond": {
         "threshold_rules": (ThresholdRule(((0, 0),), ThresholdEffect(0, 0, 2, 0, 1.0)),)
     },
+    "forbidden-pair-triple": {"rules": DomainRules(forbidden_pairs=(((0, 0, 1), (1, 0)),))},
+    "forbidden-pair-id": {"rules": DomainRules(forbidden_pairs=((("A", 0), (1, 0)),))},
+    "forbidden-pair-float": {"rules": DomainRules(forbidden_pairs=(((0.0, 0), (1, 0)),))},
+    "forbidden-pair-bool": {"rules": DomainRules(forbidden_pairs=(((True, 0), (1, 0)),))},
 }
 
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from cibpath.analytics import (
     REASONS,
-    ScreeningConfig,
     screen_candidates,
     select_candidates,
     state_share_series,
@@ -33,6 +32,7 @@ from cibpath.model import (
     StructuralShockConfig,
     parse_study_spec,
 )
+from cibpath.pipeline import resolve_screening
 from cibpath.quantify import (
     Dimension,
     Identity,
@@ -374,7 +374,7 @@ def test_12_wilson_formula():
 def test_13_screening():
     spec = _three_state_spec()
     periods = (2025, 2030, 2035, 2040, 2045, 2050)
-    config = ScreeningConfig(outcome_descriptor="A")
+    config = resolve_screening({"outcome_descriptor": "A"}, spec)  # best state 2, A's last
 
     def reason_of(states):
         ens = make_ensemble([[(s, 0) for s in states]], periods=periods)
@@ -394,7 +394,7 @@ def test_13_screening():
     low = [[(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)]] * 1
     ens = make_ensemble(base + alt + mid + low, periods=periods)
     screened = screen_candidates(ens, spec, config)
-    selected = select_candidates(screened, 3, ("A", 2), spec)
+    selected = select_candidates(screened, 3, config)
     terminals = [c.pathway.terminal() for c in selected.candidates]
     best_count = sum(1 for t in terminals if t[0] == 2)
     select_ok = len(selected.candidates) == 3 and best_count >= 2

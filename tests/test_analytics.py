@@ -21,9 +21,10 @@ from cibpath.analytics import (
     wilson_interval,
 )
 from cibpath.errors import (
-    ConfigError, EmptyInputError, InsufficientCandidatesError, SpecReferenceError,
+    ConfigError, EmptyInputError, InsufficientCandidatesError, SpecReferenceError, StructureError,
 )
 from cibpath.model import parse_study_spec
+from cibpath.pipeline import resolve_screening
 from cibpath.simulate import EnsembleResult, Pathway
 
 from conftest import make_ensemble, two_desc_document
@@ -163,7 +164,7 @@ class TestShares:
             with pytest.raises(EmptyInputError, match="no successful runs"):
                 state_share_series(ens, fixture_spec, "A")
             with pytest.raises(EmptyInputError, match="no successful runs"):
-                screen_candidates(ens, fixture_spec, TestScreening.config)
+                screen(ens, fixture_spec, TestScreening.config)
 
     def test_matches_counter_oracle_with_errors_and_permuted_runs(self):
         spec = spec3()
@@ -209,12 +210,17 @@ def spec3():
     return parse_study_spec(doc)
 
 
+def screen(ensemble, spec, doc):
+    """screen_candidates under the screening config document doc."""
+    return screen_candidates(ensemble, spec, resolve_screening(doc, spec))
+
+
 class TestScreening:
-    config = ScreeningConfig(outcome_descriptor="A")
+    config = {"outcome_descriptor": "A"}
 
     def run_one(self, spec, states, config=None):
         ens = make_ensemble([states])
-        result = screen_candidates(ens, spec, config or self.config)
+        result = screen(ens, spec, config or self.config)
         if result.candidates:
             return None
         return REASONS[result.rejected.labels[0]]
@@ -230,28 +236,39 @@ class TestScreening:
         assert self.run_one(spec3(), [(2, 0), (1, 0), (0, 0)]) is None
 
     def test_full_vector_backsliding(self):
-        cfg = ScreeningConfig(outcome_descriptor="A", full_vector_backsliding=True)
+        cfg = {"outcome_descriptor": "A", "full_vector_backsliding": True}
         assert self.run_one(spec3(), [(0, 0), (0, 1), (0, 0)], cfg) == "backsliding"
 
     def test_endpoint_exclusion(self):
-        cfg = ScreeningConfig(
-            outcome_descriptor="A", endpoint_exclusions=((("A", 2), ("B", 0)),)
-        )
+        cfg = {"outcome_descriptor": "A", "endpoint_exclusions": [[["A", 2], ["B", 0]]]}
         assert self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)], cfg) == "endpoint_inconsistency"
         assert self.run_one(spec3(), [(0, 1), (1, 1), (2, 1)], cfg) is None
 
     def test_endpoint_exclusion_by_state_label(self):
-        cfg = ScreeningConfig(
-            outcome_descriptor="A", endpoint_exclusions=((("A", "s3"), ("B", "s1")),)
-        )
+        cfg = {"outcome_descriptor": "A", "endpoint_exclusions": [[["A", "s3"], ["B", "s1"]]]}
         assert self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)], cfg) == "endpoint_inconsistency"
         assert self.run_one(spec3(), [(0, 1), (1, 1), (2, 1)], cfg) is None
 
-    @pytest.mark.parametrize("pair", [("B", 3), ("B", "s9"), ("Z", 0)])
+    @pytest.mark.parametrize("pair", [["B", 3], ["B", "s9"], ["Z", 0]])
     def test_endpoint_exclusion_outside_the_spec_is_refused(self, pair):
-        cfg = ScreeningConfig(outcome_descriptor="A", endpoint_exclusions=((("A", 2), pair),))
+        cfg = {"outcome_descriptor": "A", "endpoint_exclusions": [[["A", 2], pair]]}
         with pytest.raises(SpecReferenceError, match=r"^screening\.endpoint_exclusions\[0\]\[1\]: "):
             self.run_one(spec3(), [(0, 0), (1, 0), (2, 0)], cfg)
+
+    @pytest.mark.parametrize("config", [
+        ScreeningConfig(-1, 2), ScreeningConfig(2, 0), ScreeningConfig(0, 3), ScreeningConfig(0, -1),
+        ScreeningConfig(True, 2), ScreeningConfig(0, 2.0),
+        ScreeningConfig(0, 2, endpoint_exclusions=(((1, 3),),)),
+        ScreeningConfig(0, 2, endpoint_exclusions=((("B", 0),),)),
+        ScreeningConfig(0, 2, endpoint_exclusions=(((1, 0, 1),),)),
+    ])
+    def test_a_config_built_in_code_outside_the_spec_raises(self, config):
+        """A position or state that spec3 (two descriptors of three states)
+        lacks, or one that is no pair of ints: a negative position would
+        otherwise screen the last descriptor."""
+        ens = make_ensemble([[(0, 0), (1, 0), (2, 0)]])
+        with pytest.raises(StructureError, match="^the screening config names state "):
+            screen_candidates(ens, spec3(), config)
 
     def test_late_rush(self):
         assert self.run_one(spec3(), [(0, 0), (0, 0), (2, 0)]) == "late_rush"
@@ -279,7 +296,7 @@ class TestScreening:
 
     def test_rule_order_backsliding_first(self):
         # pathway violating both backsliding and discontinuity reports backsliding
-        cfg = ScreeningConfig(outcome_descriptor="A", full_vector_backsliding=True)
+        cfg = {"outcome_descriptor": "A", "full_vector_backsliding": True}
         assert self.run_one(spec3(), [(0, 2), (2, 0), (0, 2)], cfg) == "backsliding"
 
     def test_terminal_frequency_over_full_ensemble(self, fixture_spec):
@@ -291,7 +308,7 @@ class TestScreening:
                 [(0, 0), (0, 0), (1, 1)],
             ]
         )
-        result = screen_candidates(ens, fixture_spec, self.config)
+        result = screen(ens, fixture_spec, self.config)
         freqs = {c.pathway.terminal(): c.terminal_frequency for c in result.candidates}
         assert freqs[(1, 1)] == 0.75
         assert freqs[(0, 0)] == 0.25
@@ -304,9 +321,9 @@ class TestScreening:
             [(0, 0), (1, 1), (1, 1)],
             [(0, 0), (0, 0), (0, 0)],
         ]
-        base = screen_candidates(make_ensemble(states), fixture_spec, self.config)
+        base = screen(make_ensemble(states), fixture_spec, self.config)
         for perm in itertools.permutations(states):
-            other = screen_candidates(make_ensemble(list(perm)), fixture_spec, self.config)
+            other = screen(make_ensemble(list(perm)), fixture_spec, self.config)
             assert set(c.pathway for c in other.candidates) == set(
                 c.pathway for c in base.candidates
             )
@@ -343,7 +360,7 @@ def brute_force_reason(sequence, spec, config):
     """The first rule in REASONS that one pathway (a list of state tuples,
     one per period) fails, or None, checked value by value."""
     ids = [d.id for d in spec.descriptors]
-    out = ids.index(config.outcome_descriptor)
+    out = config.outcome
     series = [[z[j] for z in sequence] for j in range(len(ids))]
     exempt = [d.kind == "cyclic" and d.cyclic_params.step2 > 0 for d in spec.descriptors]
     targets = range(len(ids)) if config.full_vector_backsliding else [out]
@@ -355,7 +372,7 @@ def brute_force_reason(sequence, spec, config):
             for j in targets for t in steps
         ),
         "endpoint_inconsistency": any(
-            all(sequence[-1][ids.index(d)] == s for d, s in combo)
+            all(sequence[-1][j] == s for j, s in combo)
             for combo in config.endpoint_exclusions
         ),
         "late_rush": len(sequence) > 1
@@ -378,11 +395,11 @@ class TestScreeningOracle:
         spec = rules_spec()
         rng = random.Random(periods * 4 + full_vector * 2 + late_rush_steps)
         for trial in range(6):
-            config = ScreeningConfig(
-                outcome_descriptor=rng.choice("ABCD"), late_rush_steps=late_rush_steps,
-                discontinuity_steps=rng.choice([1, 2, 3]), full_vector_backsliding=full_vector,
-                endpoint_exclusions=((("A", 3), ("B", rng.randrange(4))),) if trial % 2 else (),
-            )
+            config = resolve_screening({
+                "outcome_descriptor": rng.choice("ABCD"), "late_rush_steps": late_rush_steps,
+                "discontinuity_steps": rng.choice([1, 2, 3]), "full_vector_backsliding": full_vector,
+                "endpoint_exclusions": [[["A", 3], ["B", rng.randrange(4)]]] if trial % 2 else [],
+            }, spec)
             # small moves, so that some pathways pass every rule
             runs = []
             for _ in range(120):
@@ -497,10 +514,12 @@ class TestMedoid:
 
 
 class TestSelection:
+    def config(self, fixture_spec):
+        """Outcome A, whose best state is its last, 1."""
+        return resolve_screening({"outcome_descriptor": "A"}, fixture_spec)
+
     def screened(self, fixture_spec, states):
-        return screen_candidates(
-            make_ensemble(states), fixture_spec, ScreeningConfig(outcome_descriptor="A")
-        )
+        return screen_candidates(make_ensemble(states), fixture_spec, self.config(fixture_spec))
 
     def test_frequency_order_and_k(self, fixture_spec):
         states = (
@@ -509,9 +528,7 @@ class TestSelection:
             + [[(0, 0), (0, 0), (0, 0)]] * 2
             + [[(0, 0), (1, 0), (1, 0)]] * 1
         )
-        result = select_candidates(
-            self.screened(fixture_spec, states), 3, ("A", 1), fixture_spec
-        )
+        result = select_candidates(self.screened(fixture_spec, states), 3, self.config(fixture_spec))
         assert len(result.candidates) == 3
         terms = [c.pathway.terminal() for c in result.candidates]
         # groups by terminal frequency: (1,1) 8 runs, (0,0) 2, (1,0) 1
@@ -527,9 +544,7 @@ class TestSelection:
             [(0, 0), (0, 0), (0, 0)],
             [(0, 0), (0, 1), (0, 1)],
         ]
-        result = select_candidates(
-            self.screened(fixture_spec, states), 3, ("A", 1), fixture_spec
-        )
+        result = select_candidates(self.screened(fixture_spec, states), 3, self.config(fixture_spec))
         rep = result.candidates[0]
         assert rep.pathway.terminal() == (1, 1)
         assert rep.pathway.scenarios == ((0, 0), (0, 0), (1, 1))
@@ -543,9 +558,7 @@ class TestSelection:
             + [[(0, 0), (0, 1), (0, 1)]] * 4
             + [[(0, 0), (1, 1), (1, 0)]] * 1
         )
-        result = select_candidates(
-            self.screened(fixture_spec, states), 3, ("A", 1), fixture_spec
-        )
+        result = select_candidates(self.screened(fixture_spec, states), 3, self.config(fixture_spec))
         terms = [c.pathway.terminal() for c in result.candidates]
         assert sum(1 for t in terms if t[0] == 1) >= 2
         assert any("best-outcome-guarantee" in c.rationale for c in result.candidates)
@@ -557,9 +570,7 @@ class TestSelection:
             + [[(0, 0), (0, 0), (0, 0)]] * 2
             + [[(0, 0), (0, 1), (0, 1)]] * 1
         )
-        result = select_candidates(
-            self.screened(fixture_spec, states), 3, ("A", 1), fixture_spec
-        )
+        result = select_candidates(self.screened(fixture_spec, states), 3, self.config(fixture_spec))
         assert result.warnings
         terms = [c.pathway.terminal() for c in result.candidates]
         assert sum(1 for t in terms if t[0] == 1) == 1
@@ -567,9 +578,7 @@ class TestSelection:
     def test_insufficient_pool(self, fixture_spec):
         states = [[(0, 0), (0, 0), (1, 1)]]
         with pytest.raises(InsufficientCandidatesError):
-            select_candidates(
-                self.screened(fixture_spec, states), 2, ("A", 1), fixture_spec
-            )
+            select_candidates(self.screened(fixture_spec, states), 2, self.config(fixture_spec))
 
     def test_fewer_terminal_groups_than_k(self, fixture_spec):
         # three survivors, all reaching A=1, share one terminal scenario
@@ -579,4 +588,4 @@ class TestSelection:
         with pytest.raises(InsufficientCandidatesError, match=(
             "^1 terminal groups among 3 surviving pathways, 2 requested$"
         )):
-            select_candidates(screened, 2, ("A", 1), fixture_spec)
+            select_candidates(screened, 2, self.config(fixture_spec))

@@ -112,11 +112,11 @@ def json_dumps_document(selected) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def assert_screen_stage_writes_json_dumps(ensemble, spec, screening, best, k, out_dir):
+def assert_screen_stage_writes_json_dumps(ensemble, spec, screening, k, out_dir):
     resolved = pipeline.resolve_screening(screening, spec)
     (path,), _ = pipeline.screen_stage(ensemble, spec, resolved, k, str(out_dir))
-    screened = screen_candidates(ensemble, spec, pipeline.screening_config_from(screening))
-    selected = select_candidates(screened, k, best, spec)
+    screened = screen_candidates(ensemble, spec, resolved)
+    selected = select_candidates(screened, k, resolved)
     with open(path, "rb") as fh:
         written = fh.read()
     assert written == json_dumps_document(selected)
@@ -132,9 +132,7 @@ def test_screen_stage_writes_the_json_dumps_document(
     spec = load_study_spec(mini_spec_path)
     ensemble = simulate_ensemble(spec, 300, seed, DEFAULT_MAX_ITER, 1)
     screening = {"outcome_descriptor": "RD", "best_outcome_state": 2}
-    selected = assert_screen_stage_writes_json_dumps(
-        ensemble, spec, screening, ("RD", 2), 4, tmp_path
-    )
+    selected = assert_screen_stage_writes_json_dumps(ensemble, spec, screening, 4, tmp_path)
     assert len(selected.rejected) > 2 * 50  # rows in three chunks or more at 50
 
 
@@ -146,6 +144,6 @@ def test_screen_stage_rejecting_nothing_writes_the_json_dumps_document(tmp_path)
         digest=spec.digest(),
     )
     selected = assert_screen_stage_writes_json_dumps(
-        ensemble, spec, {"outcome_descriptor": "A"}, ("A", 1), 2, tmp_path
+        ensemble, spec, {"outcome_descriptor": "A"}, 2, tmp_path
     )
     assert len(selected.rejected) == 0

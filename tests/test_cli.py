@@ -1087,6 +1087,15 @@ BAD_QUANTIFY_INPUTS = {
         }]}},
         "ParseError", "identities[0]: ",
     ),
+    "identity-adjusts-an-earlier-identitys-dimension": (
+        {"identities": {"identities": [
+            {"terms": {"carbon_price": 1.0, "renewables_capacity": 1.0},
+             "adjustable": ["carbon_price"], "equals": 300.0},
+            {"terms": {"carbon_price": 1.0, "acceptance_index": 1.0},
+             "adjustable": ["carbon_price"], "equals": 100.0},
+        ]}},
+        "ParseError", "identities[1].adjustable: ",
+    ),
     "identity-unknown-dimension": (
         {"identities": {"identities": [
             {"terms": {"carbon_price": 1.0, "carbn_price": 1.0}, "adjustable": ["carbon_price"]}
@@ -1320,6 +1329,19 @@ def test_bands_are_drawn_around_the_repaired_values(fixture_dir, tmp_path):
     assert len(banded) == 12
     for row in banded:
         assert row["low"] <= row["central"] <= row["high"], row
+
+
+def test_a_repair_that_would_flip_the_sign_exits_two(fixture_dir, tmp_path):
+    """renewables_capacity + carbon_price = 50 with carbon_price 100 would
+    scale renewables_capacity by a negative factor; the stages before
+    quantify have written their files."""
+    argv, out = _identity_pipeline(fixture_dir, tmp_path, 50)
+    result = invoke(CliRunner(), *argv)
+    assert result.exit_code == 2, result.output
+    report = json.loads(result.stderr)
+    assert report["error"] == "OutOfRangeError"
+    assert report["message"].startswith("identities[0]: identity 'capacity' unrepairable at period ")
+    assert not (out / "quantified.csv").exists()
 
 
 def test_repaired_value_outside_an_absolute_band_exits_two(fixture_dir, tmp_path):

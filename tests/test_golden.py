@@ -20,7 +20,7 @@ from cibpath.analytics import screen_candidates, select_candidates
 from cibpath.cli import main
 from cibpath.model import load_study_spec
 from cibpath.pipeline import (
-    load_checked_ensemble, load_pipeline_config, run_pipeline, screening_config_from,
+    load_checked_ensemble, load_pipeline_config, resolve_screening, run_pipeline,
 )
 
 ENSEMBLE_SHA256 = "c8f67ea497a63242be4a2705981b20a97d3754f43b21a558f66fe1f990a8f8e3"
@@ -95,9 +95,9 @@ def test_legacy_layout_of_the_results_keeps_its_digests(golden_run):
     ensemble = load_checked_ensemble(
         os.path.join(cfg.output_dir, "ensemble.jsonl"), spec, spec.digest()
     )
-    screened = screen_candidates(ensemble, spec, screening_config_from(cfg.screening))
-    best = (cfg.screening["outcome_descriptor"], cfg.screening["best_outcome_state"])
-    selected = select_candidates(screened, cfg.candidate_count, best, spec)
+    config = resolve_screening(cfg.screening, spec)
+    screened = screen_candidates(ensemble, spec, config)
+    selected = select_candidates(screened, cfg.candidate_count, config)
     rendered = {}
     for name, write, result in (
         ("ensemble.jsonl", legacy_format.write_ensemble, ensemble),

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cibpath.analytics import ScreeningConfig, screen_candidates
+from cibpath.analytics import screen_candidates
+from cibpath.pipeline import resolve_screening
 from cibpath.simulate import EnsembleResult, simulate_ensemble
 
 from conftest import make_ensemble
@@ -122,7 +123,7 @@ SCREEN_PEAK_BOUND = 1_500_000
 
 def test_screening_peak_memory_is_bounded(mini_spec):
     ens = simulate_ensemble(mini_spec, 10_000, 7)
-    config = ScreeningConfig(outcome_descriptor="RD")
+    config = resolve_screening({"outcome_descriptor": "RD"}, mini_spec)
     gc.collect()
     tracemalloc.start()
     try:

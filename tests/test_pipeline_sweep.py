@@ -26,13 +26,14 @@ ALL_BUT_QUANTIFY = FIRST_STAGES | {"candidates.json", "mcda_report.json"}
 #: that may leave files behind: a spec that fails validation, after the
 #: validate stage writes findings.json; a structural shock that leaves fewer
 #: terminal groups than candidates; a translation that misses a state that
-#: the selected pathway reaches; and an absolute range that misses a central
-#: value.
+#: the selected pathway reaches; an absolute range that misses a central
+#: value; and an identity whose repair would scale by zero or less.
 LEAVE_FILES = {
     ("spec", 1, "ValidationFailure", frozenset({"findings.json"})),
     ("spec", 2, "InsufficientCandidatesError", FIRST_STAGES),
     ("translation", 2, "CoverageError", ALL_BUT_QUANTIFY),
     ("pipeline", 2, "OutOfRangeError", ALL_BUT_QUANTIFY),
+    ("identities", 2, "OutOfRangeError", ALL_BUT_QUANTIFY),
 }
 
 

@@ -288,6 +288,52 @@ class TestIdentities:
                 zero, (Identity("x", (("a", 1.0),), ("a",), rhs_value=10.0),)
             )
 
+    def test_a_dimension_adjusted_by_two_identities_is_refused_on_read(self):
+        """{a, b} = 100 and {a, c} = 50, both adjusting a, would repair a to
+        40 for the second and leave a + b = 90."""
+        dims = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0), "c": (10.0, 10.0)}).dimensions
+        doc = {"identities": [
+            {"terms": {"a": 1.0, "b": 1.0}, "adjustable": ["a"], "equals": 100.0},
+            {"terms": {"a": 1.0, "c": 1.0}, "adjustable": ["a"], "equals": 50.0},
+        ]}
+        with pytest.raises(ParseError, match=r"'a' is adjusted by identities\[0\] already") as exc:
+            parse_identities(doc, dims)
+        assert exc.value.path == "identities[1].adjustable"
+        doc["identities"][1]["adjustable"] = ["c"]
+        assert len(parse_identities(doc, dims)) == 2
+
+    @pytest.mark.parametrize("equals", [40.0, 50.0])
+    def test_a_repair_that_scales_by_zero_or_less_is_refused(self, equals):
+        """a = 30, b = 50 and a + b = 40 would scale a by -1/3 and write
+        a = -10; a + b = 50 would scale it by 0."""
+        qp = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0)})
+        ident = Identity("sum", (("a", 1.0), ("b", 1.0)), ("a",), rhs_value=equals)
+        with pytest.raises(OutOfRangeError, match=r"^identities\[0\]: .* at period 2025: "):
+            enforce_identities(qp, (ident,))
+
+    def test_an_identity_a_later_repair_breaks_is_refused(self):
+        """Repairing b for {b, c} = 50 after a for {a, b} = 100 leaves
+        a + b = 50 + 40 = 90; the other order holds both."""
+        qp = self.qp({"a": (30.0, 30.0), "b": (50.0, 50.0), "c": (10.0, 10.0)})
+        identities = (
+            Identity("ab", (("a", 1.0), ("b", 1.0)), ("a",), rhs_value=100.0),
+            Identity("bc", (("b", 1.0), ("c", 1.0)), ("b",), rhs_value=50.0),
+        )
+        with pytest.raises(OutOfRangeError, match=(
+            r"^identities\[0\]: identity 'ab' broken at period 2025 by a later repair: 90 != 100$"
+        )):
+            enforce_identities(qp, identities)
+        assert enforce_identities(qp, identities[::-1]).values["a", 2025] == pytest.approx(60.0)
+
+    def test_repairs_of_large_values_hold_within_rounding(self):
+        """At 1e9 one rounding step exceeds IDENTITY_TOL; the check after
+        the repairs holds each identity to IDENTITY_TOL of its largest term."""
+        qp = self.qp({"a": (3e8 + 0.1, 3e8 + 0.7), "b": (7.3e8, 5.1e8)})
+        ident = Identity("sum", (("a", 3.0), ("b", 1.0)), ("a",), rhs_value=1.7e9 + 0.3)
+        out = enforce_identities(qp, (ident,))
+        for p in (2025, 2030):
+            assert 3 * out.values["a", p] + out.values["b", p] == pytest.approx(1.7e9 + 0.3, rel=1e-15)
+
     def test_zero_adjustable_coefficients_refused_on_read(self):
         """Adjustable terms whose coefficients are all 0 can repair nothing,
         whatever the values: the reader refuses them, before any stage."""

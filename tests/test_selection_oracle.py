@@ -7,24 +7,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from cibpath.analytics import (
-    CandidateSet, ScreeningConfig, _medoids, flat_rows, screen_candidates, select_candidates,
-)
+from cibpath.analytics import CandidateSet, _medoids, flat_rows, screen_candidates, select_candidates
+from cibpath.pipeline import resolve_screening
 
 from conftest import make_ensemble
 
 #: Lets no pathway fail but by backsliding on RD, which the pools avoid.
-CONFIG = ScreeningConfig(outcome_descriptor="RD", late_rush_steps=3, discontinuity_steps=3)
+SCREENING = {"outcome_descriptor": "RD", "late_rush_steps": 3, "discontinuity_steps": 3}
 J_RD = 1
 
 
-def reference_select(screened, k, best_outcome, spec, branches):
+def reference_select(screened, k, config, branches):
     """select_candidates as it was before its swaps took one pass: the
     recount and its warning included. Adds to branches the names of the
     branches a call takes."""
     pool = screened.candidates
-    j_best = spec.index_of(best_outcome[0])
-    best_state = best_outcome[1]
+    j_best, best_state = config.outcome, config.best_state
     terminals = pool.states[:, -1]
     keys, group = np.unique(pool.terminal, return_inverse=True)
     assert len(keys) >= k
@@ -76,7 +74,7 @@ def reference_select(screened, k, best_outcome, spec, branches):
 
 def pathway(rng, terminal, periods=6):
     """A random pathway of the mini study ending in terminal, whose RD never
-    falls, so that CONFIG lets it pass."""
+    falls, so that SCREENING lets it pass."""
     earlier = [[rng.randrange(3) for _ in range(5)] for _ in range(periods - 1)]
     rd = sorted(rng.randint(0, terminal[J_RD]) for _ in range(periods - 1))
     for row, value in zip(earlier, rd):
@@ -119,18 +117,21 @@ POOLS = [(random_pool, 600), (swap_pool, 400)]
 def test_select_candidates_matches_the_reference(mini_spec):
     rng = random.Random(2028)
     ids = [d.id for d in mini_spec.descriptors]
+    screening = resolve_screening(SCREENING, mini_spec)
     branches, compared = Counter(), 0
     for make, count in POOLS:
         for _ in range(count):
             runs, k, (j, state) = make(rng)
             screened = screen_candidates(make_ensemble(runs, periods=mini_spec.time_grid),
-                                         mini_spec, CONFIG)
+                                         mini_spec, screening)
             if len(np.unique(screened.candidates.terminal)) < k:
                 continue
-            best = (ids[j], state)
+            # the best outcome, on any descriptor; select_candidates reads no other rule
+            best = resolve_screening({"outcome_descriptor": ids[j], "best_outcome_state": state},
+                                     mini_spec)
             taken = set()
-            want = reference_select(screened, k, best, mini_spec, taken)
-            got = select_candidates(screened, k, best, mini_spec)
+            want = reference_select(screened, k, best, taken)
+            got = select_candidates(screened, k, best)
             assert got.candidates == want.candidates, (runs, k, best)
             assert got.warnings == want.warnings, (runs, k, best)
             branches.update(taken)
